@@ -1,24 +1,39 @@
-"""Exact rational linear programming and polytope helpers in the plane.
+"""Exact linear programming and polytope helpers in the plane.
 
-All routines work over `fractions.Fraction` with no floating point.  A
-constraint is a pair ``(n, a)`` encoding the closed half-plane
-``n . z + a >= 0`` with ``n`` an integer (or rational) vector.  Problem
-sizes here are tiny (a handful of constraints), so everything is done by
-basic-solution enumeration, which is simple and exact.
+Nothing here uses floating point.  A constraint is a pair ``(n, a)``
+encoding the closed half-plane ``n . z + a >= 0`` with ``n`` an integer (or
+rational) vector and ``a`` a `fractions.Fraction`.  Problem sizes here are
+tiny (a handful of constraints), so vertices are found by basic-solution
+enumeration, which is simple and exact.
+
+The enumeration itself is pure integer arithmetic: `basic_points` takes
+denominator-cleared constraints ``(A, B, C)`` (``A x + B y + C >= 0``) and
+returns homogeneous integer points ``(X, Y, W)`` standing for
+``(X / W, Y / W)``; `sort_ccw` orders such points.  `Fraction` points are
+made only by the wrappers (`polytope_vertices`, `to_point`) that callers
+with rational data use.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 Vec = Tuple[int, int]
 Point = Tuple[Fraction, Fraction]
 Constraint = Tuple[Vec, Fraction]
+IntConstraint = Tuple[int, int, int]
+Homogeneous = Tuple[int, int, int]
 
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 OPTIMAL = "optimal"
+
+
+class LPError(Exception):
+    pass
 
 
 def dot(u, v):
@@ -33,17 +48,8 @@ def vsub(u, v):
     return (u[0] - v[0], u[1] - v[1])
 
 
-def vadd(u, v):
-    return (u[0] + v[0], u[1] + v[1])
-
-
 def vneg(u):
     return (-u[0], -u[1])
-
-
-def satisfies(c: Constraint, p: Point, strict: bool = False) -> bool:
-    val = dot(c[0], p) + c[1]
-    return val > 0 if strict else val >= 0
 
 
 def boundary_intersection(c1: Constraint, c2: Constraint) -> Optional[Point]:
@@ -58,10 +64,8 @@ def boundary_intersection(c1: Constraint, c2: Constraint) -> Optional[Point]:
     return (x, y)
 
 
-def _int_constraints(cons: Sequence[Constraint]):
+def int_constraints(cons: Sequence[Constraint]) -> list[IntConstraint]:
     """Clear denominators: (A, B, C) means A x + B y + C >= 0, all integers."""
-    import math
-
     out = []
     for n, a in cons:
         a = Fraction(a)
@@ -72,18 +76,19 @@ def _int_constraints(cons: Sequence[Constraint]):
     return out
 
 
-def basic_points(cons: Sequence[Constraint]) -> list[Point]:
+def to_point(h: Homogeneous) -> Point:
+    return (Fraction(h[0], h[2]), Fraction(h[1], h[2]))
+
+
+def basic_points(ics: Sequence[IntConstraint]) -> list[Homogeneous]:
     """All pairwise boundary intersections satisfying every constraint.
 
-    Runs on denominator-cleared integer constraints: candidate points are
-    kept as homogeneous integer triples so every feasibility check is pure
-    integer arithmetic.
+    Takes integer constraints (see `int_constraints`) and returns each point
+    once, as a reduced homogeneous triple (X, Y, W) with W > 0, in the order
+    the pairs (i, j), i < j, first meet it.
     """
-    import math
-
-    ics = _int_constraints(cons)
     m = len(ics)
-    pts: list[Point] = []
+    pts: list[Homogeneous] = []
     seen = set()
     for i in range(m):
         A1, B1, C1 = ics[i]
@@ -107,7 +112,7 @@ def basic_points(cons: Sequence[Constraint]) -> list[Point]:
                     break
             if ok:
                 seen.add(key)
-                pts.append((Fraction(key[0], key[2]), Fraction(key[1], key[2])))
+                pts.append(key)
     return pts
 
 
@@ -150,7 +155,7 @@ def feasible_point(cons: Sequence[Constraint]) -> Optional[Point]:
     """Some point satisfying every constraint, or None."""
     if not cons:
         return (Fraction(0), Fraction(0))
-    pts = basic_points(cons)
+    pts = polytope_vertices(cons)
     if pts:
         return pts[0]
     # No basic point: either infeasible or all normals parallel (a strip,
@@ -204,28 +209,30 @@ def minimize(obj, cons: Sequence[Constraint]):
         return (OPTIMAL, Fraction(0), witness)
     if not cone_contains([c[0] for c in cons], obj):
         return (UNBOUNDED, None, None)
-    pts = basic_points(cons)
+    pts = polytope_vertices(cons)
     if pts:
         best = min(pts, key=lambda p: dot(obj, p))
         return (OPTIMAL, dot(obj, best), best)
     # Pointed case always has a basic optimum; remaining case is a strip or
     # half-plane with obj parallel to the shared normal direction.
     interval = _parallel_interval(cons)
-    assert interval is not None
+    if interval is None:
+        raise LPError("a feasible system without basic points must be parallel")
     n0, lo, hi = interval
     nn = Fraction(dot(n0, n0))
     if dot(obj, n0) > 0:
         s = lo
     else:
         s = hi
-    assert s is not None  # bounded => the relevant bound exists
+    if s is None:
+        raise LPError("a bounded objective needs the matching bound")
     p = (s * n0[0] / nn, s * n0[1] / nn)
     return (OPTIMAL, dot(obj, p), p)
 
 
 def polytope_vertices(cons: Sequence[Constraint]) -> list[Point]:
     """Vertices (basic feasible points) of the polyhedron."""
-    return basic_points(cons)
+    return [to_point(h) for h in basic_points(int_constraints(cons))]
 
 
 def _collinear(a: Point, b: Point, c: Point) -> bool:
@@ -258,30 +265,6 @@ def has_interior(cons: Sequence[Constraint]) -> bool:
     return False
 
 
-def centroid(points: Sequence[Point]) -> Point:
-    n = len(points)
-    sx = sum((p[0] for p in points), Fraction(0))
-    sy = sum((p[1] for p in points), Fraction(0))
-    return (sx / n, sy / n)
-
-
-def region_meets_interior(region: Sequence[Constraint],
-                          strict: Sequence[Constraint]) -> bool:
-    """Does {region constraints} (a bounded region inside the domain) contain
-    a point strictly satisfying all `strict` constraints?
-
-    The region is the convex hull of its vertices; the centroid of the vertex
-    set lies in the region's relative interior, and a supporting line of the
-    region through the centroid would have to contain the whole region.  So
-    the centroid is strictly inside unless the region lies on a boundary line.
-    """
-    verts = polytope_vertices(list(region) + list(strict))
-    if not verts:
-        return False
-    c = centroid(verts)
-    return all(satisfies(s, c, strict=True) for s in strict)
-
-
 def convex_hull(points: Sequence[Point]) -> list[Point]:
     """Monotone-chain convex hull; returns CCW vertex list without repeats."""
     pts = sorted(set(points))
@@ -309,8 +292,6 @@ def hull_lattice_points(points: Sequence[Point]) -> list[Vec]:
         p = hull[0]
         ok = p[0].denominator == 1 and p[1].denominator == 1
         return [(int(p[0]), int(p[1]))] if ok else []
-    import math
-
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
     x_lo, x_hi = math.ceil(min(xs)), math.floor(max(xs))
@@ -356,34 +337,34 @@ def polygon_area(vertices: Sequence[Point]) -> Fraction:
     return abs(s) / 2
 
 
-def sort_ccw(points: Sequence[Point]) -> list[Point]:
-    """Sort points counterclockwise around their centroid (exact comparator)."""
-    pts = list(dict.fromkeys(points))
-    if len(pts) <= 2:
+def sort_ccw(points: Sequence[Homogeneous]) -> list[Homogeneous]:
+    """Sort distinct homogeneous points counterclockwise around their
+    centroid, starting at angle 0 (exact integer comparator, stable on
+    ties); two or fewer points keep their order."""
+    pts = list(points)
+    n = len(pts)
+    if n <= 2:
         return pts
-    c = centroid(pts)
+    den = math.lcm(*[h[2] for h in pts])  # a list: see series._Complex
+    xs = [X * (den // W) for X, _, W in pts]
+    ys = [Y * (den // W) for _, Y, W in pts]
+    sx, sy = sum(xs), sum(ys)
+    # offsets from the centroid, scaled by n * den > 0
+    d = [(n * x - sx, n * y - sy) for x, y in zip(xs, ys)]
+    # 0 for the upper half (angle in [0, pi)), 1 for the lower
+    half = [0 if dy > 0 or (dy == 0 and dx > 0) else 1 for dx, dy in d]
 
-    def half(p):
-        d = vsub(p, c)
-        # 0 for upper half (angle in [0, pi)), 1 for lower
-        if d[1] > 0 or (d[1] == 0 and d[0] > 0):
-            return 0
-        return 1
-
-    import functools
-
-    def cmp(p, q):
-        hp, hq = half(p), half(q)
-        if hp != hq:
-            return -1 if hp < hq else 1
-        cr = cross(vsub(p, c), vsub(q, c))
+    def cmp(i, j):
+        if half[i] != half[j]:
+            return -1 if half[i] < half[j] else 1
+        cr = cross(d[i], d[j])
         if cr > 0:
             return -1
         if cr < 0:
             return 1
         return 0
 
-    return sorted(pts, key=functools.cmp_to_key(cmp))
+    return [pts[i] for i in sorted(range(n), key=functools.cmp_to_key(cmp))]
 
 
 def point_segment_dist2(p: Point, a: Point, b: Point) -> Fraction:
@@ -407,6 +388,4 @@ def floor_sqrt_fraction(x: Fraction) -> Fraction:
     """A rational lower bound for sqrt(x): isqrt(num*den)/den <= sqrt(x)."""
     if x < 0:
         raise ValueError("negative")
-    import math
-
     return Fraction(math.isqrt(x.numerator * x.denominator), x.denominator)

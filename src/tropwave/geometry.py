@@ -41,16 +41,27 @@ def gcd2(v: Vec) -> int:
     return math.gcd(abs(v[0]), abs(v[1]))
 
 
-def is_primitive(v: Vec) -> bool:
-    return gcd2(v) == 1
-
-
 def primitive(v: Vec) -> Vec:
     """The primitive vector with the same direction as v (v nonzero)."""
     g = gcd2(v)
     if g == 0:
         raise GeometryError("zero vector has no direction")
     return (v[0] // g, v[1] // g)
+
+
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
 
 
 def _sorted_by_angle(normals: Iterable[Vec]) -> list[Vec]:
@@ -108,7 +119,8 @@ class QPolygon:
     """Closed intersection of rational half-planes with nonempty interior.
 
     Canonical form: redundant half-planes removed, normals primitive, sorted
-    by angle; the vertex cycle is cached (CCW) when the polygon is bounded.
+    by angle; the vertex cycle (CCW) and the sides are cached when the
+    polygon is bounded, and the constraints also with denominators cleared.
     Structural equality compares the canonical half-plane lists.
     """
 
@@ -134,18 +146,25 @@ class QPolygon:
         essential.sort(key=lambda hp: order[hp.n])
         self.halfplanes: tuple[HalfPlane, ...] = tuple(essential)
         self._cons = [hp.constraint() for hp in self.halfplanes]
+        self._int_cons = tuple(lp.int_constraints(self._cons))
         self.bounded: bool = all(
             lp.cone_contains([hp.n for hp in self.halfplanes], d)
             for d in ((1, 0), (-1, 0), (0, 1), (0, -1))
         )
         self.vertices: Optional[tuple[Point, ...]] = None
         if self.bounded:
-            self.vertices = tuple(lp.sort_ccw(lp.polytope_vertices(self._cons)))
+            hverts = lp.sort_ccw(lp.basic_points(self._int_cons))
+            self.vertices = tuple(lp.to_point(h) for h in hverts)
+        self._sides: Optional[list[tuple[HalfPlane, Point, Point]]] = None
 
     # -- basic queries -------------------------------------------------
 
     def constraints(self) -> list[Constraint]:
         return list(self._cons)
+
+    def int_constraints(self) -> tuple[lp.IntConstraint, ...]:
+        """The constraints with denominators cleared, in the same order."""
+        return self._int_cons
 
     def contains(self, p: Point, strict: bool = False) -> bool:
         return all(hp.contains(p, strict) for hp in self.halfplanes)
@@ -159,15 +178,17 @@ class QPolygon:
         """Each essential half-plane with the endpoints of its edge (bounded)."""
         if not self.bounded:
             raise GeometryError("sides() requires a bounded polygon")
-        out = []
-        for hp in self.halfplanes:
-            on_line = [v for v in self.vertices if dot(hp.n, v) + hp.a == 0]
-            if len(on_line) < 2:
-                raise GeometryError("essential side with fewer than two vertices")
-            d = (-hp.n[1], hp.n[0])
-            on_line.sort(key=lambda v: dot(d, v))
-            out.append((hp, on_line[0], on_line[-1]))
-        return out
+        if self._sides is None:
+            out = []
+            for hp in self.halfplanes:
+                on_line = [v for v in self.vertices if dot(hp.n, v) + hp.a == 0]
+                if len(on_line) < 2:
+                    raise GeometryError("essential side with fewer than two vertices")
+                d = (-hp.n[1], hp.n[0])
+                on_line.sort(key=lambda v: dot(d, v))
+                out.append((hp, on_line[0], on_line[-1]))
+            self._sides = out
+        return list(self._sides)
 
     def corners(self) -> list[Corner]:
         """Corners with the inward normals of the two incident sides."""

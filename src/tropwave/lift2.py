@@ -392,10 +392,6 @@ def trop(F: LaurentPoly2) -> Dict[Vec, Fraction]:
     return {v: a.val() for v, a in F.coeffs.items()}
 
 
-def trop_eval(tf: Dict[Vec, Fraction], q) -> Fraction:
-    return min(c + v[0] * q[0] + v[1] * q[1] for v, c in tf.items())
-
-
 def trop_wave(tf: Dict[Vec, Fraction], q) -> Dict[Vec, Fraction]:
     """Domain-free single wave on a finite min-plus polynomial at q: bump the
     unique minimal monomial to tie with the runner-up; ties fix the input."""

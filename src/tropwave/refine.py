@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 from . import exactlp as lp
 from .exactlp import Point, Vec, cross, dot
 from .geometry import (GeometryError, HalfPlane, QPolygon, is_unimodular,
-                       primitive)
+                       primitive, xgcd)
 from .series import (BoundaryMismatch, SeriesError, Support, TropicalSeries,
                      add_monomial, evaluate, is_nice, quasi_degree,
                      zero_series)
@@ -163,35 +163,25 @@ def _unimodular_fan(u1: Vec, u2: Vec) -> list[Vec]:
     """Primitive directions strictly between u1 and u2 (cross(u1,u2) > 0)
     making every adjacent pair unimodular (minimal continued-fraction fan)."""
     d = cross(u1, u2)
-    assert d > 0
+    if d <= 0:
+        raise RefineError(f"fan directions {u1}, {u2} are not in CCW order")
     if d == 1:
         return []
     # w0 with cross(u1, w0) = 1, slid into the open cone
-    g, s, t = _xgcd(u1[0], u1[1])
-    assert g == 1
+    g, s, t = xgcd(u1[0], u1[1])
+    if g != 1:
+        raise RefineError(f"fan direction {u1} is not primitive")
     w0 = (-t, s)  # u1 x w0 = u1[0]*s + u1[1]*t ... verified below
     if cross(u1, w0) != 1:
         w0 = (t, -s)
-    assert cross(u1, w0) == 1
+    if cross(u1, w0) != 1:
+        raise RefineError(f"no unimodular partner for {u1}")
     c0 = cross(w0, u2)
     shift = -((c0 - 1) // d)  # smallest t with c0 + t*d >= 1
     w = (w0[0] + shift * u1[0], w0[1] + shift * u1[1])
-    assert cross(u1, w) == 1 and cross(w, u2) >= 1
+    if cross(u1, w) != 1 or cross(w, u2) < 1:
+        raise RefineError(f"fan step {w} leaves the cone of {u1}, {u2}")
     return [w] + _unimodular_fan(w, u2)
-
-
-def _xgcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def make_nice(poly: QPolygon, f: TropicalSeries, eps: Fraction

@@ -7,12 +7,20 @@ the coefficient of every stored monomial is minimal (``sup(f - v.z)`` over
 the domain) and every stored monomial actually touches the function at some
 interior point.  The full canonical form over all of Z^2 is virtual and
 computed coefficient-by-coefficient on demand.
+
+Each polygon series builds its linearity complex once, on first use, in
+integers: the cells come from denominator-cleared constraints, the complex
+vertices are held as integer points over one common denominator D, and with
+them the integers D * f.  Canonical coefficients and renormalization read
+that table; values stay exact, and `Fraction` appears only at the API
+boundary (coefficients, `cells()`, `complex_vertices()`).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from . import exactlp as lp
 from .exactlp import Point, Vec, cross, dot, vsub
@@ -29,10 +37,6 @@ class OutsideDomain(SeriesError):
 
 
 class NotAdmissible(SeriesError):
-    pass
-
-
-class UnboundedMonomial(SeriesError):
     pass
 
 
@@ -80,7 +84,7 @@ class TropicalSeries:
         else:
             self.support = _small_canonical_terms(domain, support)
         self._cells: Optional[dict] = None
-        self._complex_vertices = None
+        self._complex: Optional[_Complex] = None
         self._quasi_degree = None
 
     # -- basics ----------------------------------------------------------
@@ -123,22 +127,78 @@ class TropicalSeries:
     def cells(self) -> dict:
         """Monomial -> CCW vertex list of its (possibly degenerate) region."""
         if self._cells is None:
-            out = {}
-            for v in self.support:
-                verts = lp.polytope_vertices(self.cell_constraints(v))
-                out[v] = lp.sort_ccw(verts)
-            self._cells = out
+            self._complex = _Complex(self.domain, self.support)
+            self._cells = self._complex.cells
         return self._cells
 
     def complex_vertices(self) -> list[Point]:
         """All vertices of the linearity decomposition (and the domain)."""
-        if self._complex_vertices is None:
-            seen = {}
-            for verts in self.cells().values():
-                for p in verts:
-                    seen[p] = True
-            self._complex_vertices = list(seen)
-        return self._complex_vertices
+        return self._int_complex().vertices
+
+    def _int_complex(self) -> "_Complex":
+        if self._complex is None:
+            self.cells()
+        return self._complex
+
+
+class _Complex:
+    """The linearity complex of a polygon series, built in integers.
+
+    Coefficients are scaled by the lcm of their denominators and every
+    constraint is an integer triple (A, B, C) for A x + B y + C >= 0, so the
+    cells come from `exactlp.basic_points` with no `Fraction` arithmetic.
+    The complex vertices, in first-seen order over the cells, are kept as
+    ``table`` rows (X, Y, F): the vertex is (X, Y) / denom and F is denom
+    times the series there.  ``cells`` and ``vertices`` are the same data
+    as `Fraction` points.
+    """
+
+    __slots__ = ("denom", "table", "cells", "vertices")
+
+    def __init__(self, domain: QPolygon, support: Support):
+        # star-arguments come from lists, not generators: on CPython 3.11
+        # the generator form made the peak RSS of long runs creep upwards
+        scale = math.lcm(*[a.denominator for a in support.values()])
+        alpha = {v: a.numerator * (scale // a.denominator)
+                 for v, a in support.items()}
+        dden = math.lcm(*[c.denominator for p in domain.vertices for c in p])
+        dverts = [(x.numerator * (dden // x.denominator),
+                   y.numerator * (dden // y.denominator))
+                  for x, y in domain.vertices]
+        hcells = {}
+        for v, av in alpha.items():
+            cons = list(domain.int_constraints())
+            for w, aw in alpha.items():
+                if w == v:
+                    continue
+                A, B, C = scale * (w[0] - v[0]), scale * (w[1] - v[1]), aw - av
+                # keep the constraint only if it cuts the domain: a domain
+                # vertex violates it (exact by convexity)
+                Cd = C * dden
+                if any(A * X + B * Y + Cd < 0 for X, Y in dverts):
+                    cons.append((A, B, C))
+            hcells[v] = lp.sort_ccw(lp.basic_points(cons))
+
+        hverts = list(dict.fromkeys(h for hs in hcells.values() for h in hs))
+        denom = math.lcm(scale, *[h[2] for h in hverts])
+        lift = denom // scale
+        table = []
+        for X, Y, W in hverts:
+            X, Y = X * (denom // W), Y * (denom // W)
+            table.append((X, Y, min(v[0] * X + v[1] * Y + av * lift
+                                    for v, av in alpha.items())))
+        self.denom = denom
+        self.table = table
+        points = {h: lp.to_point(h) for h in hverts}
+        self.vertices = list(points.values())
+        self.cells = {v: [points[h] for h in hs] for v, hs in hcells.items()}
+
+    def coefficient(self, u: Vec) -> Fraction:
+        """max over the complex vertices of (f - u.z): the canonical
+        coefficient of a monomial outside the support."""
+        u0, u1 = u
+        return Fraction(max(F - u0 * X - u1 * Y for X, Y, F in self.table),
+                        self.denom)
 
 
 def evaluate(f: TropicalSeries, z: Point) -> Fraction:
@@ -188,21 +248,18 @@ def _presentation_side_degrees(domain: QPolygon, terms: Support) -> Dict[Vec, in
 def _candidate_hull(domain: QPolygon, degrees: Dict[Vec, int]) -> list[Vec]:
     """Lattice points of conv{m(S) * n(S)}; the small support of any series
     with side degrees <= m(S) lies inside this hull."""
-    pts = [(Fraction(m * n[0]), Fraction(m * n[1])) for n, m in degrees.items()]
-    pts.append((Fraction(0), Fraction(0)))
+    pts = [(m * n[0], m * n[1]) for n, m in degrees.items()]
+    pts.append((0, 0))
     return lp.hull_lattice_points(pts)
-
-
-def _values_at(terms: Support, pts: Sequence[Point]) -> list[Fraction]:
-    return [min(dot(v, p) + a for v, a in terms.items()) for p in pts]
 
 
 def _small_canonical_terms(domain: QPolygon, terms: Support) -> Support:
     """Renormalize a finite presentation to the small canonical form.
 
     The presentation must define a valid series: nonnegative (checked at the
-    domain vertices, where the concave min attains its minimum) and vanishing
-    on every side (a vanishing monomial per side must be present).
+    complex vertices, which include the domain vertices where the concave
+    min attains its minimum) and vanishing on every side (a vanishing
+    monomial per side must be present).
 
     A candidate stays iff its canonical affine touches the function at an
     interior point.  The touching set is the argmax of a concave piecewise
@@ -210,26 +267,29 @@ def _small_canonical_terms(domain: QPolygon, terms: Support) -> Support:
     it meets the open interior iff the centroid of those attainers does (a
     supporting boundary line through the centroid would contain them all).
     """
-    for p in domain.vertices:
-        if min(dot(v, p) + a for v, a in terms.items()) < 0:
-            raise SeriesError("presentation is negative on the domain")
+    # the presentation's linearity complex; it is built here and dropped
+    cx = TropicalSeries(domain, terms, canonical=True)._int_complex()
+    if min(F for _, _, F in cx.table) < 0:
+        raise SeriesError("presentation is negative on the domain")
     degrees = _presentation_side_degrees(domain, terms)
     candidates = _candidate_hull(domain, degrees)
 
-    # vertices of the presentation's linearity complex
-    probe = TropicalSeries(domain, terms, canonical=True)
-    verts = probe.complex_vertices()
-    vals = _values_at(terms, verts)
-
+    domain_cons = domain.int_constraints()
     kept: Support = {}
     for u in candidates:
-        gaps = [val - dot(u, p) for p, val in zip(verts, vals)]
+        u0, u1 = u
+        gaps = [F - u0 * X - u1 * Y for X, Y, F in cx.table]
         b = max(gaps)
-        attain = [p for p, gap in zip(verts, gaps) if gap == b]
-        cx = sum((p[0] for p in attain), Fraction(0)) / len(attain)
-        cy = sum((p[1] for p in attain), Fraction(0)) / len(attain)
-        if domain.contains((cx, cy), strict=True):
-            kept[u] = b
+        sx = sy = count = 0
+        for (X, Y, _), gap in zip(cx.table, gaps):
+            if gap == b:
+                sx += X
+                sy += Y
+                count += 1
+        # the attainers' centroid is (sx, sy) / w; strictly inside the domain?
+        w = count * cx.denom
+        if all(A * sx + B * sy + C * w > 0 for A, B, C in domain_cons):
+            kept[u] = Fraction(b, cx.denom)
     return dict(sorted(kept.items()))
 
 
@@ -267,13 +327,10 @@ def canonical_coefficient(f: TropicalSeries, v: Vec) -> Fraction:
     v = tuple(v)
     if isinstance(f.domain, SupportOracle) or not isinstance(f.domain, QPolygon):
         raise SeriesError("canonical coefficients require a polygon domain")
-    if support_coeff(f.domain, v) is None:
-        raise UnboundedMonomial(f"{v} has no finite support coefficient")
+    # a series' polygon is bounded, so every coefficient is finite
     if v in f.support:
         return f.support[v]
-    verts = f.complex_vertices()
-    vals = _values_at(f.support, verts)
-    return max(val - dot(v, p) for p, val in zip(verts, vals))
+    return f._int_complex().coefficient(v)
 
 
 def rho(f: TropicalSeries, g: TropicalSeries) -> Fraction:

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import exactlp as lp
 from .exactlp import Point, Vec, cross, dot, vsub
-from .geometry import QPolygon, primitive
+from .geometry import QPolygon, primitive, xgcd
 from .series import (OutsideDomain, TropicalSeries, add_monomial,
                      canonical_coefficient, clamp, distance_function,
                      evaluate, tropical_product, zero_series)
@@ -114,7 +114,8 @@ def _second_min_at(f: TropicalSeries, p: Point, exclude: Vec) -> Fraction:
         if hp.n != exclude and hp.n not in f.support:
             val = dot(hp.n, p) + canonical_coefficient(f, hp.n)
             best = val if best is None or val < best else best
-    assert best is not None
+    if best is None:
+        raise WaveError("no competing monomial bounds the increment")
     # Any other monomial u beating `best` satisfies u.p - c_u < best, i.e.
     # max over vertices W of u.(p - W) < best: a bounded lattice polytope.
     dirs = [vsub(p, w) for w in dom.vertices]
@@ -151,7 +152,8 @@ def wave(f: TropicalSeries, p: Point, step: int = 0) -> Tuple[TropicalSeries, Wa
     v = att[0]
     rest = _second_min_at(f, p, v)
     c = rest - (dot(v, p) + f.support[v])
-    assert c > 0
+    if c <= 0:
+        raise WaveError(f"nonpositive wave increment {c} at {p}")
     face = f.cells()[v]
     area = lp.polygon_area(face)
     g = add_monomial(f, v, c)
@@ -222,24 +224,11 @@ def run_dynamics(f: TropicalSeries, points: Sequence[Point],
 
 def _unimodular_map_to(v: Vec) -> Tuple[Tuple[int, int], Tuple[int, int]]:
     """Rows of an SL(2,Z) matrix T with T v = (0, 1); v must be primitive."""
-    g, x, y = _xgcd(v[0], v[1])
-    assert g == 1
+    g, x, y = xgcd(v[0], v[1])
+    if g != 1:
+        raise WaveError(f"{v} is not primitive")
     # rows: r1 . v = 0, r2 . v = 1, det [r1; r2] = v1*y + v0*x = 1
     return (v[1], -v[0]), (x, y)
-
-
-def _xgcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def _apply(T, u):
@@ -295,7 +284,8 @@ def wave_family_scan(f: TropicalSeries, p: Point, samples: int = 4) -> Perestroi
         T = _unimodular_map_to(d)
         ta = _apply(T, vsub(u_a, v))
         tb = _apply(T, vsub(u_b, v))
-        assert {ta[0], tb[0]} == {1, -1}, "smooth endpoints give x-components +-1"
+        if {ta[0], tb[0]} != {1, -1}:
+            raise WaveError("smooth endpoints must give x-components +-1")
         n1 = ta[1] if ta[0] == 1 else tb[1]
         n2 = tb[1] if ta[0] == 1 else ta[1]
 
@@ -305,7 +295,8 @@ def wave_family_scan(f: TropicalSeries, p: Point, samples: int = 4) -> Perestroi
             pt = lp.boundary_intersection(
                 (vsub(w, v), -(a_v + c * t - f.support[w])),
                 (vsub(u, v), -(a_v + c * t - _coeff(f, u))))
-            assert pt is not None
+            if pt is None:
+                raise WaveError(f"side {v}-{w} is parallel to its neighbor {u}")
             return pt
 
         e0a, e1a = endpoint_at(u_a, Fraction(0)), endpoint_at(u_a, Fraction(1))
@@ -348,7 +339,8 @@ def wave_family_scan(f: TropicalSeries, p: Point, samples: int = 4) -> Perestroi
         t = Fraction(k, samples + 1)
         ft = add_monomial(f, v, c * t)
         att = attaining_monomials(ft, p)
-        assert att == [v], "face of p must survive for t < 1"
+        if att != [v]:
+            raise WaveError(f"face of p must survive for t = {t} < 1")
     events.sort(key=lambda e: e.t)
     return PerestroikaReport(c, sides_info, events)
 

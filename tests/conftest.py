@@ -2,10 +2,18 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import settings
 
 from tropwave.geometry import QPolygon
 from tropwave.series import TropicalSeries, make_series, zero_series
 from tropwave.wave import sample_interior_points, wave
+
+# Exact arithmetic makes example times vary widely, and a slow host makes
+# them drift; a deadline would flake, so none is set.  Derandomized runs
+# repeat the same examples every time.
+settings.register_profile("tropwave", deadline=None, derandomize=True,
+                          max_examples=40)
+settings.load_profile("tropwave")
 
 
 def unit_square():

@@ -1,3 +1,4 @@
+import importlib
 import json
 import random
 from fractions import Fraction as F
@@ -9,9 +10,9 @@ from tropwave.geometry import QPolygon
 from tropwave.series import (OutsideDomain, add_monomial, distance_function,
                              evaluate, quasi_degree, rho, zero_series)
 from tropwave.wave import (STABILIZED, STEP_LIMIT, Schedule,
-                           UnclassifiableSide, avalanche_experiment,
-                           run_dynamics, upper_bound_witness, wave,
-                           wave_family_scan)
+                           UnclassifiableSide, WaveError,
+                           avalanche_experiment, run_dynamics,
+                           upper_bound_witness, wave, wave_family_scan)
 
 from conftest import pentagon, random_points, random_polygon, random_series, \
     square13, unit_square
@@ -44,6 +45,15 @@ class TestSingleWave:
         assert ev.increment == 0
         assert ev.avalanche_area == 0
         assert g == f
+
+    def test_nonpositive_increment_raises(self, monkeypatch):
+        # a runner-up that ties the minimum gives increment 0 on a smooth
+        # point; the check must survive python -O, so it is not an assert
+        wave_module = importlib.import_module("tropwave.wave")
+        monkeypatch.setattr(wave_module, "_second_min_at",
+                            lambda f, p, exclude: evaluate(f, p))
+        with pytest.raises(WaveError):
+            wave(square13(), (F(1, 5), F(1, 2)))
 
     def test_outside_domain(self):
         with pytest.raises(OutsideDomain):
