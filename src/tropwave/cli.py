@@ -37,6 +37,14 @@ EXIT_NONCONVERGENCE = 4
 EXIT_CERTIFICATE = 5
 
 
+def positive_int(text) -> int:
+    """A positive integer, from a flag or a config value."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{text!r} is not a positive integer")
+    return value
+
+
 @dataclass
 class RunConfig:
     seed: int = 0
@@ -47,16 +55,22 @@ class RunConfig:
 
     @staticmethod
     def from_args(args) -> "RunConfig":
+        """Defaults, then the --config file, then the flags.  Bad values
+        raise ParseError, OSError, ValueError or TypeError."""
         cfg = RunConfig()
         if getattr(args, "config", None):
             with open(args.config) as fh:
                 raw = json.load(fh)
+            if not isinstance(raw, dict):
+                raise jsonio.ParseError("config must be a JSON object")
             cfg.seed = int(raw.get("seed", cfg.seed))
-            cfg.denom_bound = int(raw.get("denom_bound", cfg.denom_bound))
+            cfg.denom_bound = positive_int(raw.get("denom_bound", cfg.denom_bound))
             if "tol" in raw:
                 cfg.tol = jsonio.frac_from_str(raw["tol"])
             cfg.max_steps = int(raw.get("max_steps", cfg.max_steps))
             cfg.out_dir = raw.get("out", cfg.out_dir)
+            if not isinstance(cfg.out_dir, str):
+                raise jsonio.ParseError("config out must be a string")
         if getattr(args, "seed", None) is not None:
             cfg.seed = args.seed
         if getattr(args, "denom_bound", None) is not None:
@@ -128,8 +142,7 @@ def _parse_point(text):
     return (jsonio.frac_from_str(parts[0]), jsonio.frac_from_str(parts[1]))
 
 
-def cmd_wave(args) -> int:
-    cfg = RunConfig.from_args(args)
+def cmd_wave(args, cfg: RunConfig) -> int:
     try:
         f = _load_series(args.series)
         p = _parse_point(args.point)
@@ -151,8 +164,7 @@ def cmd_wave(args) -> int:
     return EXIT_OK
 
 
-def cmd_dynamics(args) -> int:
-    cfg = RunConfig.from_args(args)
+def cmd_dynamics(args, cfg: RunConfig) -> int:
     try:
         poly = _load_polygon(args.domain)
         pts = _load_points(args.points)
@@ -184,8 +196,7 @@ def cmd_dynamics(args) -> int:
     return EXIT_OK
 
 
-def cmd_stats(args) -> int:
-    cfg = RunConfig.from_args(args)
+def cmd_stats(args, cfg: RunConfig) -> int:
     try:
         poly = _load_polygon(args.domain)
     except (jsonio.ParseError, OSError, json.JSONDecodeError, GeometryError) as exc:
@@ -200,8 +211,7 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def cmd_lift_check(args) -> int:
-    cfg = RunConfig.from_args(args)
+def cmd_lift_check(args, cfg: RunConfig) -> int:
     bundle = OutputBundle(cfg)
     report = fuzz_lift(args.trials, seed=cfg.seed)
     bundle.write_json("lift_report.json", {
@@ -214,8 +224,7 @@ def cmd_lift_check(args) -> int:
     return EXIT_OK if not report["failures"] else EXIT_CERTIFICATE
 
 
-def cmd_make_nice(args) -> int:
-    cfg = RunConfig.from_args(args)
+def cmd_make_nice(args, cfg: RunConfig) -> int:
     try:
         f = _load_series(args.series)
         eps = jsonio.frac_from_str(args.eps)
@@ -243,8 +252,7 @@ def cmd_make_nice(args) -> int:
     return EXIT_OK
 
 
-def cmd_verge(args) -> int:
-    cfg = RunConfig.from_args(args)
+def cmd_verge(args, cfg: RunConfig) -> int:
     try:
         poly = _load_polygon(args.domain)
         eps = jsonio.frac_from_str(args.eps)
@@ -267,8 +275,7 @@ def cmd_verge(args) -> int:
     return EXIT_OK
 
 
-def cmd_coarsen(args) -> int:
-    cfg = RunConfig.from_args(args)
+def cmd_coarsen(args, cfg: RunConfig) -> int:
     try:
         poly = _load_polygon(args.domain)
         pts = _load_points(args.points)
@@ -302,8 +309,7 @@ def cmd_coarsen(args) -> int:
     return EXIT_OK
 
 
-def cmd_curve(args) -> int:
-    cfg = RunConfig.from_args(args)
+def cmd_curve(args, cfg: RunConfig) -> int:
     try:
         f = _load_series(args.series)
     except (jsonio.ParseError, OSError, json.JSONDecodeError, GeometryError,
@@ -325,7 +331,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int)
     ap.add_argument("--tol", help="rho tolerance as p/q")
     ap.add_argument("--max-steps", type=int, dest="max_steps")
-    ap.add_argument("--denom-bound", type=int, dest="denom_bound")
+    ap.add_argument("--denom-bound", type=positive_int, dest="denom_bound")
     ap.add_argument("--out", help="output directory")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -341,7 +347,7 @@ def main(argv=None) -> int:
 
     s = sub.add_parser("stats", help="avalanche-area experiment")
     s.add_argument("domain")
-    s.add_argument("--n", type=int, default=5)
+    s.add_argument("--n", type=positive_int, default=5)
     s.add_argument("--trials", type=int, default=5)
     s.set_defaults(fn=cmd_stats)
 
@@ -371,7 +377,12 @@ def main(argv=None) -> int:
     s.set_defaults(fn=cmd_curve)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        cfg = RunConfig.from_args(args)
+    except (jsonio.ParseError, OSError, ValueError, TypeError) as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    return args.fn(args, cfg)
 
 
 if __name__ == "__main__":

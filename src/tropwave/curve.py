@@ -86,7 +86,7 @@ def extract_curve(f: TropicalSeries) -> TropicalCurve:
     edges; a monomial whose region is a segment (the midpoint of a composite
     dual edge) does not subdivide the weight of that edge.
     """
-    if not isinstance(f.domain, QPolygon) or not f.domain.bounded:
+    if not isinstance(f.domain, QPolygon):
         raise CurveError("curve extraction requires a bounded polygon domain")
     cells = f.cells()
     support = sorted(v for v in f.support if lp.polygon_area(cells[v]) > 0)

@@ -1,4 +1,4 @@
-"""Exact linear programming and polytope helpers in the plane.
+"""Exact polytope helpers in the plane.
 
 Nothing here uses floating point.  A constraint is a pair ``(n, a)``
 encoding the closed half-plane ``n . z + a >= 0`` with ``n`` an integer (or
@@ -26,14 +26,6 @@ Point = Tuple[Fraction, Fraction]
 Constraint = Tuple[Vec, Fraction]
 IntConstraint = Tuple[int, int, int]
 Homogeneous = Tuple[int, int, int]
-
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-OPTIMAL = "optimal"
-
-
-class LPError(Exception):
-    pass
 
 
 def dot(u, v):
@@ -116,63 +108,6 @@ def basic_points(ics: Sequence[IntConstraint]) -> list[Homogeneous]:
     return pts
 
 
-def _parallel_interval(cons: Sequence[Constraint]):
-    """For constraints whose normals all lie on one line, reduce to bounds
-    lo <= n0 . z <= hi along the shared primitive direction n0.
-
-    Returns (n0, lo, hi) where lo/hi may be None for one-sided systems.
-    """
-    from math import gcd
-
-    n0 = None
-    for n, _ in cons:
-        if n != (0, 0):
-            g = gcd(abs(n[0]), abs(n[1]))
-            cand = (n[0] // g, n[1] // g)
-            if cand[0] < 0 or (cand[0] == 0 and cand[1] < 0):
-                cand = vneg(cand)
-            n0 = cand
-            break
-    if n0 is None:
-        return None
-    lo = None
-    hi = None
-    for n, a in cons:
-        if cross(n, n0) != 0:
-            return None  # not actually parallel
-        if dot(n, n0) > 0:
-            scale = Fraction(dot(n, n0), dot(n0, n0))
-            bound = Fraction(-a, 1) / scale
-            lo = bound if lo is None else max(lo, bound)
-        else:
-            scale = Fraction(-dot(n, n0), dot(n0, n0))
-            bound = Fraction(a, 1) / scale
-            hi = bound if hi is None else min(hi, bound)
-    return n0, lo, hi
-
-
-def feasible_point(cons: Sequence[Constraint]) -> Optional[Point]:
-    """Some point satisfying every constraint, or None."""
-    if not cons:
-        return (Fraction(0), Fraction(0))
-    pts = polytope_vertices(cons)
-    if pts:
-        return pts[0]
-    # No basic point: either infeasible or all normals parallel (a strip,
-    # half-plane, or line), where boundary lines never cross.
-    interval = _parallel_interval(cons)
-    if interval is None:
-        return None
-    n0, lo, hi = interval
-    if lo is not None and hi is not None and lo > hi:
-        return None
-    s = lo if lo is not None else hi
-    if s is None:
-        return (Fraction(0), Fraction(0))
-    nn = Fraction(dot(n0, n0))
-    return (s * n0[0] / nn, s * n0[1] / nn)
-
-
 def cone_contains(gens: Sequence[Vec], v) -> bool:
     """Is v a nonnegative combination of the generators? (Caratheodory in 2D:
     a single generator or a pair suffices.)"""
@@ -196,73 +131,9 @@ def cone_contains(gens: Sequence[Vec], v) -> bool:
     return False
 
 
-def minimize(obj, cons: Sequence[Constraint]):
-    """Minimize obj . z subject to the constraints.
-
-    Returns (status, value, argmin_point); value/point are None unless
-    status == OPTIMAL.
-    """
-    witness = feasible_point(cons)
-    if witness is None:
-        return (INFEASIBLE, None, None)
-    if obj == (0, 0):
-        return (OPTIMAL, Fraction(0), witness)
-    if not cone_contains([c[0] for c in cons], obj):
-        return (UNBOUNDED, None, None)
-    pts = polytope_vertices(cons)
-    if pts:
-        best = min(pts, key=lambda p: dot(obj, p))
-        return (OPTIMAL, dot(obj, best), best)
-    # Pointed case always has a basic optimum; remaining case is a strip or
-    # half-plane with obj parallel to the shared normal direction.
-    interval = _parallel_interval(cons)
-    if interval is None:
-        raise LPError("a feasible system without basic points must be parallel")
-    n0, lo, hi = interval
-    nn = Fraction(dot(n0, n0))
-    if dot(obj, n0) > 0:
-        s = lo
-    else:
-        s = hi
-    if s is None:
-        raise LPError("a bounded objective needs the matching bound")
-    p = (s * n0[0] / nn, s * n0[1] / nn)
-    return (OPTIMAL, dot(obj, p), p)
-
-
 def polytope_vertices(cons: Sequence[Constraint]) -> list[Point]:
     """Vertices (basic feasible points) of the polyhedron."""
     return [to_point(h) for h in basic_points(int_constraints(cons))]
-
-
-def _collinear(a: Point, b: Point, c: Point) -> bool:
-    return cross(vsub(b, a), vsub(c, a)) == 0
-
-
-def has_interior(cons: Sequence[Constraint]) -> bool:
-    """Does the polyhedron have nonempty interior?
-
-    A feasible point z0 is found first; the polyhedron has interior iff its
-    intersection with a unit box around z0 has three non-collinear vertices
-    (interior points of a convex set exist arbitrarily close to any point).
-    """
-    z0 = feasible_point(cons)
-    if z0 is None:
-        return False
-    one = Fraction(1)
-    box = [
-        ((1, 0), -z0[0] + one),
-        ((-1, 0), z0[0] + one),
-        ((0, 1), -z0[1] + one),
-        ((0, -1), z0[1] + one),
-    ]
-    verts = polytope_vertices(list(cons) + box)
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            for k in range(j + 1, len(verts)):
-                if not _collinear(verts[i], verts[j], verts[k]):
-                    return True
-    return False
 
 
 def convex_hull(points: Sequence[Point]) -> list[Point]:

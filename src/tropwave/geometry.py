@@ -1,9 +1,10 @@
 """Exact rational planar primitives: Q-polygons, support coefficients,
 admissibility, monomial truncation bounds, corners, and corner blow-ups.
 
-Polygons are stored as canonical intersections of half-planes with primitive
-integer inward normals; all coordinates are `fractions.Fraction`.  Values are
-immutable after construction, so everything here is safe to share.
+Polygons are bounded and stored as canonical intersections of half-planes
+with primitive integer inward normals; all coordinates are
+`fractions.Fraction`.  Values are immutable after construction, so
+everything here is safe to share.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 from . import exactlp as lp
-from .exactlp import Constraint, Point, Vec, cross, dot, vneg, vsub
+from .exactlp import Constraint, Point, Vec, cross, dot, vsub
 
 
 class GeometryError(Exception):
@@ -116,11 +117,13 @@ class Corner:
 
 
 class QPolygon:
-    """Closed intersection of rational half-planes with nonempty interior.
+    """Bounded closed intersection of rational half-planes with nonempty
+    interior.
 
     Canonical form: redundant half-planes removed, normals primitive, sorted
-    by angle; the vertex cycle (CCW) and the sides are cached when the
-    polygon is bounded, and the constraints also with denominators cleared.
+    by angle; the vertex cycle (CCW), the sides, and the constraints with
+    denominators cleared are cached.  A system whose normals do not
+    positively span the plane is unbounded or empty and is rejected.
     Structural equality compares the canonical half-plane lists.
     """
 
@@ -133,28 +136,23 @@ class QPolygon:
         for hp in normalized:
             if hp.n not in best or hp.a < best[hp.n]:
                 best[hp.n] = hp.a
-        cons = [(n, a) for n, a in best.items()]
-        if not lp.has_interior(cons):
+        if not all(lp.cone_contains(list(best), d)
+                   for d in ((1, 0), (-1, 0), (0, 1), (0, -1))):
+            raise GeometryError("polygon must be bounded")
+        ics = lp.int_constraints(best.items())
+        hverts = lp.basic_points(ics)
+        # a half-plane supports an edge iff its line holds two vertices
+        edge_normals = [n for n, (A, B, C) in zip(best, ics)
+                        if sum(A * X + B * Y + C * W == 0
+                               for X, Y, W in hverts) >= 2]
+        if len(edge_normals) < 3:
             raise EmptyInterior("polygon must have nonempty interior")
-        # drop half-planes that do not support an edge
-        essential = []
-        for i, (n, a) in enumerate(cons):
-            others = [c for j, c in enumerate(cons) if j != i]
-            if not others or lp.has_interior(others + [(vneg(n), -a)]):
-                essential.append(HalfPlane(n, a))
-        order = {n: i for i, n in enumerate(_sorted_by_angle([hp.n for hp in essential]))}
-        essential.sort(key=lambda hp: order[hp.n])
-        self.halfplanes: tuple[HalfPlane, ...] = tuple(essential)
+        self.halfplanes: tuple[HalfPlane, ...] = tuple(
+            HalfPlane(n, best[n]) for n in _sorted_by_angle(edge_normals))
         self._cons = [hp.constraint() for hp in self.halfplanes]
         self._int_cons = tuple(lp.int_constraints(self._cons))
-        self.bounded: bool = all(
-            lp.cone_contains([hp.n for hp in self.halfplanes], d)
-            for d in ((1, 0), (-1, 0), (0, 1), (0, -1))
-        )
-        self.vertices: Optional[tuple[Point, ...]] = None
-        if self.bounded:
-            hverts = lp.sort_ccw(lp.basic_points(self._int_cons))
-            self.vertices = tuple(lp.to_point(h) for h in hverts)
+        self.vertices: tuple[Point, ...] = tuple(
+            lp.to_point(h) for h in lp.sort_ccw(hverts))
         self._sides: Optional[list[tuple[HalfPlane, Point, Point]]] = None
 
     # -- basic queries -------------------------------------------------
@@ -170,14 +168,10 @@ class QPolygon:
         return all(hp.contains(p, strict) for hp in self.halfplanes)
 
     def area(self) -> Fraction:
-        if not self.bounded:
-            raise GeometryError("area of unbounded polygon")
         return lp.polygon_area(self.vertices)
 
     def sides(self) -> list[tuple[HalfPlane, Point, Point]]:
-        """Each essential half-plane with the endpoints of its edge (bounded)."""
-        if not self.bounded:
-            raise GeometryError("sides() requires a bounded polygon")
+        """Each essential half-plane with the endpoints of its edge."""
         if self._sides is None:
             out = []
             for hp in self.halfplanes:
@@ -192,8 +186,6 @@ class QPolygon:
 
     def corners(self) -> list[Corner]:
         """Corners with the inward normals of the two incident sides."""
-        if not self.bounded:
-            raise GeometryError("corners() requires a bounded polygon")
         incident: dict[Point, list[Vec]] = {v: [] for v in self.vertices}
         for hp in self.halfplanes:
             for v in self.vertices:
@@ -296,12 +288,7 @@ def support_coeff(domain: ConvexDomain, v: Vec) -> Optional[Fraction]:
     if isinstance(domain, SupportOracle):
         c = domain.coeff(tuple(v))
         return None if c is None else Fraction(c)
-    if v == (0, 0):
-        return Fraction(0)
-    if domain.bounded:
-        return min(dot(v, p) for p in domain.vertices)
-    status, value, _ = lp.minimize(v, domain.constraints())
-    return value if status == lp.OPTIMAL else None
+    return min(dot(v, p) for p in domain.vertices)
 
 
 def is_admissible(domain: ConvexDomain) -> bool:
@@ -316,7 +303,7 @@ def is_admissible(domain: ConvexDomain) -> bool:
 def relevant_monomials(domain: ConvexDomain, K, C: Fraction) -> set[Vec]:
     """Monomials that can contribute at level <= C on the compact K.
 
-    K may be a point, an iterable of points, or a bounded QPolygon strictly
+    K may be a point, an iterable of points, or a QPolygon strictly
     inside the domain.  Returns exactly the set of v such that some monomial
     v . z + d, nonnegative on the domain, is <= C somewhere on K; this
     contains the minimal such set required by the truncation estimate.
@@ -361,8 +348,7 @@ def relevant_monomials(domain: ConvexDomain, K, C: Fraction) -> set[Vec]:
             if Fraction(i * i + j * j) > bound:
                 continue
             v = (i, j)
-            cv = support_coeff(domain, v)
-            if cv is not None and contributes(v, cv):
+            if contributes(v, support_coeff(domain, v)):
                 out.add(v)
     out.add((0, 0))
     return out
@@ -405,10 +391,9 @@ def blow_up(poly: QPolygon, corner: Corner, v: Vec, eps: Fraction) -> QPolygon:
         out = QPolygon(list(poly.halfplanes) + [cut])
     except EmptyInterior:
         raise TooLarge("cut removes the whole polygon")
-    if poly.bounded:
-        for w in poly.vertices:
-            if w == corner.apex:
-                continue
-            if not cut.contains(w, strict=True):
-                raise TooLarge(f"cut removes vertex {w}")
+    for w in poly.vertices:
+        if w == corner.apex:
+            continue
+        if not cut.contains(w, strict=True):
+            raise TooLarge(f"cut removes vertex {w}")
     return out

@@ -114,7 +114,7 @@ class GF2Poly:
                 mask = 0
                 for e in live:
                     mask |= 1 << int((e - v) * (1 << s))
-        # normalize: strip the trailing factor into v, minimize the scale
+        # normalize: strip the trailing factor into v, shrink the scale
         if mask:
             tz = (mask & -mask).bit_length() - 1
             if tz:

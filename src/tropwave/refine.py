@@ -20,8 +20,8 @@ from typing import Dict, List, Optional, Sequence
 
 from . import exactlp as lp
 from .exactlp import Point, Vec, cross, dot
-from .geometry import (GeometryError, HalfPlane, QPolygon, is_unimodular,
-                       primitive, xgcd)
+from .geometry import (EmptyInterior, GeometryError, HalfPlane, QPolygon,
+                       is_unimodular, primitive, xgcd)
 from .series import (BoundaryMismatch, SeriesError, Support, TropicalSeries,
                      add_monomial, evaluate, is_nice, quasi_degree,
                      zero_series)
@@ -405,8 +405,10 @@ def verge_polynomial(poly: QPolygon, degrees: Dict[Vec, int],
         nn = dot(hp.n, hp.n)
         s = math.isqrt(nn)
         r_up = s if s * s == nn else s + 1  # ceil(|n|)
-        eroded.append((hp.n, hp.a - eps * r_up))
-    if not lp.has_interior(eroded):
+        eroded.append(HalfPlane(hp.n, hp.a - eps * r_up))
+    try:
+        QPolygon(eroded)
+    except EmptyInterior:
         raise RefineError("eps must be below the inradius")
 
     delta = eps / 4

@@ -77,8 +77,6 @@ class TropicalSeries:
             self.truncated = True
             self._cells = None
             return
-        if not domain.bounded:
-            raise SeriesError("series require a bounded polygon domain")
         if canonical:
             self.support = dict(sorted(support.items()))
         else:

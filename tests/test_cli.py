@@ -60,6 +60,35 @@ class TestWaveCommand:
                      str(files / "missing.json"), "1/2,1/2"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["stats", "{half}", "--n", "2", "--trials", "1"],
+    ["dynamics", "{half}", "{points}"],
+    ["coarsen", "{half}", "{points}", "--eps", "1/8"],
+    ["--tol", "x", "stats", "{square}"],
+    ["--config", "{missing}", "stats", "{square}"],
+    ["--config", "{zero_bound}", "stats", "{square}"],
+    ["--config", "{not_object}", "stats", "{square}"],
+    ["--denom-bound", "0", "stats", "{square}"],
+    ["stats", "{square}", "--n", "0"],
+], ids=["unbounded-stats", "unbounded-dynamics", "unbounded-coarsen",
+        "bad-tol", "missing-config", "config-denom-bound-0",
+        "config-not-object", "denom-bound-0", "n-0"])
+def test_bad_input_exit_2(files, argv):
+    # a single half-plane is an unbounded polygon
+    jsonio.dump({"halfplanes": [{"n": [1, 0], "a": "0/1"}]},
+                files / "half.json")
+    jsonio.dump({"denom_bound": 0}, files / "zero_bound.json")
+    jsonio.dump([1], files / "not_object.json")
+    names = ("half", "points", "square", "missing", "zero_bound", "not_object")
+    paths = {k: str(files / f"{k}.json") for k in names}
+    argv = ["--out", str(files / "bad")] + [a.format(**paths) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a bad flag value
+        code = exc.code
+    assert code == 2
+
+
 class TestDynamicsCommand:
     def test_stabilizes(self, files):
         out = str(files / "d")

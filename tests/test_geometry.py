@@ -3,8 +3,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from tropwave.exactlp import cross, dot
+from tropwave.exactlp import cross, dot, polytope_vertices
 from tropwave.geometry import (BadDirection, Corner, DistanceZero,
                                EmptyInterior, GeometryError, HalfPlane,
                                QPolygon, SupportOracle, blow_up,
@@ -12,7 +13,7 @@ from tropwave.geometry import (BadDirection, Corner, DistanceZero,
                                is_admissible, is_unimodular,
                                relevant_monomials, support_coeff)
 
-from conftest import random_polygon, unit_square
+from conftest import pentagon, random_polygon, unit_square
 
 
 def disk_oracle(radius=6):
@@ -235,3 +236,77 @@ class TestPolygonCanonicalForm:
         for _ in range(10):
             poly = random_polygon(rng)
             assert jsonio.polygon_from_json(jsonio.polygon_to_json(poly)) == poly
+
+
+# -- bounded-only construction --------------------------------------------
+
+SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
+DOMAINS = st.sampled_from(["square", "pentagon", "random"])
+
+
+def polygon_with_extras(kind, seed):
+    """A conftest polygon's half-planes, some rescaled, plus up to four
+    random ones: a loosened copy of a side, or an arbitrary normal at a
+    random offset from the vertex centroid (possibly cutting the polygon
+    away)."""
+    rng = random.Random(seed)
+    poly = {"square": unit_square, "pentagon": pentagon,
+            "random": lambda: random_polygon(rng)}[kind]()
+    hps = []
+    for hp in poly.halfplanes:
+        k = rng.randint(1, 3)
+        hps.append(HalfPlane((k * hp.n[0], k * hp.n[1]), k * hp.a))
+    vs = poly.vertices
+    centroid = (sum(v[0] for v in vs) / len(vs), sum(v[1] for v in vs) / len(vs))
+    for _ in range(rng.randint(0, 4)):
+        if rng.random() < 0.25:
+            hp = rng.choice(poly.halfplanes)
+            hps.append(HalfPlane(hp.n, hp.a + F(rng.randint(0, 3), 2)))
+            continue
+        n = (rng.randint(-3, 3), rng.randint(-3, 3))
+        if n == (0, 0):
+            continue
+        hps.append(HalfPlane(n, -dot(n, centroid) + F(rng.randint(-2, 6), 4)))
+    rng.shuffle(hps)
+    return hps
+
+
+def vertex_set(hps):
+    return set(polytope_vertices([hp.constraint() for hp in hps]))
+
+
+@given(DOMAINS, SEEDS)
+def test_canonical_halfplanes_keep_the_vertex_set(kind, seed):
+    hps = polygon_with_extras(kind, seed)
+    try:
+        poly = QPolygon(hps)
+    except EmptyInterior:
+        # no interior: the system's basic feasible points are collinear
+        pts = sorted(vertex_set(hps))
+        assert all(cross((b[0] - pts[0][0], b[1] - pts[0][1]),
+                         (c[0] - pts[0][0], c[1] - pts[0][1])) == 0
+                   for b in pts for c in pts)
+        return
+    assert set(poly.vertices) == vertex_set(poly.halfplanes) == vertex_set(hps)
+    for hp in hps:
+        if hp.normalized() in poly.halfplanes:
+            continue
+        assert all(hp.contains(v) for v in poly.vertices)
+        assert sum(dot(hp.n, v) + hp.a == 0 for v in poly.vertices) <= 1
+
+
+@given(SEEDS)
+def test_normals_in_a_closed_half_plane_are_rejected(seed):
+    # all normals n with n . d >= 0 for one d != 0: the cone they span
+    # misses -d, so the system is unbounded or empty
+    rng = random.Random(seed)
+    d = (rng.randint(-2, 2), rng.randint(-2, 2))
+    assume(d != (0, 0))
+    hps = []
+    for _ in range(rng.randint(1, 6)):
+        n = (rng.randint(-3, 3), rng.randint(-3, 3))
+        if n != (0, 0) and dot(n, d) >= 0:
+            hps.append(HalfPlane(n, F(rng.randint(-4, 4), rng.randint(1, 3))))
+    assume(hps)
+    with pytest.raises(GeometryError):
+        QPolygon(hps)
