@@ -132,6 +132,8 @@ def _load_series(path) -> TropicalSeries:
 
 def _load_points(path):
     obj = jsonio.load(path)
+    if not isinstance(obj, dict) or not isinstance(obj.get("points", []), list):
+        raise jsonio.ParseError("a points file is an object with a points list")
     return [jsonio.point_from_json(p) for p in obj["points"]]
 
 
@@ -348,11 +350,11 @@ def main(argv=None) -> int:
     s = sub.add_parser("stats", help="avalanche-area experiment")
     s.add_argument("domain")
     s.add_argument("--n", type=positive_int, default=5)
-    s.add_argument("--trials", type=int, default=5)
+    s.add_argument("--trials", type=positive_int, default=5)
     s.set_defaults(fn=cmd_stats)
 
     s = sub.add_parser("lift-check", help="fuzz the characteristic-two lift")
-    s.add_argument("--trials", type=int, default=1000)
+    s.add_argument("--trials", type=positive_int, default=1000)
     s.set_defaults(fn=cmd_lift_check)
 
     s = sub.add_parser("make-nice", help="blow up corners until nice")

@@ -387,6 +387,8 @@ def verge_polynomial(poly: QPolygon, degrees: Dict[Vec, int],
     the curve certifies smooth and boundary-hugging.
     """
     eps = Fraction(eps)
+    if eps <= 0:
+        raise RefineError("eps must be positive")
     if not is_unimodular(poly):
         raise RefineError("polygon must be unimodular")
     ndeg = {primitive(n): int(m) for n, m in degrees.items()}

@@ -7,6 +7,13 @@ the avalanche is the strict-increase region, which equals the face of p
 before the wave.  Iterating waves over a finite point set converges to the
 pointwise-minimal series non-smooth at every point; on rational data the
 increments live on a fixed grid so the iteration stabilizes exactly.
+
+The increment is the runner-up of u -> u.p + c_u over all of Z^2, found by
+integer per-line minimisation on the series' integer linearity complex: a
+convex objective, a bounding polygon from a first bound, and a binary
+search on each lattice line crossing it, along the direction with the
+fewest such lines.  The cost does not depend on the distance from p to the
+boundary.
 """
 
 from __future__ import annotations
@@ -18,8 +25,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import exactlp as lp
-from .exactlp import Point, Vec, cross, dot, vsub
-from .geometry import QPolygon, primitive, xgcd
+from .exactlp import Point, Vec, dot, vsub
+from .geometry import QPolygon, xgcd
 from .series import (OutsideDomain, TropicalSeries, add_monomial,
                      canonical_coefficient, clamp, distance_function,
                      evaluate, tropical_product, zero_series)
@@ -102,42 +109,86 @@ class PerestroikaReport:
 
 
 def _second_min_at(f: TropicalSeries, p: Point, exclude: Vec) -> Fraction:
-    """min over the full (virtual) canonical support minus `exclude` at p."""
-    dom = f.domain
-    best: Optional[Fraction] = None
-    for u, a in f.support.items():
-        if u != exclude:
-            val = dot(u, p) + a
-            best = val if best is None or val < best else best
-    # Seed with the side normals so a one-term series still gets a bound.
-    for hp in dom.halfplanes:
-        if hp.n != exclude and hp.n not in f.support:
-            val = dot(hp.n, p) + canonical_coefficient(f, hp.n)
-            best = val if best is None or val < best else best
-    if best is None:
-        raise WaveError("no competing monomial bounds the increment")
-    # Any other monomial u beating `best` satisfies u.p - c_u < best, i.e.
-    # max over vertices W of u.(p - W) < best: a bounded lattice polytope.
-    dirs = [vsub(p, w) for w in dom.vertices]
-    cons = [((-d[0], -d[1]), best) for d in dirs]
-    # bounding box for the lattice scan
-    verts = lp.polytope_vertices(cons)
-    if verts:
-        xs = [v[0] for v in verts]
-        ys = [v[1] for v in verts]
-        x_lo, x_hi = math.floor(min(xs)), math.ceil(max(xs))
-        y_lo, y_hi = math.floor(min(ys)), math.ceil(max(ys))
-        for i in range(x_lo, x_hi + 1):
-            for j in range(y_lo, y_hi + 1):
-                u = (i, j)
-                if u == exclude or u in f.support:
-                    continue
-                if any(dot(u, d) >= best for d in dirs):
-                    continue
-                val = dot(u, p) + canonical_coefficient(f, u)
-                if val < best:
-                    best = val
-    return best
+    """min over the full (virtual) canonical support minus `exclude` at p.
+
+    With q the common denominator of p and D that of the complex, every
+    complex vertex z gives an integer row (a, b, c) of
+    G(u) = max(c + a u0 + b u1) = q D (u.p + c_u).  G is convex and
+    `exclude` is its lattice minimiser.  A first bound B from the four
+    lattice neighbours of `exclude` confines every competitor to the
+    polygon R where the domain-vertex rows (c = 0) stay <= B.  R is cut
+    into lattice lines along the direction that crosses it the fewest
+    times (near a side: that side's normal, so the count does not grow as
+    p nears the boundary), and G, convex on each line, is minimised there
+    by a binary search.  All of it is integer arithmetic.
+    """
+    cx = f._int_complex()
+    D = cx.denom
+    q = math.lcm(p[0].denominator, p[1].denominator)
+    P0 = p[0].numerator * (q // p[0].denominator) * D
+    P1 = p[1].numerator * (q // p[1].denominator) * D
+    rows = [(P0 - q * X, P1 - q * Y, q * F) for X, Y, F in cx.table]
+
+    def G(u0, u1):
+        return max(c + a * u0 + b * u1 for a, b, c in rows)
+
+    v0, v1 = exclude
+    B = min(G(v0 + 1, v1), G(v0 - 1, v1), G(v0, v1 + 1), G(v0, v1 - 1))
+    # f vanishes at the domain vertices, so G(u) <= B implies
+    # a u0 + b u1 <= B for their rows: the polygon R
+    vrows = []
+    for x, y in f.domain.vertices:
+        X = x.numerator * (D // x.denominator)
+        Y = y.numerator * (D // y.denominator)
+        vrows.append((P0 - q * X, P1 - q * Y))
+    corners = lp.basic_points([(-a, -b, B) for a, b in vrows])
+
+    def line_range(e):
+        # k = cross(u, e) over R: ceil of the least, floor of the greatest
+        ks = [(X * e[1] - Y * e[0], W) for X, Y, W in corners]
+        return -max(-k // W for k, W in ks), max(k // W for k, W in ks)
+
+    directions = [(1, 0), (0, 1)] + [hp.n for hp in f.domain.halfplanes]
+    (k_lo, k_hi), (e0, e1) = min(
+        ((line_range(e), e) for e in directions),
+        key=lambda item: item[0][1] - item[0][0])
+    # unimodular basis (e', e): u = k e' + t e, k = cross(u, e), t = cross(e', u)
+    _, s0, s1 = xgcd(e1, -e0)
+    # per row: slope along e, constant term, and value at e'
+    slopes = [(a * e0 + b * e1, c, a * s0 + b * s1) for a, b, c in rows]
+    vslopes = [(a * e0 + b * e1, a * s0 + b * s1) for a, b in vrows]
+    k_v = v0 * e1 - v1 * e0
+    t_v = s0 * v1 - s1 * v0
+    for k in range(k_lo, k_hi + 1):
+        line = [(c + k * w, d) for d, c, w in slopes]
+        if k == k_v:
+            # convex on the line with its minimum at exclude
+            B = min([B] + [max(c + d * t for c, d in line)
+                           for t in (t_v - 1, t_v + 1)])
+            continue
+        # every u on this line with G(u) <= B has t in [lo, hi] (R for the
+        # current B: d t <= B - k w; R is bounded, so both signs of d occur)
+        lo = max(-((B - k * w) // -d) for d, w in vslopes if d < 0)
+        hi = min((B - k * w) // d for d, w in vslopes if d > 0)
+        B = min(B, _line_min(line, lo, hi))
+    return Fraction(B, q * D)
+
+
+def _line_min(line: Sequence[Tuple[int, int]], lo: int, hi: int) -> int:
+    """The least of g(t) = max(c + d t for (c, d) in line) over the integers
+    lo <= t <= hi (g(lo) if lo > hi).  g is convex, so a binary search for
+    the first t with g(t + 1) >= g(t) finds it."""
+
+    def g(t):
+        return max(c + d * t for c, d in line)
+
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if g(mid + 1) >= g(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return g(lo)
 
 
 def wave(f: TropicalSeries, p: Point, step: int = 0) -> Tuple[TropicalSeries, WaveEvent]:

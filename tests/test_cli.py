@@ -70,16 +70,27 @@ class TestWaveCommand:
     ["--config", "{not_object}", "stats", "{square}"],
     ["--denom-bound", "0", "stats", "{square}"],
     ["stats", "{square}", "--n", "0"],
+    ["stats", "{square}", "--trials", "-3"],
+    ["lift-check", "--trials", "-2"],
+    ["dynamics", "{square}", "{points_not_list}"],
+    ["coarsen", "{square}", "{points_not_list}", "--eps", "1/8"],
+    ["dynamics", "{square}", "{not_object}"],
+    ["coarsen", "{square}", "{not_object}", "--eps", "1/8"],
 ], ids=["unbounded-stats", "unbounded-dynamics", "unbounded-coarsen",
         "bad-tol", "missing-config", "config-denom-bound-0",
-        "config-not-object", "denom-bound-0", "n-0"])
+        "config-not-object", "denom-bound-0", "n-0", "stats-trials-negative",
+        "lift-check-trials-negative", "dynamics-points-not-list",
+        "coarsen-points-not-list", "dynamics-points-not-object",
+        "coarsen-points-not-object"])
 def test_bad_input_exit_2(files, argv):
     # a single half-plane is an unbounded polygon
     jsonio.dump({"halfplanes": [{"n": [1, 0], "a": "0/1"}]},
                 files / "half.json")
     jsonio.dump({"denom_bound": 0}, files / "zero_bound.json")
     jsonio.dump([1], files / "not_object.json")
-    names = ("half", "points", "square", "missing", "zero_bound", "not_object")
+    jsonio.dump({"points": 5}, files / "points_not_list.json")
+    names = ("half", "points", "square", "missing", "zero_bound", "not_object",
+             "points_not_list")
     paths = {k: str(files / f"{k}.json") for k in names}
     argv = ["--out", str(files / "bad")] + [a.format(**paths) for a in argv]
     try:

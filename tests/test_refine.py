@@ -187,6 +187,13 @@ class TestVerge:
                              {(1, 0): 1, (0, 1): 1, (-1, 0): 1, (0, -1): 1},
                              F(2))
 
+    @pytest.mark.parametrize("eps", [F(0), F(-1, 4)])
+    def test_nonpositive_eps_rejected(self, eps):
+        with pytest.raises(RefineError, match="eps must be positive"):
+            verge_polynomial(unit_square(),
+                             {(1, 0): 1, (0, 1): 1, (-1, 0): 1, (0, -1): 1},
+                             eps)
+
     def test_non_nice_degrees_rejected(self):
         with pytest.raises(RefineError):
             verge_polynomial(unit_square(),

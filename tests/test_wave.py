@@ -1,16 +1,23 @@
 import importlib
 import json
+import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from tropwave import exactlp as lp
 from tropwave.curve import attaining_monomials
+from tropwave.exactlp import dot, vsub
 from tropwave.geometry import QPolygon
-from tropwave.series import (OutsideDomain, add_monomial, distance_function,
+from tropwave.series import (OutsideDomain, add_monomial,
+                             canonical_coefficient, distance_function,
                              evaluate, quasi_degree, rho, zero_series)
 from tropwave.wave import (STABILIZED, STEP_LIMIT, Schedule,
-                           UnclassifiableSide, WaveError,
+                           UnclassifiableSide, WaveError, _line_min,
+                           _second_min_at,
                            avalanche_experiment, run_dynamics,
                            upper_bound_witness, wave, wave_family_scan)
 
@@ -93,6 +100,100 @@ class TestSingleWave:
             p = random_points(rng, poly, 1)[0]
             g, _ = wave(f, p)
             assert len(attaining_monomials(g, p)) >= 2
+
+
+    def test_near_side_cost_is_bounded(self):
+        # lattice distance 1e-9 from the pentagon's diagonal side
+        # x + y <= 17/5; a scan of the lattice points of a box of size
+        # ~1/distance would not finish
+        t = F(1, 2 * 10 ** 9)
+        p = (F(17, 10) - t, F(17, 10) - t)
+        start = time.perf_counter()
+        _, ev = wave(zero_series(pentagon()), p)
+        elapsed = time.perf_counter() - start
+        assert ev.increment == evaluate(distance_function(pentagon()), p)
+        assert elapsed < 1.0
+
+
+# -- the second minimum against the bounding-box lattice scan ----------------
+
+
+def ref_second_min_at(f, p, exclude):
+    """The earlier `_second_min_at`: seed a bound from the support and the
+    side normals, then scan every lattice point of the bounding box of
+    {u : u.(p - w) < bound for every domain vertex w}, in `Fraction`s.
+    Its cost grows like 1/dist(p, boundary), so it serves only as a
+    reference on small instances."""
+    dom = f.domain
+    best = None
+    for u, a in f.support.items():
+        if u != exclude:
+            val = dot(u, p) + a
+            best = val if best is None or val < best else best
+    for hp in dom.halfplanes:
+        if hp.n != exclude and hp.n not in f.support:
+            val = dot(hp.n, p) + canonical_coefficient(f, hp.n)
+            best = val if best is None or val < best else best
+    dirs = [vsub(p, w) for w in dom.vertices]
+    verts = lp.polytope_vertices([((-d[0], -d[1]), best) for d in dirs])
+    xs = [v[0] for v in verts]
+    ys = [v[1] for v in verts]
+    for i in range(math.floor(min(xs)), math.ceil(max(xs)) + 1):
+        for j in range(math.floor(min(ys)), math.ceil(max(ys)) + 1):
+            u = (i, j)
+            if u == exclude or u in f.support:
+                continue
+            if any(dot(u, d) >= best for d in dirs):
+                continue
+            val = dot(u, p) + canonical_coefficient(f, u)
+            if val < best:
+                best = val
+    return best
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(["square", "pentagon", "random"]),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=0, max_value=5),
+       st.sampled_from(["interior", "side", "corner"]),
+       st.integers(min_value=2, max_value=300),
+       st.integers(min_value=1, max_value=19))
+def test_second_min_matches_lattice_scan(kind, seed, n_waves, where, d, s):
+    """A generic interior point, a point at lattice distance 1/d from a
+    random side (s/20 along it), or the point 1/d of the way from a random
+    corner to the vertex centroid."""
+    rng = random.Random(seed)
+    poly = {"square": unit_square, "pentagon": pentagon,
+            "random": lambda: random_polygon(rng)}[kind]()
+    f = random_series(rng, poly, n_waves)
+    if where == "interior":
+        p = random_points(rng, poly, 1)[0]
+    elif where == "side":
+        hp, a, b = rng.choice(poly.sides())
+        nn = dot(hp.n, hp.n)
+        t = F(s, 20)
+        p = (a[0] + t * (b[0] - a[0]) + F(hp.n[0], d * nn),
+             a[1] + t * (b[1] - a[1]) + F(hp.n[1], d * nn))
+        assert dot(hp.n, p) + hp.a == F(1, d)
+    else:
+        a = rng.choice(poly.vertices)
+        m = len(poly.vertices)
+        c = (sum(v[0] for v in poly.vertices) / m,
+             sum(v[1] for v in poly.vertices) / m)
+        p = (a[0] + (c[0] - a[0]) / d, a[1] + (c[1] - a[1]) / d)
+    assume(poly.contains(p, strict=True))
+    att = attaining_monomials(f, p)
+    assume(len(att) == 1)
+    assert _second_min_at(f, p, att[0]) == ref_second_min_at(f, p, att[0])
+
+
+@given(st.lists(st.tuples(st.integers(-50, 50), st.integers(-9, 9)),
+                min_size=1, max_size=6),
+       st.integers(-40, 40), st.integers(0, 60))
+def test_line_min_is_the_least_value_on_the_interval(line, lo, length):
+    hi = lo + length
+    assert _line_min(line, lo, hi) == min(
+        max(c + d * t for c, d in line) for t in range(lo, hi + 1))
 
 
 class TestUpperBoundWitness:
