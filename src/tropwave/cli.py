@@ -63,11 +63,12 @@ class RunConfig:
                 raw = json.load(fh)
             if not isinstance(raw, dict):
                 raise jsonio.ParseError("config must be a JSON object")
-            cfg.seed = int(raw.get("seed", cfg.seed))
-            cfg.denom_bound = positive_int(raw.get("denom_bound", cfg.denom_bound))
+            cfg.seed = jsonio.int_from_json(raw.get("seed", cfg.seed))
+            cfg.denom_bound = positive_int(
+                jsonio.int_from_json(raw.get("denom_bound", cfg.denom_bound)))
             if "tol" in raw:
                 cfg.tol = jsonio.frac_from_str(raw["tol"])
-            cfg.max_steps = int(raw.get("max_steps", cfg.max_steps))
+            cfg.max_steps = jsonio.int_from_json(raw.get("max_steps", cfg.max_steps))
             cfg.out_dir = raw.get("out", cfg.out_dir)
             if not isinstance(cfg.out_dir, str):
                 raise jsonio.ParseError("config out must be a string")
@@ -259,7 +260,7 @@ def cmd_verge(args, cfg: RunConfig) -> int:
         poly = _load_polygon(args.domain)
         eps = jsonio.frac_from_str(args.eps)
         raw = jsonio.load(args.degrees)
-        degrees = {(int(d["n"][0]), int(d["n"][1])): int(d["m"])
+        degrees = {jsonio.vec_from_json(d["n"]): jsonio.int_from_json(d["m"])
                    for d in raw["degrees"]}
     except (jsonio.ParseError, OSError, json.JSONDecodeError, GeometryError,
             KeyError, TypeError, ValueError) as exc:

@@ -8,6 +8,7 @@ with the function.  Everything is clipped to the closed domain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -15,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import exactlp as lp
 from .exactlp import Point, Vec, cross, dot, vsub
 from .geometry import QPolygon, gcd2, primitive
-from .series import TropicalSeries, evaluate
+from .series import OutsideDomain, TropicalSeries
 
 
 class CurveError(Exception):
@@ -113,8 +114,19 @@ def extract_curve(f: TropicalSeries) -> TropicalCurve:
 
 
 def attaining_monomials(f: TropicalSeries, z: Point) -> list[Vec]:
-    val = evaluate(f, z)
-    return [v for v, a in f.support.items() if dot(v, z) + a == val]
+    """The monomials v with v.z + a_v = f(z), in support order."""
+    z = (Fraction(z[0]), Fraction(z[1]))
+    if isinstance(f.domain, QPolygon) and not f.domain.contains(z):
+        raise OutsideDomain(f"{z} is outside the domain")
+    # every value v.z + a_v times one common denominator q
+    q = math.lcm(z[0].denominator, z[1].denominator,
+                 *[a.denominator for a in f.support.values()])
+    X = z[0].numerator * (q // z[0].denominator)
+    Y = z[1].numerator * (q // z[1].denominator)
+    vals = [v[0] * X + v[1] * Y + a.numerator * (q // a.denominator)
+            for v, a in f.support.items()]
+    best = min(vals)
+    return [v for v, val in zip(f.support, vals) if val == best]
 
 
 def classify_vertex(curve: TropicalCurve, v: Point) -> VertexClass:

@@ -4,7 +4,11 @@ Nothing here uses floating point.  A constraint is a pair ``(n, a)``
 encoding the closed half-plane ``n . z + a >= 0`` with ``n`` an integer (or
 rational) vector and ``a`` a `fractions.Fraction`.  Problem sizes here are
 tiny (a handful of constraints), so vertices are found by basic-solution
-enumeration, which is simple and exact.
+enumeration, which is simple and exact but O(m^3) in the constraint count m.
+The hot callers keep m small: `QPolygon` passes its own half-planes, the
+linearity complex of `series` only the constraints tight at a cell it has
+already clipped, and `wave` one constraint per domain vertex.  `refine`'s
+certificates still pass a cell's whole constraint list.
 
 The enumeration itself is pure integer arithmetic: `basic_points` takes
 denominator-cleared constraints ``(A, B, C)`` (``A x + B y + C >= 0``) and

@@ -165,7 +165,14 @@ class QPolygon:
         return self._int_cons
 
     def contains(self, p: Point, strict: bool = False) -> bool:
-        return all(hp.contains(p, strict) for hp in self.halfplanes)
+        """Is p in the closed polygon (in its interior if strict)?  Exact:
+        p = (X, Y) / q is tested against the integer constraints."""
+        x, y = Fraction(p[0]), Fraction(p[1])
+        q = x.denominator * y.denominator
+        X, Y = x.numerator * y.denominator, y.numerator * x.denominator
+        if strict:
+            return all(A * X + B * Y + C * q > 0 for A, B, C in self._int_cons)
+        return all(A * X + B * Y + C * q >= 0 for A, B, C in self._int_cons)
 
     def area(self) -> Fraction:
         return lp.polygon_area(self.vertices)

@@ -1,7 +1,10 @@
 """JSON serialization with exact rationals as "p/q" strings.
 
 Round-trips are exact; no floating point appears in any artifact except the
-clearly-labeled decimal convenience fields of the statistics bundle.
+clearly-labeled decimal convenience fields of the statistics bundle.  Inputs
+are exact too: a rational is a JSON integer or a string such as "7/5", a
+normal or exponent is a JSON integer, and a JSON float or boolean in their
+place is a `ParseError`.
 """
 
 from __future__ import annotations
@@ -25,10 +28,26 @@ def frac_to_str(x: Fraction) -> str:
 
 
 def frac_from_str(s) -> Fraction:
+    """A rational from a string ("p/q", "-3", "1.25") or an integer."""
+    if not isinstance(s, (int, str)) or isinstance(s, bool):
+        raise ParseError(f"bad rational {s!r}: give an integer or a string")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {s!r}") from exc
+
+
+def int_from_json(x) -> int:
+    """An integer read from JSON; floats and booleans are rejected."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ParseError(f"bad integer {x!r}")
+    return x
+
+
+def vec_from_json(obj) -> tuple[int, int]:
+    if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
+        raise ParseError(f"bad integer vector {obj!r}")
+    return (int_from_json(obj[0]), int_from_json(obj[1]))
 
 
 def point_to_json(p):
@@ -48,7 +67,7 @@ def polygon_to_json(poly: QPolygon) -> dict:
 
 def polygon_from_json(obj) -> QPolygon:
     try:
-        hps = [HalfPlane((int(h["n"][0]), int(h["n"][1])), frac_from_str(h["a"]))
+        hps = [HalfPlane(vec_from_json(h["n"]), frac_from_str(h["a"]))
                for h in obj["halfplanes"]]
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"bad polygon: {exc}") from exc
@@ -65,7 +84,7 @@ def series_to_json(f: TropicalSeries) -> dict:
 def series_from_json(obj) -> TropicalSeries:
     try:
         domain = polygon_from_json(obj["domain"])
-        support = {(int(t["v"][0]), int(t["v"][1])): frac_from_str(t["a"])
+        support = {vec_from_json(t["v"]): frac_from_str(t["a"])
                    for t in obj["support"]}
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"bad series: {exc}") from exc

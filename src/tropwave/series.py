@@ -9,11 +9,13 @@ interior point.  The full canonical form over all of Z^2 is virtual and
 computed coefficient-by-coefficient on demand.
 
 Each polygon series builds its linearity complex once, on first use, in
-integers: the cells come from denominator-cleared constraints, the complex
-vertices are held as integer points over one common denominator D, and with
-them the integers D * f.  Canonical coefficients and renormalization read
-that table; values stay exact, and `Fraction` appears only at the API
-boundary (coefficients, `cells()`, `complex_vertices()`).
+integers: each cell is the domain polygon clipped by the denominator-cleared
+dominance constraints one at a time, `exactlp.basic_points` on the few
+constraints tight at the clipped cell's vertices gives their order, the
+complex vertices are held as integer points over one common denominator D,
+and with them the integers D * f.  Canonical coefficients and
+renormalization read that table; values stay exact, and `Fraction` appears
+only at the API boundary (coefficients, `cells()`, `complex_vertices()`).
 """
 
 from __future__ import annotations
@@ -143,8 +145,14 @@ class _Complex:
     """The linearity complex of a polygon series, built in integers.
 
     Coefficients are scaled by the lcm of their denominators and every
-    constraint is an integer triple (A, B, C) for A x + B y + C >= 0, so the
-    cells come from `exactlp.basic_points` with no `Fraction` arithmetic.
+    constraint is an integer triple (A, B, C) for A x + B y + C >= 0, with
+    no `Fraction` arithmetic.  A cell is the domain clipped by each cutting
+    constraint in turn (`_clip`, O(m V) for m constraints and V vertices),
+    then `exactlp.basic_points` runs on only the constraints tight at a
+    vertex of the clipped cell.  Those cut out the same cell, and being a
+    subsequence of all the constraints they meet its vertices in the same
+    pair order, which fixes the orientation of a segment cell; enumerating
+    over all m constraints would cost O(m^3) per cell.
     The complex vertices, in first-seen order over the cells, are kept as
     ``table`` rows (X, Y, F): the vertex is (X, Y) / denom and F is denom
     times the series there.  ``cells`` and ``vertices`` are the same data
@@ -161,11 +169,11 @@ class _Complex:
                  for v, a in support.items()}
         dden = math.lcm(*[c.denominator for p in domain.vertices for c in p])
         dverts = [(x.numerator * (dden // x.denominator),
-                   y.numerator * (dden // y.denominator))
+                   y.numerator * (dden // y.denominator), dden)
                   for x, y in domain.vertices]
         hcells = {}
         for v, av in alpha.items():
-            cons = list(domain.int_constraints())
+            cuts = []
             for w, aw in alpha.items():
                 if w == v:
                     continue
@@ -173,9 +181,12 @@ class _Complex:
                 # keep the constraint only if it cuts the domain: a domain
                 # vertex violates it (exact by convexity)
                 Cd = C * dden
-                if any(A * X + B * Y + Cd < 0 for X, Y in dverts):
-                    cons.append((A, B, C))
-            hcells[v] = lp.sort_ccw(lp.basic_points(cons))
+                if any(A * X + B * Y + Cd < 0 for X, Y, _ in dverts):
+                    cuts.append((A, B, C))
+            cell = _clip(dverts, cuts)
+            tight = [(A, B, C) for A, B, C in [*domain.int_constraints(), *cuts]
+                     if any(A * X + B * Y + C * W == 0 for X, Y, W in cell)]
+            hcells[v] = lp.sort_ccw(lp.basic_points(tight))
 
         hverts = list(dict.fromkeys(h for hs in hcells.values() for h in hs))
         denom = math.lcm(scale, *[h[2] for h in hverts])
@@ -199,6 +210,43 @@ class _Complex:
                         self.denom)
 
 
+def _clip(poly: list, cuts: list) -> list:
+    """The convex polygon ``poly`` (homogeneous points (X, Y, W), W > 0, in
+    cyclic order) cut by each half-plane A x + B y + C >= 0 in turn.
+
+    Returns points in cyclic order whose convex hull is the cut polygon; it
+    holds every vertex of the hull (and possibly points on its sides), and
+    is empty if the cut polygon is.  An edge whose ends lie strictly on
+    opposite sides of a cut line meets it at s1 * h2 - s2 * h1.
+    """
+    for A, B, C in cuts:
+        s = [A * X + B * Y + C * W for X, Y, W in poly]
+        if min(s) >= 0:
+            continue
+        out = []
+        n = len(poly)
+        for i in range(n):
+            h1, s1 = poly[i], s[i]
+            if s1 >= 0:
+                out.append(h1)
+            j = i + 1 if i + 1 < n else 0
+            h2, s2 = poly[j], s[j]
+            if (s1 < 0 < s2) or (s2 < 0 < s1):
+                X = s1 * h2[0] - s2 * h1[0]
+                Y = s1 * h2[1] - s2 * h1[1]
+                W = s1 * h2[2] - s2 * h1[2]
+                if W < 0:
+                    X, Y, W = -X, -Y, -W
+                g = math.gcd(X, Y, W)
+                out.append((X // g, Y // g, W // g))
+        # a cell cut down to a segment is walked there and back, so a
+        # crossing can be met twice
+        poly = list(dict.fromkeys(out))
+        if not poly:
+            break
+    return poly
+
+
 def evaluate(f: TropicalSeries, z: Point) -> Fraction:
     z = (Fraction(z[0]), Fraction(z[1]))
     if isinstance(f.domain, QPolygon) and not f.domain.contains(z):
@@ -220,13 +268,16 @@ def _side_vanishing_multiplier(side_hp, term: Tuple[Vec, Fraction]) -> Optional[
     n = side_hp.n
     if v == (0, 0):
         return 0 if a == 0 else None
-    if cross(v, n) != 0 or dot(v, n) <= 0:
+    if cross(v, n) != 0:
         return None
-    m = Fraction(dot(v, n), dot(n, n))
-    if m.denominator != 1:
+    m, r = divmod(dot(v, n), dot(n, n))
+    if r or m <= 0:
         return None
     # vanishing on the line n.z + a_side = 0 means a == m * a_side
-    return int(m) if a == m * side_hp.a else None
+    b = side_hp.a
+    if a.numerator * b.denominator != m * b.numerator * a.denominator:
+        return None
+    return m
 
 
 def _presentation_side_degrees(domain: QPolygon, terms: Support) -> Dict[Vec, int]:

@@ -76,12 +76,25 @@ class TestWaveCommand:
     ["coarsen", "{square}", "{points_not_list}", "--eps", "1/8"],
     ["dynamics", "{square}", "{not_object}"],
     ["coarsen", "{square}", "{not_object}", "--eps", "1/8"],
+    ["stats", "{float_normal}", "--n", "2", "--trials", "1"],
+    ["dynamics", "{square}", "{float_points}"],
+    ["dynamics", "{square}", "{bool_points}"],
+    ["curve", "{float_series}"],
+    ["curve", "{bool_series}"],
+    ["verge", "{square}", "{float_degrees}", "--eps", "1/8"],
+    ["--config", "{float_tol}", "stats", "{square}"],
+    ["--config", "{bool_tol}", "stats", "{square}"],
+    ["--config", "{float_ints}", "stats", "{square}"],
+    ["--config", "{bool_ints}", "stats", "{square}"],
 ], ids=["unbounded-stats", "unbounded-dynamics", "unbounded-coarsen",
         "bad-tol", "missing-config", "config-denom-bound-0",
         "config-not-object", "denom-bound-0", "n-0", "stats-trials-negative",
         "lift-check-trials-negative", "dynamics-points-not-list",
         "coarsen-points-not-list", "dynamics-points-not-object",
-        "coarsen-points-not-object"])
+        "coarsen-points-not-object", "float-normal", "float-point",
+        "bool-point", "float-coefficient", "bool-exponent", "float-degree",
+        "config-float-tol", "config-bool-tol", "config-float-ints",
+        "config-bool-ints"])
 def test_bad_input_exit_2(files, argv):
     # a single half-plane is an unbounded polygon
     jsonio.dump({"halfplanes": [{"n": [1, 0], "a": "0/1"}]},
@@ -89,8 +102,31 @@ def test_bad_input_exit_2(files, argv):
     jsonio.dump({"denom_bound": 0}, files / "zero_bound.json")
     jsonio.dump([1], files / "not_object.json")
     jsonio.dump({"points": 5}, files / "points_not_list.json")
+    # JSON floats and booleans where exact numbers belong
+    square = jsonio.polygon_to_json(unit_square())
+    square["halfplanes"][0]["n"] = [1.7, 0]
+    jsonio.dump(square, files / "float_normal.json")
+    jsonio.dump({"points": [[0.5, "1/2"]]}, files / "float_points.json")
+    jsonio.dump({"points": [[True, "1/2"]]}, files / "bool_points.json")
+    series = jsonio.series_to_json(square13())
+    assert series["support"][2] == {"v": [0, 0], "a": "1/3"}
+    series["support"][2]["a"] = 0.3
+    jsonio.dump(series, files / "float_series.json")
+    series = jsonio.series_to_json(square13())
+    assert series["support"][4]["v"] == [1, 0]
+    series["support"][4]["v"] = [True, 0]
+    jsonio.dump(series, files / "bool_series.json")
+    jsonio.dump({"degrees": [{"n": [1, 0], "m": 2.0}, {"n": [0, 1], "m": 1},
+                             {"n": [-1, 0], "m": 1}, {"n": [0, -1], "m": 1}]},
+                files / "float_degrees.json")
+    jsonio.dump({"tol": 0.1}, files / "float_tol.json")
+    jsonio.dump({"tol": True}, files / "bool_tol.json")
+    jsonio.dump({"seed": 1.7, "denom_bound": 8.9}, files / "float_ints.json")
+    jsonio.dump({"max_steps": True}, files / "bool_ints.json")
     names = ("half", "points", "square", "missing", "zero_bound", "not_object",
-             "points_not_list")
+             "points_not_list", "float_normal", "float_points", "bool_points",
+             "float_series", "bool_series", "float_degrees", "float_tol",
+             "bool_tol", "float_ints", "bool_ints")
     paths = {k: str(files / f"{k}.json") for k in names}
     argv = ["--out", str(files / "bad")] + [a.format(**paths) for a in argv]
     try:

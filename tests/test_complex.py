@@ -3,20 +3,23 @@ code it replaced.
 
 The reference functions below are the earlier implementation of `cells()`,
 `complex_vertices()`, `canonical_coefficient` and `_small_canonical_terms`,
-all in `Fraction` arithmetic.  Every comparison is exact and ordered: the
-cells' vertex lists, the vertex list and the renormalized supports must be
-identical, not just equal as sets.
+all in `Fraction` arithmetic, with every cell enumerated from all of its
+constraints.  Every comparison is exact and ordered: the cells' vertex lists,
+the vertex list and the renormalized supports must be identical, not just
+equal as sets.
 """
 
 import functools
 import math
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 from hypothesis import given, strategies as st
 
-from tropwave import series
+from tropwave import exactlp, series
 from tropwave.exactlp import cross, dot, hull_lattice_points, vsub
+from tropwave.geometry import QPolygon
 from tropwave.series import SeriesError, TropicalSeries, canonical_coefficient
 
 from conftest import pentagon, random_polygon, random_series, unit_square
@@ -177,3 +180,35 @@ def test_renormalization_and_probe_complex_match_reference(kind, seed, n_waves):
     assert probe.complex_vertices() == ref_complex_vertices(probe)
     assert (outcome(series._small_canonical_terms, f.domain, terms)
             == outcome(ref_small_canonical_terms, f.domain, terms))
+
+
+def test_segment_and_point_cells_match_reference():
+    # on [0, 2] x [0, 1] the constant 1/2 touches min(x, 2-x, y, 1-y) along
+    # y = 1/2, and x + y touches it only at the origin
+    f = TropicalSeries(QPolygon.box(0, 0, 2, 1),
+                       {(1, 0): 0, (-1, 0): 2, (0, 1): 0, (0, -1): 1,
+                        (0, 0): F(1, 2), (1, 1): 0}, canonical=True)
+    cells = f.cells()
+    assert len(cells[(0, 0)]) == 2 and len(cells[(1, 1)]) == 1
+    assert list(cells.items()) == list(ref_cells(f).items())
+    assert f.complex_vertices() == ref_complex_vertices(f)
+
+
+@given(DOMAINS, SEEDS, st.integers(min_value=0, max_value=3))
+def test_cells_are_enumerated_from_tight_constraints_only(kind, seed, n_waves):
+    rng, f = make_series_for(kind, seed, n_waves)
+    calls = []
+    original = exactlp.basic_points
+
+    def recording(ics):
+        pts = original(ics)
+        calls.append((list(ics), pts))
+        return pts
+
+    terms = presentation(rng, f)
+    with mock.patch.object(exactlp, "basic_points", recording):
+        series._Complex(f.domain, terms)
+    assert len(calls) == len(terms)  # one call per cell
+    for ics, pts in calls:
+        assert all(any(A * X + B * Y + C * W == 0 for X, Y, W in pts)
+                   for A, B, C in ics)

@@ -2,14 +2,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
-from tropwave.curve import (NotAVertex, balanced_star, check_balancing,
-                            classify_vertex, curves_within, extract_curve,
-                            quasi_degree_area, symplectic_area)
+from tropwave.curve import (NotAVertex, attaining_monomials, balanced_star,
+                            check_balancing, classify_vertex, curves_within,
+                            extract_curve, quasi_degree_area, symplectic_area)
 from tropwave.exactlp import cross, dot, vsub
 from tropwave.geometry import QPolygon, gcd2
-from tropwave.series import (TropicalSeries, add_monomial, make_series,
-                             zero_series)
+from tropwave.series import (OutsideDomain, TropicalSeries, add_monomial,
+                             evaluate, make_series, zero_series)
 from tropwave.wave import run_dynamics, upper_bound_witness, wave
 
 from conftest import pentagon, random_points, random_polygon, random_series, \
@@ -193,3 +194,35 @@ class TestCurvesWithin:
                 continue
             g = TropicalSeries(poly, terms)
             assert curves_within(f, g, eps)
+
+
+def ref_attaining_monomials(f, z):
+    """The Fraction version the integer one replaced."""
+    val = evaluate(f, z)
+    return [v for v, a in f.support.items() if dot(v, z) + a == val]
+
+
+def attainers_or_error(fn, f, z):
+    try:
+        return fn(f, z)
+    except OutsideDomain:
+        return OutsideDomain
+
+
+@given(st.sampled_from(["square", "pentagon", "random"]),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=0, max_value=4))
+def test_attaining_monomials_match_fraction_reference(kind, seed, n_waves):
+    rng = random.Random(seed)
+    poly = {"square": unit_square, "pentagon": pentagon,
+            "random": lambda: random_polygon(rng)}[kind]()
+    f = random_series(rng, poly, n_waves)
+    # complex vertices (several attainers), interior points, and points
+    # just outside a side
+    pts = list(f.complex_vertices()) + random_points(rng, poly, 4)
+    for hp, a, _ in poly.sides():
+        d = F(1, rng.randint(1, 100))
+        pts.append((a[0] - d * hp.n[0], a[1] - d * hp.n[1]))
+    for z in pts:
+        assert (attainers_or_error(attaining_monomials, f, z)
+                == attainers_or_error(ref_attaining_monomials, f, z))

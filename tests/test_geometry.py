@@ -310,3 +310,38 @@ def test_normals_in_a_closed_half_plane_are_rejected(seed):
     assume(hps)
     with pytest.raises(GeometryError):
         QPolygon(hps)
+
+
+# -- exact membership ---------------------------------------------------------
+
+
+def ref_contains(poly, p, strict):
+    """Membership by Fraction half-plane dots, the test the integer one
+    replaced."""
+    vals = [dot(hp.n, p) + hp.a for hp in poly.halfplanes]
+    return all(v > 0 for v in vals) if strict else all(v >= 0 for v in vals)
+
+
+@given(DOMAINS, SEEDS)
+def test_contains_matches_fraction_reference(kind, seed):
+    rng = random.Random(seed)
+    poly = {"square": unit_square, "pentagon": pentagon,
+            "random": lambda: random_polygon(rng)}[kind]()
+    pts = list(poly.vertices)
+    for hp, a, b in poly.sides():
+        # a point of the side, and points just inside and just outside it
+        t = F(rng.randint(0, 12), 12)
+        on = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+        d = F(1, rng.randint(1, 1000))
+        pts += [on, (on[0] + d * hp.n[0], on[1] + d * hp.n[1]),
+                (on[0] - d * hp.n[0], on[1] - d * hp.n[1])]
+    xs = [v[0] for v in poly.vertices]
+    ys = [v[1] for v in poly.vertices]
+    for _ in range(10):
+        q = rng.randint(1, 40)
+        pts.append((F(rng.randint(int(min(xs) - 1) * q, int(max(xs) + 1) * q), q),
+                    F(rng.randint(int(min(ys) - 1) * q, int(max(ys) + 1) * q), q)))
+    pts.append((rng.randint(-3, 3), rng.randint(-3, 3)))  # plain integers
+    for p in pts:
+        for strict in (False, True):
+            assert poly.contains(p, strict) == ref_contains(poly, p, strict)
