@@ -45,6 +45,14 @@ def positive_int(text) -> int:
     return value
 
 
+def nonnegative_int(text) -> int:
+    """A nonnegative integer, from a flag or a config value."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{text!r} is not a nonnegative integer")
+    return value
+
+
 @dataclass
 class RunConfig:
     seed: int = 0
@@ -68,7 +76,8 @@ class RunConfig:
                 jsonio.int_from_json(raw.get("denom_bound", cfg.denom_bound)))
             if "tol" in raw:
                 cfg.tol = jsonio.frac_from_str(raw["tol"])
-            cfg.max_steps = jsonio.int_from_json(raw.get("max_steps", cfg.max_steps))
+            cfg.max_steps = nonnegative_int(
+                jsonio.int_from_json(raw.get("max_steps", cfg.max_steps)))
             cfg.out_dir = raw.get("out", cfg.out_dir)
             if not isinstance(cfg.out_dir, str):
                 raise jsonio.ParseError("config out must be a string")
@@ -333,7 +342,8 @@ def main(argv=None) -> int:
     ap.add_argument("--config", help="JSON config file")
     ap.add_argument("--seed", type=int)
     ap.add_argument("--tol", help="rho tolerance as p/q")
-    ap.add_argument("--max-steps", type=int, dest="max_steps")
+    ap.add_argument("--max-steps", type=nonnegative_int, dest="max_steps",
+                    help="wave limit; 0 applies none")
     ap.add_argument("--denom-bound", type=positive_int, dest="denom_bound")
     ap.add_argument("--out", help="output directory")
     sub = ap.add_subparsers(dest="cmd", required=True)

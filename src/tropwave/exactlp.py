@@ -5,17 +5,16 @@ encoding the closed half-plane ``n . z + a >= 0`` with ``n`` an integer (or
 rational) vector and ``a`` a `fractions.Fraction`.  Problem sizes here are
 tiny (a handful of constraints), so vertices are found by basic-solution
 enumeration, which is simple and exact but O(m^3) in the constraint count m.
-The hot callers keep m small: `QPolygon` passes its own half-planes, the
+Every caller keeps m small: `QPolygon` passes its own half-planes, the
 linearity complex of `series` only the constraints tight at a cell it has
-already clipped, and `wave` one constraint per domain vertex.  `refine`'s
-certificates still pass a cell's whole constraint list.
+already clipped, and `wave` one constraint per domain vertex.  Regions cut
+from a built complex (`refine`'s certificates) are clipped, not enumerated.
 
 The enumeration itself is pure integer arithmetic: `basic_points` takes
-denominator-cleared constraints ``(A, B, C)`` (``A x + B y + C >= 0``) and
-returns homogeneous integer points ``(X, Y, W)`` standing for
-``(X / W, Y / W)``; `sort_ccw` orders such points.  `Fraction` points are
-made only by the wrappers (`polytope_vertices`, `to_point`) that callers
-with rational data use.
+denominator-cleared constraints ``(A, B, C)`` (``A x + B y + C >= 0``, made
+by `int_constraints`) and returns homogeneous integer points ``(X, Y, W)``
+standing for ``(X / W, Y / W)``; `sort_ccw` orders such points, and
+`to_point` turns one into a `Fraction` point.
 """
 
 from __future__ import annotations
@@ -133,11 +132,6 @@ def cone_contains(gens: Sequence[Vec], v) -> bool:
             if alpha >= 0 and beta >= 0:
                 return True
     return False
-
-
-def polytope_vertices(cons: Sequence[Constraint]) -> list[Point]:
-    """Vertices (basic feasible points) of the polyhedron."""
-    return [to_point(h) for h in basic_points(int_constraints(cons))]
 
 
 def convex_hull(points: Sequence[Point]) -> list[Point]:

@@ -23,7 +23,7 @@ from .exactlp import Point, Vec, cross, dot
 from .geometry import (EmptyInterior, GeometryError, HalfPlane, QPolygon,
                        is_unimodular, primitive, xgcd)
 from .series import (BoundaryMismatch, SeriesError, Support, TropicalSeries,
-                     add_monomial, evaluate, is_nice, quasi_degree,
+                     _clip, add_monomial, evaluate, is_nice, quasi_degree,
                      zero_series)
 from .curve import classify_vertex, curves_within, extract_curve
 from .wave import STABILIZED, WaveEvent, run_dynamics, wave
@@ -130,26 +130,34 @@ def level_shift_check(domain: QPolygon, points: Sequence[Point],
 # -- nice-ification -----------------------------------------------------------
 
 
-def _outside_ball_pieces(poly: QPolygon, center: Point, eps: Fraction):
-    """Cover of polygon-minus-(L-infinity ball) by four polygonal pieces."""
-    cx, cy = center
-    pieces = []
-    for extra in (((-1, 0), cx - eps), ((1, 0), -(cx + eps)),
-                  ((0, -1), cy - eps), ((0, 1), -(cy + eps))):
-        pieces.append(poly.constraints() + [extra])
-    return pieces
+def _region_values(poly: QPolygon, f: TropicalSeries, extra):
+    """Each cell of f cut by ``poly`` and the half-plane ``extra``, as
+    (vertex, f there) pairs, cell by cell; a vertex shared by cells repeats.
+
+    The cells are f's integer ones, clipped in homogeneous points, so the
+    pairs hold every vertex of each region (poly, extra and a cell of f
+    intersected) and nothing outside it.  f equals the cell's monomial on
+    its closed cell, which gives the value.
+    """
+    cuts = [*poly.int_constraints(), *lp.int_constraints([extra])]
+    for v, cell in f._int_complex().hcells.items():
+        (v0, v1), a = v, f.support[v]
+        for X, Y, W in _clip(cell, cuts):
+            z = (Fraction(X, W), Fraction(Y, W))
+            yield z, Fraction(v0 * X + v1 * Y, W) + a
 
 
 def _margin_points(poly: QPolygon, f: TropicalSeries, apex: Point,
                    eps: Fraction) -> list[tuple[Point, Fraction]]:
     """Vertices of (polygon minus ball) refined by the cells of f, with the
-    series values; an affine exceeds f on the region iff it does at these."""
+    series values; an affine exceeds f on the region iff it does at these.
+    The complement of the L-infinity ball is covered by four half-planes."""
+    cx, cy = apex
     pts: dict = {}
-    for piece in _outside_ball_pieces(poly, apex, eps):
-        for v in f.support:
-            for z in lp.polytope_vertices(piece + f.cell_constraints(v)):
-                if z not in pts:
-                    pts[z] = evaluate(f, z)
+    for extra in (((-1, 0), cx - eps), ((1, 0), -(cx + eps)),
+                  ((0, -1), cy - eps), ((0, 1), -(cy + eps))):
+        for z, fz in _region_values(poly, f, extra):
+            pts.setdefault(z, fz)
     return list(pts.items())
 
 
@@ -320,9 +328,11 @@ def nice_restrict(poly: QPolygon, waves: Sequence[Point], eps: Fraction,
                   *, samples: int = 10, seed: int = 0
                   ) -> tuple[QPolygon, TropicalSeries, dict]:
     """Shrink the polygon by corner blow-ups so the composite wave result is
-    nice, with the three certified inequalities of the restriction lemma:
-    the restricted composite is nice, 0 <= G0_poly - G0_sub < eps on the
-    subpolygon, and G0_poly <= eps off the subpolygon."""
+    nice, with the three inequalities of the restriction lemma: the
+    restricted composite is nice (checked exactly), G0_poly <= eps off the
+    subpolygon (certified at the vertices of each removed piece refined by
+    the cells of G0_poly), and 0 <= G0_poly - G0_sub < eps on the subpolygon,
+    which is only sampled at `samples` random points (``gap_ok``)."""
     import random
 
     from .wave import sample_interior_points
@@ -359,11 +369,9 @@ def nice_restrict(poly: QPolygon, waves: Sequence[Point], eps: Fraction,
         for hp in sub.halfplanes:
             if hp in poly.halfplanes:
                 continue
-            piece = poly.constraints() + [((-hp.n[0], -hp.n[1]), -hp.a)]
-            for u in f.support:
-                for z in lp.polytope_vertices(piece + f.cell_constraints(u)):
-                    if evaluate(f, z) > eps:
-                        cert["outside_ok"] = False
+            removed = ((-hp.n[0], -hp.n[1]), -hp.a)
+            if any(fz > eps for _, fz in _region_values(poly, f, removed)):
+                cert["outside_ok"] = False
         if cert["gap_ok"] and cert["outside_ok"]:
             return sub, g, cert
         ball /= 2

@@ -14,8 +14,9 @@ dominance constraints one at a time, `exactlp.basic_points` on the few
 constraints tight at the clipped cell's vertices gives their order, the
 complex vertices are held as integer points over one common denominator D,
 and with them the integers D * f.  Canonical coefficients and
-renormalization read that table; values stay exact, and `Fraction` appears
-only at the API boundary (coefficients, `cells()`, `complex_vertices()`).
+renormalization read that table, and `refine`'s certificates clip the
+integer cells; values stay exact, and `Fraction` appears only at the API
+boundary (coefficients, `cells()`, `complex_vertices()`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from . import exactlp as lp
-from .exactlp import Point, Vec, cross, dot, vsub
+from .exactlp import Point, Vec, cross, dot
 from .geometry import (ConvexDomain, QPolygon, SupportOracle, primitive,
                        support_coeff)
 
@@ -106,24 +107,6 @@ class TropicalSeries:
 
     # -- cached geometry ---------------------------------------------------
 
-    def cell_constraints(self, v: Vec) -> list:
-        """Half-plane constraints of the closed dominance region of v.
-
-        Constraints already satisfied on the whole domain (checked at the
-        domain vertices, exact by convexity) are dropped up front.
-        """
-        cons = self.domain.constraints()
-        av = self.support[v]
-        verts = self.domain.vertices
-        for w, aw in self.support.items():
-            if w == v:
-                continue
-            n = vsub(w, v)
-            a = aw - av
-            if min(dot(n, z) + a for z in verts) < 0:
-                cons.append((n, a))
-        return cons
-
     def cells(self) -> dict:
         """Monomial -> CCW vertex list of its (possibly degenerate) region."""
         if self._cells is None:
@@ -155,11 +138,12 @@ class _Complex:
     over all m constraints would cost O(m^3) per cell.
     The complex vertices, in first-seen order over the cells, are kept as
     ``table`` rows (X, Y, F): the vertex is (X, Y) / denom and F is denom
-    times the series there.  ``cells`` and ``vertices`` are the same data
-    as `Fraction` points.
+    times the series there.  ``hcells`` maps each monomial to its cell as
+    reduced homogeneous points (X, Y, W), W > 0, in the order of ``cells``;
+    ``cells`` and ``vertices`` are the same data as `Fraction` points.
     """
 
-    __slots__ = ("denom", "table", "cells", "vertices")
+    __slots__ = ("denom", "table", "hcells", "cells", "vertices")
 
     def __init__(self, domain: QPolygon, support: Support):
         # star-arguments come from lists, not generators: on CPython 3.11
@@ -198,6 +182,7 @@ class _Complex:
                                     for v, av in alpha.items())))
         self.denom = denom
         self.table = table
+        self.hcells = hcells
         points = {h: lp.to_point(h) for h in hverts}
         self.vertices = list(points.values())
         self.cells = {v: [points[h] for h in hs] for v, hs in hcells.items()}

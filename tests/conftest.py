@@ -4,6 +4,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import settings
 
+from tropwave import exactlp as lp
+from tropwave.exactlp import dot, vsub
 from tropwave.geometry import QPolygon
 from tropwave.series import TropicalSeries, make_series, zero_series
 from tropwave.wave import sample_interior_points, wave
@@ -64,6 +66,30 @@ def random_series(rng: random.Random, poly: QPolygon, n_waves: int = 2
     for p in random_points(rng, poly, n_waves):
         f, _ = wave(f, p)
     return f
+
+
+# -- Fraction references for code the program no longer has -----------------
+
+
+def ref_polytope_vertices(cons):
+    """Vertices (basic feasible points) of the polyhedron given by
+    `Fraction` constraints ``(n, a)``, ``n . z + a >= 0``."""
+    return [lp.to_point(h) for h in lp.basic_points(lp.int_constraints(cons))]
+
+
+def ref_cell_constraints(f: TropicalSeries, v):
+    """Half-plane constraints of the closed dominance region of v: the
+    domain's, then each ``(w - v) . z + a_w - a_v >= 0`` that a domain vertex
+    violates, in support order."""
+    cons = f.domain.constraints()
+    av = f.support[v]
+    for w, aw in f.support.items():
+        if w == v:
+            continue
+        n, a = vsub(w, v), aw - av
+        if min(dot(n, z) + a for z in f.domain.vertices) < 0:
+            cons.append((n, a))
+    return cons
 
 
 @pytest.fixture

@@ -1,8 +1,11 @@
+import copy
 import json
 import os
+import tempfile
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropwave import jsonio
 from tropwave.cli import main
@@ -86,6 +89,8 @@ class TestWaveCommand:
     ["--config", "{bool_tol}", "stats", "{square}"],
     ["--config", "{float_ints}", "stats", "{square}"],
     ["--config", "{bool_ints}", "stats", "{square}"],
+    ["--max-steps", "-5", "dynamics", "{square}", "{points}"],
+    ["--config", "{negative_steps}", "dynamics", "{square}", "{points}"],
 ], ids=["unbounded-stats", "unbounded-dynamics", "unbounded-coarsen",
         "bad-tol", "missing-config", "config-denom-bound-0",
         "config-not-object", "denom-bound-0", "n-0", "stats-trials-negative",
@@ -94,7 +99,8 @@ class TestWaveCommand:
         "coarsen-points-not-object", "float-normal", "float-point",
         "bool-point", "float-coefficient", "bool-exponent", "float-degree",
         "config-float-tol", "config-bool-tol", "config-float-ints",
-        "config-bool-ints"])
+        "config-bool-ints", "max-steps-negative",
+        "config-max-steps-negative"])
 def test_bad_input_exit_2(files, argv):
     # a single half-plane is an unbounded polygon
     jsonio.dump({"halfplanes": [{"n": [1, 0], "a": "0/1"}]},
@@ -123,10 +129,11 @@ def test_bad_input_exit_2(files, argv):
     jsonio.dump({"tol": True}, files / "bool_tol.json")
     jsonio.dump({"seed": 1.7, "denom_bound": 8.9}, files / "float_ints.json")
     jsonio.dump({"max_steps": True}, files / "bool_ints.json")
+    jsonio.dump({"max_steps": -5}, files / "negative_steps.json")
     names = ("half", "points", "square", "missing", "zero_bound", "not_object",
              "points_not_list", "float_normal", "float_points", "bool_points",
              "float_series", "bool_series", "float_degrees", "float_tol",
-             "bool_tol", "float_ints", "bool_ints")
+             "bool_tol", "float_ints", "bool_ints", "negative_steps")
     paths = {k: str(files / f"{k}.json") for k in names}
     argv = ["--out", str(files / "bad")] + [a.format(**paths) for a in argv]
     try:
@@ -152,6 +159,20 @@ class TestDynamicsCommand:
         assert main(["--out", str(files / "d4"), "--max-steps", "1",
                      "dynamics", str(files / "square.json"),
                      str(tmp_path / "pts.json")]) == 4
+
+    def test_zero_max_steps_applies_no_wave(self, files, tmp_path):
+        # the zero series is not stabilized at any point: exit 4, no event
+        out = str(files / "d0")
+        assert main(["--out", out, "--max-steps", "0", "dynamics",
+                     str(files / "square.json"), str(files / "points.json")]) == 4
+        with open(os.path.join(out, "result.json")) as fh:
+            assert json.load(fh)["steps"] == 0
+        assert open(os.path.join(out, "events.jsonl")).read() == ""
+        # with no points the start is already stabilized
+        jsonio.dump({"points": []}, tmp_path / "none.json")
+        assert main(["--out", str(files / "d00"), "--max-steps", "0",
+                     "dynamics", str(files / "square.json"),
+                     str(tmp_path / "none.json")]) == 0
 
     def test_exterior_point_exit_3(self, files, tmp_path):
         jsonio.dump({"points": [["2/1", "2/1"]]}, tmp_path / "bad.json")
@@ -244,3 +265,101 @@ class TestOtherCommands:
         for name, digest in _manifest_digests(out).items():
             with open(os.path.join(out, name), "rb") as fh:
                 assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+
+# -- fuzzing the loaders -------------------------------------------------------
+
+RATIONALS = st.builds(lambda p, q: f"{p}/{q}", st.integers(-4, 4),
+                      st.integers(1, 4))
+LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-4, 4),
+                   st.floats(allow_nan=False, allow_infinity=False, width=16),
+                   RATIONALS, st.sampled_from(["1/0", "x", "", "1.5", "2/-3"]))
+JSON = st.recursive(
+    LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["n", "a", "v", "halfplanes", "domain",
+                                         "support", "points", "x"]),
+                        inner, max_size=3)),
+    max_leaves=8)
+VECS = st.lists(st.integers(-3, 3), min_size=2, max_size=2)
+POLYGONS = st.fixed_dictionaries({"halfplanes": st.lists(
+    st.fixed_dictionaries({"n": VECS, "a": RATIONALS}), max_size=5)})
+# the square's four side monomials plus random ones: often a valid series
+SIDES = [{"v": [1, 0], "a": "0"}, {"v": [0, 1], "a": "0"},
+         {"v": [-1, 0], "a": "1"}, {"v": [0, -1], "a": "1"}]
+SUPPORTS = st.lists(st.fixed_dictionaries({"v": VECS, "a": RATIONALS}),
+                    max_size=4).map(lambda extra: SIDES + extra)
+COORDS = st.one_of(st.sampled_from(["1/2", "1/3", "2/3", "1/4", "3/4"]),
+                   RATIONALS)
+POINT_LISTS = st.lists(st.lists(COORDS, min_size=2, max_size=2), max_size=3)
+
+
+def _replace(doc, path, value):
+    """``doc`` with the node at ``path`` (a list of keys) replaced."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _paths(doc, prefix=()):
+    yield list(prefix)
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def near_valid(draw, doc):
+    """A valid document with one node replaced by random JSON."""
+    paths = list(_paths(doc))
+    path = paths[draw(st.integers(0, len(paths) - 1))]
+    return _replace(doc, path, draw(JSON))
+
+
+SQUARE = jsonio.polygon_to_json(unit_square())
+SERIES = jsonio.series_to_json(square13())
+POINTS = {"points": [["1/2", "1/2"], ["1/4", "3/4"]]}
+
+# random JSON, one node of a valid file replaced, or a random value under a
+# file's top-level key
+FUZZ_INPUTS = st.one_of(
+    st.tuples(st.just("polygon"), st.one_of(
+        JSON, POLYGONS, near_valid(SQUARE),
+        st.fixed_dictionaries({"halfplanes": LEAVES | JSON}))),
+    st.tuples(st.just("series"), st.one_of(
+        JSON, near_valid(SERIES),
+        st.fixed_dictionaries({"domain": st.just(SQUARE),
+                               "support": SUPPORTS | LEAVES | JSON}))),
+    st.tuples(st.just("points"), st.one_of(
+        JSON, near_valid(POINTS),
+        st.fixed_dictionaries({"points": POINT_LISTS | LEAVES | JSON}))),
+)
+
+
+@settings(max_examples=60)
+@given(FUZZ_INPUTS)
+def test_loader_fuzz_exits_with_a_documented_code(case):
+    # every input ends in a documented exit code; an escaping exception
+    # fails the test.  Dynamics are capped at two waves to bound the cost.
+    kind, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, obj in (("square", SQUARE), ("none", {"points": []}),
+                          ("fuzz", doc)):
+            paths[name] = os.path.join(tmp, f"{name}.json")
+            with open(paths[name], "w") as fh:
+                json.dump(obj, fh)
+        fuzz = paths["fuzz"]
+        argv = {"polygon": ["dynamics", fuzz, paths["none"]],
+                "series": ["curve", fuzz],
+                "points": ["dynamics", paths["square"], fuzz]}[kind]
+        code = main(["--out", os.path.join(tmp, "out"), "--max-steps", "2"]
+                    + argv)
+    assert code in (0, 2, 3, 4, 5)

@@ -22,7 +22,8 @@ from tropwave.exactlp import cross, dot, hull_lattice_points, vsub
 from tropwave.geometry import QPolygon
 from tropwave.series import SeriesError, TropicalSeries, canonical_coefficient
 
-from conftest import pentagon, random_polygon, random_series, unit_square
+from conftest import (pentagon, random_polygon, random_series,
+                      ref_cell_constraints, unit_square)
 
 
 # -- reference implementation (Fraction arithmetic) ---------------------------
@@ -77,7 +78,7 @@ def ref_sort_ccw(points):
 
 
 def ref_cells(f):
-    return {v: ref_sort_ccw(ref_basic_points(f.cell_constraints(v)))
+    return {v: ref_sort_ccw(ref_basic_points(ref_cell_constraints(f, v)))
             for v in f.support}
 
 

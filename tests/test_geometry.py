@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from tropwave.exactlp import cross, dot, polytope_vertices
+from tropwave.exactlp import cross, dot
 from tropwave.geometry import (BadDirection, Corner, DistanceZero,
                                EmptyInterior, GeometryError, HalfPlane,
                                QPolygon, SupportOracle, blow_up,
@@ -13,7 +13,8 @@ from tropwave.geometry import (BadDirection, Corner, DistanceZero,
                                is_admissible, is_unimodular,
                                relevant_monomials, support_coeff)
 
-from conftest import pentagon, random_polygon, unit_square
+from conftest import (pentagon, random_polygon, ref_polytope_vertices,
+                      unit_square)
 
 
 def disk_oracle(radius=6):
@@ -272,7 +273,7 @@ def polygon_with_extras(kind, seed):
 
 
 def vertex_set(hps):
-    return set(polytope_vertices([hp.constraint() for hp in hps]))
+    return set(ref_polytope_vertices([hp.constraint() for hp in hps]))
 
 
 @given(DOMAINS, SEEDS)

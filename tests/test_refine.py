@@ -2,19 +2,23 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropwave.curve import classify_vertex, curves_within, extract_curve
-from tropwave.geometry import QPolygon, is_unimodular
+from tropwave.geometry import QPolygon, is_unimodular, primitive
 from tropwave.series import (add_monomial, distance_function, evaluate,
                              is_nice, make_series, quasi_degree, zero_series)
 from tropwave.refine import (EmptyLevelSet, EpsilonTooLarge,
-                             HypothesisViolated, RefineError,
+                             HypothesisViolated, RefineError, _margin,
+                             _margin_points, _region_values,
                              coarsen_dynamics, level_set_polygon,
                              level_shift_check, make_nice, nice_restrict,
                              verge_polynomial)
 from tropwave.wave import run_dynamics, wave, wave_family_scan
 
-from conftest import pentagon, square13, unit_square
+from conftest import (pentagon, random_points, random_polygon,
+                      ref_cell_constraints, ref_polytope_vertices, square13,
+                      unit_square)
 
 
 class TestLevelSet:
@@ -136,6 +140,82 @@ class TestMakeNice:
         assert is_nice(g)
         assert is_unimodular(sub)
         assert len(steps) >= 1
+
+
+# -- region certificates against the Fraction enumeration ---------------------
+
+
+def ref_region_values(poly, f, extra):
+    """The earlier certificate regions: every (piece, monomial) system
+    enumerated from all of its `Fraction` constraints, valued by `evaluate`."""
+    out = {}
+    for v in f.support:
+        cons = poly.constraints() + [extra] + ref_cell_constraints(f, v)
+        for z in ref_polytope_vertices(cons):
+            out.setdefault(z, evaluate(f, z))
+    return out
+
+
+def ref_margin_points(poly, f, apex, eps):
+    cx, cy = apex
+    out = {}
+    for extra in (((-1, 0), cx - eps), ((1, 0), -(cx + eps)),
+                  ((0, -1), cy - eps), ((0, 1), -(cy + eps))):
+        for z, fz in ref_region_values(poly, f, extra).items():
+            out.setdefault(z, fz)
+    return out
+
+
+def _certificate_case(kind, seed, n_points):
+    rng = random.Random(seed)
+    poly = {"square": unit_square, "pentagon": pentagon,
+            "bent": lambda: QPolygon.from_vertices([(0, 0), (2, 0), (3, 2),
+                                                    (1, 3)]),
+            "random": lambda: random_polygon(rng)}[kind]()
+    if n_points == 0:
+        return poly, distance_function(poly)
+    pts = random_points(rng, poly, n_points)
+    return poly, run_dynamics(zero_series(poly), pts).final
+
+
+CERTIFICATE_EPS = st.sampled_from([F(1, 4), F(1, 8), F(1, 16), F(1, 32)])
+
+
+@settings(max_examples=20)  # the reference enumeration is slow
+@given(st.sampled_from(["square", "pentagon", "bent", "random"]),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=0, max_value=3), CERTIFICATE_EPS)
+def test_margin_points_match_fraction_enumeration(kind, seed, n_points, eps):
+    # n_points == 0 stands for the distance function
+    poly, f = _certificate_case(kind, seed, n_points)
+    for corner in poly.corners():
+        pts = _margin_points(poly, f, corner.apex, eps)
+        ref = ref_margin_points(poly, f, corner.apex, eps)
+        assert len(pts) == len(dict(pts))
+        assert dict(pts) == ref
+        n1, n2 = corner.normals
+        for v in (n1, n2, primitive((n1[0] + n2[0], n1[1] + n2[1]))):
+            for m in (1, 2, 5):
+                assert (_margin(pts, v, corner.apex, m)
+                        == _margin(list(ref.items()), v, corner.apex, m))
+
+
+@given(st.sampled_from(["square", "pentagon", "bent", "random"]),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=0, max_value=3), CERTIFICATE_EPS)
+def test_outside_pieces_match_fraction_enumeration(kind, seed, n_points, eps):
+    # nice_restrict's pieces: poly minus a corner cut, i.e. the closed side
+    # of the cut line that holds the corner
+    poly, f = _certificate_case(kind, seed, n_points)
+    for corner in poly.corners():
+        n1, n2 = corner.normals
+        w = (n1[0] + n2[0], n1[1] + n2[1])
+        removed = ((-w[0], -w[1]), w[0] * corner.apex[0]
+                   + w[1] * corner.apex[1] + eps)
+        got = {}
+        for z, fz in _region_values(poly, f, removed):
+            assert got.setdefault(z, fz) == fz
+        assert got == ref_region_values(poly, f, removed)
 
 
 def _gcd_norm(v):

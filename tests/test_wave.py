@@ -8,7 +8,6 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from tropwave import exactlp as lp
 from tropwave.curve import attaining_monomials
 from tropwave.exactlp import dot, vsub
 from tropwave.geometry import QPolygon
@@ -22,7 +21,7 @@ from tropwave.wave import (STABILIZED, STEP_LIMIT, Schedule,
                            upper_bound_witness, wave, wave_family_scan)
 
 from conftest import pentagon, random_points, random_polygon, random_series, \
-    square13, unit_square
+    ref_polytope_vertices, square13, unit_square
 
 
 class TestSingleWave:
@@ -135,7 +134,7 @@ def ref_second_min_at(f, p, exclude):
             val = dot(hp.n, p) + canonical_coefficient(f, hp.n)
             best = val if best is None or val < best else best
     dirs = [vsub(p, w) for w in dom.vertices]
-    verts = lp.polytope_vertices([((-d[0], -d[1]), best) for d in dirs])
+    verts = ref_polytope_vertices([((-d[0], -d[1]), best) for d in dirs])
     xs = [v[0] for v in verts]
     ys = [v[1] for v in verts]
     for i in range(math.floor(min(xs)), math.ceil(max(xs)) + 1):
