@@ -6,7 +6,9 @@ renders); a manifest.json with sha256 digests accompanies every run, and runs
 are byte-reproducible for a fixed seed.
 
 Exit codes: 0 ok, 2 parse error, 3 domain violation, 4 nonconvergence
-(step-limit stop), 5 certificate failure.
+(step-limit stop), 5 certificate failure.  Every input file goes through
+one reader, `_read`, and `main` holds the only mapping from exceptions to
+exit codes, `FAILURES`; the commands themselves catch nothing.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from fractions import Fraction
 
 from . import jsonio
 from .geometry import GeometryError, QPolygon
-from .series import SeriesError, TropicalSeries, zero_series
+from .series import OutsideDomain, SeriesError, zero_series
 from .curve import extract_curve
 from .svgout import render_curve
-from .wave import (STEP_LIMIT, Schedule, avalanche_experiment,
-                   run_dynamics, wave)
+from .wave import (STEP_LIMIT, SamplingFailed, Schedule,
+                   avalanche_experiment, run_dynamics, wave)
 from .refine import (RefineError, coarsen_dynamics, make_nice,
                      verge_polynomial)
 from .lift2 import fuzz_lift
@@ -53,6 +55,31 @@ def nonnegative_int(text) -> int:
     return value
 
 
+def _read(path, build):
+    """The one input reader: open ``path``, parse its JSON and ``build`` an
+    object from it.  Every failure of bad input, a missing or unreadable
+    file, bad JSON or UTF-8, a document of the wrong shape, an unbounded
+    polygon or an invalid series, becomes a ParseError naming the file."""
+    try:
+        return build(jsonio.load(path))
+    except (jsonio.ParseError, OSError, ValueError, KeyError, TypeError,
+            IndexError, GeometryError, SeriesError) as exc:
+        raise jsonio.ParseError(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _check_out_dir(path: str) -> None:
+    """Raise ParseError unless os.makedirs(path) can make the output
+    directory: the path is nonempty and printable, and its nearest existing
+    ancestor, or the path itself, is a directory."""
+    if not path or not path.isprintable():
+        raise jsonio.ParseError(f"out {path!r} does not name a directory")
+    head = os.path.abspath(path)
+    while not os.path.lexists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise jsonio.ParseError(f"out {path!r}: {head} is not a directory")
+
+
 @dataclass
 class RunConfig:
     seed: int = 0
@@ -62,35 +89,40 @@ class RunConfig:
     out_dir: str = "out"
 
     @staticmethod
+    def from_json(raw) -> "RunConfig":
+        """The settings of a --config document over the defaults."""
+        if not isinstance(raw, dict):
+            raise jsonio.ParseError("config must be a JSON object")
+        cfg = RunConfig()
+        cfg.seed = jsonio.int_from_json(raw.get("seed", cfg.seed))
+        cfg.denom_bound = positive_int(
+            jsonio.int_from_json(raw.get("denom_bound", cfg.denom_bound)))
+        if "tol" in raw:
+            cfg.tol = jsonio.frac_from_str(raw["tol"])
+        cfg.max_steps = nonnegative_int(
+            jsonio.int_from_json(raw.get("max_steps", cfg.max_steps)))
+        cfg.out_dir = raw.get("out", cfg.out_dir)
+        if not isinstance(cfg.out_dir, str):
+            raise jsonio.ParseError("config out must be a string")
+        return cfg
+
+    @staticmethod
     def from_args(args) -> "RunConfig":
         """Defaults, then the --config file, then the flags.  Bad values
-        raise ParseError, OSError, ValueError or TypeError."""
-        cfg = RunConfig()
-        if getattr(args, "config", None):
-            with open(args.config) as fh:
-                raw = json.load(fh)
-            if not isinstance(raw, dict):
-                raise jsonio.ParseError("config must be a JSON object")
-            cfg.seed = jsonio.int_from_json(raw.get("seed", cfg.seed))
-            cfg.denom_bound = positive_int(
-                jsonio.int_from_json(raw.get("denom_bound", cfg.denom_bound)))
-            if "tol" in raw:
-                cfg.tol = jsonio.frac_from_str(raw["tol"])
-            cfg.max_steps = nonnegative_int(
-                jsonio.int_from_json(raw.get("max_steps", cfg.max_steps)))
-            cfg.out_dir = raw.get("out", cfg.out_dir)
-            if not isinstance(cfg.out_dir, str):
-                raise jsonio.ParseError("config out must be a string")
-        if getattr(args, "seed", None) is not None:
+        raise ParseError."""
+        cfg = (_read(args.config, RunConfig.from_json) if args.config
+               else RunConfig())
+        if args.seed is not None:
             cfg.seed = args.seed
-        if getattr(args, "denom_bound", None) is not None:
+        if args.denom_bound is not None:
             cfg.denom_bound = args.denom_bound
-        if getattr(args, "tol", None) is not None:
+        if args.tol is not None:
             cfg.tol = jsonio.frac_from_str(args.tol)
-        if getattr(args, "max_steps", None) is not None:
+        if args.max_steps is not None:
             cfg.max_steps = args.max_steps
-        if getattr(args, "out", None) is not None:
+        if args.out is not None:
             cfg.out_dir = args.out
+        _check_out_dir(cfg.out_dir)
         return cfg
 
     def echo(self) -> dict:
@@ -132,19 +164,15 @@ class OutputBundle:
         jsonio.dump(manifest, self.path("manifest.json"))
 
 
-def _load_polygon(path) -> QPolygon:
-    return jsonio.polygon_from_json(jsonio.load(path))
-
-
-def _load_series(path) -> TropicalSeries:
-    return jsonio.series_from_json(jsonio.load(path))
-
-
-def _load_points(path):
-    obj = jsonio.load(path)
+def _points_from_json(obj):
     if not isinstance(obj, dict) or not isinstance(obj.get("points", []), list):
         raise jsonio.ParseError("a points file is an object with a points list")
     return [jsonio.point_from_json(p) for p in obj["points"]]
+
+
+def _degrees_from_json(obj):
+    return {jsonio.vec_from_json(d["n"]): jsonio.int_from_json(d["m"])
+            for d in obj["degrees"]}
 
 
 def _parse_point(text):
@@ -154,20 +182,16 @@ def _parse_point(text):
     return (jsonio.frac_from_str(parts[0]), jsonio.frac_from_str(parts[1]))
 
 
+def _require_interior(poly: QPolygon, pts) -> None:
+    if not all(poly.contains(p, strict=True) for p in pts):
+        raise OutsideDomain("points must be interior")
+
+
 def cmd_wave(args, cfg: RunConfig) -> int:
-    try:
-        f = _load_series(args.series)
-        p = _parse_point(args.point)
-    except (jsonio.ParseError, OSError, json.JSONDecodeError, GeometryError,
-            SeriesError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    f = _read(args.series, jsonio.series_from_json)
+    p = _parse_point(args.point)
     bundle = OutputBundle(cfg)
-    try:
-        g, ev = wave(f, p)
-    except SeriesError as exc:
-        print(f"domain violation: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    g, ev = wave(f, p)
     bundle.write_json("event.json", jsonio.event_to_json(ev))
     bundle.write_json("series_after.json", jsonio.series_to_json(g))
     bundle.write_text("curve_before.svg", render_curve(extract_curve(f), points=[p]))
@@ -177,16 +201,9 @@ def cmd_wave(args, cfg: RunConfig) -> int:
 
 
 def cmd_dynamics(args, cfg: RunConfig) -> int:
-    try:
-        poly = _load_polygon(args.domain)
-        pts = _load_points(args.points)
-    except (jsonio.ParseError, OSError, json.JSONDecodeError, GeometryError,
-            KeyError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    if not all(poly.contains(p, strict=True) for p in pts):
-        print("domain violation: points must be interior", file=sys.stderr)
-        return EXIT_DOMAIN
+    poly = _read(args.domain, jsonio.polygon_from_json)
+    pts = _read(args.points, _points_from_json)
+    _require_interior(poly, pts)
     bundle = OutputBundle(cfg)
     res = run_dynamics(zero_series(poly), pts, Schedule("round_robin"),
                        tol=cfg.tol, max_steps=cfg.max_steps)
@@ -209,11 +226,7 @@ def cmd_dynamics(args, cfg: RunConfig) -> int:
 
 
 def cmd_stats(args, cfg: RunConfig) -> int:
-    try:
-        poly = _load_polygon(args.domain)
-    except (jsonio.ParseError, OSError, json.JSONDecodeError, GeometryError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    poly = _read(args.domain, jsonio.polygon_from_json)
     bundle = OutputBundle(cfg)
     stats = avalanche_experiment(poly, args.n, args.trials, cfg.seed,
                                  denom_bound=cfg.denom_bound,
@@ -237,19 +250,10 @@ def cmd_lift_check(args, cfg: RunConfig) -> int:
 
 
 def cmd_make_nice(args, cfg: RunConfig) -> int:
-    try:
-        f = _load_series(args.series)
-        eps = jsonio.frac_from_str(args.eps)
-    except (jsonio.ParseError, OSError, json.JSONDecodeError, GeometryError,
-            SeriesError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    f = _read(args.series, jsonio.series_from_json)
+    eps = jsonio.frac_from_str(args.eps)
     bundle = OutputBundle(cfg)
-    try:
-        sub, g, steps = make_nice(f.domain, f, eps)
-    except (RefineError, SeriesError) as exc:
-        print(f"certificate failure: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATE
+    sub, g, steps = make_nice(f.domain, f, eps)
     bundle.write_json("plan.json", {
         "steps": [{
             "corner": jsonio.point_to_json(s.corner_apex),
@@ -265,22 +269,11 @@ def cmd_make_nice(args, cfg: RunConfig) -> int:
 
 
 def cmd_verge(args, cfg: RunConfig) -> int:
-    try:
-        poly = _load_polygon(args.domain)
-        eps = jsonio.frac_from_str(args.eps)
-        raw = jsonio.load(args.degrees)
-        degrees = {jsonio.vec_from_json(d["n"]): jsonio.int_from_json(d["m"])
-                   for d in raw["degrees"]}
-    except (jsonio.ParseError, OSError, json.JSONDecodeError, GeometryError,
-            KeyError, TypeError, ValueError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    poly = _read(args.domain, jsonio.polygon_from_json)
+    eps = jsonio.frac_from_str(args.eps)
+    degrees = _read(args.degrees, _degrees_from_json)
     bundle = OutputBundle(cfg)
-    try:
-        g = verge_polynomial(poly, degrees, eps)
-    except (RefineError, SeriesError) as exc:
-        print(f"certificate failure: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATE
+    g = verge_polynomial(poly, degrees, eps)
     bundle.write_json("series.json", jsonio.series_to_json(g))
     bundle.write_text("curve.svg", render_curve(extract_curve(g)))
     bundle.finish()
@@ -288,27 +281,16 @@ def cmd_verge(args, cfg: RunConfig) -> int:
 
 
 def cmd_coarsen(args, cfg: RunConfig) -> int:
-    try:
-        poly = _load_polygon(args.domain)
-        pts = _load_points(args.points)
-        eps = jsonio.frac_from_str(args.eps)
-    except (jsonio.ParseError, OSError, json.JSONDecodeError, GeometryError,
-            KeyError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    if not all(poly.contains(p, strict=True) for p in pts):
-        print("domain violation: points must be interior", file=sys.stderr)
-        return EXIT_DOMAIN
+    poly = _read(args.domain, jsonio.polygon_from_json)
+    pts = _read(args.points, _points_from_json)
+    eps = jsonio.frac_from_str(args.eps)
+    _require_interior(poly, pts)
     bundle = OutputBundle(cfg)
-    try:
-        degrees = {hp.n: 1 for hp in poly.halfplanes}
-        g = verge_polynomial(poly, degrees, eps)
-        res = run_dynamics(g, pts, Schedule("round_robin"),
-                           tol=cfg.tol, max_steps=cfg.max_steps)
-        plan, final, cert = coarsen_dynamics(g, res.events, eps)
-    except (RefineError, SeriesError) as exc:
-        print(f"certificate failure: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATE
+    degrees = {hp.n: 1 for hp in poly.halfplanes}
+    g = verge_polynomial(poly, degrees, eps)
+    res = run_dynamics(g, pts, Schedule("round_robin"),
+                       tol=cfg.tol, max_steps=cfg.max_steps)
+    plan, final, cert = coarsen_dynamics(g, res.events, eps)
     bundle.write_json("plan.json", {
         "M": jsonio.frac_to_str(plan.M),
         "h": jsonio.frac_to_str(plan.h),
@@ -322,18 +304,25 @@ def cmd_coarsen(args, cfg: RunConfig) -> int:
 
 
 def cmd_curve(args, cfg: RunConfig) -> int:
-    try:
-        f = _load_series(args.series)
-    except (jsonio.ParseError, OSError, json.JSONDecodeError, GeometryError,
-            SeriesError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    f = _read(args.series, jsonio.series_from_json)
     bundle = OutputBundle(cfg)
     curve = extract_curve(f)
     bundle.write_json("curve.json", jsonio.curve_to_json(curve))
     bundle.write_text("curve.svg", render_curve(curve))
     bundle.finish()
     return EXIT_OK
+
+
+# The only mapping from exceptions to exit codes, with the message prefix of
+# each.  The first row that matches wins, so OutsideDomain precedes its base
+# class SeriesError.  Any other exception is a bug and propagates.
+FAILURES = {
+    jsonio.ParseError: (EXIT_PARSE, "parse error"),
+    SamplingFailed: (EXIT_PARSE, "sampling failure"),
+    OutsideDomain: (EXIT_DOMAIN, "domain violation"),
+    RefineError: (EXIT_CERTIFICATE, "certificate failure"),
+    SeriesError: (EXIT_CERTIFICATE, "certificate failure"),
+}
 
 
 def main(argv=None) -> int:
@@ -391,11 +380,12 @@ def main(argv=None) -> int:
 
     args = ap.parse_args(argv)
     try:
-        cfg = RunConfig.from_args(args)
-    except (jsonio.ParseError, OSError, ValueError, TypeError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    return args.fn(args, cfg)
+        return args.fn(args, RunConfig.from_args(args))
+    except tuple(FAILURES) as exc:
+        code, reason = next(row for kind, row in FAILURES.items()
+                            if isinstance(exc, kind))
+        print(f"{reason}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -206,10 +206,25 @@ def polygon_area(vertices: Sequence[Point]) -> Fraction:
     return abs(s) / 2
 
 
+def angle_order(vectors: Sequence[Vec]) -> list[int]:
+    """Indices of nonzero vectors in counterclockwise order of angle from
+    direction (1, 0): an exact comparator, the upper half (angle in [0, pi))
+    first and then the cross product; stable on ties."""
+    half = [0 if y > 0 or (y == 0 and x > 0) else 1 for x, y in vectors]
+
+    def cmp(i, j):
+        if half[i] != half[j]:
+            return -1 if half[i] < half[j] else 1
+        cr = cross(vectors[i], vectors[j])
+        return -1 if cr > 0 else (1 if cr < 0 else 0)
+
+    return sorted(range(len(vectors)), key=functools.cmp_to_key(cmp))
+
+
 def sort_ccw(points: Sequence[Homogeneous]) -> list[Homogeneous]:
     """Sort distinct homogeneous points counterclockwise around their
-    centroid, starting at angle 0 (exact integer comparator, stable on
-    ties); two or fewer points keep their order."""
+    centroid, starting at angle 0 (`angle_order`); two or fewer points keep
+    their order."""
     pts = list(points)
     n = len(pts)
     if n <= 2:
@@ -220,20 +235,7 @@ def sort_ccw(points: Sequence[Homogeneous]) -> list[Homogeneous]:
     sx, sy = sum(xs), sum(ys)
     # offsets from the centroid, scaled by n * den > 0
     d = [(n * x - sx, n * y - sy) for x, y in zip(xs, ys)]
-    # 0 for the upper half (angle in [0, pi)), 1 for the lower
-    half = [0 if dy > 0 or (dy == 0 and dx > 0) else 1 for dx, dy in d]
-
-    def cmp(i, j):
-        if half[i] != half[j]:
-            return -1 if half[i] < half[j] else 1
-        cr = cross(d[i], d[j])
-        if cr > 0:
-            return -1
-        if cr < 0:
-            return 1
-        return 0
-
-    return [pts[i] for i in sorted(range(n), key=functools.cmp_to_key(cmp))]
+    return [pts[i] for i in angle_order(d)]
 
 
 def point_segment_dist2(p: Point, a: Point, b: Point) -> Fraction:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 from . import exactlp as lp
 from .exactlp import Constraint, Point, Vec, cross, dot, vsub
@@ -63,21 +63,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def _sorted_by_angle(normals: Iterable[Vec]) -> list[Vec]:
-    # exact CCW angular order starting at direction (1, 0)
-    import functools
-
-    def cmp(u, v):
-        hu = 0 if (u[1] > 0 or (u[1] == 0 and u[0] > 0)) else 1
-        hv = 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-        if hu != hv:
-            return -1 if hu < hv else 1
-        cr = cross(u, v)
-        return -1 if cr > 0 else (1 if cr < 0 else 0)
-
-    return sorted(normals, key=functools.cmp_to_key(cmp))
 
 
 @dataclass(frozen=True)
@@ -148,7 +133,8 @@ class QPolygon:
         if len(edge_normals) < 3:
             raise EmptyInterior("polygon must have nonempty interior")
         self.halfplanes: tuple[HalfPlane, ...] = tuple(
-            HalfPlane(n, best[n]) for n in _sorted_by_angle(edge_normals))
+            HalfPlane(edge_normals[i], best[edge_normals[i]])
+            for i in lp.angle_order(edge_normals))
         self._cons = [hp.constraint() for hp in self.halfplanes]
         self._int_cons = tuple(lp.int_constraints(self._cons))
         self.vertices: tuple[Point, ...] = tuple(

@@ -2,14 +2,19 @@
 
 Round-trips are exact; no floating point appears in any artifact except the
 clearly-labeled decimal convenience fields of the statistics bundle.  Inputs
-are exact too: a rational is a JSON integer or a string such as "7/5", a
-normal or exponent is a JSON integer, and a JSON float or boolean in their
-place is a `ParseError`.
+are exact too: a rational is a JSON integer or a string "-3", "7/5" or
+"1.25" (no exponent, underscore or whitespace, so reading one costs time
+linear in its length), a normal or exponent is a JSON integer, and anything
+else in their place is a `ParseError`.  The ``*_from_json`` builders check
+values, not the document's shape: a missing key or wrong container raises
+the `KeyError`, `TypeError` or `IndexError` of the access, which the one
+input reader of `cli` turns into a `ParseError` naming the file.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
@@ -22,6 +27,10 @@ class ParseError(Exception):
     pass
 
 
+# the only string forms of a rational: an integer, p/q or a plain decimal
+_RATIONAL = re.compile(r"[-+]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+
+
 def frac_to_str(x: Fraction) -> str:
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
@@ -31,6 +40,9 @@ def frac_from_str(s) -> Fraction:
     """A rational from a string ("p/q", "-3", "1.25") or an integer."""
     if not isinstance(s, (int, str)) or isinstance(s, bool):
         raise ParseError(f"bad rational {s!r}: give an integer or a string")
+    if isinstance(s, str) and not _RATIONAL.fullmatch(s):
+        raise ParseError(f"bad rational {s!r}: "
+                         "give an integer, p/q or a plain decimal")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -66,11 +78,8 @@ def polygon_to_json(poly: QPolygon) -> dict:
 
 
 def polygon_from_json(obj) -> QPolygon:
-    try:
-        hps = [HalfPlane(vec_from_json(h["n"]), frac_from_str(h["a"]))
-               for h in obj["halfplanes"]]
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise ParseError(f"bad polygon: {exc}") from exc
+    hps = [HalfPlane(vec_from_json(h["n"]), frac_from_str(h["a"]))
+           for h in obj["halfplanes"]]
     return QPolygon(hps)
 
 
@@ -82,12 +91,9 @@ def series_to_json(f: TropicalSeries) -> dict:
 
 
 def series_from_json(obj) -> TropicalSeries:
-    try:
-        domain = polygon_from_json(obj["domain"])
-        support = {vec_from_json(t["v"]): frac_from_str(t["a"])
-                   for t in obj["support"]}
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise ParseError(f"bad series: {exc}") from exc
+    domain = polygon_from_json(obj["domain"])
+    support = {vec_from_json(t["v"]): frac_from_str(t["a"])
+               for t in obj["support"]}
     return TropicalSeries(domain, support)
 
 
@@ -136,5 +142,8 @@ def dump(obj: Any, path) -> None:
 
 
 def load(path) -> Any:
-    with open(path) as fh:
-        return json.load(fh)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise ParseError("JSON nested too deeply") from exc

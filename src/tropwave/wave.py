@@ -41,6 +41,10 @@ class UnclassifiableSide(WaveError):
     pass
 
 
+class SamplingFailed(WaveError):
+    """The polygon has too few interior points on the sampling grid."""
+
+
 STABILIZED = "Stabilized"
 TOLERANCE = "ToleranceReached"
 STEP_LIMIT = "StepLimit"
@@ -416,7 +420,9 @@ def sample_interior_points(poly: QPolygon, n: int, rng: random.Random,
     while len(out) < n:
         guard += 1
         if guard > 100000:
-            raise WaveError("rejection sampling failed; polygon too thin?")
+            raise SamplingFailed(
+                f"rejection sampling found {len(out)} of {n} distinct interior "
+                f"points on the bounding box's {denom_bound}-step grid")
         fx = Fraction(rng.randrange(denom_bound + 1), denom_bound)
         fy = Fraction(rng.randrange(denom_bound + 1), denom_bound)
         p = (x0 + fx * (x1 - x0), y0 + fy * (y1 - y0))

@@ -2,6 +2,7 @@ import copy
 import json
 import os
 import tempfile
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from tropwave import jsonio
 from tropwave.cli import main
 from tropwave.geometry import QPolygon
+from tropwave.series import distance_function
 
 from conftest import square13, unit_square
 
@@ -91,6 +93,21 @@ class TestWaveCommand:
     ["--config", "{bool_ints}", "stats", "{square}"],
     ["--max-steps", "-5", "dynamics", "{square}", "{points}"],
     ["--config", "{negative_steps}", "dynamics", "{square}", "{points}"],
+    ["--out", "", "curve", "{series}"],
+    ["--config", "{empty_out}", "curve", "{series}"],
+    ["--out", "{square}", "curve", "{series}"],
+    ["--out", "{square}/sub", "curve", "{series}"],
+    ["--denom-bound", "1", "stats", "{square}", "--n", "1"],
+    ["--denom-bound", "2", "stats", "{square}", "--n", "3"],
+    ["dynamics", "{not_utf8}", "{points}"],
+    ["dynamics", "{square}", "{not_utf8}"],
+    ["curve", "{not_utf8}"],
+    ["verge", "{square}", "{not_utf8}", "--eps", "1/8"],
+    ["dynamics", "{deep}", "{points}"],
+    ["dynamics", "{square}", "{deep}"],
+    ["curve", "{deep}"],
+    ["verge", "{square}", "{deep}", "--eps", "1/8"],
+    ["--config", "{deep}", "curve", "{series}"],
 ], ids=["unbounded-stats", "unbounded-dynamics", "unbounded-coarsen",
         "bad-tol", "missing-config", "config-denom-bound-0",
         "config-not-object", "denom-bound-0", "n-0", "stats-trials-negative",
@@ -100,8 +117,14 @@ class TestWaveCommand:
         "bool-point", "float-coefficient", "bool-exponent", "float-degree",
         "config-float-tol", "config-bool-tol", "config-float-ints",
         "config-bool-ints", "max-steps-negative",
-        "config-max-steps-negative"])
-def test_bad_input_exit_2(files, argv):
+        "config-max-steps-negative", "out-empty", "config-out-empty",
+        "out-is-a-file", "out-under-a-file", "stats-no-grid-point",
+        "stats-too-few-grid-points", "dynamics-polygon-not-utf8",
+        "dynamics-points-not-utf8", "curve-series-not-utf8",
+        "verge-degrees-not-utf8", "dynamics-polygon-deep",
+        "dynamics-points-deep", "curve-series-deep", "verge-degrees-deep",
+        "config-deep"])
+def test_bad_input_exit_2(files, argv, monkeypatch):
     # a single half-plane is an unbounded polygon
     jsonio.dump({"halfplanes": [{"n": [1, 0], "a": "0/1"}]},
                 files / "half.json")
@@ -130,12 +153,18 @@ def test_bad_input_exit_2(files, argv):
     jsonio.dump({"seed": 1.7, "denom_bound": 8.9}, files / "float_ints.json")
     jsonio.dump({"max_steps": True}, files / "bool_ints.json")
     jsonio.dump({"max_steps": -5}, files / "negative_steps.json")
-    names = ("half", "points", "square", "missing", "zero_bound", "not_object",
-             "points_not_list", "float_normal", "float_points", "bool_points",
-             "float_series", "bool_series", "float_degrees", "float_tol",
-             "bool_tol", "float_ints", "bool_ints", "negative_steps")
+    jsonio.dump({"out": ""}, files / "empty_out.json")
+    (files / "not_utf8.json").write_bytes(b'{"points": ["\xff"]}')
+    (files / "deep.json").write_text("[" * 100000 + "]" * 100000)
+    names = ("half", "points", "square", "series", "missing", "zero_bound",
+             "not_object", "points_not_list", "float_normal", "float_points",
+             "bool_points", "float_series", "bool_series", "float_degrees",
+             "float_tol", "bool_tol", "float_ints", "bool_ints",
+             "negative_steps", "empty_out", "not_utf8", "deep")
     paths = {k: str(files / f"{k}.json") for k in names}
-    argv = ["--out", str(files / "bad")] + [a.format(**paths) for a in argv]
+    argv = [a.format(**paths) for a in argv]
+    # the default output directory "out" lands in the test's directory
+    monkeypatch.chdir(files)
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse rejects a bad flag value
@@ -220,7 +249,6 @@ class TestOtherCommands:
 
     def test_make_nice(self, files, tmp_path):
         tri = QPolygon.from_vertices([(0, 0), (2, 0), (0, 1)])
-        from tropwave.series import distance_function
         jsonio.dump(jsonio.series_to_json(distance_function(tri)),
                     tmp_path / "tri_series.json")
         out = str(files / "mn")
@@ -362,4 +390,136 @@ def test_loader_fuzz_exits_with_a_documented_code(case):
                 "points": ["dynamics", paths["square"], fuzz]}[kind]
         code = main(["--out", os.path.join(tmp, "out"), "--max-steps", "2"]
                     + argv)
+    assert code in (0, 2, 3, 4, 5)
+
+
+# -- rational strings ----------------------------------------------------------
+
+def test_rational_string_forms():
+    # integers, p/q and plain decimals keep their values ...
+    for text, value in (("7/5", F(7, 5)), ("-3", F(-3)), ("1.25", F(5, 4)),
+                        ("-0.5", F(-1, 2)), ("+2/4", F(1, 2)), (12, F(12)),
+                        (-4, F(-4))):
+        assert jsonio.frac_from_str(text) == value
+    # ... and every other form is a parse error
+    for text in ("1e3", "1E-2", "1_000", "1/2_0", " 1/2", "1/2\n", "1.", ".5",
+                 "+", "", "1/0", "0x10", "inf", "nan", "٣", "1/-2"):
+        with pytest.raises(jsonio.ParseError):
+            jsonio.frac_from_str(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--tol", "1e100000000", "dynamics", "{square}", "{points}"],
+    ["dynamics", "{exponent}", "{points}"],
+], ids=["tol", "polygon-offset"])
+def test_exponent_rational_exits_2_quickly(files, argv):
+    # an exponent would build a 330-million-bit integer before any check
+    square = jsonio.polygon_to_json(unit_square())
+    square["halfplanes"][0]["a"] = "1e100000000"
+    jsonio.dump(square, files / "exponent.json")
+    paths = {k: str(files / f"{k}.json") for k in ("square", "points",
+                                                    "exponent")}
+    argv = ["--out", str(files / "e")] + [a.format(**paths) for a in argv]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 0.5
+
+
+# -- fuzzing argv and the config file ------------------------------------------
+
+RATIONAL_TOKENS = st.one_of(RATIONALS, st.sampled_from(
+    ["1/8", "1/3", "7/5", "1.25", "1/1000", "x", "", "1e3", "1/0"]))
+POINT_TOKENS = st.one_of(
+    st.builds(lambda x, y: f"{x},{y}", COORDS, COORDS),
+    st.sampled_from(["1/5,1/2", "2,2", "0,1/2", "1/2", "x,y", "1e2,1", ""]))
+COUNT_TOKENS = st.sampled_from(["1", "2", "3", "0", "x"])
+OUT_NAMES = ("fresh", "", "file", "under-file")
+FLAG_VALUES = {
+    "--seed": st.sampled_from(["0", "7", "-3", "123456", "x", "1.5"]),
+    "--tol": RATIONAL_TOKENS,
+    "--max-steps": st.sampled_from(["0", "1", "2", "-1"]),
+    "--denom-bound": st.sampled_from(["1", "2", "3", "8", "64", "0"]),
+    "--out": st.sampled_from(OUT_NAMES),
+}
+CONFIG_VALUES = {
+    "seed": st.integers(-10 ** 6, 10 ** 6) | JSON,
+    "denom_bound": st.sampled_from([1, 2, 8, 64]) | JSON,
+    "tol": RATIONAL_TOKENS | JSON,
+    "max_steps": st.integers(0, 2) | JSON,
+    "out": st.sampled_from(OUT_NAMES) | JSON,
+}
+# a config document: random JSON under each key, random JSON, invalid
+# bytes, or nesting up to and past the depth the JSON parser allows
+CONFIGS = st.one_of(
+    st.none(),
+    st.fixed_dictionaries({}, optional=CONFIG_VALUES),
+    JSON,
+    st.just(b'{"seed": "\xff"}'),
+    st.integers(1, 3000).map(lambda k: b"[" * k + b"]" * k),
+    st.builds(lambda key, k: b'{"%s": %s}' % (key, b"[" * k + b"]" * k),
+              st.sampled_from(sorted(k.encode() for k in CONFIG_VALUES)),
+              st.integers(1, 3000)),
+)
+# stats keeps one trial: a polygon without --n points on the grid costs
+# about 2.5 s of rejection sampling per trial
+COMMANDS = st.one_of(
+    st.builds(lambda p: ["wave", "{series}", p], POINT_TOKENS),
+    st.just(["dynamics", "{square}", "{points}"]),
+    st.builds(lambda n: ["stats", "{square}", "--trials", "1", "--n", n],
+              COUNT_TOKENS),
+    st.builds(lambda t: ["lift-check", "--trials", t], COUNT_TOKENS),
+    st.builds(lambda f, e: ["make-nice", f, "--eps", e],
+              st.sampled_from(["{series}", "{triangle}"]), RATIONAL_TOKENS),
+    st.builds(lambda e: ["verge", "{square}", "{degrees}", "--eps", e],
+              RATIONAL_TOKENS),
+    st.builds(lambda e: ["coarsen", "{square}", "{points}", "--eps", e],
+              RATIONAL_TOKENS),
+    st.just(["curve", "{series}"]),
+)
+
+
+# the input files of the fuzzed commands, and where --out or a config's out
+# points: a fresh path, nothing, an existing file, or a path under that file
+INPUTS = {
+    "square": SQUARE, "series": SERIES, "points": POINTS,
+    "triangle": jsonio.series_to_json(distance_function(
+        QPolygon.from_vertices([(0, 0), (2, 0), (0, 1)]))),
+    "degrees": {"degrees": [{"n": [1, 0], "m": 2}, {"n": [0, 1], "m": 1},
+                            {"n": [-1, 0], "m": 2}, {"n": [0, -1], "m": 1}]},
+}
+OUT_PATHS = {"fresh": "fresh", "": "", "file": "square.json",
+             "under-file": os.path.join("square.json", "out")}
+
+
+@settings(max_examples=80)
+@given(st.fixed_dictionaries({}, optional=FLAG_VALUES), CONFIGS, COMMANDS)
+def test_argv_and_config_fuzz_exits_with_a_documented_code(flags, config,
+                                                           command):
+    # every argv and config ends in a documented exit code or argparse's
+    # SystemExit(2); an escaping exception fails the test
+    argv = []
+    for flag, value in flags.items():
+        argv += [flag, OUT_PATHS[value] if flag == "--out" else value]
+    if config is not None:
+        argv += ["--config", "config.json"]
+        if isinstance(config, dict) and config.get("out") in OUT_NAMES:
+            config = dict(config, out=OUT_PATHS[config["out"]])
+    argv += [a.format(**{k: f"{k}.json" for k in INPUTS}) for a in command]
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # the default and every relative output directory
+        try:
+            for name, obj in INPUTS.items():
+                jsonio.dump(obj, f"{name}.json")
+            if isinstance(config, bytes):
+                with open("config.json", "wb") as fh:
+                    fh.write(config)
+            elif config is not None:
+                jsonio.dump(config, "config.json")
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a bad flag value
+            code = exc.code
+            assert code == 2
+        finally:
+            os.chdir(cwd)
     assert code in (0, 2, 3, 4, 5)
