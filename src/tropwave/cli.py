@@ -137,7 +137,11 @@ class OutputBundle:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.files: list[str] = []
-        os.makedirs(cfg.out_dir, exist_ok=True)
+        try:
+            os.makedirs(cfg.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise jsonio.ParseError(
+                f"out {cfg.out_dir!r}: {type(exc).__name__}: {exc}") from exc
 
     def path(self, name: str) -> str:
         return os.path.join(self.cfg.out_dir, name)
@@ -227,10 +231,10 @@ def cmd_dynamics(args, cfg: RunConfig) -> int:
 
 def cmd_stats(args, cfg: RunConfig) -> int:
     poly = _read(args.domain, jsonio.polygon_from_json)
-    bundle = OutputBundle(cfg)
     stats = avalanche_experiment(poly, args.n, args.trials, cfg.seed,
                                  denom_bound=cfg.denom_bound,
                                  max_steps=cfg.max_steps)
+    bundle = OutputBundle(cfg)
     bundle.write_json("stats.json", jsonio.stats_to_json(stats))
     bundle.finish()
     return EXIT_OK

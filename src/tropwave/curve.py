@@ -232,42 +232,36 @@ def quasi_degree_area(f: TropicalSeries) -> Fraction:
 # -- Hausdorff closeness ----------------------------------------------------
 
 
-def _foot_params(a: Point, b: Point, q: Point) -> Fraction:
-    d = vsub(b, a)
-    dd = dot(d, d)
-    t = Fraction(dot(vsub(q, a), d)) / dd
-    if t < 0:
-        return Fraction(0)
-    if t > 1:
-        return Fraction(1)
-    return t
+def _segments_within(segs_a, segs_b, bn: int, bd: int) -> bool:
+    """Every point of every segment in A within sqrt(bn / bd) of the union
+    of B; the segments have integer endpoints.
 
-
-def _segments_within(segs_a, segs_b, dist2_bound: Fraction) -> bool:
-    """Every point of every segment in A within sqrt(bound) of the union of B.
-
-    Each A-segment is subdivided at the perpendicular feet of all B-endpoints;
-    a subsegment is accepted when a single B-segment covers both of its
-    endpoints (distance to a fixed segment is convex along the subsegment).
+    Each A-segment [a, b] is subdivided at the perpendicular feet of all
+    B-endpoints, parameters clamped to [0, 1] and held as numerators over
+    |b - a|^2; a subsegment is accepted when a single B-segment covers both
+    of its endpoints (distance to a fixed segment is convex along the
+    subsegment).
     """
     if not segs_a:
         return True
     if not segs_b:
         return False
+    ends = [q for seg in segs_b for q in seg]
+
+    def near(p, s, t) -> bool:
+        num, den = lp.segment_dist2(p, s, t)
+        return num * bd <= bn * den
+
     for a, b in segs_a:
-        cuts = {Fraction(0), Fraction(1)}
-        for p, q in segs_b:
-            cuts.add(_foot_params(a, b, p))
-            cuts.add(_foot_params(a, b, q))
-        ts = sorted(cuts)
         d = vsub(b, a)
-        pts = [(a[0] + t * d[0], a[1] + t * d[1]) for t in ts]
+        dd = dot(d, d)
+        cuts = {0, dd}
+        for q in ends:
+            cuts.add(min(max(dot(vsub(q, a), d), 0), dd))
+        pts = [(a[0] * dd + t * d[0], a[1] * dd + t * d[1], dd)
+               for t in sorted(cuts)]
         for p, q in zip(pts, pts[1:]):
-            ok = any(
-                lp.point_segment_dist2(p, s, t) <= dist2_bound
-                and lp.point_segment_dist2(q, s, t) <= dist2_bound
-                for s, t in segs_b)
-            if not ok:
+            if not any(near(p, s, t) and near(q, s, t) for s, t in segs_b):
                 return False
     return True
 
@@ -277,13 +271,20 @@ def curves_within(f: TropicalSeries, g: TropicalSeries, eps: Fraction) -> bool:
 
     Exact for segment curves up to the conservative subdivision rule; empty
     curves are within any distance of each other, and an empty curve is never
-    close to a nonempty one.
+    close to a nonempty one.  The test runs in integers: both curves are
+    scaled by one common denominator L of their endpoints, the subdivision
+    points are homogeneous integer points, and each squared distance is
+    compared with 4 eps^2 L^2 by cross-multiplication.
     """
     eps = Fraction(eps)
     ca = extract_curve(f).segments()
     cb = extract_curve(g).segments()
     if not ca and not cb:
         return True
-    bound = 4 * eps * eps
-    return (_segments_within(ca, cb, bound)
-            and _segments_within(cb, ca, bound))
+    scale = lp.common_scale([p for seg in ca + cb for p in seg])
+    ia = [(lp.scaled(a, scale), lp.scaled(b, scale)) for a, b in ca]
+    ib = [(lp.scaled(a, scale), lp.scaled(b, scale)) for a, b in cb]
+    bn = 4 * (eps.numerator * scale) ** 2
+    bd = eps.denominator ** 2
+    return (_segments_within(ia, ib, bn, bd)
+            and _segments_within(ib, ia, bn, bd))

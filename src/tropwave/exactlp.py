@@ -238,21 +238,33 @@ def sort_ccw(points: Sequence[Homogeneous]) -> list[Homogeneous]:
     return [pts[i] for i in angle_order(d)]
 
 
-def point_segment_dist2(p: Point, a: Point, b: Point) -> Fraction:
-    """Exact squared distance from point p to segment [a, b]."""
-    d = vsub(b, a)
-    dd = dot(d, d)
-    if dd == 0:
-        w = vsub(p, a)
-        return dot(w, w)
-    t = Fraction(dot(vsub(p, a), d), 1) / dd
-    if t < 0:
-        t = Fraction(0)
-    elif t > 1:
-        t = Fraction(1)
-    q = (a[0] + t * d[0], a[1] + t * d[1])
-    w = vsub(p, q)
-    return dot(w, w)
+def common_scale(points: Sequence[Point]) -> int:
+    """The lcm L of every coordinate denominator: L * p is an integer
+    vector for each of the points."""
+    return math.lcm(*[c.denominator for p in points for c in p])
+
+
+def scaled(p: Point, scale: int) -> Vec:
+    """scale * p, an integer vector when scale is a `common_scale`."""
+    return (p[0].numerator * (scale // p[0].denominator),
+            p[1].numerator * (scale // p[1].denominator))
+
+
+def segment_dist2(p: Homogeneous, a: Vec, b: Vec) -> tuple[int, int]:
+    """Exact squared distance from (X / W, Y / W) to the integer segment
+    [a, b], as integers (num, den) with den > 0."""
+    X, Y, W = p
+    rx, ry = X - a[0] * W, Y - a[1] * W
+    ex, ey = b[0] - a[0], b[1] - a[1]
+    t = rx * ex + ry * ey  # the foot's parameter along [a, b], times W*|e|^2
+    if t <= 0:
+        return rx * rx + ry * ry, W * W
+    ee = ex * ex + ey * ey
+    if t >= W * ee:
+        rx, ry = X - b[0] * W, Y - b[1] * W
+        return rx * rx + ry * ry, W * W
+    c = rx * ey - ry * ex
+    return c * c, W * W * ee
 
 
 def floor_sqrt_fraction(x: Fraction) -> Fraction:

@@ -2,12 +2,23 @@
 GF(2) coefficients, the one-point lift of the wave operator, and mechanical
 verification of the tropicalization identity.
 
-The coefficient field is realized exactly.  A polynomial is stored as
-``t^v * (bitmask over t^(1/2^s))`` with an odd bitmask, so addition is XOR,
-multiplication is carry-less integer multiplication, and fractions reduce by
-polynomial GCD; valuations are exact minimal exponents.  Squaring is the
-Frobenius (exponents double), which is what makes the lift's square root
-disappear in characteristic two.
+The coefficient field is realized exactly, in integers.  A polynomial is
+stored as ``t^(v/2^k) * (bitmask over t^(1/2^s))`` with an odd bitmask, so
+addition is XOR, multiplication is carry-less integer multiplication, and
+valuations are exact minimal exponents.  Squaring is the Frobenius
+(exponents double), which is what makes the lift's square root disappear in
+characteristic two.
+
+A rational function is a reduced fraction, and the arithmetic keeps it
+reduced without ever taking the gcd of a product (Henrici's rules; Knuth,
+TAOCP vol. 2, 4.5.1):
+
+- a/b * c/d divides out the cross gcds gcd(a, d) and gcd(c, b);
+- a/b + c/d divides out g = gcd(b, d), then gcd(numerator, g);
+- the square, the inverse and a power of a reduced fraction are reduced, so
+  they take no gcd at all;
+- a gcd with 1 returns at once, so products with the monomials t^q (mask 1)
+  that the lift evaluates at cost no polynomial division.
 """
 
 from __future__ import annotations
@@ -31,6 +42,8 @@ class ZeroPolynomial(LiftError):
 
 
 def _clmul(a: int, b: int) -> int:
+    if a == 1 or b == 1:
+        return a * b
     out = 0
     shift = 0
     while b:
@@ -54,6 +67,8 @@ def _poly_divmod(a: int, b: int) -> tuple[int, int]:
 
 
 def _poly_gcd(a: int, b: int) -> int:
+    if a == 1 or b == 1:
+        return 1
     while b:
         a, b = b, _poly_divmod(a, b)[1]
     return a
@@ -61,139 +76,172 @@ def _poly_gcd(a: int, b: int) -> int:
 
 def _dilate(m: int, k: int) -> int:
     """Move bit b to bit b * 2^k (rescaling exponent denominators)."""
-    if k == 0 or m == 0:
+    if k == 0 or m <= 1:
         return m
     out = 0
-    i = 0
     while m:
-        if m & 1:
-            out |= 1 << (i << k)
-        m >>= 1
-        i += 1
+        low = m & -m
+        out |= 1 << ((low.bit_length() - 1) << k)
+        m ^= low
     return out
 
 
 def _compress(m: int) -> Optional[int]:
     """Inverse of one dilation step; None if odd-index bits are present."""
+    half = (m.bit_length() + 1) >> 1
+    if m & ((((1 << 2 * half) - 1) // 3) << 1):
+        return None
     out = 0
-    i = 0
     while m:
-        if m & 1:
-            if i & 1:
-                return None
-            out |= 1 << (i >> 1)
-        m >>= 1
-        i += 1
+        low = m & -m
+        out |= 1 << ((low.bit_length() - 1) >> 1)
+        m ^= low
     return out
 
 
+def _exp_sum(v1: int, k1: int, v2: int, k2: int) -> tuple[int, int]:
+    """v1/2^k1 + v2/2^k2 as an integer over 2^max(k1, k2)."""
+    if k1 < k2:
+        return (v1 << (k2 - k1)) + v2, k2
+    return v1 + (v2 << (k1 - k2)), k1
+
+
+def _poly(v: int, k: int, s: int, mask: int) -> "GF2Poly":
+    """The canonical GF2Poly equal to t^(v/2^k) * mask(t^(1/2^s)): the
+    mask's trailing zeros move into the exponent, the scale s shrinks while
+    the mask allows, and v is odd unless k = 0."""
+    if not mask:
+        return _ZERO
+    low = mask & -mask
+    if low != 1:
+        mask >>= low.bit_length() - 1
+        v, k = _exp_sum(v, k, low.bit_length() - 1, s)
+    while s:
+        c = _compress(mask)
+        if c is None:
+            break
+        mask = c
+        s -= 1
+    if k and not v & 1:
+        tz = min(k, (v & -v).bit_length() - 1) if v else k
+        v >>= tz
+        k -= tz
+    return _raw_poly(v, k, s, mask)
+
+
+def _raw_poly(v: int, k: int, s: int, mask: int) -> "GF2Poly":
+    """A GF2Poly from fields already in canonical form."""
+    p = object.__new__(GF2Poly)
+    p.v, p.k, p.s, p.mask = v, k, s, mask
+    return p
+
+
+def _dyadic(e) -> tuple[int, int]:
+    """A dyadic rational as (v, k) with e = v/2^k."""
+    e = Fraction(e)
+    d = e.denominator
+    if d & (d - 1):
+        raise LiftError(f"exponent {e} is not dyadic")
+    return e.numerator, d.bit_length() - 1
+
+
 class GF2Poly:
-    """Polynomial in t^(1/2^k) over GF(2), canonically normalized."""
+    """Polynomial in t^(1/2^s) over GF(2), canonically normalized: the
+    lowest exponent is v/2^k and the odd mask holds the rest."""
 
-    __slots__ = ("v", "s", "mask")
+    __slots__ = ("v", "k", "s", "mask")
 
-    def __init__(self, exps=(), *, _raw=None):
-        if _raw is not None:
-            v, s, mask = _raw
-        else:
-            terms = {}
-            for e in exps:
-                e = Fraction(e)
-                if e.denominator & (e.denominator - 1):
-                    raise LiftError(f"exponent {e} is not dyadic")
-                terms[e] = terms.get(e, 0) ^ 1
-            live = sorted(e for e, c in terms.items() if c)
-            if not live:
-                v, s, mask = Fraction(0), 0, 0
-            else:
-                v = live[0]
-                s = 0
-                for e in live:
-                    d = (e - v).denominator
-                    s = max(s, d.bit_length() - 1)
-                mask = 0
-                for e in live:
-                    mask |= 1 << int((e - v) * (1 << s))
-        # normalize: strip the trailing factor into v, shrink the scale
-        if mask:
-            tz = (mask & -mask).bit_length() - 1
-            if tz:
-                v = v + Fraction(tz, 1 << s)
-                mask >>= tz
-            while s > 0:
-                c = _compress(mask)
-                if c is None:
-                    break
-                mask = c
-                s -= 1
-        else:
-            v, s = Fraction(0), 0
-        self.v = v
-        self.s = s
-        self.mask = mask
+    def __init__(self, exps=()):
+        terms: Dict[tuple, int] = {}
+        for e in exps:
+            vk = _dyadic(e)
+            terms[vk] = terms.get(vk, 0) ^ 1
+        live = [vk for vk, c in terms.items() if c]
+        k = max((vk[1] for vk in live), default=0)
+        ints = [v << (k - kv) for v, kv in live]
+        v = min(ints, default=0)
+        mask = 0
+        for e in ints:
+            mask |= 1 << (e - v)
+        p = _poly(v, k, k, mask)
+        self.v, self.k, self.s, self.mask = p.v, p.k, p.s, p.mask
 
     @staticmethod
     def zero() -> "GF2Poly":
-        return GF2Poly()
+        return _ZERO
 
     @staticmethod
     def one() -> "GF2Poly":
-        return GF2Poly(_raw=(Fraction(0), 0, 1))
+        return _ONE
 
     @staticmethod
     def t(power=1) -> "GF2Poly":
-        return GF2Poly(_raw=(Fraction(power), 0, 1))
+        return _raw_poly(*_dyadic(power), 0, 1)
 
     def is_zero(self) -> bool:
         return self.mask == 0
 
     def val(self) -> Optional[Fraction]:
-        return None if self.mask == 0 else self.v
+        return None if self.mask == 0 else Fraction(self.v, 1 << self.k)
 
     def exps(self) -> set:
         out = set()
         m, i = self.mask, 0
         while m:
             if m & 1:
-                out.add(self.v + Fraction(i, 1 << self.s))
+                out.add(Fraction(self.v, 1 << self.k) + Fraction(i, 1 << self.s))
             m >>= 1
             i += 1
         return out
-
-    def _aligned(self, other: "GF2Poly"):
-        v = min(self.v, other.v)
-        s = max(self.s, other.s)
-        for d in ((self.v - v).denominator, (other.v - v).denominator):
-            s = max(s, d.bit_length() - 1)
-        ma = _dilate(self.mask, s - self.s) << int((self.v - v) * (1 << s))
-        mb = _dilate(other.mask, s - other.s) << int((other.v - v) * (1 << s))
-        return v, s, ma, mb
 
     def __add__(self, other: "GF2Poly") -> "GF2Poly":
         if self.mask == 0:
             return other
         if other.mask == 0:
             return self
-        v, s, ma, mb = self._aligned(other)
-        return GF2Poly(_raw=(v, s, ma ^ mb))
+        v, k, s, ma, mb = _aligned(self, other, max(self.s, other.s))
+        return _poly(v, k, s, ma ^ mb)
 
     def __mul__(self, other: "GF2Poly") -> "GF2Poly":
         if self.mask == 0 or other.mask == 0:
-            return GF2Poly.zero()
+            return _ZERO
         s = max(self.s, other.s)
-        ma = _dilate(self.mask, s - self.s)
-        mb = _dilate(other.mask, s - other.s)
-        return GF2Poly(_raw=(self.v + other.v, s, _clmul(ma, mb)))
+        v, k = _exp_sum(self.v, self.k, other.v, other.k)
+        return _poly(v, k, s, _clmul(_dilate(self.mask, s - self.s),
+                                     _dilate(other.mask, s - other.s)))
 
     def square(self) -> "GF2Poly":
-        return GF2Poly(_raw=(2 * self.v, self.s, _dilate(self.mask, 1)))
+        # Frobenius: exponents double, and the result is already canonical
+        if self.mask == 0:
+            return _ZERO
+        if self.k:
+            v, k = self.v, self.k - 1
+        else:
+            v, k = 2 * self.v, 0
+        if self.s:
+            return _raw_poly(v, k, self.s - 1, self.mask)
+        return _raw_poly(v, k, 0, _dilate(self.mask, 1))
+
+    def pow(self, n: int) -> "GF2Poly":
+        """self^n for n >= 0."""
+        if self.mask == 1:
+            return _poly(self.v * n, self.k, 0, 1)
+        out, base = _ONE, self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base.square()
+        return out
 
     def __eq__(self, other):
         return (isinstance(other, GF2Poly) and self.mask == other.mask
-                and (self.mask == 0 or (self.v == other.v and self.s == other.s)))
+                and (self.mask == 0 or (self.v == other.v and self.k == other.k
+                                        and self.s == other.s)))
 
     def __hash__(self):
-        return hash((self.v, self.s, self.mask))
+        return hash((self.v, self.k, self.s, self.mask))
 
     def __str__(self):
         if self.mask == 0:
@@ -230,82 +278,122 @@ class GF2Poly:
         return GF2Poly(exps)
 
 
+_ZERO = _raw_poly(0, 0, 0, 0)
+_ONE = _raw_poly(0, 0, 0, 1)
+
+
+def _aligned(a: GF2Poly, b: GF2Poly, s: int):
+    """(v, k, s', ma, mb): both masks over t^(1/2^s') with s' >= s, shifted
+    to the common lowest exponent v/2^k."""
+    k = max(a.k, b.k)
+    va, vb = a.v << (k - a.k), b.v << (k - b.k)
+    v = min(va, vb)
+    diff = va + vb - 2 * v  # the one nonzero offset, or 0
+    if diff:
+        s = max(s, k - ((diff & -diff).bit_length() - 1))
+    ma = _dilate(a.mask, s - a.s) << (((va - v) << s) >> k)
+    mb = _dilate(b.mask, s - b.s) << (((vb - v) << s) >> k)
+    return v, k, s, ma, mb
+
+
+def _exact_div(a: int, b: int) -> int:
+    return a if b == 1 else _poly_divmod(a, b)[0]
+
+
 class GF2RatFun:
     """Reduced fraction of GF2Poly's: den is monic with constant term 1 and
-    coprime to num, so equality is structural."""
+    coprime to num, so equality is structural.  The constructor reduces any
+    fraction by the gcd of num and den; the arithmetic keeps its operands'
+    reductions instead (see the module docstring)."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: GF2Poly, den: Optional[GF2Poly] = None):
-        den = GF2Poly.one() if den is None else den
+        den = _ONE if den is None else den
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
-            self.num = GF2Poly.zero()
-            self.den = GF2Poly.one()
+            self.num, self.den = _ZERO, _ONE
             return
         s = max(num.s, den.s)
         mn = _dilate(num.mask, s - num.s)
         md = _dilate(den.mask, s - den.s)
         g = _poly_gcd(mn, md)
-        if g != 1:
-            mn = _poly_divmod(mn, g)[0]
-            md = _poly_divmod(md, g)[0]
-        self.num = GF2Poly(_raw=(num.v - den.v, s, mn))
-        self.den = GF2Poly(_raw=(Fraction(0), s, md))
+        v, k = _exp_sum(num.v, num.k, -den.v, den.k)
+        self.num = _poly(v, k, s, _exact_div(mn, g))
+        self.den = _poly(0, 0, s, _exact_div(md, g))
 
     @staticmethod
     def zero() -> "GF2RatFun":
-        return GF2RatFun(GF2Poly.zero())
+        return _ratfun(_ZERO, _ONE)
 
     @staticmethod
     def one() -> "GF2RatFun":
-        return GF2RatFun(GF2Poly.one())
+        return _ratfun(_ONE, _ONE)
 
     @staticmethod
     def t(power=1) -> "GF2RatFun":
-        return GF2RatFun(GF2Poly.t(power))
+        return _ratfun(GF2Poly.t(power), _ONE)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
     def val(self) -> Optional[Fraction]:
         """Exact valuation; None encodes plus infinity (the zero element)."""
-        if self.is_zero():
-            return None
-        return self.num.val() - self.den.val()
+        return self.num.val()  # den has constant term 1
 
     def __add__(self, other: "GF2RatFun") -> "GF2RatFun":
-        return GF2RatFun(self.num * other.den + other.num * self.den,
-                         self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if a.mask == 0:
+            return other
+        if c.mask == 0:
+            return self
+        v, k, s, ma, mc = _aligned(a, c, max(a.s, b.s, c.s, d.s))
+        mb = _dilate(b.mask, s - b.s)
+        md = _dilate(d.mask, s - d.s)
+        g = _poly_gcd(mb, md)
+        mb, md = _exact_div(mb, g), _exact_div(md, g)
+        num = _clmul(ma, md) ^ _clmul(mc, mb)
+        if num == 0:
+            return _ratfun(_ZERO, _ONE)
+        # num is coprime to b/g and d/g, so only g can share a factor with it
+        h = _poly_gcd(num, g)
+        return _ratfun(_poly(v, k, s, _exact_div(num, h)),
+                       _poly(0, 0, s, _clmul(_clmul(mb, md), _exact_div(g, h))))
 
     __sub__ = __add__  # characteristic two
 
     def __mul__(self, other: "GF2RatFun") -> "GF2RatFun":
-        return GF2RatFun(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if a.mask == 0 or c.mask == 0:
+            return _ratfun(_ZERO, _ONE)
+        s = max(a.s, b.s, c.s, d.s)
+        ma, mb = _dilate(a.mask, s - a.s), _dilate(b.mask, s - b.s)
+        mc, md = _dilate(c.mask, s - c.s), _dilate(d.mask, s - d.s)
+        g1 = _poly_gcd(ma, md)
+        g2 = _poly_gcd(mc, mb)
+        v, k = _exp_sum(a.v, a.k, c.v, c.k)
+        return _ratfun(
+            _poly(v, k, s, _clmul(_exact_div(ma, g1), _exact_div(mc, g2))),
+            _poly(0, 0, s, _clmul(_exact_div(mb, g2), _exact_div(md, g1))))
 
     def inverse(self) -> "GF2RatFun":
         if self.is_zero():
             raise ZeroDivisionError("inverting zero")
-        return GF2RatFun(self.den, self.num)
+        a, b = self.num, self.den
+        return _ratfun(_raw_poly(-a.v, a.k, b.s, b.mask),
+                       _raw_poly(0, 0, a.s, a.mask))
 
     def __truediv__(self, other: "GF2RatFun") -> "GF2RatFun":
         return self * other.inverse()
 
     def square(self) -> "GF2RatFun":
-        return GF2RatFun(self.num.square(), self.den.square())
+        return _ratfun(self.num.square(), self.den.square())
 
     def pow(self, k: int) -> "GF2RatFun":
         if k < 0:
             return self.inverse().pow(-k)
-        out = GF2RatFun.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _ratfun(self.num.pow(k), self.den.pow(k))
 
     def __eq__(self, other):
         if not isinstance(other, GF2RatFun):
@@ -316,7 +404,7 @@ class GF2RatFun:
         return hash((self.num, self.den))
 
     def __str__(self):
-        if self.den == GF2Poly.one():
+        if self.den == _ONE:
             return str(self.num)
         return f"({self.num})/({self.den})"
 
@@ -331,6 +419,13 @@ class GF2RatFun:
             num, den = text[1:-1].split(")/(", 1)
             return GF2RatFun(GF2Poly.parse(num), GF2Poly.parse(den))
         return GF2RatFun(GF2Poly.parse(text))
+
+
+def _ratfun(num: GF2Poly, den: GF2Poly) -> GF2RatFun:
+    """A GF2RatFun from a num and den already in reduced canonical form."""
+    r = object.__new__(GF2RatFun)
+    r.num, r.den = num, den
+    return r
 
 
 class LaurentPoly2:

@@ -451,26 +451,41 @@ def verge_polynomial(poly: QPolygon, degrees: Dict[Vec, int],
 
 
 def _max_vertex_boundary_dist2(curve, poly: QPolygon) -> Fraction:
-    out = Fraction(0)
+    """The largest squared distance from a curve vertex to the boundary,
+    found in integers over one common denominator."""
     sides = [(a, b) for _, a, b in poly.sides()]
+    scale = lp.common_scale(list(curve.vertices) + [p for s in sides for p in s])
+    isides = [(lp.scaled(a, scale), lp.scaled(b, scale)) for a, b in sides]
+    out = (0, 1)
     for z in curve.vertices:
-        d2 = min(lp.point_segment_dist2(z, a, b) for a, b in sides)
-        out = max(out, d2)
-    return out
+        Z = lp.scaled(z, scale) + (1,)
+        near = None
+        for a, b in isides:
+            num, den = lp.segment_dist2(Z, a, b)
+            if near is None or num * near[1] < near[0] * den:
+                near = (num, den)
+        if near[0] * out[1] > out[0] * near[1]:
+            out = near
+    return Fraction(out[0], out[1] * scale * scale)
 
 
 # -- coarse smooth approximation ------------------------------------------------
 
 
 def _min_point_curve_dist2(points: Sequence[Point], curves) -> Optional[Fraction]:
-    best: Optional[Fraction] = None
+    """The least positive squared distance from a point to a curve segment,
+    found in integers over one common denominator; None if there is none."""
+    segs = [s for curve in curves for s in curve.segments()]
+    scale = lp.common_scale(list(points) + [p for s in segs for p in s])
+    isegs = [(lp.scaled(a, scale), lp.scaled(b, scale)) for a, b in segs]
+    best: Optional[tuple[int, int]] = None
     for p in points:
-        for curve in curves:
-            for a, b in curve.segments():
-                d2 = lp.point_segment_dist2(p, a, b)
-                if d2 > 0 and (best is None or d2 < best):
-                    best = d2
-    return best
+        P = lp.scaled(p, scale) + (1,)
+        for a, b in isegs:
+            num, den = lp.segment_dist2(P, a, b)
+            if num > 0 and (best is None or num * best[1] < best[0] * den):
+                best = (num, den)
+    return None if best is None else Fraction(best[0], best[1] * scale * scale)
 
 
 def _certify_smooth_or_nodal(f: TropicalSeries, step: int):

@@ -407,9 +407,17 @@ def _coeff(f: TropicalSeries, u: Vec) -> Fraction:
 # -- avalanche statistics harness --------------------------------------------
 
 
+_MAX_DRAWS = 100000
+
+
 def sample_interior_points(poly: QPolygon, n: int, rng: random.Random,
                            denom_bound: int = 64) -> List[Point]:
-    """n distinct interior points on the dyadic grid (seeded, deterministic)."""
+    """n distinct interior points on the dyadic grid (seeded, deterministic).
+
+    After 1000 rejected draws the grid's interior points are counted, which
+    draws nothing from rng, and SamplingFailed is raised at once if there are
+    fewer than n.  The count visits up to denom_bound + 1 columns, so it runs
+    only when that is fewer than the draws it would save."""
     xs = [v[0] for v in poly.vertices]
     ys = [v[1] for v in poly.vertices]
     x0, x1 = min(xs), max(xs)
@@ -417,9 +425,10 @@ def sample_interior_points(poly: QPolygon, n: int, rng: random.Random,
     out: List[Point] = []
     seen = set()
     guard = 0
+    rejected = 0
     while len(out) < n:
         guard += 1
-        if guard > 100000:
+        if guard > _MAX_DRAWS:
             raise SamplingFailed(
                 f"rejection sampling found {len(out)} of {n} distinct interior "
                 f"points on the bounding box's {denom_bound}-step grid")
@@ -427,10 +436,45 @@ def sample_interior_points(poly: QPolygon, n: int, rng: random.Random,
         fy = Fraction(rng.randrange(denom_bound + 1), denom_bound)
         p = (x0 + fx * (x1 - x0), y0 + fy * (y1 - y0))
         if p in seen or not poly.contains(p, strict=True):
+            rejected += 1
+            if rejected == 1000 and denom_bound < _MAX_DRAWS:
+                have = _grid_interior_count(poly, (x0, y0), (x1 - x0, y1 - y0),
+                                            denom_bound, n)
+                if have < n:
+                    raise SamplingFailed(
+                        f"the bounding box's {denom_bound}-step grid has "
+                        f"{have} interior points, fewer than {n}")
             continue
         seen.add(p)
         out.append(p)
     return out
+
+
+def _grid_interior_count(poly: QPolygon, corner: Point, size: Point,
+                         steps: int, n: int) -> int:
+    """How many grid points corner + (i, j) * size / steps, 0 <= i, j <=
+    steps, lie strictly inside poly: counted column by column in integers,
+    stopping once n are found."""
+    m = lp.common_scale([corner, size])
+    (X0, Y0), (WX, WY) = lp.scaled(corner, m), lp.scaled(size, m)
+    # A x + B y + C > 0 at the point (i, j), times steps * m
+    rows = [(A * WX, B * WY, (A * X0 + B * Y0 + C * m) * steps)
+            for A, B, C in poly.int_constraints()]
+    found = 0
+    for i in range(steps + 1):
+        lo, hi = 0, steps
+        for alpha, beta, gamma in rows:
+            r = -(alpha * i + gamma)  # the row needs beta * j > r
+            if beta > 0:
+                lo = max(lo, r // beta + 1)
+            elif beta < 0:
+                hi = min(hi, -(r // -beta) - 1)
+            elif r >= 0:
+                hi = -1
+        found += max(0, hi - lo + 1)
+        if found >= n:
+            break
+    return found
 
 
 def hill_estimate(areas: Sequence[Fraction]) -> dict:

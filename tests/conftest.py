@@ -77,6 +77,24 @@ def ref_polytope_vertices(cons):
     return [lp.to_point(h) for h in lp.basic_points(lp.int_constraints(cons))]
 
 
+def ref_point_segment_dist2(p, a, b):
+    """Exact squared distance from point p to segment [a, b], in
+    `Fraction`s."""
+    d = vsub(b, a)
+    dd = dot(d, d)
+    if dd == 0:
+        w = vsub(p, a)
+        return dot(w, w)
+    t = F(dot(vsub(p, a), d), 1) / dd
+    if t < 0:
+        t = F(0)
+    elif t > 1:
+        t = F(1)
+    q = (a[0] + t * d[0], a[1] + t * d[1])
+    w = vsub(p, q)
+    return dot(w, w)
+
+
 def ref_cell_constraints(f: TropicalSeries, v):
     """Half-plane constraints of the closed dominance region of v: the
     domain's, then each ``(w - v) . z + a_w - a_v >= 0`` that a domain vertex

@@ -425,6 +425,31 @@ def test_exponent_rational_exits_2_quickly(files, argv):
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize("denom_bound, n", [("1", "1"), ("2", "3")],
+                         ids=["stats-no-grid-point", "stats-too-few-grid-points"])
+def test_stats_grid_shortfall_exits_2_quickly_with_no_output(files, denom_bound,
+                                                             n):
+    # the grid's interior points are counted after 1000 rejected draws, not
+    # 100000; the output directory is made only after sampling succeeds
+    out = files / "s"
+    start = time.perf_counter()
+    assert main(["--out", str(out), "--denom-bound", denom_bound, "stats",
+                 str(files / "square.json"), "--n", n]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert not out.exists()
+
+
+def test_unmakeable_out_dir_exits_2(files, monkeypatch):
+    # running as root defeats chmod, so the refusal is simulated
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(os, "makedirs", refuse)
+    assert main(["--out", str(files / "p"), "curve",
+                 str(files / "series.json")]) == 2
+    assert main(["--out", str(files / "p"), "lift-check", "--trials", "1"]) == 2
+
+
 # -- fuzzing argv and the config file ------------------------------------------
 
 RATIONAL_TOKENS = st.one_of(RATIONALS, st.sampled_from(

@@ -14,7 +14,7 @@ from tropwave.series import (OutsideDomain, TropicalSeries, add_monomial,
 from tropwave.wave import run_dynamics, upper_bound_witness, wave
 
 from conftest import pentagon, random_points, random_polygon, random_series, \
-    square13, unit_square
+    ref_point_segment_dist2, square13, unit_square
 
 
 class TestExtract:
@@ -226,3 +226,75 @@ def test_attaining_monomials_match_fraction_reference(kind, seed, n_waves):
     for z in pts:
         assert (attainers_or_error(attaining_monomials, f, z)
                 == attainers_or_error(ref_attaining_monomials, f, z))
+
+
+# -- curves_within against the Fraction reference it replaced -----------------
+
+
+def ref_segments_within(segs_a, segs_b, dist2_bound):
+    if not segs_a:
+        return True
+    if not segs_b:
+        return False
+    for a, b in segs_a:
+        d = vsub(b, a)
+        cuts = {F(0), F(1)}
+        for p, q in segs_b:
+            for r in (p, q):
+                cuts.add(min(max(F(dot(vsub(r, a), d)) / dot(d, d), F(0)),
+                             F(1)))
+        pts = [(a[0] + t * d[0], a[1] + t * d[1]) for t in sorted(cuts)]
+        for p, q in zip(pts, pts[1:]):
+            if not any(ref_point_segment_dist2(p, s, t) <= dist2_bound
+                       and ref_point_segment_dist2(q, s, t) <= dist2_bound
+                       for s, t in segs_b):
+                return False
+    return True
+
+
+def ref_curves_within(f, g, eps):
+    ca = extract_curve(f).segments()
+    cb = extract_curve(g).segments()
+    if not ca and not cb:
+        return True
+    return (ref_segments_within(ca, cb, 4 * eps * eps)
+            and ref_segments_within(cb, ca, 4 * eps * eps))
+
+
+def inner_square(c):
+    return make_series(unit_square(), {(1, 0): 0, (0, 1): 0, (-1, 0): 1,
+                                       (0, -1): 1, (0, 0): c})
+
+
+@given(st.sampled_from(["same", "other", "perturbed", "waved", "square"]),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_curves_within_matches_fraction_reference(kind, seed):
+    rng = random.Random(seed)
+    delta = F(1, rng.randrange(4, 60))
+    # the square's inner curve moves by exactly delta, so eps = delta / 2
+    # sits on the boundary of the test
+    epsilons = [delta / 2, F(1, rng.randrange(2, 80)),
+                F(rng.randrange(1, 5), rng.randrange(20, 400))]
+    if kind == "square":
+        c = F(rng.randrange(1, 12), 32)
+        f, g = inner_square(c), inner_square(c + delta)
+    else:
+        poly = random_polygon(rng)
+        f = random_series(rng, poly, rng.randrange(1, 4))
+        if kind == "same":
+            g = f
+        elif kind == "other":
+            g = random_series(rng, poly, rng.randrange(1, 4))
+        else:
+            from tropwave.series import _side_vanishing_multiplier
+            terms = dict(f.support)
+            for v in list(terms):
+                if all(_side_vanishing_multiplier(hp, (v, terms[v])) is None
+                       for hp in poly.halfplanes):
+                    terms[v] += delta * F(rng.randrange(0, 9), 8)
+            g = TropicalSeries(poly, terms)
+            if kind == "waved":
+                v = rng.choice(list(g.support))
+                g = add_monomial(g, v, delta)
+    for eps in epsilons:
+        assert curves_within(f, g, eps) == ref_curves_within(f, g, eps)

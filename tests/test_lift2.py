@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropwave.lift2 import (GF2Poly, GF2RatFun, LaurentPoly2, LiftError,
                             ZeroPolynomial, degenerate_cancellation,
@@ -163,3 +164,247 @@ class TestTextFormat:
             "A(0,0)=t^(1/2)",
             "A(1,0)=1",
         ]
+
+
+# -- the reference: Fraction exponents, reduction by the gcd of products -------
+#
+# A polynomial is (v, s, mask): t^v times the odd mask over t^(1/2^s), with v
+# a Fraction and s minimal; a rational function is a pair (num, den) reduced
+# by the gcd of num and den after every operation.
+
+
+def ref_dilate(m, k):
+    out, i = 0, 0
+    while m:
+        if m & 1:
+            out |= 1 << (i << k)
+        m >>= 1
+        i += 1
+    return out
+
+
+def ref_compress(m):
+    out, i = 0, 0
+    while m:
+        if m & 1:
+            if i & 1:
+                return None
+            out |= 1 << (i >> 1)
+        m >>= 1
+        i += 1
+    return out
+
+
+def ref_divmod(a, b):
+    q = 0
+    while a.bit_length() >= b.bit_length():
+        shift = a.bit_length() - b.bit_length()
+        q ^= 1 << shift
+        a ^= b << shift
+    return q, a
+
+
+def ref_gcd(a, b):
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return a
+
+
+def ref_clmul(a, b):
+    out, shift = 0, 0
+    while b:
+        if b & 1:
+            out ^= a << shift
+        b >>= 1
+        shift += 1
+    return out
+
+
+def ref_norm(v, s, mask):
+    if not mask:
+        return (F(0), 0, 0)
+    tz = (mask & -mask).bit_length() - 1
+    v, mask = v + F(tz, 1 << s), mask >> tz
+    while s > 0 and ref_compress(mask) is not None:
+        mask, s = ref_compress(mask), s - 1
+    return (v, s, mask)
+
+
+def ref_poly(exps):
+    live = sorted(e for e in set(exps))
+    if not live:
+        return (F(0), 0, 0)
+    v = live[0]
+    s = max((e - v).denominator.bit_length() - 1 for e in live)
+    return ref_norm(v, s, sum(1 << int((e - v) * (1 << s)) for e in live))
+
+
+def ref_padd(p, q):
+    if not p[2]:
+        return q
+    if not q[2]:
+        return p
+    v = min(p[0], q[0])
+    s = max(p[1], q[1], *((x[0] - v).denominator.bit_length() - 1
+                          for x in (p, q)))
+    m = [ref_dilate(x[2], s - x[1]) << int((x[0] - v) * (1 << s))
+         for x in (p, q)]
+    return ref_norm(v, s, m[0] ^ m[1])
+
+
+def ref_pmul(p, q):
+    if not p[2] or not q[2]:
+        return (F(0), 0, 0)
+    s = max(p[1], q[1])
+    return ref_norm(p[0] + q[0], s, ref_clmul(ref_dilate(p[2], s - p[1]),
+                                              ref_dilate(q[2], s - q[1])))
+
+
+def ref_psquare(p):
+    return ref_norm(2 * p[0], p[1], ref_dilate(p[2], 1))
+
+
+ONE = (F(0), 0, 1)
+
+
+def ref_reduce(num, den):
+    """The gcd-of-products constructor: num/den in lowest terms."""
+    if not num[2]:
+        return ((F(0), 0, 0), ONE)
+    s = max(num[1], den[1])
+    mn, md = ref_dilate(num[2], s - num[1]), ref_dilate(den[2], s - den[1])
+    g = ref_gcd(mn, md)
+    return (ref_norm(num[0] - den[0], s, ref_divmod(mn, g)[0]),
+            ref_norm(F(0), s, ref_divmod(md, g)[0]))
+
+
+def ref_mul(x, y):
+    return ref_reduce(ref_pmul(x[0], y[0]), ref_pmul(x[1], y[1]))
+
+
+def ref_add(x, y):
+    return ref_reduce(ref_padd(ref_pmul(x[0], y[1]), ref_pmul(y[0], x[1])),
+                      ref_pmul(x[1], y[1]))
+
+
+def ref_square(x):
+    return ref_reduce(ref_psquare(x[0]), ref_psquare(x[1]))
+
+
+def ref_inverse(x):
+    return ref_reduce(x[1], x[0])
+
+
+def ref_pow(x, k):
+    if k < 0:
+        return ref_pow(ref_inverse(x), -k)
+    out = (ONE, ONE)
+    while k:
+        if k & 1:
+            out = ref_mul(out, x)
+        x = ref_mul(x, x)
+        k >>= 1
+    return out
+
+
+def ref_evaluate(coeffs, p):
+    out = ((F(0), 0, 0), ONE)
+    for (i, j), a in coeffs.items():
+        out = ref_add(out, ref_mul(ref_mul(a, ref_pow(p[0], i)),
+                                   ref_pow(p[1], j)))
+    return out
+
+
+def ref_s_wave(coeffs, p):
+    Fp = ref_evaluate(coeffs, p)
+    if not Fp[0][2]:
+        return coeffs
+    inv = ref_inverse(Fp)
+    out = {}
+    for (i, j), a in coeffs.items():
+        b = ref_mul(ref_mul(ref_mul(ref_square(a), ref_pow(p[0], i)),
+                            ref_pow(p[1], j)), inv)
+        b = ref_add(a, b)
+        if b[0][2]:
+            out[(i, j)] = b
+    return out
+
+
+def ref_str(x):
+    def poly_str(p):
+        v, s, m = p
+        if not m:
+            return "0"
+        exps = [v + F(i, 1 << s) for i in range(m.bit_length()) if m >> i & 1]
+        return "+".join("1" if e == 0 else "t" if e == 1 else
+                        f"t^{e}" if e.denominator == 1 else f"t^({e})"
+                        for e in exps)
+    if x[1] == ONE:
+        return poly_str(x[0])
+    return f"({poly_str(x[0])})/({poly_str(x[1])})"
+
+
+def structure(r):
+    """A GF2RatFun as the reference's (num, den) tuples."""
+    return tuple((F(p.v, 1 << p.k), p.s, p.mask) for p in (r.num, r.den))
+
+
+DYADIC = st.builds(lambda n, k: F(n, 2 ** k), st.integers(-8, 8),
+                   st.integers(0, 3))
+EXPS = st.lists(DYADIC, min_size=1, max_size=3, unique=True)
+RATFUN_SPECS = st.one_of(
+    st.just(([], [F(0)])),                          # zero
+    st.builds(lambda q: ([q], [F(0)]), DYADIC),     # the monomial t^q
+    st.tuples(EXPS, EXPS))                          # num / den
+
+
+def both(spec):
+    """The same rational function built by the program and the reference;
+    the program's constructor is checked on the way."""
+    num, den = spec
+    new = GF2RatFun(GF2Poly(num), GF2Poly(den))
+    ref = ref_reduce(ref_poly(num), ref_poly(den))
+    assert structure(new) == ref
+    return new, ref
+
+
+def assert_same(new, ref):
+    assert structure(new) == ref
+    assert str(new) == ref_str(ref)
+
+
+@settings(max_examples=300)
+@given(RATFUN_SPECS, RATFUN_SPECS, st.integers(-4, 6))
+def test_arithmetic_matches_gcd_of_products_reference(sa, sb, k):
+    (a, ra), (b, rb) = both(sa), both(sb)
+    assert_same(a * b, ref_mul(ra, rb))
+    assert_same(a + b, ref_add(ra, rb))
+    assert_same(a.square(), ref_square(ra))
+    if not a.is_zero():
+        assert_same(a.inverse(), ref_inverse(ra))
+        assert_same(a.pow(k), ref_pow(ra, k))
+        if not b.is_zero():
+            assert_same(a / b, ref_mul(ra, ref_inverse(rb)))
+    elif k >= 0:
+        assert_same(a.pow(k), ref_pow(ra, k))
+
+
+MONOMIALS = st.builds(lambda q: ([q], [F(0)]), DYADIC)
+
+
+@settings(max_examples=150)
+@given(st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                       RATFUN_SPECS, min_size=1, max_size=4),
+       st.tuples(st.one_of(MONOMIALS, st.tuples(EXPS, EXPS)),
+                 st.one_of(MONOMIALS, st.tuples(EXPS, EXPS))))
+def test_evaluate_and_s_wave_match_reference(specs, point):
+    coeffs = {v: both(s) for v, s in specs.items()}
+    Fx = LaurentPoly2({v: new for v, (new, _) in coeffs.items()})
+    ref = {v: r for v, (_, r) in coeffs.items() if r[0][2]}
+    p, rp = zip(*(both(s) for s in point))
+    assert_same(Fx.evaluate(p), ref_evaluate(ref, rp))
+    SF = s_wave(Fx, p)
+    want = ref_s_wave(ref, rp)
+    assert sorted(SF.coeffs) == sorted(want)
+    for v, c in SF.coeffs.items():
+        assert_same(c, want[v])

@@ -10,15 +10,16 @@ from tropwave.series import (add_monomial, distance_function, evaluate,
                              is_nice, make_series, quasi_degree, zero_series)
 from tropwave.refine import (EmptyLevelSet, EpsilonTooLarge,
                              HypothesisViolated, RefineError, _margin,
-                             _margin_points, _region_values,
+                             _margin_points, _max_vertex_boundary_dist2,
+                             _min_point_curve_dist2, _region_values,
                              coarsen_dynamics, level_set_polygon,
                              level_shift_check, make_nice, nice_restrict,
                              verge_polynomial)
 from tropwave.wave import run_dynamics, wave, wave_family_scan
 
 from conftest import (pentagon, random_points, random_polygon,
-                      ref_cell_constraints, ref_polytope_vertices, square13,
-                      unit_square)
+                      ref_cell_constraints, ref_point_segment_dist2,
+                      ref_polytope_vertices, square13, unit_square)
 
 
 class TestLevelSet:
@@ -51,7 +52,6 @@ class TestLevelSet:
     def test_curves_coincide_on_level_set(self):
         # the eps-shift does not move the curve inside the level set: every
         # point of each curve that lies in the level set is on the other
-        from tropwave.exactlp import point_segment_dist2
         poly = QPolygon.box(0, 0, 2, 2)
         pts = [(F(1), F(1)), (F(1, 2), F(3, 2))]
         big = run_dynamics(zero_series(poly), pts).final
@@ -68,10 +68,10 @@ class TestLevelSet:
 
         for z in samples(inner):
             if sub.contains(z, strict=True):
-                assert min(point_segment_dist2(z, a, b) for a, b in outer) == 0
+                assert min(ref_point_segment_dist2(z, a, b) for a, b in outer) == 0
         for z in samples(outer):
             if sub.contains(z, strict=True):
-                assert min(point_segment_dist2(z, a, b) for a, b in inner) == 0
+                assert min(ref_point_segment_dist2(z, a, b) for a, b in inner) == 0
 
 
 class TestLevelShift:
@@ -367,3 +367,24 @@ class TestCoarsen:
         plan, final, cert = coarsen_dynamics(f, [ev1, ev2], F(1, 30))
         assert len(plan.decremented) == 2
         assert curves_within(final, g2, F(1, 60))
+
+
+@given(st.sampled_from(["square", "pentagon", "bent", "random"]),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=0, max_value=3))
+def test_distance_helpers_match_fraction_reference(kind, seed, n_points):
+    # the integer helpers return the Fraction reference's exact values; the
+    # points include curve vertices, at distance 0, which the minimum skips
+    poly, f = _certificate_case(kind, seed, n_points)
+    curve = extract_curve(f)
+    sides = [(a, b) for _, a, b in poly.sides()]
+    want = max((min(ref_point_segment_dist2(z, a, b) for a, b in sides)
+                for z in curve.vertices), default=F(0))
+    assert _max_vertex_boundary_dist2(curve, poly) == want
+    rng = random.Random(seed)
+    curves = [curve, extract_curve(square13())] if kind == "square" else [curve]
+    pts = random_points(rng, poly, 3) + curve.vertices[:2]
+    d2 = [ref_point_segment_dist2(p, a, b) for p in pts
+          for c in curves for a, b in c.segments()]
+    assert _min_point_curve_dist2(pts, curves) == min(
+        (d for d in d2 if d > 0), default=None)

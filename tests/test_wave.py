@@ -15,10 +15,11 @@ from tropwave.series import (OutsideDomain, add_monomial,
                              canonical_coefficient, distance_function,
                              evaluate, quasi_degree, rho, zero_series)
 from tropwave.wave import (STABILIZED, STEP_LIMIT, Schedule,
-                           UnclassifiableSide, WaveError, _line_min,
-                           _second_min_at,
+                           UnclassifiableSide, WaveError,
+                           _grid_interior_count, _line_min, _second_min_at,
                            avalanche_experiment, run_dynamics,
-                           upper_bound_witness, wave, wave_family_scan)
+                           sample_interior_points, upper_bound_witness,
+                           wave, wave_family_scan)
 
 from conftest import pentagon, random_points, random_polygon, random_series, \
     ref_polytope_vertices, square13, unit_square
@@ -370,3 +371,58 @@ class TestExperiment:
             line = json.dumps(jsonio.event_to_json(ev), sort_keys=True)
             back = json.loads(line)
             assert jsonio.frac_from_str(back["increment"]) == ev.increment
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=1, max_value=12),
+       st.integers(min_value=1, max_value=60))
+def test_grid_interior_count_matches_point_tests(seed, steps, n):
+    # the column count agrees with poly.contains on every grid point of
+    # random polygons, affinely scaled to make the grid and the sides skew
+    rng = random.Random(seed)
+    poly = random_polygon(rng)
+    ax, ay, tx, ty = (F(rng.randrange(1, 9), rng.randrange(1, 7))
+                      for _ in range(4))
+    poly = QPolygon.from_vertices([(ax * x + tx, ay * y - ty)
+                                   for x, y in poly.vertices])
+    xs = [v[0] for v in poly.vertices]
+    ys = [v[1] for v in poly.vertices]
+    x0, y0 = min(xs), min(ys)
+    w, h = max(xs) - x0, max(ys) - y0
+    inside = sum(poly.contains((x0 + F(i, steps) * w, y0 + F(j, steps) * h),
+                               strict=True)
+                 for i in range(steps + 1) for j in range(steps + 1))
+    got = _grid_interior_count(poly, (x0, y0), (w, h), steps, n)
+    assert got == inside if inside < n else got >= n
+
+
+def test_sampling_stream_unchanged_by_the_grid_count():
+    # a sliver with 3 interior points on its 24-step grid: the draw succeeds
+    # after more than 1000 rejections and returns the points that plain
+    # rejection sampling takes from the same stream
+    poly = QPolygon.from_vertices([(0, 0), (1, F(19, 20)), (1, 1)])
+    pts = sample_interior_points(poly, 3, random.Random(5), 24)
+    rng = random.Random(5)
+    plain, rejected = [], 0
+    while len(plain) < 3:
+        p = (F(rng.randrange(25), 24), F(rng.randrange(25), 24))
+        if p in plain or not poly.contains(p, strict=True):
+            rejected += 1
+        else:
+            plain.append(p)
+    assert rejected > 1000
+    assert pts == plain
+
+
+def test_grid_count_skipped_when_it_would_cost_more_than_the_draws(
+        monkeypatch):
+    # a count over 10^5 + 1 columns costs as much as the draws it saves, so
+    # a 10^5-step grid is sampled by rejection alone, even past 1000
+    # rejections (2325 with this seed)
+    def refuse(*args):
+        raise RuntimeError("the grid count ran")
+
+    monkeypatch.setattr(importlib.import_module("tropwave.wave"),
+                        "_grid_interior_count", refuse)
+    poly = QPolygon.from_vertices([(0, 0), (1, 1), (1, F(999, 1000))])
+    assert len(sample_interior_points(poly, 1, random.Random(0), 10 ** 5)) == 1
