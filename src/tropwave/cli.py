@@ -132,31 +132,37 @@ class RunConfig:
 
 
 class OutputBundle:
-    """Collects emitted files and writes a manifest with content digests."""
+    """Collects emitted files and writes a manifest with content digests.
+
+    The output directory is made at the first write, so a command that
+    fails before it has a result leaves no directory behind."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.files: list[str] = []
-        try:
-            os.makedirs(cfg.out_dir, exist_ok=True)
-        except OSError as exc:
-            raise jsonio.ParseError(
-                f"out {cfg.out_dir!r}: {type(exc).__name__}: {exc}") from exc
 
     def path(self, name: str) -> str:
         return os.path.join(self.cfg.out_dir, name)
 
-    def write_json(self, name: str, obj) -> str:
-        p = self.path(name)
-        jsonio.dump(obj, p)
+    def _new_file(self, name: str) -> str:
+        if not self.files:
+            try:
+                os.makedirs(self.cfg.out_dir, exist_ok=True)
+            except OSError as exc:
+                raise jsonio.ParseError(f"out {self.cfg.out_dir!r}: "
+                                        f"{type(exc).__name__}: {exc}") from exc
         self.files.append(name)
+        return self.path(name)
+
+    def write_json(self, name: str, obj) -> str:
+        p = self._new_file(name)
+        jsonio.dump(obj, p)
         return p
 
     def write_text(self, name: str, text: str) -> str:
-        p = self.path(name)
+        p = self._new_file(name)
         with open(p, "w") as fh:
             fh.write(text)
-        self.files.append(name)
         return p
 
     def finish(self) -> None:

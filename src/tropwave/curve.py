@@ -195,29 +195,23 @@ def symplectic_area(curve: TropicalCurve) -> Optional[Fraction]:
     For an edge s * v with v primitive this is weight * s * (v . v), a
     rational number.  Boundary-clipped edges count their clipped length.
     """
-    total = Fraction(0)
-    for e in curve.edges:
-        d = vsub(e.b, e.a)
-        p = e.direction()
-        if p[0] != 0:
-            s = Fraction(d[0], p[0])
-        else:
-            s = Fraction(d[1], p[1])
-        total += e.weight * abs(s) * dot(p, p)
-    return total
+    return sum((e.weight * _segment_area(e.a, e.b) for e in curve.edges),
+               Fraction(0))
+
+
+def _segment_area(a: Point, b: Point) -> Fraction:
+    """|s| * (p . p) for the rational segment b - a = s * p, p primitive."""
+    d = vsub(b, a)
+    p = primitive((d[0].numerator * d[1].denominator,
+                   d[1].numerator * d[0].denominator))
+    s = Fraction(d[0], p[0]) if p[0] != 0 else Fraction(d[1], p[1])
+    return abs(s) * dot(p, p)
 
 
 def side_area(poly: QPolygon, n: Vec) -> Fraction:
     """Tropical symplectic area of a polygon side: |S| * |primitive|."""
-    hp, a, b = poly.side_of(n)
-    d = vsub(b, a)
-    p = primitive((d[0].numerator * d[1].denominator,
-                   d[1].numerator * d[0].denominator))
-    if p[0] != 0:
-        s = Fraction(d[0], p[0])
-    else:
-        s = Fraction(d[1], p[1])
-    return abs(s) * dot(p, p)
+    _, a, b = poly.side_of(n)
+    return _segment_area(a, b)
 
 
 def quasi_degree_area(f: TropicalSeries) -> Fraction:

@@ -113,8 +113,9 @@ def basic_points(ics: Sequence[IntConstraint]) -> list[Homogeneous]:
 
 def cone_contains(gens: Sequence[Vec], v) -> bool:
     """Is v a nonnegative combination of the generators? (Caratheodory in 2D:
-    a single generator or a pair suffices.)"""
-    if v == (0, 0) or (v[0] == 0 and v[1] == 0):
+    a single generator or a pair suffices.)  Decided by the signs of integer
+    cross products."""
+    if v[0] == 0 and v[1] == 0:
         return True
     gens = [g for g in gens if g != (0, 0)]
     for g in gens:
@@ -127,9 +128,9 @@ def cone_contains(gens: Sequence[Vec], v) -> bool:
             det = cross(g, h)
             if det == 0:
                 continue
-            alpha = Fraction(cross(v, h), det)
-            beta = Fraction(cross(g, v), det)
-            if alpha >= 0 and beta >= 0:
+            # v = (cross(v, h) g + cross(g, v) h) / det: both weights >= 0
+            # iff both crosses have det's sign or vanish
+            if det * cross(v, h) >= 0 and det * cross(g, v) >= 0:
                 return True
     return False
 

@@ -359,12 +359,8 @@ def is_unimodular(poly: QPolygon) -> bool:
 
 
 def cone_lattice_contains(corner: Corner, v: Vec) -> bool:
-    """Is v in the cone spanned by the corner's two normals (exact 2x2 solve)?"""
-    n1, n2 = corner.normals
-    det = cross(n1, n2)
-    alpha = Fraction(cross(v, n2), det)
-    beta = Fraction(cross(n1, v), det)
-    return alpha >= 0 and beta >= 0
+    """Is v in the cone spanned by the corner's two normals?"""
+    return lp.cone_contains(list(corner.normals), v)
 
 
 def blow_up(poly: QPolygon, corner: Corner, v: Vec, eps: Fraction) -> QPolygon:

@@ -3,12 +3,18 @@ construction of smooth boundary-hugging curves, and the coarse smooth
 approximation of a wave dynamic.
 
 The constructions follow the existence proofs but pin every constant by an
-exact certificate search: each corner cut carries a margin certificate (the
-cut affine strictly exceeds the series outside the corner neighborhood, a
-finite family of LPs), multipliers are the smallest that certify, mediant
-insertion repairs adjacent multiplied sides, and the coarsening step size
-halves until every intermediate curve certifies smooth or nodal with no face
-contraction.
+exact certificate: each corner cut carries a margin certificate (the cut
+affine strictly exceeds the series outside the corner neighborhood), each
+multiplier is the least that certifies, in closed form, mediant insertion
+repairs adjacent multiplied sides, and the coarsening step size halves until
+every intermediate curve certifies smooth or nodal with no face contraction.
+
+The region certificates are exact by one fact: a concave function on a
+polygon takes its minimum at a vertex, and a convex one its maximum
+(Rockafellar, *Convex Analysis*, section 32).  A series is affine on each
+cell of its linearity complex, so f - g is concave on each cell of g and
+convex on each cell of f, and every bound below reads finitely many
+vertices of cells clipped in integers.
 """
 
 from __future__ import annotations
@@ -89,15 +95,15 @@ def level_set_polygon(f: TropicalSeries, eps: Fraction) -> QPolygon:
 
 
 def level_shift_check(domain: QPolygon, points: Sequence[Point],
-                      eps: Fraction, *, samples: int = 20,
-                      seed: int = 0) -> bool:
+                      eps: Fraction) -> bool:
     """Verify f_{domain,P} = f_{level set,P} + eps on the level set by two
-    independent dynamics runs, and f_{level,P} + eps >= f_{domain,P} on the
-    domain (exact at sampled rational points)."""
-    import random
+    independent dynamics runs, and f_{domain,P} <= eps off it.
 
-    from .wave import sample_interior_points
-
+    Both are exact: f_{domain,P} - f_{level,P} is concave on each cell of the
+    inner series and convex on each cell of the outer one, so its min and
+    max on the level set are vertex values (`_gap_range`), and the outer
+    series is affine on each cell cut by a removed piece
+    (`_at_most_outside`)."""
     eps = Fraction(eps)
     points = [(Fraction(p[0]), Fraction(p[1])) for p in points]
     if not points:
@@ -112,34 +118,23 @@ def level_shift_check(domain: QPolygon, points: Sequence[Point],
     small = run_dynamics(zero_series(inner_poly), points)
     if small.stopped_reason != STABILIZED:
         raise RefineError("inner dynamics did not stabilize")
-    rng = random.Random(seed)
-    for z in sample_interior_points(inner_poly, samples, rng):
-        if evaluate(big.final, z) != evaluate(small.final, z) + eps:
-            return False
-    for z in sample_interior_points(domain, samples, rng):
-        lhs = evaluate(big.final, z)
-        if inner_poly.contains(z):
-            if evaluate(small.final, z) + eps < lhs:
-                return False
-        elif lhs > eps:
-            # the shifted series extends as >= eps outside the level set
-            return False
-    return True
+    low, high = _gap_range(big.final, small.final)
+    return low == high == eps and _at_most_outside(big.final, inner_poly, eps)
 
 
 # -- nice-ification -----------------------------------------------------------
 
 
-def _region_values(poly: QPolygon, f: TropicalSeries, extra):
-    """Each cell of f cut by ``poly`` and the half-plane ``extra``, as
-    (vertex, f there) pairs, cell by cell; a vertex shared by cells repeats.
+def _region_values(f: TropicalSeries, cuts):
+    """Each cell of f cut by the integer half-planes ``cuts`` (A, B, C),
+    A x + B y + C >= 0, as (vertex, f there) pairs, cell by cell; a vertex
+    shared by cells repeats.
 
     The cells are f's integer ones, clipped in homogeneous points, so the
-    pairs hold every vertex of each region (poly, extra and a cell of f
+    pairs hold every vertex of each region (a cell of f and the cuts
     intersected) and nothing outside it.  f equals the cell's monomial on
     its closed cell, which gives the value.
     """
-    cuts = [*poly.int_constraints(), *lp.int_constraints([extra])]
     for v, cell in f._int_complex().hcells.items():
         (v0, v1), a = v, f.support[v]
         for X, Y, W in _clip(cell, cuts):
@@ -147,24 +142,65 @@ def _region_values(poly: QPolygon, f: TropicalSeries, extra):
             yield z, Fraction(v0 * X + v1 * Y, W) + a
 
 
-def _margin_points(poly: QPolygon, f: TropicalSeries, apex: Point,
+def _gap_range(f: TropicalSeries, g: TropicalSeries) -> tuple[Fraction, Fraction]:
+    """The exact min and max of f - g on g's domain, which lies in f's.
+
+    On a cell of g, f - g is f minus an affine function, concave, so its
+    min is at a cell vertex: the min over g's complex vertices.  On a cell
+    of f, f - g is convex, so its max is at a vertex of that cell clipped
+    by g's domain."""
+    low = min(evaluate(f, z) - evaluate(g, z) for z in g.complex_vertices())
+    high = max(fz - evaluate(g, z)
+               for z, fz in _region_values(f, g.domain.int_constraints()))
+    return low, high
+
+
+def _at_most_outside(f: TropicalSeries, sub: QPolygon, level: Fraction) -> bool:
+    """f <= level on f's domain off the subpolygon ``sub``.
+
+    Off sub is the union of the pieces where one of sub's own half-planes
+    fails, and f is affine on each cell cut by such a piece, so checking
+    the vertices of those regions is exact."""
+    own = set(f.domain.halfplanes)
+    return not any(
+        fz > level
+        for hp, (A, B, C) in zip(sub.halfplanes, sub.int_constraints())
+        if hp not in own
+        for _, fz in _region_values(f, [(-A, -B, -C)]))
+
+
+def _margin_points(f: TropicalSeries, apex: Point,
                    eps: Fraction) -> list[tuple[Point, Fraction]]:
-    """Vertices of (polygon minus ball) refined by the cells of f, with the
-    series values; an affine exceeds f on the region iff it does at these.
-    The complement of the L-infinity ball is covered by four half-planes."""
+    """Vertices of (f's domain minus ball) refined by the cells of f, with
+    the series values; an affine exceeds f on the region iff it does at
+    these.  The complement of the L-infinity ball is covered by four
+    half-planes."""
     cx, cy = apex
     pts: dict = {}
     for extra in (((-1, 0), cx - eps), ((1, 0), -(cx + eps)),
                   ((0, -1), cy - eps), ((0, 1), -(cy + eps))):
-        for z, fz in _region_values(poly, f, extra):
+        for z, fz in _region_values(f, lp.int_constraints([extra])):
             pts.setdefault(z, fz)
     return list(pts.items())
 
 
-def _margin(points_vals, v: Vec, apex: Point, m: int) -> Fraction:
-    """min over the certified points of  m*(v.z - v.apex) - f(z)."""
+def _least_multiplier(pts, v: Vec, apex: Point,
+                      shift: Fraction = Fraction(0)) -> tuple[int, Fraction]:
+    """The least m >= 1 with m * (d_z - shift) > f_z at every certified
+    point z, where d_z = v.(z - apex), and its margin
+    min_z (m * d_z - f_z).
+
+    Each point asks m > f_z / (d_z - shift), so m is one more than the
+    largest floor of those ratios.  A point with d_z <= shift, where
+    f_z >= 0, admits no m, and neither does an m above 10000."""
     base = dot(v, apex)
-    return min(m * (dot(v, z) - base) - fz for z, fz in points_vals)
+    ds = [(dot(v, z) - base, fz) for z, fz in pts]
+    if all(d > shift for d, _ in ds):
+        m = max([1] + [math.floor(fz / (d - shift)) + 1 for d, fz in ds])
+        if m <= 10000:
+            return m, min(m * d - fz for d, fz in ds)
+    raise CertificationFailed("no multiplier clears the apex" if shift
+                              else "no multiplier certifies the cut")
 
 
 def _unimodular_fan(u1: Vec, u2: Vec) -> list[Vec]:
@@ -179,11 +215,7 @@ def _unimodular_fan(u1: Vec, u2: Vec) -> list[Vec]:
     g, s, t = xgcd(u1[0], u1[1])
     if g != 1:
         raise RefineError(f"fan direction {u1} is not primitive")
-    w0 = (-t, s)  # u1 x w0 = u1[0]*s + u1[1]*t ... verified below
-    if cross(u1, w0) != 1:
-        w0 = (t, -s)
-    if cross(u1, w0) != 1:
-        raise RefineError(f"no unimodular partner for {u1}")
+    w0 = (-t, s)  # cross(u1, w0) = s*u1[0] + t*u1[1] = g = 1
     c0 = cross(w0, u2)
     shift = -((c0 - 1) // d)  # smallest t with c0 + t*d >= 1
     w = (w0[0] + shift * u1[0], w0[1] + shift * u1[1])
@@ -226,23 +258,14 @@ def make_nice(poly: QPolygon, f: TropicalSeries, eps: Fraction
         needs_split = degrees[primitive(n1)] > 1 and degrees[primitive(n2)] > 1
         if not needs_fan and not needs_split:
             continue
-        pts = _margin_points(poly, f, corner.apex, eps)
+        pts = _margin_points(f, corner.apex, eps)
         fan = _unimodular_fan(n1, n2)
         if not fan and needs_split:
             fan = [primitive((n1[0] + n2[0], n1[1] + n2[1]))]
-
-        def multiplier_for(v: Vec) -> tuple[int, Fraction]:
-            m = 1
-            while True:
-                mg = _margin(pts, v, corner.apex, m)
-                if mg > 0:
-                    return m, mg
-                m += 1
-                if m > 10000:
-                    raise CertificationFailed("no multiplier certifies the cut")
-
-        entries = [(v,) + multiplier_for(v) for v in fan]
-        # mediant repair: no two adjacent sides may both have multiplier > 1
+        entries = [(v,) + _least_multiplier(pts, v, corner.apex) for v in fan]
+        # mediant repair: no two adjacent sides may both have multiplier > 1;
+        # a mediant lies strictly between its pair, so inserting it between
+        # them keeps the fan in CCW order
         for _ in range(64):
             seq = ([(n1, degrees[primitive(n1)])]
                    + [(v, m) for v, m, _ in entries]
@@ -256,9 +279,7 @@ def make_nice(poly: QPolygon, f: TropicalSeries, eps: Fraction
                 break
             u, w = seq[bad][0], seq[bad + 1][0]
             med = primitive((u[0] + w[0], u[1] + w[1]))
-            entry = (med,) + multiplier_for(med)
-            entries.insert(bad, entry)  # position bad sits between the pair
-            entries.sort(key=lambda e: _angle_from(n1, e[0]))
+            entries.insert(bad, (med,) + _least_multiplier(pts, med, corner.apex))
         else:
             raise CertificationFailed("mediant repair did not terminate")
 
@@ -273,11 +294,8 @@ def make_nice(poly: QPolygon, f: TropicalSeries, eps: Fraction
             if not bigger:
                 raise CertificationFailed("no room to cut corner")
             gap = bigger[0] - a0
-            while mg / m <= a0:
-                m += 1
-                if m > 10000:
-                    raise CertificationFailed("no multiplier clears the apex")
-                mg = _margin(pts, v, corner.apex, m)
+            if mg / m <= a0:
+                m, mg = _least_multiplier(pts, v, corner.apex, a0)
             depth = a0 + min(gap, mg / m - a0, eps / 4) / 2
             w = (m * v[0], m * v[1])
             offset = dot(w, corner.apex) + m * depth
@@ -301,16 +319,6 @@ def make_nice(poly: QPolygon, f: TropicalSeries, eps: Fraction
     return current, result, steps
 
 
-def _angle_from(base: Vec, v: Vec) -> Fraction:
-    """Monotone angular key inside a convex cone with first ray `base`."""
-    # For vectors within an open half-plane around base, cross/dot is monotone
-    cr = cross(base, v)
-    dt = dot(base, v)
-    if dt <= 0:
-        return Fraction(10 ** 9) + (Fraction(-dt, abs(cr)) if cr else 0)
-    return Fraction(cr, dt)
-
-
 def _spot_check_equal_outside_balls(f: TropicalSeries, g: TropicalSeries,
                                     centers: Sequence[Point], eps: Fraction):
     """The margin certificates prove f = g outside the corner balls; this
@@ -324,19 +332,16 @@ def _spot_check_equal_outside_balls(f: TropicalSeries, g: TropicalSeries,
             raise CertificationFailed(f"series differ outside corner balls at {z}")
 
 
-def nice_restrict(poly: QPolygon, waves: Sequence[Point], eps: Fraction,
-                  *, samples: int = 10, seed: int = 0
+def nice_restrict(poly: QPolygon, waves: Sequence[Point], eps: Fraction
                   ) -> tuple[QPolygon, TropicalSeries, dict]:
     """Shrink the polygon by corner blow-ups so the composite wave result is
-    nice, with the three inequalities of the restriction lemma: the
-    restricted composite is nice (checked exactly), G0_poly <= eps off the
-    subpolygon (certified at the vertices of each removed piece refined by
-    the cells of G0_poly), and 0 <= G0_poly - G0_sub < eps on the subpolygon,
-    which is only sampled at `samples` random points (``gap_ok``)."""
-    import random
-
-    from .wave import sample_interior_points
-
+    nice, with the three inequalities of the restriction lemma, each
+    checked exactly: the restricted composite is nice; G0_poly <= eps off
+    the subpolygon (``outside_ok``, at the vertices of each removed piece
+    refined by the cells of G0_poly, where G0_poly is affine); and
+    0 <= G0_poly - G0_sub < eps on the subpolygon (``gap_ok``).  The gap is
+    concave on each cell of G0_sub and convex on each cell of G0_poly, so
+    its min and max are vertex values (`_gap_range`)."""
     eps = Fraction(eps)
     waves = [(Fraction(p[0]), Fraction(p[1])) for p in waves]
     f = zero_series(poly)
@@ -358,22 +363,10 @@ def nice_restrict(poly: QPolygon, waves: Sequence[Point], eps: Fraction,
         if not is_nice(g):
             ball /= 2
             continue
-        cert = {"nice": True, "gap_ok": True, "outside_ok": True,
-                "ball": ball, "blowups": len(steps)}
-        rng = random.Random(seed)
-        for z in sample_interior_points(sub, samples, rng):
-            gap = evaluate(f, z) - evaluate(g, z)
-            if gap < 0 or gap >= eps:
-                cert["gap_ok"] = False
-        # G0_poly <= eps on poly minus sub: check per removed piece
-        for hp in sub.halfplanes:
-            if hp in poly.halfplanes:
-                continue
-            removed = ((-hp.n[0], -hp.n[1]), -hp.a)
-            if any(fz > eps for _, fz in _region_values(poly, f, removed)):
-                cert["outside_ok"] = False
-        if cert["gap_ok"] and cert["outside_ok"]:
-            return sub, g, cert
+        low, high = _gap_range(f, g)
+        if low >= 0 and high < eps and _at_most_outside(f, sub, eps):
+            return sub, g, {"nice": True, "gap_ok": True, "outside_ok": True,
+                            "ball": ball, "blowups": len(steps)}
         ball /= 2
     raise CertificationFailed("nice_restrict found no certified blow-up size")
 

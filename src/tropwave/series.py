@@ -70,6 +70,9 @@ class TropicalSeries:
                  canonical: bool = False, truncated: bool = False):
         self.domain = domain
         self.truncated = truncated
+        self._cells: Optional[dict] = None
+        self._complex: Optional[_Complex] = None
+        self._quasi_degree = None
         support = {tuple(v): Fraction(a) for v, a in support.items()}
         if not support:
             raise SeriesError("series needs at least one monomial")
@@ -78,15 +81,10 @@ class TropicalSeries:
             # cannot be certified, so the series is flagged truncated.
             self.support = dict(sorted(support.items()))
             self.truncated = True
-            self._cells = None
-            return
-        if canonical:
+        elif canonical:
             self.support = dict(sorted(support.items()))
         else:
             self.support = _small_canonical_terms(domain, support)
-        self._cells: Optional[dict] = None
-        self._complex: Optional[_Complex] = None
-        self._quasi_degree = None
 
     # -- basics ----------------------------------------------------------
 
@@ -110,6 +108,8 @@ class TropicalSeries:
     def cells(self) -> dict:
         """Monomial -> CCW vertex list of its (possibly degenerate) region."""
         if self._cells is None:
+            if not isinstance(self.domain, QPolygon):
+                raise SeriesError("the linearity complex requires a polygon domain")
             self._complex = _Complex(self.domain, self.support)
             self._cells = self._complex.cells
         return self._cells

@@ -349,7 +349,7 @@ def wave_family_scan(f: TropicalSeries, p: Point, samples: int = 4) -> Perestroi
         def endpoint_at(u: Vec, t: Fraction) -> Point:
             pt = lp.boundary_intersection(
                 (vsub(w, v), -(a_v + c * t - f.support[w])),
-                (vsub(u, v), -(a_v + c * t - _coeff(f, u))))
+                (vsub(u, v), -(a_v + c * t - canonical_coefficient(f, u))))
             if pt is None:
                 raise WaveError(f"side {v}-{w} is parallel to its neighbor {u}")
             return pt
@@ -398,10 +398,6 @@ def wave_family_scan(f: TropicalSeries, p: Point, samples: int = 4) -> Perestroi
             raise WaveError(f"face of p must survive for t = {t} < 1")
     events.sort(key=lambda e: e.t)
     return PerestroikaReport(c, sides_info, events)
-
-
-def _coeff(f: TropicalSeries, u: Vec) -> Fraction:
-    return f.support[u] if u in f.support else canonical_coefficient(f, u)
 
 
 # -- avalanche statistics harness --------------------------------------------

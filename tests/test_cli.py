@@ -439,6 +439,21 @@ def test_stats_grid_shortfall_exits_2_quickly_with_no_output(files, denom_bound,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["wave", "{files}/series.json", "2,2"], 3),
+    (["make-nice", "{files}/tri_series.json", "--eps", "2"], 5),
+], ids=["wave-exterior-point", "make-nice-eps-too-large"])
+def test_failed_command_leaves_no_out_dir(files, argv, code):
+    # the output directory is made at the first write, after the result
+    tri = QPolygon.from_vertices([(0, 0), (2, 0), (0, 1)])
+    jsonio.dump(jsonio.series_to_json(distance_function(tri)),
+                files / "tri_series.json")
+    out = files / "o"
+    assert main(["--out", str(out)]
+                + [a.format(files=files) for a in argv]) == code
+    assert not out.exists()
+
+
 def test_unmakeable_out_dir_exits_2(files, monkeypatch):
     # running as root defeats chmod, so the refusal is simulated
     def refuse(path, *args, **kwargs):

@@ -1,20 +1,24 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropwave.curve import classify_vertex, curves_within, extract_curve
+from tropwave import exactlp as lp
+from tropwave import refine
 from tropwave.geometry import QPolygon, is_unimodular, primitive
-from tropwave.series import (add_monomial, distance_function, evaluate,
+from tropwave.series import (add_monomial, clamp, distance_function, evaluate,
                              is_nice, make_series, quasi_degree, zero_series)
-from tropwave.refine import (EmptyLevelSet, EpsilonTooLarge,
-                             HypothesisViolated, RefineError, _margin,
-                             _margin_points, _max_vertex_boundary_dist2,
+from tropwave.refine import (CertificationFailed, EmptyLevelSet,
+                             EpsilonTooLarge, HypothesisViolated, RefineError,
+                             _gap_range, _least_multiplier, _margin_points,
+                             _max_vertex_boundary_dist2,
                              _min_point_curve_dist2, _region_values,
-                             coarsen_dynamics, level_set_polygon,
-                             level_shift_check, make_nice, nice_restrict,
-                             verge_polynomial)
+                             _unimodular_fan, coarsen_dynamics,
+                             level_set_polygon, level_shift_check, make_nice,
+                             nice_restrict, verge_polynomial)
 from tropwave.wave import run_dynamics, wave, wave_family_scan
 
 from conftest import (pentagon, random_points, random_polygon,
@@ -156,6 +160,12 @@ def ref_region_values(poly, f, extra):
     return out
 
 
+def _margin(points_vals, v, apex, m):
+    """min over the certified points of  m*(v.z - v.apex) - f(z)."""
+    base = lp.dot(v, apex)
+    return min(m * (lp.dot(v, z) - base) - fz for z, fz in points_vals)
+
+
 def ref_margin_points(poly, f, apex, eps):
     cx, cy = apex
     out = {}
@@ -189,7 +199,7 @@ def test_margin_points_match_fraction_enumeration(kind, seed, n_points, eps):
     # n_points == 0 stands for the distance function
     poly, f = _certificate_case(kind, seed, n_points)
     for corner in poly.corners():
-        pts = _margin_points(poly, f, corner.apex, eps)
+        pts = _margin_points(f, corner.apex, eps)
         ref = ref_margin_points(poly, f, corner.apex, eps)
         assert len(pts) == len(dict(pts))
         assert dict(pts) == ref
@@ -213,9 +223,195 @@ def test_outside_pieces_match_fraction_enumeration(kind, seed, n_points, eps):
         removed = ((-w[0], -w[1]), w[0] * corner.apex[0]
                    + w[1] * corner.apex[1] + eps)
         got = {}
-        for z, fz in _region_values(poly, f, removed):
+        for z, fz in _region_values(f, lp.int_constraints([removed])):
             assert got.setdefault(z, fz) == fz
         assert got == ref_region_values(poly, f, removed)
+
+
+# -- closed-form multipliers against a step-by-step search --------------------
+
+
+def ref_least_multiplier(pts, v, apex, a0):
+    """The step-by-step search: the least m with a positive margin, then m
+    raised one at a time while margin / m <= a0, both given up above 10000.
+    Each margin is computed over one common denominator, in integers, so
+    that a direction with no multiplier runs its 10000 passes quickly;
+    `_margin` gives the same values."""
+    base = lp.dot(v, apex)
+    dfs = [(lp.dot(v, z) - base, fz) for z, fz in pts]
+    den = lp.common_scale(dfs)
+    D = [lp.scaled(df, den) for df in dfs]
+    A0 = a0 * den
+
+    def margin(m):
+        return min(m * d - f for d, f in D)
+
+    m = 1
+    while True:
+        mg = margin(m)
+        if mg > 0:
+            break
+        m += 1
+        if m > 10000:
+            raise CertificationFailed("no multiplier certifies the cut")
+    while mg <= m * A0:
+        m += 1
+        if m > 10000:
+            raise CertificationFailed("no multiplier clears the apex")
+        mg = margin(m)
+    return m, F(mg, den)
+
+
+def closed_form_multiplier(pts, v, apex, a0):
+    """make_nice's two steps: the least certifying multiplier, raised past
+    the apex only when its margin does not clear a0."""
+    m, mg = _least_multiplier(pts, v, apex)
+    if mg / m <= a0:
+        m, mg = _least_multiplier(pts, v, apex, a0)
+    return m, mg
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CertificationFailed as exc:
+        return str(exc)
+
+
+def _multiplier_cases(poly, f, eps):
+    """(points, corner, direction, a0) cases: at every corner the fan and
+    mediant directions with apex offsets a0 of 0, eps / 64 and 1/2 and
+    15/16 of the least v.(z - apex) over the points, where the margin often
+    needs a larger multiplier; at the first corner also the two side
+    normals, which admit no multiplier, and an offset of 3/2 of that least
+    value, which no multiplier clears.  Failures run the search's 10000
+    passes, so they are kept few."""
+    for i, corner in enumerate(poly.corners()):
+        pts = _margin_points(f, corner.apex, eps)
+        n1, n2 = corner.normals
+        if lp.cross(n1, n2) < 0:
+            n1, n2 = n2, n1
+        chain = [n1] + _unimodular_fan(n1, n2) + [n2]
+        mediants = [primitive((a[0] + b[0], a[1] + b[1]))
+                    for a, b in zip(chain, chain[1:])]
+        for v in chain[1:-1] + mediants:
+            low = min(lp.dot(v, lp.vsub(z, corner.apex)) for z, _ in pts)
+            for a0 in (F(0), eps / 64, low / 2, low * F(15, 16)):
+                yield pts, corner, v, a0
+        if i == 0:
+            yield pts, corner, n1, F(0)
+            yield pts, corner, n2, F(0)
+            yield pts, corner, v, low * F(3, 2)  # v: the last mediant
+
+
+@settings(max_examples=20)  # a failing search is slow
+@given(st.sampled_from(["square", "pentagon", "bent", "random"]),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=0, max_value=3), CERTIFICATE_EPS)
+def test_least_multiplier_matches_the_search(kind, seed, n_points, eps):
+    poly, f = _certificate_case(kind, seed, n_points)
+    for pts, corner, v, a0 in _multiplier_cases(poly, f, eps):
+        args = (pts, v, corner.apex, a0)
+        want = _outcome(ref_least_multiplier, *args)
+        assert _outcome(closed_form_multiplier, *args) == want
+        if isinstance(want, tuple):
+            m, mg = want
+            assert mg == _margin(pts, v, corner.apex, m)
+            assert _least_multiplier(*args) == want
+
+
+def test_least_multiplier_fails_at_once_without_a_multiplier():
+    # a side normal of the bent quadrilateral: f vanishes on the side, where
+    # v.(z - apex) = 0, so no multiple of v clears f there
+    bent = QPolygon.from_vertices([(0, 0), (2, 0), (3, 2), (1, 3)])
+    f = distance_function(bent)
+    corner = bent.corners()[0]
+    pts = _margin_points(f, corner.apex, F(1, 8))
+    for v in corner.normals:
+        start = time.perf_counter()
+        with pytest.raises(CertificationFailed,
+                           match="no multiplier certifies the cut"):
+            _least_multiplier(pts, v, corner.apex)
+        assert time.perf_counter() - start < 0.5
+
+
+# -- the exact gap range against the overlay enumeration -----------------------
+
+
+def ref_gap_range(f, g):
+    """min and max of f - g over every vertex of (cell of f) meet (cell of g)
+    meet g's domain, each region enumerated from its `Fraction` constraints:
+    f - g is affine on each such region."""
+    gaps = [evaluate(f, z) - evaluate(g, z)
+            for v in f.support for w in g.support
+            for z in ref_polytope_vertices(ref_cell_constraints(f, v)
+                                           + ref_cell_constraints(g, w))]
+    return min(gaps), max(gaps)
+
+
+def _gap_case(kind, seed, n_points, how, level):
+    poly, f = _certificate_case(kind, seed, n_points)
+    top = max(evaluate(f, z) for z in f.complex_vertices())
+    if how == "clamp":
+        return f, clamp(f, top * level)
+    # a series on the level set {f >= top * level}, strictly inside poly
+    sub = level_set_polygon(f, top * level)
+    pts = random_points(random.Random(seed), sub, n_points)
+    return f, run_dynamics(zero_series(sub), pts).final
+
+
+@settings(max_examples=20)  # the reference enumeration is slow
+@given(st.sampled_from(["square", "pentagon", "bent", "random"]),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=0, max_value=3),
+       st.sampled_from(["clamp", "level set"]),
+       st.sampled_from([F(1, 8), F(1, 3), F(1, 2), F(7, 8)]))
+def test_gap_range_matches_overlay_enumeration(kind, seed, n_points, how,
+                                               level):
+    f, g = _gap_case(kind, seed, n_points, how, level)
+    assert _gap_range(f, g) == ref_gap_range(f, g)
+
+
+@pytest.mark.parametrize("f, top", [(square13(), F(1, 3)),
+                                    (distance_function(QPolygon.box(0, 0, 2, 2)),
+                                     F(1))])
+@pytest.mark.parametrize("c", [F(1, 100), F(1, 4), F(1, 3)])
+def test_gap_range_of_a_clamp(f, top, c):
+    # f - min(f, c) = max(f - c, 0): 0 on the boundary, max f - c at the top
+    assert _gap_range(f, clamp(f, c)) == (0, top - c)
+
+
+# the decisions on the gap range: its values are exact, so the checks
+# compare them with the lemma's bounds, strict where the lemma is strict
+SHIFT_EPS = F(1, 2)
+
+
+@pytest.mark.parametrize("low, high, ok", [
+    (SHIFT_EPS, SHIFT_EPS, True),
+    (SHIFT_EPS, SHIFT_EPS + F(1, 1000), False),
+    (SHIFT_EPS - F(1, 1000), SHIFT_EPS, False),
+])
+def test_level_shift_needs_the_gap_to_be_eps_everywhere(monkeypatch, low,
+                                                        high, ok):
+    monkeypatch.setattr(refine, "_gap_range", lambda f, g: (low, high))
+    assert level_shift_check(QPolygon.box(0, 0, 2, 2), [(F(1), F(1))],
+                             SHIFT_EPS) is ok
+
+
+@pytest.mark.parametrize("low, high, ok", [
+    (F(0), F(1, 4) - F(1, 1000), True),
+    (F(-1, 1000), F(1, 8), False),
+    (F(0), F(1, 4), False),
+])
+def test_nice_restrict_needs_the_gap_in_zero_to_eps(monkeypatch, low, high,
+                                                    ok):
+    monkeypatch.setattr(refine, "_gap_range", lambda f, g: (low, high))
+    if ok:
+        assert nice_restrict(unit_square(), [(F(1, 2), F(1, 2))],
+                             F(1, 4))[2]["gap_ok"]
+    else:
+        with pytest.raises(CertificationFailed, match="no certified"):
+            nice_restrict(unit_square(), [(F(1, 2), F(1, 2))], F(1, 4))
 
 
 def _gcd_norm(v):
