@@ -8,7 +8,9 @@ are byte-reproducible for a fixed seed.
 Exit codes: 0 ok, 2 parse error, 3 domain violation, 4 nonconvergence
 (step-limit stop), 5 certificate failure.  Every input file goes through
 one reader, `_read`, and `main` holds the only mapping from exceptions to
-exit codes, `FAILURES`; the commands themselves catch nothing.
+exit codes, `FAILURES`; the commands themselves catch nothing.  `main` also
+owns the output bundle: each command writes its files into it, and `main`
+writes the manifest once the command has returned.
 """
 
 from __future__ import annotations
@@ -197,26 +199,23 @@ def _require_interior(poly: QPolygon, pts) -> None:
         raise OutsideDomain("points must be interior")
 
 
-def cmd_wave(args, cfg: RunConfig) -> int:
+def cmd_wave(args, bundle: OutputBundle) -> int:
     f = _read(args.series, jsonio.series_from_json)
     p = _parse_point(args.point)
-    bundle = OutputBundle(cfg)
     g, ev = wave(f, p)
     bundle.write_json("event.json", jsonio.event_to_json(ev))
     bundle.write_json("series_after.json", jsonio.series_to_json(g))
     bundle.write_text("curve_before.svg", render_curve(extract_curve(f), points=[p]))
     bundle.write_text("curve_after.svg", render_curve(extract_curve(g), points=[p]))
-    bundle.finish()
     return EXIT_OK
 
 
-def cmd_dynamics(args, cfg: RunConfig) -> int:
+def cmd_dynamics(args, bundle: OutputBundle) -> int:
     poly = _read(args.domain, jsonio.polygon_from_json)
     pts = _read(args.points, _points_from_json)
     _require_interior(poly, pts)
-    bundle = OutputBundle(cfg)
     res = run_dynamics(zero_series(poly), pts, Schedule("round_robin"),
-                       tol=cfg.tol, max_steps=cfg.max_steps)
+                       tol=bundle.cfg.tol, max_steps=bundle.cfg.max_steps)
     lines = "\n".join(json.dumps(jsonio.event_to_json(e), sort_keys=True)
                       for e in res.events)
     bundle.write_text("events.jsonl", lines + ("\n" if lines else ""))
@@ -228,41 +227,35 @@ def cmd_dynamics(args, cfg: RunConfig) -> int:
     })
     bundle.write_text("final_curve.svg",
                       render_curve(extract_curve(res.final), points=pts))
-    bundle.finish()
     if res.stopped_reason == STEP_LIMIT:
         print("stopped at step limit", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     return EXIT_OK
 
 
-def cmd_stats(args, cfg: RunConfig) -> int:
+def cmd_stats(args, bundle: OutputBundle) -> int:
     poly = _read(args.domain, jsonio.polygon_from_json)
-    stats = avalanche_experiment(poly, args.n, args.trials, cfg.seed,
-                                 denom_bound=cfg.denom_bound,
-                                 max_steps=cfg.max_steps)
-    bundle = OutputBundle(cfg)
+    stats = avalanche_experiment(poly, args.n, args.trials, bundle.cfg.seed,
+                                 denom_bound=bundle.cfg.denom_bound,
+                                 max_steps=bundle.cfg.max_steps)
     bundle.write_json("stats.json", jsonio.stats_to_json(stats))
-    bundle.finish()
     return EXIT_OK
 
 
-def cmd_lift_check(args, cfg: RunConfig) -> int:
-    bundle = OutputBundle(cfg)
-    report = fuzz_lift(args.trials, seed=cfg.seed)
+def cmd_lift_check(args, bundle: OutputBundle) -> int:
+    report = fuzz_lift(args.trials, seed=bundle.cfg.seed)
     bundle.write_json("lift_report.json", {
         "trials": report["trials"],
         "degenerate_skipped": report["degenerate_skipped"],
         "failures": report["failures"],
         "seed": report["seed"],
     })
-    bundle.finish()
     return EXIT_OK if not report["failures"] else EXIT_CERTIFICATE
 
 
-def cmd_make_nice(args, cfg: RunConfig) -> int:
+def cmd_make_nice(args, bundle: OutputBundle) -> int:
     f = _read(args.series, jsonio.series_from_json)
     eps = jsonio.frac_from_str(args.eps)
-    bundle = OutputBundle(cfg)
     sub, g, steps = make_nice(f.domain, f, eps)
     bundle.write_json("plan.json", {
         "steps": [{
@@ -274,32 +267,28 @@ def cmd_make_nice(args, cfg: RunConfig) -> int:
     })
     bundle.write_json("polygon.json", jsonio.polygon_to_json(sub))
     bundle.write_json("series.json", jsonio.series_to_json(g))
-    bundle.finish()
     return EXIT_OK
 
 
-def cmd_verge(args, cfg: RunConfig) -> int:
+def cmd_verge(args, bundle: OutputBundle) -> int:
     poly = _read(args.domain, jsonio.polygon_from_json)
     eps = jsonio.frac_from_str(args.eps)
     degrees = _read(args.degrees, _degrees_from_json)
-    bundle = OutputBundle(cfg)
     g = verge_polynomial(poly, degrees, eps)
     bundle.write_json("series.json", jsonio.series_to_json(g))
     bundle.write_text("curve.svg", render_curve(extract_curve(g)))
-    bundle.finish()
     return EXIT_OK
 
 
-def cmd_coarsen(args, cfg: RunConfig) -> int:
+def cmd_coarsen(args, bundle: OutputBundle) -> int:
     poly = _read(args.domain, jsonio.polygon_from_json)
     pts = _read(args.points, _points_from_json)
     eps = jsonio.frac_from_str(args.eps)
     _require_interior(poly, pts)
-    bundle = OutputBundle(cfg)
     degrees = {hp.n: 1 for hp in poly.halfplanes}
     g = verge_polynomial(poly, degrees, eps)
     res = run_dynamics(g, pts, Schedule("round_robin"),
-                       tol=cfg.tol, max_steps=cfg.max_steps)
+                       tol=bundle.cfg.tol, max_steps=bundle.cfg.max_steps)
     plan, final, cert = coarsen_dynamics(g, res.events, eps)
     bundle.write_json("plan.json", {
         "M": jsonio.frac_to_str(plan.M),
@@ -309,17 +298,14 @@ def cmd_coarsen(args, cfg: RunConfig) -> int:
         "face_collapse_events": 0,
     })
     bundle.write_json("series.json", jsonio.series_to_json(final))
-    bundle.finish()
     return EXIT_OK
 
 
-def cmd_curve(args, cfg: RunConfig) -> int:
+def cmd_curve(args, bundle: OutputBundle) -> int:
     f = _read(args.series, jsonio.series_from_json)
-    bundle = OutputBundle(cfg)
     curve = extract_curve(f)
     bundle.write_json("curve.json", jsonio.curve_to_json(curve))
     bundle.write_text("curve.svg", render_curve(curve))
-    bundle.finish()
     return EXIT_OK
 
 
@@ -390,7 +376,10 @@ def main(argv=None) -> int:
 
     args = ap.parse_args(argv)
     try:
-        return args.fn(args, RunConfig.from_args(args))
+        bundle = OutputBundle(RunConfig.from_args(args))
+        code = args.fn(args, bundle)
+        bundle.finish()
+        return code
     except tuple(FAILURES) as exc:
         code, reason = next(row for kind, row in FAILURES.items()
                             if isinstance(exc, kind))

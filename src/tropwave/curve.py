@@ -8,7 +8,6 @@ with the function.  Everything is clipped to the closed domain.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -16,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import exactlp as lp
 from .exactlp import Point, Vec, cross, dot, vsub
 from .geometry import QPolygon, gcd2, primitive
-from .series import OutsideDomain, TropicalSeries
+from .series import TropicalSeries, values_at
 
 
 class CurveError(Exception):
@@ -53,13 +52,7 @@ class Edge:
     dual: Tuple[Vec, Vec]  # the two monomials whose regions meet here
 
     def direction(self) -> Vec:
-        d = vsub(self.b, self.a)
-        num = (d[0].numerator * d[1].denominator, d[1].numerator * d[0].denominator)
-        return primitive(num)
-
-    def length2(self) -> Fraction:
-        d = vsub(self.b, self.a)
-        return dot(d, d)
+        return primitive(vsub(self.b, self.a))
 
 
 @dataclass
@@ -115,16 +108,7 @@ def extract_curve(f: TropicalSeries) -> TropicalCurve:
 
 def attaining_monomials(f: TropicalSeries, z: Point) -> list[Vec]:
     """The monomials v with v.z + a_v = f(z), in support order."""
-    z = (Fraction(z[0]), Fraction(z[1]))
-    if isinstance(f.domain, QPolygon) and not f.domain.contains(z):
-        raise OutsideDomain(f"{z} is outside the domain")
-    # every value v.z + a_v times one common denominator q
-    q = math.lcm(z[0].denominator, z[1].denominator,
-                 *[a.denominator for a in f.support.values()])
-    X = z[0].numerator * (q // z[0].denominator)
-    Y = z[1].numerator * (q // z[1].denominator)
-    vals = [v[0] * X + v[1] * Y + a.numerator * (q // a.denominator)
-            for v, a in f.support.items()]
+    vals, _ = values_at(f, z)
     best = min(vals)
     return [v for v, val in zip(f.support, vals) if val == best]
 
@@ -202,8 +186,7 @@ def symplectic_area(curve: TropicalCurve) -> Optional[Fraction]:
 def _segment_area(a: Point, b: Point) -> Fraction:
     """|s| * (p . p) for the rational segment b - a = s * p, p primitive."""
     d = vsub(b, a)
-    p = primitive((d[0].numerator * d[1].denominator,
-                   d[1].numerator * d[0].denominator))
+    p = primitive(d)
     s = Fraction(d[0], p[0]) if p[0] != 0 else Fraction(d[1], p[1])
     return abs(s) * dot(p, p)
 

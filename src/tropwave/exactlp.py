@@ -13,8 +13,9 @@ from a built complex (`refine`'s certificates) are clipped, not enumerated.
 The enumeration itself is pure integer arithmetic: `basic_points` takes
 denominator-cleared constraints ``(A, B, C)`` (``A x + B y + C >= 0``, made
 by `int_constraints`) and returns homogeneous integer points ``(X, Y, W)``
-standing for ``(X / W, Y / W)``; `sort_ccw` orders such points, and
-`to_point` turns one into a `Fraction` point.
+standing for ``(X / W, Y / W)``; `sort_ccw` orders such points, `to_point`
+turns one into a `Fraction` point, and `homogeneous` turns a rational
+point back into its reduced triple.
 """
 
 from __future__ import annotations
@@ -73,6 +74,16 @@ def int_constraints(cons: Sequence[Constraint]) -> list[IntConstraint]:
 
 def to_point(h: Homogeneous) -> Point:
     return (Fraction(h[0], h[2]), Fraction(h[1], h[2]))
+
+
+def homogeneous(p: Point) -> Homogeneous:
+    """The reduced triple (X, Y, W), W > 0, standing for the point p, whose
+    coordinates are ints or Fractions: the inverse of `to_point`.  W is the
+    lcm of the two denominators, so no prime divides all three."""
+    x, y = p
+    W = math.lcm(x.denominator, y.denominator)
+    return (x.numerator * (W // x.denominator),
+            y.numerator * (W // y.denominator), W)
 
 
 def basic_points(ics: Sequence[IntConstraint]) -> list[Homogeneous]:

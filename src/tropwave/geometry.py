@@ -2,9 +2,13 @@
 admissibility, monomial truncation bounds, corners, and corner blow-ups.
 
 Polygons are bounded and stored as canonical intersections of half-planes
-with primitive integer inward normals; all coordinates are
-`fractions.Fraction`.  Values are immutable after construction, so
-everything here is safe to share.
+with primitive integer inward normals.  A polygon's sides, corners and
+integer forms all come from one integer vertex enumeration at
+construction; public coordinates are `fractions.Fraction`, and
+`hvertices` holds the same vertices as reduced integer triples.
+`primitive` is the one place a rational direction is cleared of
+denominators.  Values are immutable after construction, so everything here
+is safe to share.
 """
 
 from __future__ import annotations
@@ -42,12 +46,16 @@ def gcd2(v: Vec) -> int:
     return math.gcd(abs(v[0]), abs(v[1]))
 
 
-def primitive(v: Vec) -> Vec:
-    """The primitive vector with the same direction as v (v nonzero)."""
-    g = gcd2(v)
+def primitive(v) -> Vec:
+    """The primitive integer vector with the same direction as the nonzero
+    integer or rational vector v: v is scaled by the product of its two
+    denominators, then divided by the gcd of the integer vector."""
+    x, y = v
+    X, Y = x.numerator * y.denominator, y.numerator * x.denominator
+    g = math.gcd(X, Y)
     if g == 0:
         raise GeometryError("zero vector has no direction")
-    return (v[0] // g, v[1] // g)
+    return (X // g, Y // g)
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -106,10 +114,14 @@ class QPolygon:
     interior.
 
     Canonical form: redundant half-planes removed, normals primitive, sorted
-    by angle; the vertex cycle (CCW), the sides, and the constraints with
-    denominators cleared are cached.  A system whose normals do not
-    positively span the plane is unbounded or empty and is rejected.
-    Structural equality compares the canonical half-plane lists.
+    by angle.  One integer enumeration of the vertices (`exactlp.basic_points`
+    on the denominator-cleared constraints) fixes everything else at
+    construction: the vertex cycle (CCW) as ``vertices`` and, reduced and
+    homogeneous, as ``hvertices``; the integer constraints; and, from which
+    vertices lie on which constraint's line, the sides and the corners.  A
+    system whose normals do not positively span the plane is unbounded or
+    empty and is rejected.  Structural equality compares the canonical
+    half-plane lists.
     """
 
     def __init__(self, halfplanes: Sequence[HalfPlane]):
@@ -124,73 +136,67 @@ class QPolygon:
         if not all(lp.cone_contains(list(best), d)
                    for d in ((1, 0), (-1, 0), (0, 1), (0, -1))):
             raise GeometryError("polygon must be bounded")
+        normals = list(best)
         ics = lp.int_constraints(best.items())
         hverts = lp.basic_points(ics)
-        # a half-plane supports an edge iff its line holds two vertices
-        edge_normals = [n for n, (A, B, C) in zip(best, ics)
-                        if sum(A * X + B * Y + C * W == 0
-                               for X, Y, W in hverts) >= 2]
-        if len(edge_normals) < 3:
+        on_line = [[h for h in hverts if A * h[0] + B * h[1] + C * h[2] == 0]
+                   for A, B, C in ics]
+        # a half-plane supports an edge iff its line holds two vertices;
+        # every vertex is extreme, so then it holds exactly two
+        edges = [i for i, hs in enumerate(on_line) if len(hs) >= 2]
+        if len(edges) < 3:
             raise EmptyInterior("polygon must have nonempty interior")
+        order = [edges[k] for k in lp.angle_order([normals[i] for i in edges])]
         self.halfplanes: tuple[HalfPlane, ...] = tuple(
-            HalfPlane(edge_normals[i], best[edge_normals[i]])
-            for i in lp.angle_order(edge_normals))
-        self._cons = [hp.constraint() for hp in self.halfplanes]
-        self._int_cons = tuple(lp.int_constraints(self._cons))
-        self.vertices: tuple[Point, ...] = tuple(
-            lp.to_point(h) for h in lp.sort_ccw(hverts))
-        self._sides: Optional[list[tuple[HalfPlane, Point, Point]]] = None
+            HalfPlane(normals[i], best[normals[i]]) for i in order)
+        self._int_cons = tuple(ics[i] for i in order)
+        self.hvertices: tuple[lp.Homogeneous, ...] = tuple(lp.sort_ccw(hverts))
+        point = {h: lp.to_point(h) for h in self.hvertices}
+        self.vertices: tuple[Point, ...] = tuple(point.values())
+        # a side runs between its two vertices in the direction (-n1, n0)
+        sides = []
+        incident: dict[lp.Homogeneous, list[Vec]] = {h: [] for h in self.hvertices}
+        for hp, i in zip(self.halfplanes, order):
+            h, k = on_line[i]
+            d0, d1 = -hp.n[1], hp.n[0]
+            if (d0 * k[0] + d1 * k[1]) * h[2] < (d0 * h[0] + d1 * h[1]) * k[2]:
+                h, k = k, h
+            sides.append((hp, point[h], point[k]))
+            incident[h].append(hp.n)
+            incident[k].append(hp.n)
+        self._sides = tuple(sides)
+        self._corners = tuple(Corner(point[h], tuple(ns))
+                              for h, ns in incident.items())
 
     # -- basic queries -------------------------------------------------
 
     def constraints(self) -> list[Constraint]:
-        return list(self._cons)
+        return [hp.constraint() for hp in self.halfplanes]
 
     def int_constraints(self) -> tuple[lp.IntConstraint, ...]:
         """The constraints with denominators cleared, in the same order."""
         return self._int_cons
 
     def contains(self, p: Point, strict: bool = False) -> bool:
-        """Is p in the closed polygon (in its interior if strict)?  Exact:
-        p = (X, Y) / q is tested against the integer constraints."""
-        x, y = Fraction(p[0]), Fraction(p[1])
-        q = x.denominator * y.denominator
-        X, Y = x.numerator * y.denominator, y.numerator * x.denominator
+        """Is p, with int or Fraction coordinates, in the closed polygon
+        (in its interior if strict)?  Exact: p = (X, Y) / W is tested
+        against the integer constraints."""
+        X, Y, W = lp.homogeneous(p)
         if strict:
-            return all(A * X + B * Y + C * q > 0 for A, B, C in self._int_cons)
-        return all(A * X + B * Y + C * q >= 0 for A, B, C in self._int_cons)
+            return all(A * X + B * Y + C * W > 0 for A, B, C in self._int_cons)
+        return all(A * X + B * Y + C * W >= 0 for A, B, C in self._int_cons)
 
     def area(self) -> Fraction:
         return lp.polygon_area(self.vertices)
 
     def sides(self) -> list[tuple[HalfPlane, Point, Point]]:
         """Each essential half-plane with the endpoints of its edge."""
-        if self._sides is None:
-            out = []
-            for hp in self.halfplanes:
-                on_line = [v for v in self.vertices if dot(hp.n, v) + hp.a == 0]
-                if len(on_line) < 2:
-                    raise GeometryError("essential side with fewer than two vertices")
-                d = (-hp.n[1], hp.n[0])
-                on_line.sort(key=lambda v: dot(d, v))
-                out.append((hp, on_line[0], on_line[-1]))
-            self._sides = out
         return list(self._sides)
 
     def corners(self) -> list[Corner]:
-        """Corners with the inward normals of the two incident sides."""
-        incident: dict[Point, list[Vec]] = {v: [] for v in self.vertices}
-        for hp in self.halfplanes:
-            for v in self.vertices:
-                if dot(hp.n, v) + hp.a == 0:
-                    incident[v].append(hp.n)
-        out = []
-        for v in self.vertices:
-            ns = incident[v]
-            if len(ns) != 2:
-                raise GeometryError("degenerate corner")
-            out.append(Corner(v, (ns[0], ns[1])))
-        return out
+        """Corners with the inward normals of the two incident sides, in
+        half-plane order."""
+        return list(self._corners)
 
     def side_of(self, n: Vec) -> tuple[HalfPlane, Point, Point]:
         n = primitive(n)
@@ -224,12 +230,8 @@ class QPolygon:
         for i in range(m):
             a, b = hull[i], hull[(i + 1) % m]
             d = vsub(b, a)
-            n = (-d[1], d[0])  # inward for CCW hull
-            # clear denominators to get an integer normal
-            den = (n[0].denominator if isinstance(n[0], Fraction) else 1) * (
-                n[1].denominator if isinstance(n[1], Fraction) else 1)
-            ni = (int(n[0] * den), int(n[1] * den))
-            hps.append(HalfPlane(primitive(ni), -Fraction(dot(primitive(ni), a))))
+            n = primitive((-d[1], d[0]))  # inward for CCW hull
+            hps.append(HalfPlane(n, -dot(n, a)))
         return QPolygon(hps)
 
     @staticmethod

@@ -28,9 +28,9 @@ from . import exactlp as lp
 from .exactlp import Point, Vec, cross, dot
 from .geometry import (EmptyInterior, GeometryError, HalfPlane, QPolygon,
                        is_unimodular, primitive, xgcd)
-from .series import (BoundaryMismatch, SeriesError, Support, TropicalSeries,
-                     _clip, add_monomial, evaluate, is_nice, quasi_degree,
-                     zero_series)
+from .series import (SeriesError, Support, TropicalSeries, _clip,
+                     add_monomial, evaluate, is_nice, nice_degrees,
+                     quasi_degree, zero_series)
 from .curve import classify_vertex, curves_within, extract_curve
 from .wave import STABILIZED, WaveEvent, run_dynamics, wave
 
@@ -112,8 +112,9 @@ def level_shift_check(domain: QPolygon, points: Sequence[Point],
     if big.stopped_reason != STABILIZED:
         raise RefineError("outer dynamics did not stabilize")
     for p in points:
-        if evaluate(big.final, p) < eps:
-            raise HypothesisViolated(f"f(p) < eps at {p}")
+        # f(p) = eps puts p on the boundary of the level set
+        if evaluate(big.final, p) <= eps:
+            raise HypothesisViolated(f"f(p) <= eps at {p}")
     inner_poly = level_set_polygon(big.final, eps)
     small = run_dynamics(zero_series(inner_poly), points)
     if small.stopped_reason != STABILIZED:
@@ -393,15 +394,12 @@ def verge_polynomial(poly: QPolygon, degrees: Dict[Vec, int],
     if not is_unimodular(poly):
         raise RefineError("polygon must be unimodular")
     ndeg = {primitive(n): int(m) for n, m in degrees.items()}
-    sides = [hp.n for hp in poly.halfplanes]
-    if set(ndeg) != set(sides):
+    if set(ndeg) != {hp.n for hp in poly.halfplanes}:
         raise RefineError("degree map must cover exactly the sides")
     if any(m < 1 for m in ndeg.values()):
         raise RefineError("degrees must be positive")
-    k = len(sides)
-    for i, n in enumerate(sides):
-        if ndeg[n] > 1 and (ndeg[sides[(i - 1) % k]] != 1 or ndeg[sides[(i + 1) % k]] != 1):
-            raise RefineError("quasi-degree is not nice")
+    if not nice_degrees(poly, ndeg):
+        raise RefineError("quasi-degree is not nice")
     # eps below the inradius: an eroded polygon must keep interior
     eroded = []
     for hp in poly.halfplanes:
@@ -428,7 +426,7 @@ def verge_polynomial(poly: QPolygon, degrees: Dict[Vec, int],
         terms[(0, 0)] = min(cap, terms.get((0, 0), cap))
         try:
             g = TropicalSeries(poly, terms)
-        except (SeriesError, BoundaryMismatch):
+        except SeriesError:
             delta /= 2
             continue
         if quasi_degree(g) != ndeg:

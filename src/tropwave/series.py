@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from . import exactlp as lp
 from .exactlp import Point, Vec, cross, dot
-from .geometry import (ConvexDomain, QPolygon, SupportOracle, primitive,
-                       support_coeff)
+from .geometry import ConvexDomain, QPolygon, SupportOracle, support_coeff
 
 
 class SeriesError(Exception):
@@ -67,21 +66,18 @@ class TropicalSeries:
     """
 
     def __init__(self, domain: ConvexDomain, support: Support, *,
-                 canonical: bool = False, truncated: bool = False):
+                 canonical: bool = False):
         self.domain = domain
-        self.truncated = truncated
+        # Oracle domains carry presentations verbatim; the boundary cannot
+        # be certified, so such a series is flagged truncated.
+        self.truncated = isinstance(domain, SupportOracle)
         self._cells: Optional[dict] = None
         self._complex: Optional[_Complex] = None
         self._quasi_degree = None
         support = {tuple(v): Fraction(a) for v, a in support.items()}
         if not support:
             raise SeriesError("series needs at least one monomial")
-        if isinstance(domain, SupportOracle):
-            # Oracle domains carry presentations verbatim; the boundary
-            # cannot be certified, so the series is flagged truncated.
-            self.support = dict(sorted(support.items()))
-            self.truncated = True
-        elif canonical:
+        if self.truncated or canonical:
             self.support = dict(sorted(support.items()))
         else:
             self.support = _small_canonical_terms(domain, support)
@@ -151,10 +147,7 @@ class _Complex:
         scale = math.lcm(*[a.denominator for a in support.values()])
         alpha = {v: a.numerator * (scale // a.denominator)
                  for v, a in support.items()}
-        dden = math.lcm(*[c.denominator for p in domain.vertices for c in p])
-        dverts = [(x.numerator * (dden // x.denominator),
-                   y.numerator * (dden // y.denominator), dden)
-                  for x, y in domain.vertices]
+        domain_verts = domain.hvertices
         hcells = {}
         for v, av in alpha.items():
             cuts = []
@@ -164,10 +157,9 @@ class _Complex:
                 A, B, C = scale * (w[0] - v[0]), scale * (w[1] - v[1]), aw - av
                 # keep the constraint only if it cuts the domain: a domain
                 # vertex violates it (exact by convexity)
-                Cd = C * dden
-                if any(A * X + B * Y + Cd < 0 for X, Y, _ in dverts):
+                if any(A * X + B * Y + C * W < 0 for X, Y, W in domain_verts):
                     cuts.append((A, B, C))
-            cell = _clip(dverts, cuts)
+            cell = _clip(domain_verts, cuts)
             tight = [(A, B, C) for A, B, C in [*domain.int_constraints(), *cuts]
                      if any(A * X + B * Y + C * W == 0 for X, Y, W in cell)]
             hcells[v] = lp.sort_ccw(lp.basic_points(tight))
@@ -195,7 +187,7 @@ class _Complex:
                         self.denom)
 
 
-def _clip(poly: list, cuts: list) -> list:
+def _clip(poly: Sequence, cuts: list) -> list:
     """The convex polygon ``poly`` (homogeneous points (X, Y, W), W > 0, in
     cyclic order) cut by each half-plane A x + B y + C >= 0 in turn.
 
@@ -232,11 +224,24 @@ def _clip(poly: list, cuts: list) -> list:
     return poly
 
 
-def evaluate(f: TropicalSeries, z: Point) -> Fraction:
+def values_at(f: TropicalSeries, z: Point) -> tuple[list[int], int]:
+    """Every monomial of f at z in integers: (vals, q) with q > 0 the lcm of
+    the denominators of z and of the coefficients, and vals[i] = q (v.z + a_v)
+    for the i-th monomial v in support order.  Raises OutsideDomain if z is
+    outside a polygon domain."""
     z = (Fraction(z[0]), Fraction(z[1]))
     if isinstance(f.domain, QPolygon) and not f.domain.contains(z):
         raise OutsideDomain(f"{z} is outside the domain")
-    return min(dot(v, z) + a for v, a in f.support.items())
+    X, Y, W = lp.homogeneous(z)
+    q = math.lcm(W, *[a.denominator for a in f.support.values()])
+    X, Y = X * (q // W), Y * (q // W)
+    return [v[0] * X + v[1] * Y + a.numerator * (q // a.denominator)
+            for v, a in f.support.items()], q
+
+
+def evaluate(f: TropicalSeries, z: Point) -> Fraction:
+    vals, q = values_at(f, z)
+    return Fraction(min(vals), q)
 
 
 def zero_series(domain: ConvexDomain) -> TropicalSeries:
@@ -270,7 +275,7 @@ def _presentation_side_degrees(domain: QPolygon, terms: Support) -> Dict[Vec, in
     vanishing monomial present in the presentation; raises if a side has
     none (the function would not vanish there)."""
     out: Dict[Vec, int] = {}
-    for hp, _, _ in domain.sides():
+    for hp in domain.halfplanes:
         ms = [m for m in (_side_vanishing_multiplier(hp, t) for t in terms.items())
               if m is not None]
         if not ms:
@@ -344,7 +349,7 @@ def distance_function(domain: ConvexDomain) -> TropicalSeries:
         raise NotAdmissible("domain is not admissible")
     if isinstance(domain, SupportOracle):
         terms = {v: -c for v, c in domain.support_values() if v != (0, 0)}
-        return TropicalSeries(domain, terms, truncated=True)
+        return TropicalSeries(domain, terms)
     degrees = {hp.n: 1 for hp in domain.halfplanes}
     cands = _candidate_hull(domain, degrees)
     terms: Support = {}
@@ -398,16 +403,16 @@ def is_nice(f: TropicalSeries) -> bool:
         raise SeriesError("niceness requires a polygon domain")
     if not is_unimodular(f.domain):
         return False
-    deg = quasi_degree(f)
-    sides = [hp.n for hp in f.domain.halfplanes]  # sorted by angle = cyclic order
+    return nice_degrees(f.domain, quasi_degree(f))
+
+
+def nice_degrees(domain: QPolygon, deg: Dict[Vec, int]) -> bool:
+    """Does every side of degree > 1 lie between two sides of degree 1?
+    ``deg`` maps each side's primitive normal to its degree."""
+    sides = [hp.n for hp in domain.halfplanes]  # sorted by angle = cyclic order
     k = len(sides)
-    for i, n in enumerate(sides):
-        if deg[n] > 1:
-            left = deg[sides[(i - 1) % k]]
-            right = deg[sides[(i + 1) % k]]
-            if left != 1 or right != 1:
-                return False
-    return True
+    return all(deg[sides[i - 1]] == 1 and deg[sides[(i + 1) % k]] == 1
+               for i, n in enumerate(sides) if deg[n] > 1)
 
 
 def add_monomial(f: TropicalSeries, v: Vec, c: Fraction) -> TropicalSeries:
@@ -431,7 +436,7 @@ def add_monomial(f: TropicalSeries, v: Vec, c: Fraction) -> TropicalSeries:
     envelope: Support = dict(f.support)
     envelope[v] = a_v + c
     old_degrees = _presentation_side_degrees(f.domain, f.support)
-    for hp, _, _ in f.domain.sides():
+    for hp in f.domain.halfplanes:
         m = _side_vanishing_multiplier(hp, (v, a_v))
         if m is not None and m == old_degrees[hp.n]:
             nxt = ((m + 1) * hp.n[0], (m + 1) * hp.n[1])

@@ -128,9 +128,8 @@ def _second_min_at(f: TropicalSeries, p: Point, exclude: Vec) -> Fraction:
     """
     cx = f._int_complex()
     D = cx.denom
-    q = math.lcm(p[0].denominator, p[1].denominator)
-    P0 = p[0].numerator * (q // p[0].denominator) * D
-    P1 = p[1].numerator * (q // p[1].denominator) * D
+    P0, P1, q = lp.homogeneous(p)
+    P0, P1 = P0 * D, P1 * D
     rows = [(P0 - q * X, P1 - q * Y, q * F) for X, Y, F in cx.table]
 
     def G(u0, u1):
@@ -139,12 +138,10 @@ def _second_min_at(f: TropicalSeries, p: Point, exclude: Vec) -> Fraction:
     v0, v1 = exclude
     B = min(G(v0 + 1, v1), G(v0 - 1, v1), G(v0, v1 + 1), G(v0, v1 - 1))
     # f vanishes at the domain vertices, so G(u) <= B implies
-    # a u0 + b u1 <= B for their rows: the polygon R
-    vrows = []
-    for x, y in f.domain.vertices:
-        X = x.numerator * (D // x.denominator)
-        Y = y.numerator * (D // y.denominator)
-        vrows.append((P0 - q * X, P1 - q * Y))
+    # a u0 + b u1 <= B for their rows: the polygon R.  Each domain vertex
+    # is a complex vertex, so its W divides D.
+    vrows = [(P0 - q * X * (D // W), P1 - q * Y * (D // W))
+             for X, Y, W in f.domain.hvertices]
     corners = lp.basic_points([(-a, -b, B) for a, b in vrows])
 
     def line_range(e):
@@ -290,15 +287,19 @@ def _apply(T, u):
     return (T[0][0] * u[0] + T[0][1] * u[1], T[1][0] * u[0] + T[1][1] * u[1])
 
 
-def wave_family_scan(f: TropicalSeries, p: Point, samples: int = 4) -> PerestroikaReport:
+_FAMILY_SAMPLES = 4
+
+
+def wave_family_scan(f: TropicalSeries, p: Point) -> PerestroikaReport:
     """Analyze the curve family of Add^{c t} for t in [0, 1] at the wave at p.
 
     For each side of the face of p: the neighbor exponents (n1, n2) in the
     normalized coordinates of the local model min(0, y, x + n1 y, -x + n2 y + 1),
     the side-length derivative sign (shrinking iff n1 + n2 < 2), and the
     parameter t where the side length reaches zero.  Events are classified
-    per the face-contraction trichotomy; `samples` intermediate parameters
-    are replayed exactly to cross-check the linear side-length model.
+    per the face-contraction trichotomy; `_FAMILY_SAMPLES` intermediate
+    parameters are replayed exactly to cross-check the linear side-length
+    model.
     """
     p = (Fraction(p[0]), Fraction(p[1]))
     g, ev = wave(f, p)
@@ -390,8 +391,8 @@ def wave_family_scan(f: TropicalSeries, p: Point, samples: int = 4) -> Perestroi
         events = [e for e in events if e.t < 1] + [FamilyEvent(Fraction(1), kind, None)]
 
     # cross-check at sampled parameters: the face of p survives for t < 1
-    for k in range(1, samples + 1):
-        t = Fraction(k, samples + 1)
+    for k in range(1, _FAMILY_SAMPLES + 1):
+        t = Fraction(k, _FAMILY_SAMPLES + 1)
         ft = add_monomial(f, v, c * t)
         att = attaining_monomials(ft, p)
         if att != [v]:
@@ -542,16 +543,19 @@ def avalanche_experiment(poly: QPolygon, n: int, trials: int, seed: int = 0, *,
     }
 
 
-def _dyadic_histogram(areas: Sequence[Fraction], bins: int = 16) -> list:
+_HISTOGRAM_BINS = 16
+
+
+def _dyadic_histogram(areas: Sequence[Fraction]) -> list:
+    """Counts of the positive areas in `_HISTOGRAM_BINS` equal bins
+    (lo, hi] up to the largest."""
     if not areas:
         return []
     hi = max(areas)
-    if hi == 0:
-        return []
     out = []
-    for k in range(bins):
-        lo_edge = hi * Fraction(k, bins)
-        hi_edge = hi * Fraction(k + 1, bins)
-        count = sum(1 for a in areas if lo_edge < a <= hi_edge or (k == 0 and a == 0))
+    for k in range(_HISTOGRAM_BINS):
+        lo_edge = hi * Fraction(k, _HISTOGRAM_BINS)
+        hi_edge = hi * Fraction(k + 1, _HISTOGRAM_BINS)
+        count = sum(1 for a in areas if lo_edge < a <= hi_edge)
         out.append({"lo": lo_edge, "hi": hi_edge, "count": count})
     return out

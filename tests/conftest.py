@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -108,6 +109,65 @@ def ref_cell_constraints(f: TropicalSeries, v):
         if min(dot(n, z) + a for z in f.domain.vertices) < 0:
             cons.append((n, a))
     return cons
+
+
+def ref_vertices(poly: QPolygon):
+    """The vertices of the polygon by `Fraction` arithmetic: every pairwise
+    boundary intersection that satisfies each constraint, counterclockwise
+    around their centroid from angle 0."""
+    cons = poly.constraints()
+    pts = []
+    for i, c1 in enumerate(cons):
+        for c2 in cons[i + 1:]:
+            z = lp.boundary_intersection(c1, c2)
+            if (z is not None and z not in pts
+                    and all(dot(n, z) + a >= 0 for n, a in cons)):
+                pts.append(z)
+    m = len(pts)
+    cx, cy = sum(z[0] for z in pts) / m, sum(z[1] for z in pts) / m
+    return [pts[i] for i in lp.angle_order([(x - cx, y - cy) for x, y in pts])]
+
+
+def ref_sides(poly: QPolygon):
+    """Each half-plane with the first and last of the vertices on its line,
+    ordered by their dot with (-n1, n0), in `Fraction`s."""
+    out = []
+    for hp in poly.halfplanes:
+        on_line = [v for v in poly.vertices if dot(hp.n, v) + hp.a == 0]
+        d = (-hp.n[1], hp.n[0])
+        on_line.sort(key=lambda v: dot(d, v))
+        out.append((hp, on_line[0], on_line[-1]))
+    return out
+
+
+def ref_corners(poly: QPolygon):
+    """Per vertex, the apex and the normals of the half-planes whose lines
+    pass through it, in half-plane order, in `Fraction`s."""
+    return [(v, tuple(hp.n for hp in poly.halfplanes
+                      if dot(hp.n, v) + hp.a == 0))
+            for v in poly.vertices]
+
+
+def ref_int_constraints(poly: QPolygon):
+    """n . z + a >= 0 times the denominator of a (n is an integer vector)."""
+    return [(hp.n[0] * hp.a.denominator, hp.n[1] * hp.a.denominator,
+             hp.a.numerator) for hp in poly.halfplanes]
+
+
+def ref_values(f: TropicalSeries, z):
+    """v . z + a_v for every monomial of f, in support order, in
+    `Fraction`s."""
+    z = (F(z[0]), F(z[1]))
+    return [dot(v, z) + a for v, a in f.support.items()]
+
+
+def ref_primitive(v):
+    """The primitive integer direction of a rational vector by the product
+    of its denominators."""
+    den = F(v[0]).denominator * F(v[1]).denominator
+    x, y = int(v[0] * den), int(v[1] * den)
+    g = math.gcd(x, y)
+    return (x // g, y // g)
 
 
 @pytest.fixture

@@ -52,8 +52,10 @@ class TestWaveCommand:
                      "1/3,1/2"]) == 0
         with open(os.path.join(out, "event.json")) as fh:
             assert json.load(fh)["increment"] == "0/1"
-        before = open(os.path.join(out, "curve_before.svg")).read()
-        after = open(os.path.join(out, "curve_after.svg")).read()
+        with open(os.path.join(out, "curve_before.svg")) as fh:
+            before = fh.read()
+        with open(os.path.join(out, "curve_after.svg")) as fh:
+            after = fh.read()
         assert before == after
 
     def test_outside_point_exit_3(self, files):
@@ -196,7 +198,8 @@ class TestDynamicsCommand:
                      str(files / "square.json"), str(files / "points.json")]) == 4
         with open(os.path.join(out, "result.json")) as fh:
             assert json.load(fh)["steps"] == 0
-        assert open(os.path.join(out, "events.jsonl")).read() == ""
+        with open(os.path.join(out, "events.jsonl")) as fh:
+            assert fh.read() == ""
         # with no points the start is already stabilized
         jsonio.dump({"points": []}, tmp_path / "none.json")
         assert main(["--out", str(files / "d00"), "--max-steps", "0",
@@ -216,8 +219,10 @@ class TestStatsCommand:
             assert main(["--out", out, "--seed", "9", "stats",
                          str(files / "square.json"), "--n", "3",
                          "--trials", "2"]) == 0
-        b1 = open(os.path.join(o1, "stats.json"), "rb").read()
-        b2 = open(os.path.join(o2, "stats.json"), "rb").read()
+        with open(os.path.join(o1, "stats.json"), "rb") as fh:
+            b1 = fh.read()
+        with open(os.path.join(o2, "stats.json"), "rb") as fh:
+            b2 = fh.read()
         assert b1 == b2
         assert _manifest_digests(o1) == _manifest_digests(o2)
 

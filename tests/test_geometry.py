@@ -3,18 +3,23 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from tropwave.exactlp import cross, dot
+from tropwave import exactlp as lp
+from tropwave.curve import _segment_area
+from tropwave.exactlp import cross, dot, vsub
 from tropwave.geometry import (BadDirection, Corner, DistanceZero,
                                EmptyInterior, GeometryError, HalfPlane,
-                               QPolygon, SupportOracle, blow_up,
+                               QPolygon, SupportOracle, TooLarge, blow_up,
                                cone_lattice_contains, corner_is_unimodular,
-                               is_admissible, is_unimodular,
+                               is_admissible, is_unimodular, primitive,
                                relevant_monomials, support_coeff)
+from tropwave.refine import level_set_polygon
+from tropwave.series import evaluate
 
-from conftest import (pentagon, random_polygon, ref_polytope_vertices,
-                      unit_square)
+from conftest import (pentagon, random_polygon, random_series,
+                      ref_corners, ref_int_constraints, ref_polytope_vertices,
+                      ref_primitive, ref_sides, ref_vertices, unit_square)
 
 
 def disk_oracle(radius=6):
@@ -346,3 +351,59 @@ def test_contains_matches_fraction_reference(kind, seed):
     for p in pts:
         for strict in (False, True):
             assert poly.contains(p, strict) == ref_contains(poly, p, strict)
+
+
+# -- the one enumeration against the Fraction scans ---------------------------
+
+COORDS = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+
+
+@st.composite
+def polygons(draw):
+    """A polygon from rational (mostly non-lattice) points, a level set of
+    a few waves, or a corner blow-up."""
+    kind = draw(st.sampled_from(["vertices", "level_set", "blow_up"]))
+    if kind == "vertices":
+        pts = draw(st.lists(st.tuples(COORDS, COORDS), min_size=3, max_size=8))
+        hull = lp.convex_hull(pts)
+        assume(len(hull) >= 3 and lp.polygon_area(hull) > 0)
+        return QPolygon.from_vertices(pts)
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    poly = random_polygon(rng)
+    if kind == "level_set":
+        f = random_series(rng, poly, rng.randint(1, 3))
+        top = max(evaluate(f, z) for z in f.complex_vertices())
+        return level_set_polygon(f, top * F(rng.randint(1, 9), 10))
+    corner = rng.choice(poly.corners())
+    (a, b), (c, d) = corner.normals
+    i, j = rng.choice([(1, 0), (0, 1), (1, 1), (2, 1), (1, 3)])
+    try:
+        return blow_up(poly, corner, (i * a + j * c, i * b + j * d),
+                       F(1, rng.randint(2, 40)))
+    except TooLarge:
+        assume(False)
+
+
+@settings(max_examples=100)
+@given(polygons())
+def test_polygon_matches_fraction_scans(poly):
+    assert list(poly.vertices) == ref_vertices(poly)
+    assert poly.sides() == ref_sides(poly)
+    assert [(c.apex, c.normals) for c in poly.corners()] == ref_corners(poly)
+    assert list(poly.int_constraints()) == ref_int_constraints(poly)
+    assert [lp.to_point(h) for h in poly.hvertices] == list(poly.vertices)
+    assert [lp.homogeneous(z) for z in poly.vertices] == list(poly.hvertices)
+
+
+@given(COORDS, COORDS, COORDS, COORDS)
+def test_primitive_of_rational_vectors_matches_old_formulas(x, y, s, t):
+    assume((x, y) != (0, 0))
+    p = primitive((x, y))
+    assert p == ref_primitive((x, y))
+    # the cross-multiplied form that curve's edge directions used
+    X, Y = x.numerator * y.denominator, y.numerator * x.denominator
+    g = math.gcd(X, Y)
+    assert p == (X // g, Y // g)
+    # |s| (p . p) for b - a = s p is |(b - a) . p|
+    a, b = (s, t), (s + x, t + y)
+    assert _segment_area(a, b) == abs(dot(vsub(b, a), p))

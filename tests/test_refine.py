@@ -90,6 +90,13 @@ class TestLevelShift:
     def test_vacuous(self):
         assert level_shift_check(unit_square(), [], F(1, 4))
 
+    def test_point_on_the_level_set_boundary(self):
+        # f = 1/2 at (1/2, 1/2): the point lies on the boundary of the
+        # level set {f >= 1/2}, not inside it
+        with pytest.raises(HypothesisViolated):
+            level_shift_check(QPolygon.box(0, 0, 2, 2),
+                              [(F(1), F(1)), (F(1, 2), F(1, 2))], F(1, 2))
+
 
 class TestMakeNice:
     def test_identity_on_nice(self):

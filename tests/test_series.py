@@ -2,7 +2,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
+from tropwave.curve import attaining_monomials
 from tropwave.exactlp import dot
 from tropwave.geometry import QPolygon, SupportOracle
 from tropwave.series import (BoundaryMismatch, NegativeIncrement,
@@ -10,10 +12,10 @@ from tropwave.series import (BoundaryMismatch, NegativeIncrement,
                              add_monomial,
                              canonical_coefficient, distance_function,
                              evaluate, is_nice, make_series, quasi_degree,
-                             rho, zero_series)
+                             rho, values_at, zero_series)
 
 from conftest import pentagon, random_points, random_polygon, random_series, \
-    square13, unit_square
+    ref_values, square13, unit_square
 
 
 class TestEvaluate:
@@ -267,3 +269,34 @@ class TestSeriesValidation:
             poly = random_polygon(rng)
             f = random_series(rng, poly)
             assert jsonio.series_from_json(jsonio.series_to_json(f)) == f
+
+
+@given(st.sampled_from(["square", "pentagon", "random"]),
+       st.integers(0, 2 ** 32 - 1), st.integers(0, 3))
+def test_values_at_match_fraction_evaluation(kind, seed, n_waves):
+    """values_at, evaluate and attaining_monomials against v . z + a_v in
+    `Fraction`s, at the complex vertices, interior points and points of the
+    box around the domain (some outside it)."""
+    rng = random.Random(seed)
+    poly = {"square": unit_square, "pentagon": pentagon,
+            "random": lambda: random_polygon(rng)}[kind]()
+    f = random_series(rng, poly, n_waves)
+    pts = list(f.complex_vertices()) + random_points(rng, poly, 3)
+    xs = [v[0] for v in poly.vertices]
+    ys = [v[1] for v in poly.vertices]
+    for _ in range(6):
+        q = rng.randint(1, 40)
+        pts.append((F(rng.randint(int(min(xs) - 1) * q, int(max(xs) + 1) * q), q),
+                    F(rng.randint(int(min(ys) - 1) * q, int(max(ys) + 1) * q), q)))
+    for z in pts:
+        if not poly.contains(z):
+            for fn in (values_at, evaluate, attaining_monomials):
+                with pytest.raises(OutsideDomain):
+                    fn(f, z)
+            continue
+        ref = ref_values(f, z)
+        vals, q = values_at(f, z)
+        assert q > 0 and [F(v, q) for v in vals] == ref
+        assert evaluate(f, z) == min(ref)
+        assert attaining_monomials(f, z) == [
+            v for v, r in zip(f.support, ref) if r == min(ref)]

@@ -187,6 +187,24 @@ def test_second_min_matches_lattice_scan(kind, seed, n_waves, where, d, s):
     assert _second_min_at(f, p, att[0]) == ref_second_min_at(f, p, att[0])
 
 
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=0, max_value=3))
+def test_second_min_on_domains_with_rational_vertices(seed, n_waves):
+    """A random polygon moved off the lattice by a rational shift: the
+    domain-vertex rows scale each homogeneous vertex to the complex's
+    denominator, and non-lattice vertices make that scaling matter."""
+    rng = random.Random(seed)
+    q = rng.randint(2, 5)
+    sx, sy = F(rng.randint(1, q - 1), q), F(rng.randint(0, q - 1), q)
+    poly = QPolygon.from_vertices([(x + sx, y + sy)
+                                   for x, y in random_polygon(rng).vertices])
+    f = random_series(rng, poly, n_waves)
+    p = random_points(rng, poly, 1)[0]
+    att = attaining_monomials(f, p)
+    assume(len(att) == 1)
+    assert _second_min_at(f, p, att[0]) == ref_second_min_at(f, p, att[0])
+
+
 @given(st.lists(st.tuples(st.integers(-50, 50), st.integers(-9, 9)),
                 min_size=1, max_size=6),
        st.integers(-40, 40), st.integers(0, 60))
