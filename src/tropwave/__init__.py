@@ -1,19 +1,21 @@
 """Exact tropical series and wave dynamics on rational convex polygons.
 
 The package implements, with exact rational arithmetic throughout: tropical
-series in small canonical form on Q-polygons (and truncated support oracles),
-the single-point wave operator and the multi-point dynamic it generates,
-corner-locus curves with vertex classification, balancing and tropical
-symplectic area, level-set and blow-up refinement machinery (nice-ification,
-the verge construction, certified coarse smooth replays), a characteristic-
-two lift of the wave with mechanical verification of its tropicalization
-identity, and an avalanche-statistics harness.
+series in small canonical form on Q-polygons (the kernel takes polygons
+only; `oracle` holds convex domains given by support coefficients and their
+truncated distance functions), the single-point wave operator and the
+multi-point dynamic it generates, corner-locus curves with vertex
+classification, balancing and tropical symplectic area, level-set and
+blow-up refinement machinery (nice-ification, the verge construction,
+certified coarse smooth replays), a characteristic-two lift of the wave with
+mechanical verification of its tropicalization identity, and an
+avalanche-statistics harness.
 """
 
-from .geometry import (ConvexDomain, Corner, HalfPlane, QPolygon,
-                       SupportOracle, blow_up, cone_lattice_contains,
-                       corner_is_unimodular, is_admissible, is_unimodular,
-                       relevant_monomials, support_coeff)
+from .geometry import (Corner, HalfPlane, QPolygon, blow_up,
+                       cone_lattice_contains, corner_is_unimodular,
+                       is_unimodular, relevant_monomials, support_coeff)
+from .oracle import SupportOracle, is_admissible
 from .series import (TropicalSeries, add_monomial, canonical_coefficient,
                      distance_function, evaluate, is_nice, make_series,
                      quasi_degree, rho, zero_series)

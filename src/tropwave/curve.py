@@ -80,8 +80,6 @@ def extract_curve(f: TropicalSeries) -> TropicalCurve:
     edges; a monomial whose region is a segment (the midpoint of a composite
     dual edge) does not subdivide the weight of that edge.
     """
-    if not isinstance(f.domain, QPolygon):
-        raise CurveError("curve extraction requires a bounded polygon domain")
     cells = f.cells()
     support = sorted(v for v in f.support if lp.polygon_area(cells[v]) > 0)
     vert_sets = {v: set(cells[v]) for v in support}

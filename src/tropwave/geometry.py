@@ -1,5 +1,9 @@
 """Exact rational planar primitives: Q-polygons, support coefficients,
-admissibility, monomial truncation bounds, corners, and corner blow-ups.
+monomial truncation bounds, corners, and corner blow-ups.
+
+Every operation here takes a polygon; a construction guarantees its
+interior, so every polygon is an admissible domain.  Domains known only
+through support coefficients live in `tropwave.oracle`.
 
 Polygons are bounded and stored as canonical intersections of half-planes
 with primitive integer inward normals.  A polygon's sides, corners and
@@ -16,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 from . import exactlp as lp
 from .exactlp import Constraint, Point, Vec, cross, dot, vsub
@@ -244,109 +248,40 @@ class QPolygon:
         ])
 
 
-class SupportOracle:
-    """Convex domain given only through its support coefficients.
-
-    ``coeff(v)`` must return inf over the domain of v . z (a Fraction) or
-    None for minus infinity.  ``radius`` truncates every enumeration of
-    candidate monomials to |v|^2 <= radius^2; re-run with a larger radius to
-    certify stability on a compact of interest (the growth protocol is the
-    caller's responsibility).
-    """
-
-    def __init__(self, coeff: Callable[[Vec], Optional[Fraction]],
-                 radius: int, has_interior: bool = True):
-        if radius < 1:
-            raise GeometryError("truncation radius must be >= 1")
-        self.coeff = coeff
-        self.radius = radius
-        self.has_interior = has_interior
-
-    def support_values(self):
-        r2 = self.radius * self.radius
-        for i in range(-self.radius, self.radius + 1):
-            for j in range(-self.radius, self.radius + 1):
-                if i * i + j * j <= r2:
-                    c = self.coeff((i, j))
-                    if c is not None:
-                        yield ((i, j), Fraction(c))
-
-
-ConvexDomain = Union[QPolygon, SupportOracle]
-
-
 # -- operations ---------------------------------------------------------
 
 
-def support_coeff(domain: ConvexDomain, v: Vec) -> Optional[Fraction]:
-    """inf over the domain of v . z; None encodes minus infinity."""
-    if isinstance(domain, SupportOracle):
-        c = domain.coeff(tuple(v))
-        return None if c is None else Fraction(c)
+def support_coeff(domain: QPolygon, v: Vec) -> Fraction:
+    """min over the polygon of v . z, attained at a vertex."""
     return min(dot(v, p) for p in domain.vertices)
 
 
-def is_admissible(domain: ConvexDomain) -> bool:
-    """Nonempty interior and some nonzero monomial bounded below."""
-    if isinstance(domain, QPolygon):
-        return True  # construction guarantees interior; side normals qualify
-    if not domain.has_interior:
-        return False
-    return any(v != (0, 0) for v, _ in domain.support_values())
+def relevant_monomials(domain: QPolygon, K: Sequence[Point],
+                       C: Fraction) -> set[Vec]:
+    """Monomials that can contribute at level <= C on the points K.
 
-
-def relevant_monomials(domain: ConvexDomain, K, C: Fraction) -> set[Vec]:
-    """Monomials that can contribute at level <= C on the compact K.
-
-    K may be a point, an iterable of points, or a QPolygon strictly
-    inside the domain.  Returns exactly the set of v such that some monomial
-    v . z + d, nonnegative on the domain, is <= C somewhere on K; this
-    contains the minimal such set required by the truncation estimate.
+    K is a sequence of points strictly inside the domain (the vertices of
+    a compact inside it, say).  Returns exactly the set of v such that some
+    monomial v . z + d, nonnegative on the domain, is <= C somewhere on K;
+    this contains the minimal such set required by the truncation estimate.
     """
     C = Fraction(C)
     if C <= 0:
         raise GeometryError("C must be positive")
-    if isinstance(K, QPolygon):
-        kpts = list(K.vertices)
-    else:
-        kpts = list(K)
-        if kpts and not isinstance(kpts[0], (tuple, list)):
-            kpts = [tuple(K)]
-    kpts = [(Fraction(p[0]), Fraction(p[1])) for p in kpts]
-
-    def contributes(v: Vec, cv: Fraction) -> bool:
-        return min(dot(v, p) for p in kpts) - cv <= C
-
-    out: set[Vec] = set()
-    if isinstance(domain, SupportOracle):
-        for v, cv in domain.support_values():
-            if contributes(v, cv):
-                out.add(v)
-        out.add((0, 0))
-        return out
+    kpts = [(Fraction(x), Fraction(y)) for x, y in K]
+    if not all(domain.contains(p) for p in kpts):
+        raise GeometryError("K is not inside the domain")
     # exact distance bound: R^2 = min over sides/K-vertices of l_S(k)^2/|n|^2
-    r2: Optional[Fraction] = None
-    for hp in domain.halfplanes:
-        nn = Fraction(dot(hp.n, hp.n))
-        for p in kpts:
-            val = dot(hp.n, p) + hp.a
-            if val < 0:
-                raise GeometryError("K is not inside the domain")
-            d2 = val * val / nn
-            r2 = d2 if r2 is None else min(r2, d2)
+    r2 = min((dot(hp.n, p) + hp.a) ** 2 / dot(hp.n, hp.n)
+             for hp in domain.halfplanes for p in kpts)
     if r2 == 0:
         raise DistanceZero("K touches the boundary")
     bound = C * C / r2  # |v|^2 <= C^2 / R^2
-    radius = math.isqrt(math.ceil(bound))
-    for i in range(-radius - 1, radius + 2):
-        for j in range(-radius - 1, radius + 2):
-            if Fraction(i * i + j * j) > bound:
-                continue
-            v = (i, j)
-            if contributes(v, support_coeff(domain, v)):
-                out.add(v)
-    out.add((0, 0))
-    return out
+    radius = math.isqrt(math.ceil(bound)) + 1
+    disk = [(i, j) for i in range(-radius, radius + 1)
+            for j in range(-radius, radius + 1) if i * i + j * j <= bound]
+    return {v for v in disk if min(dot(v, p) for p in kpts)
+            - support_coeff(domain, v) <= C} | {(0, 0)}
 
 
 def corner_is_unimodular(corner: Corner) -> bool:

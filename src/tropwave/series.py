@@ -1,4 +1,4 @@
-"""Tropical series on convex rational domains.
+"""Tropical series on rational convex polygons.
 
 A series is the pointwise min of finitely many affine monomials
 ``i*x + j*y + a_ij`` with integer slopes, nonnegative on the domain and
@@ -8,7 +8,9 @@ the domain) and every stored monomial actually touches the function at some
 interior point.  The full canonical form over all of Z^2 is virtual and
 computed coefficient-by-coefficient on demand.
 
-Each polygon series builds its linearity complex once, on first use, in
+The kernel takes a `QPolygon` domain only (the constructor rejects any
+other; `tropwave.oracle` covers domains given by support coefficients).
+Each series builds its linearity complex once, on first use, in
 integers: each cell is the domain polygon clipped by the denominator-cleared
 dominance constraints one at a time, `exactlp.basic_points` on the few
 constraints tight at the clipped cell's vertices gives their order, the
@@ -27,7 +29,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from . import exactlp as lp
 from .exactlp import Point, Vec, cross, dot
-from .geometry import ConvexDomain, QPolygon, SupportOracle, support_coeff
+from .geometry import QPolygon, is_unimodular, support_coeff
 
 
 class SeriesError(Exception):
@@ -35,10 +37,6 @@ class SeriesError(Exception):
 
 
 class OutsideDomain(SeriesError):
-    pass
-
-
-class NotAdmissible(SeriesError):
     pass
 
 
@@ -58,26 +56,25 @@ Support = Dict[Vec, Fraction]
 
 
 class TropicalSeries:
-    """Finite sparse monomial map over a domain, in small canonical form.
+    """Finite sparse monomial map over a polygon, in small canonical form.
 
     Construct with ``canonical=True`` only when the support is already known
     to be a small canonical form (internal fast path); otherwise the
     presentation is renormalized.
     """
 
-    def __init__(self, domain: ConvexDomain, support: Support, *,
+    def __init__(self, domain: QPolygon, support: Support, *,
                  canonical: bool = False):
+        if not isinstance(domain, QPolygon):
+            raise SeriesError("a tropical series needs a polygon domain")
         self.domain = domain
-        # Oracle domains carry presentations verbatim; the boundary cannot
-        # be certified, so such a series is flagged truncated.
-        self.truncated = isinstance(domain, SupportOracle)
         self._cells: Optional[dict] = None
         self._complex: Optional[_Complex] = None
         self._quasi_degree = None
         support = {tuple(v): Fraction(a) for v, a in support.items()}
         if not support:
             raise SeriesError("series needs at least one monomial")
-        if self.truncated or canonical:
+        if canonical:
             self.support = dict(sorted(support.items()))
         else:
             self.support = _small_canonical_terms(domain, support)
@@ -104,8 +101,6 @@ class TropicalSeries:
     def cells(self) -> dict:
         """Monomial -> CCW vertex list of its (possibly degenerate) region."""
         if self._cells is None:
-            if not isinstance(self.domain, QPolygon):
-                raise SeriesError("the linearity complex requires a polygon domain")
             self._complex = _Complex(self.domain, self.support)
             self._cells = self._complex.cells
         return self._cells
@@ -228,9 +223,9 @@ def values_at(f: TropicalSeries, z: Point) -> tuple[list[int], int]:
     """Every monomial of f at z in integers: (vals, q) with q > 0 the lcm of
     the denominators of z and of the coefficients, and vals[i] = q (v.z + a_v)
     for the i-th monomial v in support order.  Raises OutsideDomain if z is
-    outside a polygon domain."""
+    outside the domain."""
     z = (Fraction(z[0]), Fraction(z[1]))
-    if isinstance(f.domain, QPolygon) and not f.domain.contains(z):
+    if not f.domain.contains(z):
         raise OutsideDomain(f"{z} is outside the domain")
     X, Y, W = lp.homogeneous(z)
     q = math.lcm(W, *[a.denominator for a in f.support.values()])
@@ -244,7 +239,7 @@ def evaluate(f: TropicalSeries, z: Point) -> Fraction:
     return Fraction(min(vals), q)
 
 
-def zero_series(domain: ConvexDomain) -> TropicalSeries:
+def zero_series(domain: QPolygon) -> TropicalSeries:
     return TropicalSeries(domain, {(0, 0): Fraction(0)}, canonical=True)
 
 
@@ -332,7 +327,7 @@ def _small_canonical_terms(domain: QPolygon, terms: Support) -> Support:
     return dict(sorted(kept.items()))
 
 
-def make_series(domain: ConvexDomain, support: Support) -> TropicalSeries:
+def make_series(domain: QPolygon, support: Support) -> TropicalSeries:
     """Public constructor: renormalizes the presentation."""
     return TropicalSeries(domain, support)
 
@@ -340,32 +335,18 @@ def make_series(domain: ConvexDomain, support: Support) -> TropicalSeries:
 # -- the spec operations ---------------------------------------------------
 
 
-def distance_function(domain: ConvexDomain) -> TropicalSeries:
+def distance_function(domain: QPolygon) -> TropicalSeries:
     """The weighted distance function: inf over nonzero monomials of the
     minimal affine form nonnegative on the domain."""
-    from .geometry import is_admissible
-
-    if not is_admissible(domain):
-        raise NotAdmissible("domain is not admissible")
-    if isinstance(domain, SupportOracle):
-        terms = {v: -c for v, c in domain.support_values() if v != (0, 0)}
-        return TropicalSeries(domain, terms)
     degrees = {hp.n: 1 for hp in domain.halfplanes}
-    cands = _candidate_hull(domain, degrees)
-    terms: Support = {}
-    for v in cands:
-        if v == (0, 0):
-            continue
-        c = support_coeff(domain, v)
-        terms[v] = -c
-    return TropicalSeries(domain, terms)
+    return TropicalSeries(domain, {v: -support_coeff(domain, v)
+                                   for v in _candidate_hull(domain, degrees)
+                                   if v != (0, 0)})
 
 
 def canonical_coefficient(f: TropicalSeries, v: Vec) -> Fraction:
     """sup over the domain of (f - v.z): the canonical-form coefficient."""
     v = tuple(v)
-    if isinstance(f.domain, SupportOracle) or not isinstance(f.domain, QPolygon):
-        raise SeriesError("canonical coefficients require a polygon domain")
     # a series' polygon is bounded, so every coefficient is finite
     if v in f.support:
         return f.support[v]
@@ -389,18 +370,12 @@ def quasi_degree(f: TropicalSeries) -> Dict[Vec, int]:
     """Per side (keyed by primitive inward normal): the multiplier of the
     monomial dominating near that side.  Zero only for the zero series."""
     if f._quasi_degree is None:
-        if not isinstance(f.domain, QPolygon):
-            raise SeriesError("quasi-degree requires a polygon domain")
         f._quasi_degree = _presentation_side_degrees(f.domain, f.support)
     return dict(f._quasi_degree)
 
 
 def is_nice(f: TropicalSeries) -> bool:
     """Unimodular polygon and quasi-degree with isolated >1 sides."""
-    from .geometry import is_unimodular
-
-    if not isinstance(f.domain, QPolygon):
-        raise SeriesError("niceness requires a polygon domain")
     if not is_unimodular(f.domain):
         return False
     return nice_degrees(f.domain, quasi_degree(f))
@@ -427,8 +402,6 @@ def add_monomial(f: TropicalSeries, v: Vec, c: Fraction) -> TropicalSeries:
     c = Fraction(c)
     if c < 0:
         raise NegativeIncrement("increment must be nonnegative")
-    if not isinstance(f.domain, QPolygon):
-        raise SeriesError("add_monomial requires a polygon domain")
     if c == 0:
         return f
     a_v = canonical_coefficient(f, v)

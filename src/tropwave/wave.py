@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import exactlp as lp
 from .exactlp import Point, Vec, dot, vsub
-from .geometry import QPolygon, xgcd
+from .geometry import QPolygon, gcd2, xgcd
 from .series import (OutsideDomain, TropicalSeries, add_monomial,
                      canonical_coefficient, clamp, distance_function,
                      evaluate, tropical_product, zero_series)
@@ -195,13 +195,12 @@ def _line_min(line: Sequence[Tuple[int, int]], lo: int, hi: int) -> int:
 def wave(f: TropicalSeries, p: Point, step: int = 0) -> Tuple[TropicalSeries, WaveEvent]:
     """One wave at p: the minimal increase making f non-smooth at p."""
     p = (Fraction(p[0]), Fraction(p[1]))
-    if not isinstance(f.domain, QPolygon) or not f.domain.contains(p, strict=True):
+    if not f.domain.contains(p, strict=True):
         raise OutsideDomain(f"wave point {p} must be interior")
     att = attaining_monomials(f, p)
-    if len(att) > 1:
-        v = att[0]
-        return f, WaveEvent(p, v, Fraction(0), Fraction(0), step)
     v = att[0]
+    if len(att) > 1:
+        return f, WaveEvent(p, v, Fraction(0), Fraction(0), step)
     rest = _second_min_at(f, p, v)
     c = rest - (dot(v, p) + f.support[v])
     if c <= 0:
@@ -335,7 +334,7 @@ def wave_family_scan(f: TropicalSeries, p: Point) -> PerestroikaReport:
         if u_a is None or u_b is None:
             raise UnclassifiableSide(f"side {v}-{w} lacks two neighbors")
         d = vsub(w, v)
-        if abs(math.gcd(abs(d[0]), abs(d[1]))) != 1:
+        if gcd2(d) != 1:
             raise UnclassifiableSide(f"side {v}-{w} has weight > 1")
         T = _unimodular_map_to(d)
         ta = _apply(T, vsub(u_a, v))
@@ -411,18 +410,20 @@ def sample_interior_points(poly: QPolygon, n: int, rng: random.Random,
                            denom_bound: int = 64) -> List[Point]:
     """n distinct interior points on the dyadic grid (seeded, deterministic).
 
-    After 1000 rejected draws the grid's interior points are counted, which
-    draws nothing from rng, and SamplingFailed is raised at once if there are
-    fewer than n.  The count visits up to denom_bound + 1 columns, so it runs
-    only when that is fewer than the draws it would save."""
+    The grid's interior points are counted first, which draws nothing from
+    rng, and SamplingFailed is raised at once if there are fewer than n."""
     xs = [v[0] for v in poly.vertices]
     ys = [v[1] for v in poly.vertices]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+    x0, y0 = min(xs), min(ys)
+    w, h = max(xs) - x0, max(ys) - y0
+    have = _interior_grid_count(poly, (x0, y0), (w, h), denom_bound)
+    if have < n:
+        raise SamplingFailed(
+            f"the bounding box's {denom_bound}-step grid has {have} interior "
+            f"points, fewer than {n}")
     out: List[Point] = []
     seen = set()
     guard = 0
-    rejected = 0
     while len(out) < n:
         guard += 1
         if guard > _MAX_DRAWS:
@@ -431,47 +432,51 @@ def sample_interior_points(poly: QPolygon, n: int, rng: random.Random,
                 f"points on the bounding box's {denom_bound}-step grid")
         fx = Fraction(rng.randrange(denom_bound + 1), denom_bound)
         fy = Fraction(rng.randrange(denom_bound + 1), denom_bound)
-        p = (x0 + fx * (x1 - x0), y0 + fy * (y1 - y0))
+        p = (x0 + fx * w, y0 + fy * h)
         if p in seen or not poly.contains(p, strict=True):
-            rejected += 1
-            if rejected == 1000 and denom_bound < _MAX_DRAWS:
-                have = _grid_interior_count(poly, (x0, y0), (x1 - x0, y1 - y0),
-                                            denom_bound, n)
-                if have < n:
-                    raise SamplingFailed(
-                        f"the bounding box's {denom_bound}-step grid has "
-                        f"{have} interior points, fewer than {n}")
             continue
         seen.add(p)
         out.append(p)
     return out
 
 
-def _grid_interior_count(poly: QPolygon, corner: Point, size: Point,
-                         steps: int, n: int) -> int:
+def _interior_grid_count(poly: QPolygon, corner: Point, size: Point,
+                         steps: int) -> int:
     """How many grid points corner + (i, j) * size / steps, 0 <= i, j <=
-    steps, lie strictly inside poly: counted column by column in integers,
-    stopping once n are found."""
+    steps, lie strictly inside poly, whose bounding box the grid spans.
+
+    Column i, 0 < i < steps, holds ceil(U(i)) - floor(L(i)) - 1 of them, for
+    U and L the boundary above and below.  A side, a i + b j + c > 0 inside,
+    is U = (a i + c) / -b or L = -(a i + c) / b over the columns (i0, i1]
+    between its ends, so by ceil(x) = -floor(-x) it adds one floor sum."""
     m = lp.common_scale([corner, size])
     (X0, Y0), (WX, WY) = lp.scaled(corner, m), lp.scaled(size, m)
-    # A x + B y + C > 0 at the point (i, j), times steps * m
-    rows = [(A * WX, B * WY, (A * X0 + B * Y0 + C * m) * steps)
-            for A, B, C in poly.int_constraints()]
-    found = 0
-    for i in range(steps + 1):
-        lo, hi = 0, steps
-        for alpha, beta, gamma in rows:
-            r = -(alpha * i + gamma)  # the row needs beta * j > r
-            if beta > 0:
-                lo = max(lo, r // beta + 1)
-            elif beta < 0:
-                hi = min(hi, -(r // -beta) - 1)
-            elif r >= 0:
-                hi = -1
-        found += max(0, hi - lo + 1)
-        if found >= n:
-            break
-    return found
+    # the vertices, counterclockwise, as grid points (i, j) / q with q > 0
+    grid = [((X * m - X0 * W) * steps * WY, (Y * m - Y0 * W) * steps * WX,
+             W * WX * WY) for X, Y, W in poly.hvertices]
+    total = 1 - steps
+    for k, (i1, j1, q1) in enumerate(grid):
+        i0, j0, q0 = grid[k - 1]
+        # det(grid[k - 1], grid[k], (i, j, 1)), positive inside; a vertical
+        # side covers no column
+        a, b, c = j0 * q1 - q0 * j1, q0 * i1 - i0 * q1, i0 * j1 - j0 * i1
+        f0, f1 = i0 // q0, i1 // q1
+        lo, hi = min(f0, f1) + 1, min(max(f0, f1), steps - 1)
+        if lo <= hi:
+            total -= _floor_sum(hi - lo + 1, abs(b), -a, -(a * lo + c))
+    return total
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum of floor((a i + b) / m) for 0 <= i < n, m > 0, by Euclid-like
+    recursion on (m, a) (Concrete Mathematics, 3.5): O(log m) steps."""
+    qa, a = divmod(a, m)
+    qb, b = divmod(b, m)
+    total = n * (n - 1) // 2 * qa + n * qb
+    top = a * n + b
+    if top < m:
+        return total
+    return total + _floor_sum(top // m, a, m, top % m)
 
 
 def hill_estimate(areas: Sequence[Fraction]) -> dict:

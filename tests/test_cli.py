@@ -434,14 +434,25 @@ def test_exponent_rational_exits_2_quickly(files, argv):
                          ids=["stats-no-grid-point", "stats-too-few-grid-points"])
 def test_stats_grid_shortfall_exits_2_quickly_with_no_output(files, denom_bound,
                                                              n):
-    # the grid's interior points are counted after 1000 rejected draws, not
-    # 100000; the output directory is made only after sampling succeeds
+    # the grid's interior points are counted before the first draw; the
+    # output directory is made only after sampling succeeds
     out = files / "s"
     start = time.perf_counter()
     assert main(["--out", str(out), "--denom-bound", denom_bound, "stats",
                  str(files / "square.json"), "--n", n]) == 2
     assert time.perf_counter() - start < 0.5
     assert not out.exists()
+
+
+def test_stats_on_an_empty_fine_grid_exits_2_quickly(files):
+    # a sliver with no interior point on the 10^9-step grid of --config
+    sliver = QPolygon.from_vertices([(0, 0), (1, 1), (1, 1 - F(1, 10 ** 20))])
+    jsonio.dump(jsonio.polygon_to_json(sliver), files / "sliver.json")
+    jsonio.dump({"denom_bound": 10 ** 9}, files / "fine.json")
+    start = time.perf_counter()
+    assert main(["--out", str(files / "s"), "--config", str(files / "fine.json"),
+                 "stats", str(files / "sliver.json"), "--n", "1"]) == 2
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -10,10 +10,10 @@ from tropwave.curve import _segment_area
 from tropwave.exactlp import cross, dot, vsub
 from tropwave.geometry import (BadDirection, Corner, DistanceZero,
                                EmptyInterior, GeometryError, HalfPlane,
-                               QPolygon, SupportOracle, TooLarge, blow_up,
+                               QPolygon, TooLarge, blow_up,
                                cone_lattice_contains, corner_is_unimodular,
-                               is_admissible, is_unimodular, primitive,
-                               relevant_monomials, support_coeff)
+                               is_unimodular, primitive, relevant_monomials,
+                               support_coeff)
 from tropwave.refine import level_set_polygon
 from tropwave.series import evaluate
 
@@ -22,25 +22,12 @@ from conftest import (pentagon, random_polygon, random_series,
                       ref_primitive, ref_sides, ref_vertices, unit_square)
 
 
-def disk_oracle(radius=6):
-    # support coefficients of the unit disk, defined where they are rational
-    def coeff(v):
-        i, j = v
-        s = math.isqrt(i * i + j * j)
-        return F(-s) if s * s == i * i + j * j else None
-
-    return SupportOracle(coeff, radius=radius)
-
-
 class TestSupportCoeff:
     def test_unit_square_x(self):
         assert support_coeff(unit_square(), (1, 0)) == 0
 
     def test_unit_square_minus_x(self):
         assert support_coeff(unit_square(), (-1, 0)) == -1
-
-    def test_disk_oracle(self):
-        assert support_coeff(disk_oracle(), (3, 4)) == -5
 
     def test_zero_monomial(self):
         assert support_coeff(unit_square(), (0, 0)) == 0
@@ -57,20 +44,6 @@ class TestSupportCoeff:
 
 
 class TestAdmissibility:
-    def test_square(self):
-        assert is_admissible(unit_square())
-
-    def test_whole_plane_oracle(self):
-        plane = SupportOracle(lambda v: F(0) if v == (0, 0) else None, radius=4)
-        assert not is_admissible(plane)
-
-    def test_segment_oracle(self):
-        # support data of the segment [(0,0),(1,0)]: finite everywhere but
-        # the set has empty interior
-        seg = SupportOracle(lambda v: F(min(0, v[0])), radius=4,
-                            has_interior=False)
-        assert not is_admissible(seg)
-
     def test_empty_halfplane_list_rejected(self):
         with pytest.raises(GeometryError):
             QPolygon([])
@@ -90,10 +63,6 @@ class TestRelevantMonomials:
     def test_small_c(self):
         out = relevant_monomials(unit_square(), [(F(1, 2), F(1, 2))], F(1, 100))
         assert out == {(0, 0)}
-
-    def test_plane_like_oracle(self):
-        plane = SupportOracle(lambda v: F(0) if v == (0, 0) else None, radius=5)
-        assert relevant_monomials(plane, [(F(0), F(0))], F(1)) == {(0, 0)}
 
     def test_touching_boundary(self):
         with pytest.raises(DistanceZero):

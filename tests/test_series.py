@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 
 from tropwave.curve import attaining_monomials
 from tropwave.exactlp import dot
-from tropwave.geometry import QPolygon, SupportOracle
+from tropwave.geometry import QPolygon
 from tropwave.series import (BoundaryMismatch, NegativeIncrement,
-                             NotAdmissible, OutsideDomain, SeriesError,
+                             OutsideDomain, SeriesError,
                              add_monomial,
                              canonical_coefficient, distance_function,
                              evaluate, is_nice, make_series, quasi_degree,
@@ -87,25 +87,6 @@ class TestDistanceFunction:
                  if region and all(poly.contains(p, strict=True)
                                    for p in region)]
         assert inner == [(0, 0)]
-
-    def test_oracle_truncated(self):
-        seg = SupportOracle(lambda v: F(min(0, v[0] + v[1])), radius=3)
-        l = distance_function(seg)
-        assert l.truncated
-
-    @pytest.mark.parametrize("read", [quasi_degree,
-                                      lambda f: f.cells(),
-                                      lambda f: f.complex_vertices()],
-                             ids=["quasi_degree", "cells", "complex_vertices"])
-    def test_oracle_series_has_no_complex(self, read):
-        seg = SupportOracle(lambda v: F(min(0, v[0] + v[1])), radius=3)
-        with pytest.raises(SeriesError, match="polygon domain"):
-            read(distance_function(seg))
-
-    def test_not_admissible(self):
-        plane = SupportOracle(lambda v: F(0) if v == (0, 0) else None, radius=3)
-        with pytest.raises(NotAdmissible):
-            distance_function(plane)
 
 
 class TestCanonicalCoefficient:

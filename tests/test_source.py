@@ -25,3 +25,33 @@ def test_refine_certificates_do_not_sample():
         elif isinstance(node, ast.ImportFrom):
             names |= {node.module or ""} | {alias.name for alias in node.names}
     assert not names & {"random", "sample_interior_points"}
+
+
+def test_kernel_takes_polygons_only():
+    # series, curve and wave name no oracle domain, and the one polygon
+    # check among them is the TropicalSeries constructor's guard
+    names, checks = set(), []
+    for path in SOURCES:
+        if path.name not in ("series.py", "curve.py", "wave.py"):
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        parent = {child: node for node in ast.walk(tree)
+                  for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.asname or node.name)
+            elif (isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "isinstance"
+                  and "QPolygon" in ast.unparse(node.args[1])):
+                scope, up = [], node
+                while up in parent:
+                    up = parent[up]
+                    if isinstance(up, (ast.FunctionDef, ast.ClassDef)):
+                        scope.insert(0, up.name)
+                checks.append(f"{path.name}:{'.'.join(scope)}")
+    assert not names & {"SupportOracle", "ConvexDomain", "truncated"}
+    assert checks == ["series.py:TropicalSeries.__init__"]

@@ -14,9 +14,9 @@ from tropwave.geometry import QPolygon
 from tropwave.series import (OutsideDomain, add_monomial,
                              canonical_coefficient, distance_function,
                              evaluate, quasi_degree, rho, zero_series)
-from tropwave.wave import (STABILIZED, STEP_LIMIT, Schedule,
-                           UnclassifiableSide, WaveError,
-                           _grid_interior_count, _line_min, _second_min_at,
+from tropwave.wave import (STABILIZED, STEP_LIMIT, SamplingFailed, Schedule,
+                           UnclassifiableSide, WaveError, _floor_sum,
+                           _interior_grid_count, _line_min, _second_min_at,
                            avalanche_experiment, run_dynamics,
                            sample_interior_points, upper_bound_witness,
                            wave, wave_family_scan)
@@ -391,11 +391,18 @@ class TestExperiment:
             assert jsonio.frac_from_str(back["increment"]) == ev.increment
 
 
+@given(st.integers(min_value=0, max_value=40),
+       st.integers(min_value=1, max_value=30),
+       st.integers(min_value=-200, max_value=200),
+       st.integers(min_value=-200, max_value=200))
+def test_floor_sum_matches_the_direct_sum(n, m, a, b):
+    assert _floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
-       st.integers(min_value=1, max_value=12),
-       st.integers(min_value=1, max_value=60))
-def test_grid_interior_count_matches_point_tests(seed, steps, n):
-    # the column count agrees with poly.contains on every grid point of
+       st.integers(min_value=1, max_value=12))
+def test_grid_interior_count_matches_point_tests(seed, steps):
+    # the floor-sum count agrees with poly.contains on every grid point of
     # random polygons, affinely scaled to make the grid and the sides skew
     rng = random.Random(seed)
     poly = random_polygon(rng)
@@ -410,8 +417,7 @@ def test_grid_interior_count_matches_point_tests(seed, steps, n):
     inside = sum(poly.contains((x0 + F(i, steps) * w, y0 + F(j, steps) * h),
                                strict=True)
                  for i in range(steps + 1) for j in range(steps + 1))
-    got = _grid_interior_count(poly, (x0, y0), (w, h), steps, n)
-    assert got == inside if inside < n else got >= n
+    assert _interior_grid_count(poly, (x0, y0), (w, h), steps) == inside
 
 
 def test_sampling_stream_unchanged_by_the_grid_count():
@@ -432,15 +438,11 @@ def test_sampling_stream_unchanged_by_the_grid_count():
     assert pts == plain
 
 
-def test_grid_count_skipped_when_it_would_cost_more_than_the_draws(
-        monkeypatch):
-    # a count over 10^5 + 1 columns costs as much as the draws it saves, so
-    # a 10^5-step grid is sampled by rejection alone, even past 1000
-    # rejections (2325 with this seed)
-    def refuse(*args):
-        raise RuntimeError("the grid count ran")
-
-    monkeypatch.setattr(importlib.import_module("tropwave.wave"),
-                        "_grid_interior_count", refuse)
-    poly = QPolygon.from_vertices([(0, 0), (1, 1), (1, F(999, 1000))])
-    assert len(sample_interior_points(poly, 1, random.Random(0), 10 ** 5)) == 1
+def test_empty_fine_grid_fails_at_once():
+    # a sliver with no interior point on its 10^9-step grid: the count
+    # answers before any draw instead of after 10^5 rejections
+    poly = QPolygon.from_vertices([(0, 0), (1, 1), (1, 1 - F(1, 10 ** 20))])
+    start = time.perf_counter()
+    with pytest.raises(SamplingFailed, match="has 0 interior points"):
+        sample_interior_points(poly, 1, random.Random(0), 10 ** 9)
+    assert time.perf_counter() - start < 0.5
