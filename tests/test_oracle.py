@@ -6,7 +6,6 @@ import pytest
 from tropwave.oracle import (NotAdmissible, SupportOracle, TruncatedSeries,
                              distance_function, is_admissible,
                              relevant_monomials)
-from tropwave.series import SeriesError, TropicalSeries
 
 
 def disk_oracle(radius=6):
@@ -61,9 +60,3 @@ class TestDistanceFunction:
     def test_not_admissible(self):
         with pytest.raises(NotAdmissible):
             distance_function(plane_oracle(3))
-
-
-def test_tropical_series_rejects_an_oracle():
-    seg = SupportOracle(lambda v: F(min(0, v[0] + v[1])), radius=3)
-    with pytest.raises(SeriesError, match="polygon domain"):
-        TropicalSeries(seg, {(1, 0): F(0)})

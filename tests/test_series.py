@@ -7,8 +7,9 @@ from hypothesis import given, strategies as st
 from tropwave.curve import attaining_monomials
 from tropwave.exactlp import dot
 from tropwave.geometry import QPolygon
+from tropwave.oracle import SupportOracle
 from tropwave.series import (BoundaryMismatch, NegativeIncrement,
-                             OutsideDomain, SeriesError,
+                             OutsideDomain, SeriesError, TropicalSeries,
                              add_monomial,
                              canonical_coefficient, distance_function,
                              evaluate, is_nice, make_series, quasi_degree,
@@ -87,6 +88,17 @@ class TestDistanceFunction:
                  if region and all(poly.contains(p, strict=True)
                                    for p in region)]
         assert inner == [(0, 0)]
+
+    @pytest.mark.parametrize("read", [quasi_degree,
+                                      lambda f: f.cells(),
+                                      lambda f: f.complex_vertices()],
+                             ids=["quasi_degree", "cells", "complex_vertices"])
+    def test_oracle_series_has_no_complex(self, read):
+        # a series needs a polygon domain: on an oracle none of the
+        # complex reads is reachable, the constructor refuses first
+        seg = SupportOracle(lambda v: F(min(0, v[0] + v[1])), radius=3)
+        with pytest.raises(SeriesError, match="polygon domain"):
+            read(TropicalSeries(seg, {(1, 0): F(0)}))
 
 
 class TestCanonicalCoefficient:
