@@ -81,7 +81,8 @@ def extract_curve(f: TropicalSeries) -> TropicalCurve:
     dual edge) does not subdivide the weight of that edge.
     """
     cells = f.cells()
-    support = sorted(v for v in f.support if lp.polygon_area(cells[v]) > 0)
+    # a cell holds only its extreme points, so three or more span an area
+    support = sorted(v for v in f.support if len(cells[v]) >= 3)
     vert_sets = {v: set(cells[v]) for v in support}
     edges: list[Edge] = []
     for i, u in enumerate(support):

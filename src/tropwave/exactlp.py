@@ -7,7 +7,8 @@ tiny (a handful of constraints), so vertices are found by basic-solution
 enumeration, which is simple and exact but O(m^3) in the constraint count m.
 Every caller keeps m small: `QPolygon` passes its own half-planes, the
 linearity complex of `series` only the constraints tight at a cell it has
-already clipped, and `wave` one constraint per domain vertex.  Regions cut
+already clipped to two or more points (a point cell is not enumerated), and
+`wave` one constraint per domain vertex.  Regions cut
 from a built complex (`refine`'s certificates) are clipped, not enumerated.
 
 The enumeration itself is pure integer arithmetic: `basic_points` takes

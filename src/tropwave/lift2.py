@@ -526,9 +526,14 @@ def verify_lift_theorem(F: LaurentPoly2, p: Tuple[GF2RatFun, GF2RatFun]):
     from S_p F entirely, which happens only in the degenerate cancellation
     configuration the identity implicitly excludes).
     """
+    return _compare_lift(F, p, s_wave(F, p))
+
+
+def _compare_lift(F: LaurentPoly2, p: Tuple[GF2RatFun, GF2RatFun],
+                  SF: LaurentPoly2):
+    """`verify_lift_theorem` given SF = S_p F."""
     q = (p[0].val(), p[1].val())
     lhs = trop_wave(trop(F), q)
-    SF = s_wave(F, p)
     if SF.is_zero():
         return False, (None, None, None)
     rhs = trop(SF)
@@ -609,10 +614,10 @@ def fuzz_lift(trials: int, seed: int = 0) -> dict:
         if degenerate_cancellation(F, p):
             degenerate += 1
             continue
-        ok, witness = verify_lift_theorem(F, p)
+        SF = s_wave(F, p)
+        ok, witness = _compare_lift(F, p, SF)
         if not ok:
             failures.append((F.to_text(), str(p[0]), str(p[1]), witness))
-        SF = s_wave(F, p)
         if not SF.evaluate(p).is_zero():
             failures.append((F.to_text(), str(p[0]), str(p[1]), "S_p F (p) != 0"))
         if s_wave(SF, p) != SF:

@@ -10,10 +10,12 @@ computed coefficient-by-coefficient on demand.
 
 The kernel takes a `QPolygon` domain only (the constructor rejects any
 other; `tropwave.oracle` covers domains given by support coefficients).
-Each series builds its linearity complex once, on first use, in
+`TropicalSeries(domain, support)` is the one constructor, and it always
+renormalizes, reading the small form off the presentation's complex.
+A series builds its own linearity complex once, on first use, in
 integers: each cell is the domain polygon clipped by the denominator-cleared
 dominance constraints one at a time, `exactlp.basic_points` on the few
-constraints tight at the clipped cell's vertices gives their order, the
+constraints tight at a clip of two or more points gives their order, the
 complex vertices are held as integer points over one common denominator D,
 and with them the integers D * f.  Canonical coefficients and
 renormalization read that table, and `refine`'s certificates clip the
@@ -58,26 +60,25 @@ Support = Dict[Vec, Fraction]
 class TropicalSeries:
     """Finite sparse monomial map over a polygon, in small canonical form.
 
-    Construct with ``canonical=True`` only when the support is already known
-    to be a small canonical form (internal fast path); otherwise the
-    presentation is renormalized.
+    ``support`` is any presentation of a valid series.  The constructor
+    holds it sorted, builds its complex through `cells()`, keeps the small
+    form read off that complex and drops the complex.
     """
 
-    def __init__(self, domain: QPolygon, support: Support, *,
-                 canonical: bool = False):
+    def __init__(self, domain: QPolygon, support: Support):
         if not isinstance(domain, QPolygon):
             raise SeriesError("a tropical series needs a polygon domain")
         self.domain = domain
-        self._cells: Optional[dict] = None
-        self._complex: Optional[_Complex] = None
         self._quasi_degree = None
         support = {tuple(v): Fraction(a) for v, a in support.items()}
         if not support:
             raise SeriesError("series needs at least one monomial")
-        if canonical:
-            self.support = dict(sorted(support.items()))
-        else:
-            self.support = _small_canonical_terms(domain, support)
+        self.support = dict(sorted(support.items()))
+        self._cells: Optional[dict] = None
+        self._complex: Optional[_Complex] = None
+        self.cells()
+        self.support = _small_canonical_terms(domain, self.support, self._complex)
+        self._cells = self._complex = None
 
     # -- basics ----------------------------------------------------------
 
@@ -121,12 +122,13 @@ class _Complex:
     Coefficients are scaled by the lcm of their denominators and every
     constraint is an integer triple (A, B, C) for A x + B y + C >= 0, with
     no `Fraction` arithmetic.  A cell is the domain clipped by each cutting
-    constraint in turn (`_clip`, O(m V) for m constraints and V vertices),
-    then `exactlp.basic_points` runs on only the constraints tight at a
-    vertex of the clipped cell.  Those cut out the same cell, and being a
-    subsequence of all the constraints they meet its vertices in the same
-    pair order, which fixes the orientation of a segment cell; enumerating
-    over all m constraints would cost O(m^3) per cell.
+    constraint in turn (`_clip`, O(m V) for m constraints and V vertices).
+    A clip of at most one point is the cell.  Otherwise
+    `exactlp.basic_points` runs on only the constraints tight at a clipped
+    point: those cut out the same cell, and being a subsequence of all the
+    constraints they meet its vertices in the same pair order, which fixes
+    the orientation of a segment cell; enumerating over all m constraints
+    would cost O(m^3) per cell, and at a point cell hundreds can be tight.
     The complex vertices, in first-seen order over the cells, are kept as
     ``table`` rows (X, Y, F): the vertex is (X, Y) / denom and F is denom
     times the series there.  ``hcells`` maps each monomial to its cell as
@@ -155,6 +157,9 @@ class _Complex:
                 if any(A * X + B * Y + C * W < 0 for X, Y, W in domain_verts):
                     cuts.append((A, B, C))
             cell = _clip(domain_verts, cuts)
+            if len(cell) <= 1:
+                hcells[v] = cell
+                continue
             tight = [(A, B, C) for A, B, C in [*domain.int_constraints(), *cuts]
                      if any(A * X + B * Y + C * W == 0 for X, Y, W in cell)]
             hcells[v] = lp.sort_ccw(lp.basic_points(tight))
@@ -240,7 +245,7 @@ def evaluate(f: TropicalSeries, z: Point) -> Fraction:
 
 
 def zero_series(domain: QPolygon) -> TropicalSeries:
-    return TropicalSeries(domain, {(0, 0): Fraction(0)}, canonical=True)
+    return TropicalSeries(domain, {(0, 0): 0})
 
 
 # -- small canonical form -------------------------------------------------
@@ -287,8 +292,10 @@ def _candidate_hull(domain: QPolygon, degrees: Dict[Vec, int]) -> list[Vec]:
     return lp.hull_lattice_points(pts)
 
 
-def _small_canonical_terms(domain: QPolygon, terms: Support) -> Support:
-    """Renormalize a finite presentation to the small canonical form.
+def _small_canonical_terms(domain: QPolygon, terms: Support,
+                           cx: _Complex) -> Support:
+    """Renormalize a finite presentation, whose linearity complex is cx, to
+    the small canonical form.
 
     The presentation must define a valid series: nonnegative (checked at the
     complex vertices, which include the domain vertices where the concave
@@ -301,8 +308,6 @@ def _small_canonical_terms(domain: QPolygon, terms: Support) -> Support:
     it meets the open interior iff the centroid of those attainers does (a
     supporting boundary line through the centroid would contain them all).
     """
-    # the presentation's linearity complex; it is built here and dropped
-    cx = TropicalSeries(domain, terms, canonical=True)._int_complex()
     if min(F for _, _, F in cx.table) < 0:
         raise SeriesError("presentation is negative on the domain")
     degrees = _presentation_side_degrees(domain, terms)
@@ -328,7 +333,7 @@ def _small_canonical_terms(domain: QPolygon, terms: Support) -> Support:
 
 
 def make_series(domain: QPolygon, support: Support) -> TropicalSeries:
-    """Public constructor: renormalizes the presentation."""
+    """Function-style spelling of `TropicalSeries(domain, support)`."""
     return TropicalSeries(domain, support)
 
 
@@ -393,10 +398,12 @@ def nice_degrees(domain: QPolygon, deg: Dict[Vec, int]) -> bool:
 def add_monomial(f: TropicalSeries, v: Vec, c: Fraction) -> TropicalSeries:
     """Raise the canonical coefficient of v by c >= 0 and renormalize.
 
-    Candidates for the new small support are the lattice points of the
-    quasi-degree hull of a finite upper envelope of the result (the bumped
-    small form plus, per side, the next vanishing multiple); coefficients
-    come from the canonical form of f with only v bumped.
+    The result's side degrees are f's quasi-degree, raised by one on each
+    side whose vanishing monomial of least multiplier is v: raised, v no
+    longer vanishes there, and the next multiple of the side's normal
+    dominates near it.  The candidates for the new small support are the
+    lattice points of their hull; coefficients come from the canonical form
+    of f with only v bumped.
     """
     v = tuple(v)
     c = Fraction(c)
@@ -405,23 +412,13 @@ def add_monomial(f: TropicalSeries, v: Vec, c: Fraction) -> TropicalSeries:
     if c == 0:
         return f
     a_v = canonical_coefficient(f, v)
-
-    envelope: Support = dict(f.support)
-    envelope[v] = a_v + c
-    old_degrees = _presentation_side_degrees(f.domain, f.support)
+    degrees = quasi_degree(f)
     for hp in f.domain.halfplanes:
-        m = _side_vanishing_multiplier(hp, (v, a_v))
-        if m is not None and m == old_degrees[hp.n]:
-            nxt = ((m + 1) * hp.n[0], (m + 1) * hp.n[1])
-            envelope.setdefault(nxt, (m + 1) * hp.a)
-    degrees = _presentation_side_degrees(f.domain, envelope)
-    candidates = _candidate_hull(f.domain, degrees)
-
-    terms: Support = {}
-    for u in candidates:
-        terms[u] = a_v + c if u == v else canonical_coefficient(f, u)
-    if v not in terms:
-        terms[v] = a_v + c
+        if _side_vanishing_multiplier(hp, (v, a_v)) == degrees[hp.n]:
+            degrees[hp.n] += 1
+    terms: Support = {u: canonical_coefficient(f, u)
+                      for u in _candidate_hull(f.domain, degrees) if u != v}
+    terms[v] = a_v + c
     return TropicalSeries(f.domain, terms)
 
 

@@ -286,9 +286,6 @@ def _apply(T, u):
     return (T[0][0] * u[0] + T[0][1] * u[1], T[1][0] * u[0] + T[1][1] * u[1])
 
 
-_FAMILY_SAMPLES = 4
-
-
 def wave_family_scan(f: TropicalSeries, p: Point) -> PerestroikaReport:
     """Analyze the curve family of Add^{c t} for t in [0, 1] at the wave at p.
 
@@ -296,9 +293,11 @@ def wave_family_scan(f: TropicalSeries, p: Point) -> PerestroikaReport:
     normalized coordinates of the local model min(0, y, x + n1 y, -x + n2 y + 1),
     the side-length derivative sign (shrinking iff n1 + n2 < 2), and the
     parameter t where the side length reaches zero.  Events are classified
-    per the face-contraction trichotomy; `_FAMILY_SAMPLES` intermediate
-    parameters are replayed exactly to cross-check the linear side-length
-    model.
+    per the face-contraction trichotomy.
+
+    The face of p survives for every t < 1, so no member is replayed: at p,
+    v lies c below the runner-up, raised by c t < c it stays strictly below,
+    and the raise can only lift the other canonical coefficients.
     """
     p = (Fraction(p[0]), Fraction(p[1]))
     g, ev = wave(f, p)
@@ -384,18 +383,10 @@ def wave_family_scan(f: TropicalSeries, p: Point) -> PerestroikaReport:
     # face at t=1: collapsed to point/interval?
     new_cells = g.cells()
     face1 = new_cells.get(v, [])
-    area1 = lp.polygon_area(face1)
-    if area1 == 0:
-        kind = "FaceCollapsedToPoint" if len(set(face1)) <= 1 else "FaceCollapsedToInterval"
+    # a cell holds only its extreme points: fewer than three, no area
+    if len(face1) < 3:
+        kind = "FaceCollapsedToPoint" if len(face1) <= 1 else "FaceCollapsedToInterval"
         events = [e for e in events if e.t < 1] + [FamilyEvent(Fraction(1), kind, None)]
-
-    # cross-check at sampled parameters: the face of p survives for t < 1
-    for k in range(1, _FAMILY_SAMPLES + 1):
-        t = Fraction(k, _FAMILY_SAMPLES + 1)
-        ft = add_monomial(f, v, c * t)
-        att = attaining_monomials(ft, p)
-        if att != [v]:
-            raise WaveError(f"face of p must survive for t = {t} < 1")
     events.sort(key=lambda e: e.t)
     return PerestroikaReport(c, sides_info, events)
 

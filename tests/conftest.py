@@ -8,7 +8,9 @@ from hypothesis import settings
 from tropwave import exactlp as lp
 from tropwave.exactlp import dot, vsub
 from tropwave.geometry import QPolygon
-from tropwave.series import TropicalSeries, make_series, zero_series
+from tropwave import series
+from tropwave.series import (TropicalSeries, canonical_coefficient,
+                             make_series, zero_series)
 from tropwave.wave import sample_interior_points, wave
 
 # Exact arithmetic makes example times vary widely, and a slow host makes
@@ -168,6 +170,23 @@ def ref_primitive(v):
     x, y = int(v[0] * den), int(v[1] * den)
     g = math.gcd(x, y)
     return (x // g, y // g)
+
+
+def ref_envelope_degrees(f: TropicalSeries, v, c):
+    """The side degrees of `add_monomial(f, v, c)`, c > 0, read off a finite
+    upper envelope of the result: f's support with v raised by c plus, on
+    each side where v was the vanishing monomial of least multiplier, the
+    next vanishing multiple of the side's normal."""
+    a_v = canonical_coefficient(f, v)
+    envelope = dict(f.support)
+    envelope[v] = a_v + c
+    old_degrees = series._presentation_side_degrees(f.domain, f.support)
+    for hp in f.domain.halfplanes:
+        m = series._side_vanishing_multiplier(hp, (v, a_v))
+        if m is not None and m == old_degrees[hp.n]:
+            nxt = ((m + 1) * hp.n[0], (m + 1) * hp.n[1])
+            envelope.setdefault(nxt, (m + 1) * hp.a)
+    return series._presentation_side_degrees(f.domain, envelope)
 
 
 @pytest.fixture

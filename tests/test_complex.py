@@ -4,15 +4,17 @@ code it replaced.
 The reference functions below are the earlier implementation of `cells()`,
 `complex_vertices()`, `canonical_coefficient` and `_small_canonical_terms`,
 all in `Fraction` arithmetic, with every cell enumerated from all of its
-constraints.  Every comparison is exact and ordered: the cells' vertex lists,
-the vertex list and the renormalized supports must be identical, not just
-equal as sets.
+constraints.  A presentation's complex is built as `_Complex` directly,
+as the constructor builds it before renormalizing.  Every comparison is
+exact and ordered: the cells' vertex lists, the vertex list and the
+renormalized supports must be identical, not just equal as sets.
 """
 
 import functools
 import math
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 from unittest import mock
 
 from hypothesis import given, strategies as st
@@ -20,7 +22,9 @@ from hypothesis import given, strategies as st
 from tropwave import exactlp, series
 from tropwave.exactlp import cross, dot, hull_lattice_points, vsub
 from tropwave.geometry import QPolygon
-from tropwave.series import SeriesError, TropicalSeries, canonical_coefficient
+from tropwave.series import (SeriesError, TropicalSeries, canonical_coefficient,
+                             zero_series)
+from tropwave.wave import wave
 
 from conftest import (pentagon, random_polygon, random_series,
                       ref_cell_constraints, unit_square)
@@ -107,8 +111,7 @@ def ref_small_canonical_terms(domain, terms):
     candidates = hull_lattice_points(
         [(F(m * n[0]), F(m * n[1])) for n, m in degrees.items()]
         + [(F(0), F(0))])
-    probe = TropicalSeries(domain, terms, canonical=True)
-    verts = ref_complex_vertices(probe)
+    verts = ref_complex_vertices(presented(domain, terms))
     vals = ref_values_at(terms, verts)
     kept = {}
     for u in candidates:
@@ -152,6 +155,13 @@ def presentation(rng, f):
     return terms
 
 
+def presented(domain, terms):
+    """The presentation as the constructor first holds it: sorted, with
+    `Fraction` coefficients."""
+    return SimpleNamespace(domain=domain, support=dict(
+        sorted((tuple(v), F(a)) for v, a in terms.items())))
+
+
 def outcome(fn, *args):
     try:
         return list(fn(*args).items())
@@ -176,40 +186,96 @@ def test_cells_vertices_and_coefficients_match_reference(kind, seed, n_waves):
 def test_renormalization_and_probe_complex_match_reference(kind, seed, n_waves):
     rng, f = make_series_for(kind, seed, n_waves)
     terms = presentation(rng, f)
-    probe = TropicalSeries(f.domain, terms, canonical=True)
-    assert list(probe.cells().items()) == list(ref_cells(probe).items())
-    assert probe.complex_vertices() == ref_complex_vertices(probe)
-    assert (outcome(series._small_canonical_terms, f.domain, terms)
+    probe = presented(f.domain, terms)
+    cx = series._Complex(f.domain, probe.support)
+    assert list(cx.cells.items()) == list(ref_cells(probe).items())
+    assert cx.vertices == ref_complex_vertices(probe)
+    assert (outcome(series._small_canonical_terms, f.domain, probe.support, cx)
             == outcome(ref_small_canonical_terms, f.domain, terms))
 
 
 def test_segment_and_point_cells_match_reference():
     # on [0, 2] x [0, 1] the constant 1/2 touches min(x, 2-x, y, 1-y) along
     # y = 1/2, and x + y touches it only at the origin
-    f = TropicalSeries(QPolygon.box(0, 0, 2, 1),
-                       {(1, 0): 0, (-1, 0): 2, (0, 1): 0, (0, -1): 1,
-                        (0, 0): F(1, 2), (1, 1): 0}, canonical=True)
-    cells = f.cells()
+    f = presented(QPolygon.box(0, 0, 2, 1),
+                  {(1, 0): 0, (-1, 0): 2, (0, 1): 0, (0, -1): 1,
+                   (0, 0): F(1, 2), (1, 1): 0})
+    cx = series._Complex(f.domain, f.support)
+    cells = cx.cells
     assert len(cells[(0, 0)]) == 2 and len(cells[(1, 1)]) == 1
     assert list(cells.items()) == list(ref_cells(f).items())
-    assert f.complex_vertices() == ref_complex_vertices(f)
+    assert cx.vertices == ref_complex_vertices(f)
+
+
+def recorder(fn, log):
+    def recording(*args):
+        out = fn(*args)
+        log.append((args, out))
+        return out
+    return recording
 
 
 @given(DOMAINS, SEEDS, st.integers(min_value=0, max_value=3))
 def test_cells_are_enumerated_from_tight_constraints_only(kind, seed, n_waves):
     rng, f = make_series_for(kind, seed, n_waves)
-    calls = []
-    original = exactlp.basic_points
-
-    def recording(ics):
-        pts = original(ics)
-        calls.append((list(ics), pts))
-        return pts
-
+    calls, clips = [], []
     terms = presentation(rng, f)
-    with mock.patch.object(exactlp, "basic_points", recording):
-        series._Complex(f.domain, terms)
-    assert len(calls) == len(terms)  # one call per cell
-    for ics, pts in calls:
+    with mock.patch.object(exactlp, "basic_points",
+                           recorder(exactlp.basic_points, calls)), \
+            mock.patch.object(series, "_clip", recorder(series._clip, clips)):
+        cx = series._Complex(f.domain, terms)
+    assert len(clips) == len(terms)  # one clip per cell
+    # one enumeration per cell clipped to two or more points; a point or
+    # empty clip is the cell
+    assert len(calls) == sum(1 for _, pts in clips if len(pts) >= 2)
+    assert ([hs for hs, (_, pts) in zip(cx.hcells.values(), clips)
+             if len(pts) <= 1] == [pts for _, pts in clips if len(pts) <= 1])
+    for (ics,), pts in calls:
         assert all(any(A * X + B * Y + C * W == 0 for X, Y, W in pts)
                    for A, B, C in ics)
+
+
+def test_point_cells_are_not_enumerated():
+    # a wave from zero on this quadrilateral renormalizes 515 candidates,
+    # most of whose cells are single points where up to 392 constraints are
+    # tight.  Of the two complexes built (the zero series' and the
+    # presentation's, 516 cells), 48 cells are clipped to two or more
+    # points; `_second_min_at` makes the 49th call.
+    poly = QPolygon.from_vertices([(-4, F(-23, 6)), (F(-1, 2), -4),
+                                   (F(2, 3), 0), (-4, F(-11, 3))])
+    f = zero_series(poly)
+    calls = []
+    with mock.patch.object(exactlp, "basic_points",
+                           recorder(exactlp.basic_points, calls)):
+        g, ev = wave(f, (F(-1, 2), F(-3, 2)))
+    assert len(calls) == 49
+    assert (ev.monomial, ev.increment, ev.avalanche_area) == ((0, 0), F(7, 6),
+                                                              F(539, 72))
+    assert len(g.support) == 41
+
+
+def test_constructor_builds_one_complex_and_keeps_none():
+    built = []
+    presentations = [
+        (unit_square(), {(1, 0): 0, (0, 1): 0, (-1, 0): 1, (0, -1): 1,
+                         (0, 0): F(1, 3)}),
+        (pentagon(), {(0, 0): 0}),
+        (QPolygon.box(0, 0, 2, 1), {(1, 0): 0, (-1, 0): 2, (0, 1): 0,
+                                    (0, -1): 1, (0, 0): F(1, 2), (1, 1): 0}),
+    ]
+    with mock.patch.object(series, "_Complex",
+                           recorder(series._Complex, built)):
+        for domain, terms in presentations:
+            del built[:]
+            f = TropicalSeries(domain, terms)
+            # one build, of the sorted presentation
+            assert [args for args, _ in built] == [
+                (domain, presented(domain, terms).support)]
+            assert f._complex is None and f._cells is None
+        del built[:]
+        z = zero_series(pentagon())
+        assert len(built) == 1 and z._complex is None and z._cells is None
+        # the series' own complex is built on first use, once
+        z.cells()
+        z.complex_vertices()
+        assert len(built) == 2 and z._complex is built[1][1]

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tropwave import lift2
 from tropwave.lift2 import (GF2Poly, GF2RatFun, LaurentPoly2, LiftError,
                             ZeroPolynomial, degenerate_cancellation,
                             fuzz_lift, random_gf2ratfun, s_wave, trop,
@@ -144,6 +146,20 @@ class TestLiftTheorem:
         report = fuzz_lift(300, seed=17)
         assert report["trials"] == 300
         assert report["failures"] == []
+
+    def test_fuzz_lifts_each_draw_once(self):
+        # S_p F once for the identity and the vanishing check, and S_p of
+        # it once for idempotence: two waves per checked draw
+        calls = []
+
+        def counting(poly, p):
+            calls.append(p)
+            return s_wave(poly, p)
+
+        with mock.patch.object(lift2, "s_wave", counting):
+            report = fuzz_lift(40, seed=17)
+        assert report == fuzz_lift(40, seed=17)
+        assert len(calls) == 2 * report["trials"] == 80
 
 
 class TestTextFormat:

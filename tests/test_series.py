@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 from tropwave.curve import attaining_monomials
 from tropwave.exactlp import dot
 from tropwave.geometry import QPolygon
+from tropwave import series
 from tropwave.oracle import SupportOracle
 from tropwave.series import (BoundaryMismatch, NegativeIncrement,
                              OutsideDomain, SeriesError, TropicalSeries,
@@ -16,7 +18,7 @@ from tropwave.series import (BoundaryMismatch, NegativeIncrement,
                              rho, values_at, zero_series)
 
 from conftest import pentagon, random_points, random_polygon, random_series, \
-    ref_values, square13, unit_square
+    ref_envelope_degrees, ref_values, square13, unit_square
 
 
 class TestEvaluate:
@@ -293,3 +295,32 @@ def test_values_at_match_fraction_evaluation(kind, seed, n_waves):
         assert evaluate(f, z) == min(ref)
         assert attaining_monomials(f, z) == [
             v for v, r in zip(f.support, ref) if r == min(ref)]
+
+
+@given(st.sampled_from(["square", "pentagon", "random"]),
+       st.integers(0, 2 ** 32 - 1), st.integers(0, 4), st.booleans())
+def test_add_monomial_degrees_match_the_envelope(kind, seed, n_waves, on_side):
+    """add_monomial raises f's quasi-degree by one on each side whose least
+    vanishing monomial is v; the envelope of the result gives the same
+    degrees.  Half the draws raise a side's least vanishing monomial."""
+    rng = random.Random(seed)
+    poly = {"square": unit_square, "pentagon": pentagon,
+            "random": lambda: random_polygon(rng)}[kind]()
+    f = random_series(rng, poly, n_waves)
+    if on_side:
+        n, m = rng.choice(sorted(quasi_degree(f).items()))
+        v = (m * n[0], m * n[1])
+    else:
+        v = (rng.randint(-4, 4), rng.randint(-4, 4))
+    c = F(rng.randint(1, 40), rng.randint(1, 12))
+    hulls = []
+    original = series._candidate_hull
+
+    def recording(domain, degrees):
+        hulls.append(dict(degrees))
+        return original(domain, degrees)
+
+    with mock.patch.object(series, "_candidate_hull", recording):
+        add_monomial(f, v, c)
+    # add_monomial's own hull comes first, then its result's renormalization
+    assert hulls[0] == ref_envelope_degrees(f, v, c)

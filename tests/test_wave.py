@@ -187,6 +187,26 @@ def test_second_min_matches_lattice_scan(kind, seed, n_waves, where, d, s):
     assert _second_min_at(f, p, att[0]) == ref_second_min_at(f, p, att[0])
 
 
+@given(st.sampled_from(["square", "pentagon", "random"]),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=0, max_value=4),
+       st.fractions(min_value=0, max_value=1, max_denominator=50))
+def test_face_of_the_wave_point_survives_below_the_full_increment(
+        kind, seed, n_waves, t):
+    """Along the one-wave family f_t = add_monomial(f, v, c t), v is the one
+    monomial attaining f_t at p for every t in (0, 1)."""
+    assume(0 < t < 1)
+    rng = random.Random(seed)
+    poly = {"square": unit_square, "pentagon": pentagon,
+            "random": lambda: random_polygon(rng)}[kind]()
+    f = random_series(rng, poly, n_waves)
+    p = random_points(rng, poly, 1)[0]
+    _, ev = wave(f, p)
+    assume(ev.increment > 0)
+    ft = add_monomial(f, ev.monomial, ev.increment * t)
+    assert attaining_monomials(ft, p) == [ev.monomial]
+
+
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
        st.integers(min_value=0, max_value=3))
 def test_second_min_on_domains_with_rational_vertices(seed, n_waves):
