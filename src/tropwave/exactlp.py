@@ -6,15 +6,17 @@ rational) vector and ``a`` a `fractions.Fraction`.  Problem sizes here are
 tiny (a handful of constraints), so vertices are found by basic-solution
 enumeration, which is simple and exact but O(m^3) in the constraint count m.
 Every caller keeps m small: `QPolygon` passes its own half-planes, the
-linearity complex of `series` only the constraints tight at a cell it has
-already clipped to two or more points (a point cell is not enumerated), and
-`wave` one constraint per domain vertex.  Regions cut
+linearity complex of `series` only the side lines of a cell it has already
+clipped to two or more points (plus the two constraints that meet a segment
+cell at each end; a point cell is not enumerated), and `wave` one
+constraint per domain vertex.  Regions cut
 from a built complex (`refine`'s certificates) are clipped, not enumerated.
 
 The enumeration itself is pure integer arithmetic: `basic_points` takes
 denominator-cleared constraints ``(A, B, C)`` (``A x + B y + C >= 0``, made
 by `int_constraints`) and returns homogeneous integer points ``(X, Y, W)``
-standing for ``(X / W, Y / W)``; `sort_ccw` orders such points, `to_point`
+standing for ``(X / W, Y / W)``; `sort_ccw` orders such points
+(`rotate_ccw` does it in O(n) for a convex ring already in order), `to_point`
 turns one into a `Fraction` point, and `homogeneous` turns a rational
 point back into its reduced triple.
 """
@@ -94,32 +96,26 @@ def basic_points(ics: Sequence[IntConstraint]) -> list[Homogeneous]:
     once, as a reduced homogeneous triple (X, Y, W) with W > 0, in the order
     the pairs (i, j), i < j, first meet it.
     """
-    m = len(ics)
     pts: list[Homogeneous] = []
     seen = set()
-    for i in range(m):
-        A1, B1, C1 = ics[i]
-        for j in range(i + 1, m):
-            A2, B2, C2 = ics[j]
+    for i, (A1, B1, C1) in enumerate(ics):
+        for A2, B2, C2 in ics[i + 1:]:
             det = A1 * B2 - B1 * A2
             if det == 0:
                 continue
-            xn = -C1 * B2 + C2 * B1
-            yn = -C2 * A1 + C1 * A2
+            xn = C2 * B1 - C1 * B2
+            yn = C1 * A2 - C2 * A1
             if det < 0:
                 xn, yn, det = -xn, -yn, -det
-            g = math.gcd(math.gcd(abs(xn), abs(yn)), det)
-            key = (xn // g, yn // g, det // g)
-            if key in seen:
-                continue
-            ok = True
             for A, B, C in ics:
                 if A * xn + B * yn + C * det < 0:
-                    ok = False
                     break
-            if ok:
-                seen.add(key)
-                pts.append(key)
+            else:
+                g = math.gcd(xn, yn, det)
+                key = (xn // g, yn // g, det // g)
+                if key not in seen:
+                    seen.add(key)
+                    pts.append(key)
     return pts
 
 
@@ -234,21 +230,40 @@ def angle_order(vectors: Sequence[Vec]) -> list[int]:
     return sorted(range(len(vectors)), key=functools.cmp_to_key(cmp))
 
 
+def _centroid_offsets(pts: Sequence[Homogeneous]) -> list[Vec]:
+    """Each point's offset from the centroid of all, scaled by n * den > 0
+    to integers."""
+    n = len(pts)
+    den = math.lcm(*[h[2] for h in pts])  # a list: see series._Complex
+    xs = [X * (den // W) for X, _, W in pts]
+    ys = [Y * (den // W) for _, Y, W in pts]
+    sx, sy = sum(xs), sum(ys)
+    return [(n * x - sx, n * y - sy) for x, y in zip(xs, ys)]
+
+
 def sort_ccw(points: Sequence[Homogeneous]) -> list[Homogeneous]:
     """Sort distinct homogeneous points counterclockwise around their
     centroid, starting at angle 0 (`angle_order`); two or fewer points keep
     their order."""
     pts = list(points)
-    n = len(pts)
-    if n <= 2:
+    if len(pts) <= 2:
         return pts
-    den = math.lcm(*[h[2] for h in pts])  # a list: see series._Complex
-    xs = [X * (den // W) for X, _, W in pts]
-    ys = [Y * (den // W) for _, Y, W in pts]
-    sx, sy = sum(xs), sum(ys)
-    # offsets from the centroid, scaled by n * den > 0
-    d = [(n * x - sx, n * y - sy) for x, y in zip(xs, ys)]
-    return [pts[i] for i in angle_order(d)]
+    return [pts[i] for i in angle_order(_centroid_offsets(pts))]
+
+
+def rotate_ccw(ring: Sequence[Homogeneous]) -> list[Homogeneous]:
+    """The vertices of a convex polygon, counterclockwise from any start,
+    rotated to start where `sort_ccw` starts: equal to ``sort_ccw(ring)``,
+    in O(n).  Needs three or more vertices.
+
+    Round the centroid, which is inside, the angle from direction (1, 0)
+    grows along the ring through one turn, so the points of the upper half
+    (angle in [0, pi), as in `angle_order`) are one run of the ring, and
+    `sort_ccw` starts at the first of them."""
+    ring = list(ring)
+    up = [y > 0 or (y == 0 and x > 0) for x, y in _centroid_offsets(ring)]
+    k = next(k for k in range(len(ring)) if up[k] and not up[k - 1])
+    return ring[k:] + ring[:k]
 
 
 def common_scale(points: Sequence[Point]) -> int:

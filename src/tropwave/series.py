@@ -14,10 +14,12 @@ other; `tropwave.oracle` covers domains given by support coefficients).
 renormalizes, reading the small form off the presentation's complex.
 A series builds its own linearity complex once, on first use, in
 integers: each cell is the domain polygon clipped by the denominator-cleared
-dominance constraints one at a time, `exactlp.basic_points` on the few
-constraints tight at a clip of two or more points gives their order, the
-complex vertices are held as integer points over one common denominator D,
-and with them the integers D * f.  Canonical coefficients and
+dominance constraints one at a time, `exactlp.basic_points` on the cell's
+side lines (and, for a segment, the constraints that meet it at its ends)
+picks the vertices out of a clip of two or more points, the clip's
+counterclockwise order orders a polygon cell, the complex vertices are held
+as integer points over one common denominator D, and with them the
+integers D * f.  Canonical coefficients and
 renormalization read that table, and `refine`'s certificates clip the
 integer cells; values stay exact, and `Fraction` appears only at the API
 boundary (coefficients, `cells()`, `complex_vertices()`).
@@ -26,6 +28,7 @@ boundary (coefficients, `cells()`, `complex_vertices()`).
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -121,14 +124,29 @@ class _Complex:
 
     Coefficients are scaled by the lcm of their denominators and every
     constraint is an integer triple (A, B, C) for A x + B y + C >= 0, with
-    no `Fraction` arithmetic.  A cell is the domain clipped by each cutting
-    constraint in turn (`_clip`, O(m V) for m constraints and V vertices).
-    A clip of at most one point is the cell.  Otherwise
-    `exactlp.basic_points` runs on only the constraints tight at a clipped
-    point: those cut out the same cell, and being a subsequence of all the
-    constraints they meet its vertices in the same pair order, which fixes
-    the orientation of a segment cell; enumerating over all m constraints
-    would cost O(m^3) per cell, and at a point cell hundreds can be tight.
+    no `Fraction` arithmetic.  Each monomial's values at the domain vertices
+    are computed once, and the constraint of w against v cuts the domain
+    iff the row of w minus the row of v has a negative entry.  A cell is
+    the domain clipped by each cutting constraint in turn (`_clip`, O(m V)
+    for m constraints and V vertices).  A clip of at most one point is the
+    cell.  Otherwise `exactlp.basic_points` runs once, on the short list
+    `_cell_constraints` keeps, and three rules keep the cell exactly as an
+    enumeration over every constraint tight at the clip would give it:
+    - the side lines (constraints tight at two or more clip points, found
+      as the lines through neighbouring clip points) cut out a polygon
+      cell, and the pairs they form meet exactly its vertices;
+    - a segment cell also keeps, at each end, the first pair of crossing
+      constraints tight there; the list is a subsequence of all the
+      constraints, so each end is met by the same first pair and the two
+      ends come out in the same order, which fixes the segment's
+      orientation;
+    - a later copy of a half-plane is dropped, as it never forms the first
+      pair at a point.
+    A polygon cell keeps the clip's points that `basic_points` returns, in
+    the clip's counterclockwise order, rotated by `exactlp.rotate_ccw` to
+    the start `exactlp.sort_ccw` would give.  Enumerating over every tight
+    constraint would cost O(k^3) per cell, and at a complex vertex hundreds
+    can be tight.
     The complex vertices, in first-seen order over the cells, are kept as
     ``table`` rows (X, Y, F): the vertex is (X, Y) / denom and F is denom
     times the series there.  ``hcells`` maps each monomial to its cell as
@@ -142,36 +160,47 @@ class _Complex:
         # star-arguments come from lists, not generators: on CPython 3.11
         # the generator form made the peak RSS of long runs creep upwards
         scale = math.lcm(*[a.denominator for a in support.values()])
-        alpha = {v: a.numerator * (scale // a.denominator)
-                 for v, a in support.items()}
+        alpha = [a.numerator * (scale // a.denominator)
+                 for a in support.values()]
+        # monomial v as the triple (scale v0, scale v1, alpha_v), and its
+        # values at the domain vertices, each times scale * W
+        triples = [(scale * v[0], scale * v[1], av)
+                   for v, av in zip(support, alpha)]
         domain_verts = domain.hvertices
+        rows = [[A * X + B * Y + C * W for X, Y, W in domain_verts]
+                for A, B, C in triples]
+        domain_cons = domain.int_constraints()
         hcells = {}
-        for v, av in alpha.items():
-            cuts = []
-            for w, aw in alpha.items():
-                if w == v:
-                    continue
-                A, B, C = scale * (w[0] - v[0]), scale * (w[1] - v[1]), aw - av
-                # keep the constraint only if it cuts the domain: a domain
-                # vertex violates it (exact by convexity)
-                if any(A * X + B * Y + C * W < 0 for X, Y, W in domain_verts):
-                    cuts.append((A, B, C))
+        for v, (Av, Bv, Cv), row_v in zip(support, triples, rows):
+            # the constraint (w - v) . z + alpha_w - alpha_v >= 0 cuts the
+            # domain iff a domain vertex violates it (exact by convexity);
+            # w == v gives a row of zeros and no cut
+            cuts = [(Aw - Av, Bw - Bv, Cw - Cv)
+                    for (Aw, Bw, Cw), row_w in zip(triples, rows)
+                    if min(map(operator.sub, row_w, row_v)) < 0]
             cell = _clip(domain_verts, cuts)
             if len(cell) <= 1:
                 hcells[v] = cell
                 continue
-            tight = [(A, B, C) for A, B, C in [*domain.int_constraints(), *cuts]
-                     if any(A * X + B * Y + C * W == 0 for X, Y, W in cell)]
-            hcells[v] = lp.sort_ccw(lp.basic_points(tight))
+            hs = lp.basic_points(_cell_constraints([*domain_cons, *cuts], cell))
+            if len(hs) >= 3:
+                # the vertices in the clip's order, CCW as the domain's
+                # `hvertices` are; the clip may also hold points inside the
+                # sides
+                if len(hs) < len(cell):
+                    vertex = set(hs)
+                    cell = [h for h in cell if h in vertex]
+                hs = lp.rotate_ccw(cell)
+            hcells[v] = hs
 
         hverts = list(dict.fromkeys(h for hs in hcells.values() for h in hs))
         denom = math.lcm(scale, *[h[2] for h in hverts])
         lift = denom // scale
+        lifted = [(v[0], v[1], av * lift) for v, av in zip(support, alpha)]
         table = []
         for X, Y, W in hverts:
             X, Y = X * (denom // W), Y * (denom // W)
-            table.append((X, Y, min(v[0] * X + v[1] * Y + av * lift
-                                    for v, av in alpha.items())))
+            table.append((X, Y, min(a * X + b * Y + c for a, b, c in lifted)))
         self.denom = denom
         self.table = table
         self.hcells = hcells
@@ -185,6 +214,57 @@ class _Complex:
         u0, u1 = u
         return Fraction(max(F - u0 * X - u1 * Y for X, Y, F in self.table),
                         self.denom)
+
+
+def _cell_constraints(cons: list, cell: list) -> list:
+    """The constraints of ``cons`` that `exactlp.basic_points` needs to
+    find the vertices of ``cell``, a clip of two or more points, in the
+    order of ``cons``: the three rules of `_Complex`.
+
+    A constraint tight at two or more clip points holds on the cell, so its
+    reduced triple is the line through two neighbouring clip points,
+    oriented with the cell on its nonnegative side: the clip runs
+    counterclockwise round the cell's boundary, and the clip points on a
+    side are neighbours.  A segment cell has just two such lines, its line
+    both ways round."""
+    sides = set()
+    X0, Y0, W0 = cell[-1]
+    for X1, Y1, W1 in cell:
+        A, B, C = Y0 * W1 - W0 * Y1, W0 * X1 - X0 * W1, X0 * Y1 - Y0 * X1
+        g = math.gcd(A, B, C)
+        sides.add((A // g, B // g, C // g))
+        X0, Y0, W0 = X1, Y1, W1
+    keys = []
+    for A, B, C in cons:
+        g = math.gcd(A, B, C)
+        keys.append((A // g, B // g, C // g))
+    keep = [i for i, key in enumerate(keys) if key in sides]
+    if len(sides) == 2:
+        # only the ends of a segment have a crossing pair tight there
+        more = set(keep)
+        for X, Y, W in cell:
+            more.update(_first_crossing_pair(
+                cons, [i for i, (A, B, C) in enumerate(cons)
+                       if A * X + B * Y + C * W == 0]))
+        keep = sorted(more)
+    out, seen = [], set()
+    for i in keep:
+        if keys[i] not in seen:
+            seen.add(keys[i])
+            out.append(cons[i])
+    return out
+
+
+def _first_crossing_pair(cons: list, ts: list) -> tuple:
+    """The first pair i < j in ``ts`` of constraints whose lines cross, or
+    () if all are parallel."""
+    for k, i in enumerate(ts):
+        A1, B1, _ = cons[i]
+        for j in ts[k + 1:]:
+            A2, B2, _ = cons[j]
+            if A1 * B2 != B1 * A2:
+                return (i, j)
+    return ()
 
 
 def _clip(poly: Sequence, cuts: list) -> list:

@@ -1,13 +1,14 @@
 import math
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import settings
 
 from tropwave import exactlp as lp
 from tropwave.exactlp import dot, vsub
-from tropwave.geometry import QPolygon
+from tropwave.geometry import HalfPlane, QPolygon
 from tropwave import series
 from tropwave.series import (TropicalSeries, canonical_coefficient,
                              make_series, zero_series)
@@ -78,6 +79,54 @@ def ref_polytope_vertices(cons):
     """Vertices (basic feasible points) of the polyhedron given by
     `Fraction` constraints ``(n, a)``, ``n . z + a >= 0``."""
     return [lp.to_point(h) for h in lp.basic_points(lp.int_constraints(cons))]
+
+
+def ref_complex(domain: QPolygon, support):
+    """The fields of `series._Complex` built as it was before the side-line
+    filter: each cell clipped, then `exactlp.basic_points` on every
+    constraint tight at a clip of two or more points, ordered by
+    `exactlp.sort_ccw`.  ``support`` is a sorted presentation with
+    `Fraction` coefficients."""
+    scale = math.lcm(*[a.denominator for a in support.values()])
+    alpha = {v: a.numerator * (scale // a.denominator)
+             for v, a in support.items()}
+    domain_verts = domain.hvertices
+    hcells = {}
+    for v, av in alpha.items():
+        cuts = []
+        for w, aw in alpha.items():
+            if w == v:
+                continue
+            A, B, C = scale * (w[0] - v[0]), scale * (w[1] - v[1]), aw - av
+            if any(A * X + B * Y + C * W < 0 for X, Y, W in domain_verts):
+                cuts.append((A, B, C))
+        cell = series._clip(domain_verts, cuts)
+        if len(cell) <= 1:
+            hcells[v] = cell
+            continue
+        tight = [(A, B, C) for A, B, C in [*domain.int_constraints(), *cuts]
+                 if any(A * X + B * Y + C * W == 0 for X, Y, W in cell)]
+        hcells[v] = lp.sort_ccw(lp.basic_points(tight))
+    hverts = list(dict.fromkeys(h for hs in hcells.values() for h in hs))
+    denom = math.lcm(scale, *[h[2] for h in hverts])
+    lift = denom // scale
+    table = []
+    for X, Y, W in hverts:
+        X, Y = X * (denom // W), Y * (denom // W)
+        table.append((X, Y, min(v[0] * X + v[1] * Y + av * lift
+                                for v, av in alpha.items())))
+    points = {h: lp.to_point(h) for h in hverts}
+    return SimpleNamespace(
+        denom=denom, table=table, hcells=hcells,
+        vertices=list(points.values()),
+        cells={v: [points[h] for h in hs] for v, hs in hcells.items()})
+
+
+def triangle(N: int) -> QPolygon:
+    """The triangle with inward normals (N, 1), (-N, 1), (0, -1) and offsets
+    0, 2N, 1: apex (1, -N) and top side y = 1 from x = -1/N to 2 + 1/N."""
+    return QPolygon([HalfPlane((N, 1), 0), HalfPlane((-N, 1), 2 * N),
+                     HalfPlane((0, -1), 1)])
 
 
 def ref_point_segment_dist2(p, a, b):

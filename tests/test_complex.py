@@ -8,6 +8,9 @@ constraints.  A presentation's complex is built as `_Complex` directly,
 as the constructor builds it before renormalizing.  Every comparison is
 exact and ordered: the cells' vertex lists, the vertex list and the
 renormalized supports must be identical, not just equal as sets.
+`conftest.ref_complex` keeps the integer build as it was before the cells
+were enumerated from their side lines only, and every field of `_Complex`
+must equal it.
 """
 
 import functools
@@ -17,7 +20,7 @@ from fractions import Fraction as F
 from types import SimpleNamespace
 from unittest import mock
 
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from tropwave import exactlp, series
 from tropwave.exactlp import cross, dot, hull_lattice_points, vsub
@@ -27,7 +30,7 @@ from tropwave.series import (SeriesError, TropicalSeries, canonical_coefficient,
 from tropwave.wave import wave
 
 from conftest import (pentagon, random_polygon, random_series,
-                      ref_cell_constraints, unit_square)
+                      ref_cell_constraints, ref_complex, triangle, unit_square)
 
 
 # -- reference implementation (Fraction arithmetic) ---------------------------
@@ -240,7 +243,10 @@ def test_point_cells_are_not_enumerated():
     # most of whose cells are single points where up to 392 constraints are
     # tight.  Of the two complexes built (the zero series' and the
     # presentation's, 516 cells), 48 cells are clipped to two or more
-    # points; `_second_min_at` makes the 49th call.
+    # points; `_second_min_at` makes the 49th call.  A cell passes only its
+    # side lines and a segment's end pairs, 223 constraints over the 49
+    # calls; every constraint tight at the clips would be 4041, up to 392
+    # at one cell of 2-3 points.
     poly = QPolygon.from_vertices([(-4, F(-23, 6)), (F(-1, 2), -4),
                                    (F(2, 3), 0), (-4, F(-11, 3))])
     f = zero_series(poly)
@@ -249,9 +255,77 @@ def test_point_cells_are_not_enumerated():
                            recorder(exactlp.basic_points, calls)):
         g, ev = wave(f, (F(-1, 2), F(-3, 2)))
     assert len(calls) == 49
+    assert sum(len(ics) for (ics,), _ in calls) == 223
     assert (ev.monomial, ev.increment, ev.avalanche_area) == ((0, 0), F(7, 6),
                                                               F(539, 72))
     assert len(g.support) == 41
+
+
+def test_triangle_cells_pass_only_side_lines():
+    # a wave from zero on the N = 60 triangle renormalizes candidates of
+    # which hundreds touch at each of a few complex vertices; each cell of
+    # two or more points still gets one enumeration, on 5 constraints at
+    # most (every constraint tight at the clips would be 15153, up to 155
+    # at one cell)
+    f = zero_series(triangle(60))
+    calls = []
+    with mock.patch.object(exactlp, "basic_points",
+                           recorder(exactlp.basic_points, calls)):
+        g, ev = wave(f, (F(1), F(1, 2)))
+    assert len(calls) == 127
+    assert sum(len(ics) for (ics,), _ in calls) == 624
+    assert (ev.monomial, ev.increment, ev.avalanche_area) == ((0, 0), F(1, 2),
+                                                              F(3721, 60))
+    assert len(g.support) == 125
+
+
+def complex_fields(cx):
+    return (cx.denom, cx.table, list(cx.hcells.items()),
+            list(cx.cells.items()), cx.vertices)
+
+
+def touching_presentation(f):
+    """f's support plus every monomial of a box at its canonical
+    coefficient: each touches f on a face, so ties make segment and point
+    cells."""
+    terms = dict(f.support)
+    for u in [(i, j) for i in range(-3, 4) for j in range(-3, 4)]:
+        terms.setdefault(u, canonical_coefficient(f, u))
+    return terms
+
+
+@given(st.sampled_from(["presentation", "ties", "triangle"]), DOMAINS, SEEDS,
+       st.integers(min_value=0, max_value=3), st.integers(min_value=1,
+                                                         max_value=30))
+def test_complex_matches_tight_list_reference(source, kind, seed, n_waves, N):
+    if source == "triangle":
+        # every complex a wave from zero builds on the N-th triangle
+        built = []
+        with mock.patch.object(series, "_Complex",
+                               recorder(series._Complex, built)):
+            wave(zero_series(triangle(N)), (F(1), F(1, 2)))
+        assert len(built) == 3
+    else:
+        rng, f = make_series_for(kind, seed, n_waves)
+        terms = (presentation(rng, f) if source == "presentation"
+                 else touching_presentation(f))
+        args = (f.domain, presented(f.domain, terms).support)
+        built = [(args, series._Complex(*args))]
+    for args, cx in built:
+        assert complex_fields(cx) == complex_fields(ref_complex(*args))
+
+
+@given(SEEDS, st.integers(min_value=3, max_value=12))
+def test_rotate_ccw_equals_sort_ccw(seed, n):
+    rng = random.Random(seed)
+    hull = exactlp.convex_hull([(F(rng.randint(-20, 20), rng.randint(1, 6)),
+                                 F(rng.randint(-20, 20), rng.randint(1, 6)))
+                                for _ in range(n)])
+    assume(len(hull) >= 3)
+    ring = [exactlp.homogeneous(p) for p in hull]
+    k = rng.randrange(len(ring))
+    ring = ring[k:] + ring[:k]
+    assert exactlp.rotate_ccw(ring) == exactlp.sort_ccw(ring)
 
 
 def test_constructor_builds_one_complex_and_keeps_none():
