@@ -10,12 +10,15 @@ Exit codes: 0 ok, 2 parse error, 3 domain violation, 4 nonconvergence
 one reader, `_read`, and `main` holds the only mapping from exceptions to
 exit codes, `FAILURES`; the commands themselves catch nothing.  `main` also
 owns the output bundle: each command writes its files into it, and `main`
-writes the manifest once the command has returned.
+writes the manifest once the command has returned.  The argument parser is
+built once per process (`_parser`), so an in-process caller that runs many
+commands pays only for parsing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -321,7 +324,10 @@ FAILURES = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves no state
+    in it, so every in-process `main` call can share it."""
     ap = argparse.ArgumentParser(prog="tropwave",
                                  description="exact tropical wave dynamics")
     ap.add_argument("--config", help="JSON config file")
@@ -373,8 +379,11 @@ def main(argv=None) -> int:
     s = sub.add_parser("curve", help="extract and render the curve")
     s.add_argument("series")
     s.set_defaults(fn=cmd_curve)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         bundle = OutputBundle(RunConfig.from_args(args))
         code = args.fn(args, bundle)

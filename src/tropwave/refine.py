@@ -15,6 +15,13 @@ polygon takes its minimum at a vertex, and a convex one its maximum
 cell of its linearity complex, so f - g is concave on each cell of g and
 convex on each cell of f, and every bound below reads finitely many
 vertices of cells clipped in integers.
+
+A corner's margin certificate stays in integers end to end: the clipped
+vertices outside the corner's ball become rows (X, Y, F) over one common
+denominator Q, with z - apex = (X, Y) / Q and f(z) = F / Q, and the least
+multiplier is one more than a maximum of integer floor divisions.  Those
+floors are exact because each divisor is a positive integer, so no
+`Fraction` is made until the margin itself.
 """
 
 from __future__ import annotations
@@ -128,19 +135,19 @@ def level_shift_check(domain: QPolygon, points: Sequence[Point],
 
 def _region_values(f: TropicalSeries, cuts):
     """Each cell of f cut by the integer half-planes ``cuts`` (A, B, C),
-    A x + B y + C >= 0, as (vertex, f there) pairs, cell by cell; a vertex
-    shared by cells repeats.
+    A x + B y + C >= 0, as (h, v, a) triples, cell by cell: h = (X, Y, W),
+    W > 0, a reduced homogeneous point of the clip and v x + a the cell's
+    monomial; a vertex shared by cells repeats.
 
     The cells are f's integer ones, clipped in homogeneous points, so the
-    pairs hold every vertex of each region (a cell of f and the cuts
+    points hold every vertex of each region (a cell of f and the cuts
     intersected) and nothing outside it.  f equals the cell's monomial on
-    its closed cell, which gives the value.
+    its closed cell, (v0 X + v1 Y) / W + a at h.
     """
     for v, cell in f._int_complex().hcells.items():
-        (v0, v1), a = v, f.support[v]
-        for X, Y, W in _clip(cell, cuts):
-            z = (Fraction(X, W), Fraction(Y, W))
-            yield z, Fraction(v0 * X + v1 * Y, W) + a
+        a = f.support[v]
+        for h in _clip(cell, cuts):
+            yield h, v, a
 
 
 def _gap_range(f: TropicalSeries, g: TropicalSeries) -> tuple[Fraction, Fraction]:
@@ -151,8 +158,9 @@ def _gap_range(f: TropicalSeries, g: TropicalSeries) -> tuple[Fraction, Fraction
     of f, f - g is convex, so its max is at a vertex of that cell clipped
     by g's domain."""
     low = min(evaluate(f, z) - evaluate(g, z) for z in g.complex_vertices())
-    high = max(fz - evaluate(g, z)
-               for z, fz in _region_values(f, g.domain.int_constraints()))
+    high = max(Fraction(v[0] * h[0] + v[1] * h[1], h[2]) + a
+               - evaluate(g, lp.to_point(h))
+               for h, v, a in _region_values(f, g.domain.int_constraints()))
     return low, high
 
 
@@ -161,45 +169,62 @@ def _at_most_outside(f: TropicalSeries, sub: QPolygon, level: Fraction) -> bool:
 
     Off sub is the union of the pieces where one of sub's own half-planes
     fails, and f is affine on each cell cut by such a piece, so checking
-    the vertices of those regions is exact."""
+    the vertices of those regions is exact: f(h) > level iff
+    v0 X + v1 Y + a W > level W."""
     own = set(f.domain.halfplanes)
     return not any(
-        fz > level
+        v[0] * X + v[1] * Y + a * W > level * W
         for hp, (A, B, C) in zip(sub.halfplanes, sub.int_constraints())
         if hp not in own
-        for _, fz in _region_values(f, [(-A, -B, -C)]))
+        for (X, Y, W), v, a in _region_values(f, [(-A, -B, -C)]))
 
 
 def _margin_points(f: TropicalSeries, apex: Point,
-                   eps: Fraction) -> list[tuple[Point, Fraction]]:
+                   eps: Fraction) -> tuple[int, list[tuple[int, int, int]]]:
     """Vertices of (f's domain minus ball) refined by the cells of f, with
-    the series values; an affine exceeds f on the region iff it does at
-    these.  The complement of the L-infinity ball is covered by four
-    half-planes."""
+    the series values, in integers: (Q, rows) with rows (X, Y, F), where
+    z - apex = (X, Y) / Q and f(z) = F / Q over one common denominator
+    Q > 0.  An affine exceeds f on the region iff it does at these points.
+    The complement of the L-infinity ball is covered by four half-planes;
+    a vertex in several regions appears once, valued by the first cell that
+    holds it."""
     cx, cy = apex
-    pts: dict = {}
+    first: dict = {}
     for extra in (((-1, 0), cx - eps), ((1, 0), -(cx + eps)),
                   ((0, -1), cy - eps), ((0, 1), -(cy + eps))):
-        for z, fz in _region_values(f, lp.int_constraints([extra])):
-            pts.setdefault(z, fz)
-    return list(pts.items())
+        for h, v, a in _region_values(f, lp.int_constraints([extra])):
+            first.setdefault(h, (v, a))
+    Q = math.lcm(cx.denominator, cy.denominator, *[h[2] for h in first],
+                 *[a.denominator for a in f.support.values()])
+    QX = cx.numerator * (Q // cx.denominator)
+    QY = cy.numerator * (Q // cy.denominator)
+    rows = []
+    for (X, Y, W), ((v0, v1), a) in first.items():
+        k, Qa = Q // W, a.numerator * (Q // a.denominator)
+        rows.append((X * k - QX, Y * k - QY, (v0 * X + v1 * Y) * k + Qa))
+    return Q, rows
 
 
-def _least_multiplier(pts, v: Vec, apex: Point,
+def _least_multiplier(cert: tuple[int, list], v: Vec,
                       shift: Fraction = Fraction(0)) -> tuple[int, Fraction]:
     """The least m >= 1 with m * (d_z - shift) > f_z at every certified
-    point z, where d_z = v.(z - apex), and its margin
-    min_z (m * d_z - f_z).
+    point z of ``cert`` = `_margin_points`' (Q, rows), where
+    d_z = v.(z - apex), and its margin min_z (m * d_z - f_z).
 
-    Each point asks m > f_z / (d_z - shift), so m is one more than the
-    largest floor of those ratios.  A point with d_z <= shift, where
-    f_z >= 0, admits no m, and neither does an m above 10000."""
-    base = dot(v, apex)
-    ds = [(dot(v, z) - base, fz) for z, fz in pts]
-    if all(d > shift for d, _ in ds):
-        m = max([1] + [math.floor(fz / (d - shift)) + 1 for d, fz in ds])
+    With shift = sp / sq, a row (X, Y, F) has d_z = D / Q for
+    D = v.(X, Y) and f_z = F / Q, so it asks m * E > F * sq for
+    E = D * sq - sp * Q: m is one more than the largest floor of
+    F * sq / E, an integer floor division and exact since E > 0, and the
+    margin is min(m * D - F) / Q.  A point with E <= 0, where f_z >= 0,
+    admits no m, and neither does an m above 10000."""
+    Q, rows = cert
+    sp, sq = shift.numerator, shift.denominator
+    v0, v1 = v
+    ds = [(v0 * X + v1 * Y, F) for X, Y, F in rows]
+    if all(D * sq > sp * Q for D, _ in ds):
+        m = 1 + max([0] + [F * sq // (D * sq - sp * Q) for D, F in ds])
         if m <= 10000:
-            return m, min(m * d - fz for d, fz in ds)
+            return m, Fraction(min(m * D - F for D, F in ds), Q)
     raise CertificationFailed("no multiplier clears the apex" if shift
                               else "no multiplier certifies the cut")
 
@@ -259,11 +284,11 @@ def make_nice(poly: QPolygon, f: TropicalSeries, eps: Fraction
         needs_split = degrees[primitive(n1)] > 1 and degrees[primitive(n2)] > 1
         if not needs_fan and not needs_split:
             continue
-        pts = _margin_points(f, corner.apex, eps)
+        cert = _margin_points(f, corner.apex, eps)
         fan = _unimodular_fan(n1, n2)
         if not fan and needs_split:
             fan = [primitive((n1[0] + n2[0], n1[1] + n2[1]))]
-        entries = [(v,) + _least_multiplier(pts, v, corner.apex) for v in fan]
+        entries = [(v,) + _least_multiplier(cert, v) for v in fan]
         # mediant repair: no two adjacent sides may both have multiplier > 1;
         # a mediant lies strictly between its pair, so inserting it between
         # them keeps the fan in CCW order
@@ -280,7 +305,7 @@ def make_nice(poly: QPolygon, f: TropicalSeries, eps: Fraction
                 break
             u, w = seq[bad][0], seq[bad + 1][0]
             med = primitive((u[0] + w[0], u[1] + w[1]))
-            entries.insert(bad, (med,) + _least_multiplier(pts, med, corner.apex))
+            entries.insert(bad, (med,) + _least_multiplier(cert, med))
         else:
             raise CertificationFailed("mediant repair did not terminate")
 
@@ -296,7 +321,7 @@ def make_nice(poly: QPolygon, f: TropicalSeries, eps: Fraction
                 raise CertificationFailed("no room to cut corner")
             gap = bigger[0] - a0
             if mg / m <= a0:
-                m, mg = _least_multiplier(pts, v, corner.apex, a0)
+                m, mg = _least_multiplier(cert, v, a0)
             depth = a0 + min(gap, mg / m - a0, eps / 4) / 2
             w = (m * v[0], m * v[1])
             offset = dot(w, corner.apex) + m * depth

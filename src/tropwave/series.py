@@ -22,13 +22,17 @@ as integer points over one common denominator D, and with them the
 integers D * f.  Canonical coefficients and
 renormalization read that table, and `refine`'s certificates clip the
 integer cells; values stay exact, and `Fraction` appears only at the API
-boundary (coefficients, `cells()`, `complex_vertices()`).
+boundary (coefficients, `cells()`, `complex_vertices()`).  The `Fraction`
+points of a cell or of the vertex list are made on first read, so a
+complex that is only built and dropped, as the constructor's is, converts
+none.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Mapping
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -77,7 +81,7 @@ class TropicalSeries:
         if not support:
             raise SeriesError("series needs at least one monomial")
         self.support = dict(sorted(support.items()))
-        self._cells: Optional[dict] = None
+        self._cells: Optional[Mapping] = None
         self._complex: Optional[_Complex] = None
         self.cells()
         self.support = _small_canonical_terms(domain, self.support, self._complex)
@@ -102,8 +106,9 @@ class TropicalSeries:
 
     # -- cached geometry ---------------------------------------------------
 
-    def cells(self) -> dict:
-        """Monomial -> CCW vertex list of its (possibly degenerate) region."""
+    def cells(self) -> Mapping:
+        """Monomial -> CCW vertex list of its (possibly degenerate) region,
+        each list made on first read."""
         if self._cells is None:
             self._complex = _Complex(self.domain, self.support)
             self._cells = self._complex.cells
@@ -151,10 +156,12 @@ class _Complex:
     ``table`` rows (X, Y, F): the vertex is (X, Y) / denom and F is denom
     times the series there.  ``hcells`` maps each monomial to its cell as
     reduced homogeneous points (X, Y, W), W > 0, in the order of ``cells``;
-    ``cells`` and ``vertices`` are the same data as `Fraction` points.
+    ``cells`` and ``vertices`` are the same data as `Fraction` points, made
+    on first read: a build converts nothing, and a reader pays only for the
+    cells it reads.
     """
 
-    __slots__ = ("denom", "table", "hcells", "cells", "vertices")
+    __slots__ = ("denom", "table", "hcells", "cells", "_hverts", "_vertices")
 
     def __init__(self, domain: QPolygon, support: Support):
         # star-arguments come from lists, not generators: on CPython 3.11
@@ -204,9 +211,16 @@ class _Complex:
         self.denom = denom
         self.table = table
         self.hcells = hcells
-        points = {h: lp.to_point(h) for h in hverts}
-        self.vertices = list(points.values())
-        self.cells = {v: [points[h] for h in hs] for v, hs in hcells.items()}
+        self.cells = _Cells(hcells)
+        self._hverts = hverts
+        self._vertices = None
+
+    @property
+    def vertices(self) -> list[Point]:
+        """The complex vertices as `Fraction` points, in ``table`` order."""
+        if self._vertices is None:
+            self._vertices = [self.cells.point(h) for h in self._hverts]
+        return self._vertices
 
     def coefficient(self, u: Vec) -> Fraction:
         """max over the complex vertices of (f - u.z): the canonical
@@ -214,6 +228,38 @@ class _Complex:
         u0, u1 = u
         return Fraction(max(F - u0 * X - u1 * Y for X, Y, F in self.table),
                         self.denom)
+
+
+class _Cells(Mapping):
+    """Monomial -> its cell as a list of `Fraction` points, read off
+    ``hcells`` in its order.  A cell is converted the first time it is
+    read, and each point once per complex, so cells that share a vertex
+    share its point."""
+
+    __slots__ = ("_hcells", "_read", "_points")
+
+    def __init__(self, hcells: dict):
+        self._hcells = hcells
+        self._read: dict = {}
+        self._points: dict = {}
+
+    def point(self, h) -> Point:
+        p = self._points.get(h)
+        if p is None:
+            p = self._points[h] = lp.to_point(h)
+        return p
+
+    def __getitem__(self, v) -> list[Point]:
+        cell = self._read.get(v)
+        if cell is None:
+            cell = self._read[v] = [self.point(h) for h in self._hcells[v]]
+        return cell
+
+    def __iter__(self):
+        return iter(self._hcells)
+
+    def __len__(self) -> int:
+        return len(self._hcells)
 
 
 def _cell_constraints(cons: list, cell: list) -> list:

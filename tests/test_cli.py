@@ -1,14 +1,20 @@
+import argparse
 import copy
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import tempfile
 import time
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropwave import jsonio
+import tropwave
+from tropwave import cli, jsonio
 from tropwave.cli import main
 from tropwave.geometry import QPolygon
 from tropwave.series import distance_function
@@ -298,6 +304,65 @@ class TestOtherCommands:
         for name, digest in _manifest_digests(out).items():
             with open(os.path.join(out, name), "rb") as fh:
                 assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+
+# -- in-process calls share one parser ------------------------------------------
+
+
+def test_main_builds_the_parser_once(files):
+    # every parser, subcommand parsers included, is built in the first call
+    cli._parser.cache_clear()
+    with mock.patch.object(argparse.ArgumentParser, "__init__", autospec=True,
+                           side_effect=argparse.ArgumentParser.__init__) as built:
+        counts = []
+        for out in ("p1", "p2"):
+            assert main(["--out", str(files / out), "curve",
+                         str(files / "series.json")]) == 0
+            counts.append(built.call_count)
+    assert counts == [9, 9]  # tropwave and its eight subcommands
+
+
+def _outputs(out_dir):
+    """Every file a call wrote, by name, as bytes."""
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def _alone(argv, cwd):
+    """The exit code and the outputs of ``argv`` run as the only call of a
+    fresh process in ``cwd``; its --out is the last relative one."""
+    src = os.path.dirname(os.path.dirname(tropwave.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    cwd.mkdir()
+    proc = subprocess.run([sys.executable, "-m", "tropwave.cli", *argv],
+                          cwd=cwd, env=env, capture_output=True)
+    return proc.returncode, _outputs(cwd / argv[argv.index("--out") + 1])
+
+
+def test_one_call_does_not_leak_into_the_next(files, monkeypatch):
+    # a usage error that sets a flag before it fails, then a valid call;
+    # then a --seed call, then one without: each writes what it writes
+    # as the only call of a process, manifest config included
+    sq, pts = str(files / "square.json"), str(files / "points.json")
+    stats = ["stats", sq, "--n", "2", "--trials", "1"]
+    calls = [["--out", "dyn", "dynamics", sq, pts],
+             ["--seed", "5", "--out", "seeded", *stats],
+             ["--out", "unseeded", *stats]]
+    (files / "seq").mkdir()
+    monkeypatch.chdir(files / "seq")
+    with pytest.raises(SystemExit) as exc:
+        main(["--max-steps", "3", "dynamics", sq])
+    assert exc.value.code == 2
+    for argv in calls:
+        assert main(argv) == 0
+    for i, argv in enumerate(calls):
+        out = files / "seq" / argv[argv.index("--out") + 1]
+        assert _alone(argv, files / f"alone{i}") == (0, _outputs(out))
+    configs = [json.loads((files / "seq" / name / "manifest.json")
+                          .read_text())["config"]
+               for name in ("dyn", "seeded", "unseeded")]
+    assert [c["max_steps"] for c in configs] == [10000] * 3
+    assert [c["seed"] for c in configs] == [0, 5, 0]
 
 
 # -- fuzzing the loaders -------------------------------------------------------

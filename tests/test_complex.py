@@ -30,7 +30,8 @@ from tropwave.series import (SeriesError, TropicalSeries, canonical_coefficient,
 from tropwave.wave import wave
 
 from conftest import (pentagon, random_polygon, random_series,
-                      ref_cell_constraints, ref_complex, triangle, unit_square)
+                      ref_cell_constraints, ref_complex, square13, triangle,
+                      unit_square)
 
 
 # -- reference implementation (Fraction arithmetic) ---------------------------
@@ -353,3 +354,23 @@ def test_constructor_builds_one_complex_and_keeps_none():
         z.cells()
         z.complex_vertices()
         assert len(built) == 2 and z._complex is built[1][1]
+
+
+def test_fraction_points_are_made_on_first_read():
+    # a constructor converts no point to Fractions; a wave converts one
+    # cell, its monomial's, for the avalanche area, and a read converts
+    # only the points no earlier read has
+    f = square13()
+    with mock.patch.object(exactlp, "to_point",
+                           wraps=exactlp.to_point) as conv:
+        f = TropicalSeries(f.domain, f.support)
+        assert conv.call_count == 0
+        g, ev = wave(f, (F(1, 5), F(1, 2)))
+        assert (ev.monomial, ev.increment) == ((1, 0), F(2, 15))
+        cell = f._complex.hcells[ev.monomial]
+        assert [c.args[0] for c in conv.call_args_list] == cell
+        assert f.cells()[ev.monomial] == [exactlp.to_point(h) for h in cell]
+        assert conv.call_count == 2 * len(cell)
+        assert len(f.complex_vertices()) == len(f._complex.table)
+        assert conv.call_count == len(cell) + len(f._complex.table)
+        assert g._complex is None

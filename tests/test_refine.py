@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -173,6 +174,22 @@ def _margin(points_vals, v, apex, m):
     return min(m * (lp.dot(v, z) - base) - fz for z, fz in points_vals)
 
 
+def margin_pairs(cert, apex):
+    """`_margin_points`' common denominator Q and integer rows (X, Y, Fz)
+    as the (z, f(z)) pairs they stand for: z = apex + (X, Y) / Q and
+    f(z) = Fz / Q, converted exactly."""
+    Q, rows = cert
+    return [((apex[0] + F(X, Q), apex[1] + F(Y, Q)), F(Fz, Q))
+            for X, Y, Fz in rows]
+
+
+def region_pairs(triples):
+    """`_region_values`' (h, v, a) triples as (z, f(z)) pairs: the point
+    h = (X, Y, W) and the cell's monomial there, converted exactly."""
+    for h, v, a in triples:
+        yield lp.to_point(h), F(v[0] * h[0] + v[1] * h[1], h[2]) + a
+
+
 def ref_margin_points(poly, f, apex, eps):
     cx, cy = apex
     out = {}
@@ -206,7 +223,7 @@ def test_margin_points_match_fraction_enumeration(kind, seed, n_points, eps):
     # n_points == 0 stands for the distance function
     poly, f = _certificate_case(kind, seed, n_points)
     for corner in poly.corners():
-        pts = _margin_points(f, corner.apex, eps)
+        pts = margin_pairs(_margin_points(f, corner.apex, eps), corner.apex)
         ref = ref_margin_points(poly, f, corner.apex, eps)
         assert len(pts) == len(dict(pts))
         assert dict(pts) == ref
@@ -230,7 +247,8 @@ def test_outside_pieces_match_fraction_enumeration(kind, seed, n_points, eps):
         removed = ((-w[0], -w[1]), w[0] * corner.apex[0]
                    + w[1] * corner.apex[1] + eps)
         got = {}
-        for z, fz in _region_values(f, lp.int_constraints([removed])):
+        for z, fz in region_pairs(_region_values(
+                f, lp.int_constraints([removed]))):
             assert got.setdefault(z, fz) == fz
         assert got == ref_region_values(poly, f, removed)
 
@@ -269,13 +287,27 @@ def ref_least_multiplier(pts, v, apex, a0):
     return m, F(mg, den)
 
 
-def closed_form_multiplier(pts, v, apex, a0):
+def closed_form_multiplier(cert, v, a0):
     """make_nice's two steps: the least certifying multiplier, raised past
     the apex only when its margin does not clear a0."""
-    m, mg = _least_multiplier(pts, v, apex)
+    m, mg = _least_multiplier(cert, v)
     if mg / m <= a0:
-        m, mg = _least_multiplier(pts, v, apex, a0)
+        m, mg = _least_multiplier(cert, v, a0)
     return m, mg
+
+
+def fraction_least_multiplier(pts, v, apex, shift=F(0)):
+    """The closed form in `Fraction`s over (z, f(z)) pairs: the least
+    m >= 1 with m * (d_z - shift) > f_z, d_z = v.(z - apex), one more than
+    the largest floor of f_z / (d_z - shift), and its margin."""
+    base = lp.dot(v, apex)
+    ds = [(lp.dot(v, z) - base, fz) for z, fz in pts]
+    if all(d > shift for d, _ in ds):
+        m = max([1] + [math.floor(fz / (d - shift)) + 1 for d, fz in ds])
+        if m <= 10000:
+            return m, min(m * d - fz for d, fz in ds)
+    raise CertificationFailed("no multiplier clears the apex" if shift
+                              else "no multiplier certifies the cut")
 
 
 def _outcome(fn, *args):
@@ -286,7 +318,8 @@ def _outcome(fn, *args):
 
 
 def _multiplier_cases(poly, f, eps):
-    """(points, corner, direction, a0) cases: at every corner the fan and
+    """(certificate, points, corner, direction, a0) cases, the points being
+    the certificate's rows as (z, f(z)) pairs: at every corner the fan and
     mediant directions with apex offsets a0 of 0, eps / 64 and 1/2 and
     15/16 of the least v.(z - apex) over the points, where the margin often
     needs a larger multiplier; at the first corner also the two side
@@ -294,7 +327,8 @@ def _multiplier_cases(poly, f, eps):
     value, which no multiplier clears.  Failures run the search's 10000
     passes, so they are kept few."""
     for i, corner in enumerate(poly.corners()):
-        pts = _margin_points(f, corner.apex, eps)
+        cert = _margin_points(f, corner.apex, eps)
+        pts = margin_pairs(cert, corner.apex)
         n1, n2 = corner.normals
         if lp.cross(n1, n2) < 0:
             n1, n2 = n2, n1
@@ -304,11 +338,11 @@ def _multiplier_cases(poly, f, eps):
         for v in chain[1:-1] + mediants:
             low = min(lp.dot(v, lp.vsub(z, corner.apex)) for z, _ in pts)
             for a0 in (F(0), eps / 64, low / 2, low * F(15, 16)):
-                yield pts, corner, v, a0
+                yield cert, pts, corner, v, a0
         if i == 0:
-            yield pts, corner, n1, F(0)
-            yield pts, corner, n2, F(0)
-            yield pts, corner, v, low * F(3, 2)  # v: the last mediant
+            yield cert, pts, corner, n1, F(0)
+            yield cert, pts, corner, n2, F(0)
+            yield cert, pts, corner, v, low * F(3, 2)  # v: the last mediant
 
 
 @settings(max_examples=20)  # a failing search is slow
@@ -317,14 +351,29 @@ def _multiplier_cases(poly, f, eps):
        st.integers(min_value=0, max_value=3), CERTIFICATE_EPS)
 def test_least_multiplier_matches_the_search(kind, seed, n_points, eps):
     poly, f = _certificate_case(kind, seed, n_points)
-    for pts, corner, v, a0 in _multiplier_cases(poly, f, eps):
-        args = (pts, v, corner.apex, a0)
-        want = _outcome(ref_least_multiplier, *args)
-        assert _outcome(closed_form_multiplier, *args) == want
+    for cert, pts, corner, v, a0 in _multiplier_cases(poly, f, eps):
+        want = _outcome(ref_least_multiplier, pts, v, corner.apex, a0)
+        assert _outcome(closed_form_multiplier, cert, v, a0) == want
         if isinstance(want, tuple):
             m, mg = want
             assert mg == _margin(pts, v, corner.apex, m)
-            assert _least_multiplier(*args) == want
+            assert _least_multiplier(cert, v, a0) == want
+
+
+@given(st.sampled_from(["square", "pentagon", "bent", "random"]),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=0, max_value=3), CERTIFICATE_EPS)
+def test_integer_least_multiplier_matches_the_fraction_closed_form(
+        kind, seed, n_points, eps):
+    # shifts of zero, of each case's a0, of eps / 64 and of 3/2 of the
+    # least v.(z - apex) over the points, which no multiplier clears
+    poly, f = _certificate_case(kind, seed, n_points)
+    for cert, pts, corner, v, a0 in _multiplier_cases(poly, f, eps):
+        low = min(lp.dot(v, lp.vsub(z, corner.apex)) for z, _ in pts)
+        for shift in (F(0), a0, eps / 64, low * F(3, 2)):
+            assert (_outcome(_least_multiplier, cert, v, shift)
+                    == _outcome(fraction_least_multiplier, pts, v,
+                                corner.apex, shift))
 
 
 def test_least_multiplier_fails_at_once_without_a_multiplier():
@@ -333,12 +382,12 @@ def test_least_multiplier_fails_at_once_without_a_multiplier():
     bent = QPolygon.from_vertices([(0, 0), (2, 0), (3, 2), (1, 3)])
     f = distance_function(bent)
     corner = bent.corners()[0]
-    pts = _margin_points(f, corner.apex, F(1, 8))
+    cert = _margin_points(f, corner.apex, F(1, 8))
     for v in corner.normals:
         start = time.perf_counter()
         with pytest.raises(CertificationFailed,
                            match="no multiplier certifies the cut"):
-            _least_multiplier(pts, v, corner.apex)
+            _least_multiplier(cert, v)
         assert time.perf_counter() - start < 0.5
 
 
