@@ -24,12 +24,18 @@ renormalization read that table, and `refine`'s certificates clip the
 integer cells; values stay exact, and `Fraction` appears only at the API
 boundary (coefficients, `cells()`, `complex_vertices()`).  The `Fraction`
 points of a cell or of the vertex list are made on first read, so a
-complex that is only built and dropped, as the constructor's is, converts
-none.
+complex that is only read in integers converts none.
+
+The constructor drops the presentation's complex, and the series builds its
+own on first use, with one exception: `add_monomial`, the write path of
+every wave, hands the presentation's complex, restricted to the kept
+monomials, to its result (`_Complex.restricted` says why that is exact), so
+the next wave reads it without a second build.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections.abc import Mapping
@@ -68,11 +74,16 @@ class TropicalSeries:
     """Finite sparse monomial map over a polygon, in small canonical form.
 
     ``support`` is any presentation of a valid series.  The constructor
-    holds it sorted, builds its complex through `cells()`, keeps the small
-    form read off that complex and drops the complex.
+    holds it sorted, builds its complex through `cells()` and keeps the
+    small form read off that complex.  It drops the complex, and the series
+    builds its own on first use, unless ``_inherit`` is set (`add_monomial`
+    alone sets it) and every kept monomial carries its presented
+    coefficient: the series then keeps the complex restricted to its small
+    form (`_Complex.restricted`).
     """
 
-    def __init__(self, domain: QPolygon, support: Support):
+    def __init__(self, domain: QPolygon, support: Support, *,
+                 _inherit: bool = False):
         if not isinstance(domain, QPolygon):
             raise SeriesError("a tropical series needs a polygon domain")
         self.domain = domain
@@ -84,8 +95,15 @@ class TropicalSeries:
         self._cells: Optional[Mapping] = None
         self._complex: Optional[_Complex] = None
         self.cells()
-        self.support = _small_canonical_terms(domain, self.support, self._complex)
+        presented, cx = self.support, self._complex
+        self.support = _small_canonical_terms(domain, presented, cx)
         self._cells = self._complex = None
+        # a kept monomial whose coefficient is below its presented one (v,
+        # raised past where it touches) has a cell the presentation lacks
+        if _inherit and all(presented.get(u, a) == a
+                            for u, a in self.support.items()):
+            self._complex = cx.restricted(self.support)
+            self._cells = self._complex.cells
 
     # -- basics ----------------------------------------------------------
 
@@ -214,6 +232,53 @@ class _Complex:
         self.cells = _Cells(hcells)
         self._hverts = hverts
         self._vertices = None
+
+    def restricted(self, support: Support) -> "_Complex":
+        """The complex of the series g whose small form is ``support``, read
+        off this complex of a presentation P of g in which every monomial of
+        ``support`` carries the same coefficient.  It equals
+        ``_Complex(domain, support)`` on every field, and costs no clip and
+        no enumeration.
+
+        A cell is the set where its monomial attains g, so each monomial of
+        ``support`` has the same cell in both builds.  A point cell is its
+        clip, and a polygon cell's vertices come out in the same order,
+        since `exactlp.rotate_ccw` fixes a polygon's start.  A segment cell's
+        ends come out in the order in which `exactlp.basic_points` first
+        meets them on the constraints `_cell_constraints` keeps.  P's list
+        can differ from g's only by monomials of P outside ``support`` that
+        are tight at an end, and such a monomial touches g there:
+        - a monomial tight at an interior end, or along the segment, touches
+          g at an interior point and is kept, so at an interior end both
+          lists hold the same constraints in the same (support) order;
+        - at a boundary end the first crossing pair starts with the first
+          domain constraint tight there.  Domain constraints come first in
+          both lists, so both meet first the end on the first of them.
+        ``hcells`` is P's restricted to ``support``, in its order; the
+        vertices are taken in first-seen order over it.  ``denom`` becomes
+        lcm(scale of ``support``, vertex W), which divides P's, and each
+        ``table`` row is P's row divided by their quotient, as P's min is g.
+        Raises SeriesError if a monomial of ``support`` is not in P.
+        """
+        hcells = {}
+        for v in support:
+            if v not in self.hcells:
+                raise SeriesError(f"kept monomial {v} is not in the presentation")
+            hcells[v] = self.hcells[v]
+        hverts = list(dict.fromkeys(h for hs in hcells.values() for h in hs))
+        denom = math.lcm(*[a.denominator for a in support.values()],
+                         *[h[2] for h in hverts])
+        k = self.denom // denom
+        rows = dict(zip(self._hverts, self.table))
+        out = object.__new__(type(self))
+        out.denom = denom
+        out.table = [(X // k, Y // k, F // k)
+                     for X, Y, F in [rows[h] for h in hverts]]
+        out.hcells = hcells
+        out.cells = _Cells(hcells)
+        out._hverts = hverts
+        out._vertices = None
+        return out
 
     @property
     def vertices(self) -> list[Point]:
@@ -410,12 +475,20 @@ def _presentation_side_degrees(domain: QPolygon, terms: Support) -> Dict[Vec, in
     return out
 
 
-def _candidate_hull(domain: QPolygon, degrees: Dict[Vec, int]) -> list[Vec]:
+def _candidate_hull(domain: QPolygon, degrees: Dict[Vec, int]) -> tuple[Vec, ...]:
     """Lattice points of conv{m(S) * n(S)}; the small support of any series
     with side degrees <= m(S) lies inside this hull."""
-    pts = [(m * n[0], m * n[1]) for n, m in degrees.items()]
+    return _degree_hull(tuple(sorted(degrees.items())))
+
+
+@functools.lru_cache(maxsize=128)
+def _degree_hull(degrees: tuple) -> tuple[Vec, ...]:
+    """`_candidate_hull` of the sorted (normal, degree) pairs: it depends on
+    the degrees alone, and a positive wave asks for it twice (`add_monomial`
+    and its result's renormalization)."""
+    pts = [(m * n[0], m * n[1]) for n, m in degrees]
     pts.append((0, 0))
-    return lp.hull_lattice_points(pts)
+    return tuple(lp.hull_lattice_points(pts))
 
 
 def _small_canonical_terms(domain: QPolygon, terms: Support,
@@ -545,7 +618,9 @@ def add_monomial(f: TropicalSeries, v: Vec, c: Fraction) -> TropicalSeries:
     terms: Support = {u: canonical_coefficient(f, u)
                       for u in _candidate_hull(f.domain, degrees) if u != v}
     terms[v] = a_v + c
-    return TropicalSeries(f.domain, terms)
+    # each u != v carries c_u(f), and f <= g <= u.z + c_u(f) gives
+    # c_u(g) = c_u(f): the result inherits the presentation's complex
+    return TropicalSeries(f.domain, terms, _inherit=True)
 
 
 def tropical_product(f: TropicalSeries, g: TropicalSeries) -> TropicalSeries:

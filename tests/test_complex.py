@@ -20,16 +20,18 @@ from fractions import Fraction as F
 from types import SimpleNamespace
 from unittest import mock
 
+import pytest
 from hypothesis import assume, given, strategies as st
 
-from tropwave import exactlp, series
+from tropwave import exactlp, jsonio, series
 from tropwave.exactlp import cross, dot, hull_lattice_points, vsub
 from tropwave.geometry import QPolygon
-from tropwave.series import (SeriesError, TropicalSeries, canonical_coefficient,
-                             zero_series)
+from tropwave.series import (SeriesError, TropicalSeries, add_monomial,
+                             canonical_coefficient, clamp, make_series,
+                             tropical_product, zero_series)
 from tropwave.wave import wave
 
-from conftest import (pentagon, random_polygon, random_series,
+from conftest import (pentagon, random_points, random_polygon, random_series,
                       ref_cell_constraints, ref_complex, square13, triangle,
                       unit_square)
 
@@ -239,6 +241,13 @@ def test_cells_are_enumerated_from_tight_constraints_only(kind, seed, n_waves):
                    for A, B, C in ics)
 
 
+def quadrilateral():
+    """A quadrilateral whose wave from zero at (-1/2, -3/2) renormalizes 515
+    candidates."""
+    return QPolygon.from_vertices([(-4, F(-23, 6)), (F(-1, 2), -4),
+                                   (F(2, 3), 0), (-4, F(-11, 3))])
+
+
 def test_point_cells_are_not_enumerated():
     # a wave from zero on this quadrilateral renormalizes 515 candidates,
     # most of whose cells are single points where up to 392 constraints are
@@ -248,9 +257,7 @@ def test_point_cells_are_not_enumerated():
     # side lines and a segment's end pairs, 223 constraints over the 49
     # calls; every constraint tight at the clips would be 4041, up to 392
     # at one cell of 2-3 points.
-    poly = QPolygon.from_vertices([(-4, F(-23, 6)), (F(-1, 2), -4),
-                                   (F(2, 3), 0), (-4, F(-11, 3))])
-    f = zero_series(poly)
+    f = zero_series(quadrilateral())
     calls = []
     with mock.patch.object(exactlp, "basic_points",
                            recorder(exactlp.basic_points, calls)):
@@ -354,12 +361,23 @@ def test_constructor_builds_one_complex_and_keeps_none():
         z.cells()
         z.complex_vertices()
         assert len(built) == 2 and z._complex is built[1][1]
+        # every other way to make a series keeps no complex either: one
+        # build per constructor, none kept
+        f = square13()
+        del built[:]
+        made = [make_series(f.domain, f.support), tropical_product(f, f),
+                clamp(f, F(1, 4)),
+                jsonio.series_from_json(jsonio.series_to_json(f))]
+        assert len(built) == len(made)
+        assert all(h._complex is None and h._cells is None for h in made)
 
 
 def test_fraction_points_are_made_on_first_read():
-    # a constructor converts no point to Fractions; a wave converts one
-    # cell, its monomial's, for the avalanche area, and a read converts
-    # only the points no earlier read has
+    # a constructor and a wave convert no point to Fractions: the wave takes
+    # its avalanche area from its monomial's cell in integers, and its
+    # result inherits the presentation's complex without reading it.  The
+    # inherited complex equals a fresh build, and a read of it converts
+    # only the points no earlier read has.
     f = square13()
     with mock.patch.object(exactlp, "to_point",
                            wraps=exactlp.to_point) as conv:
@@ -367,10 +385,126 @@ def test_fraction_points_are_made_on_first_read():
         assert conv.call_count == 0
         g, ev = wave(f, (F(1, 5), F(1, 2)))
         assert (ev.monomial, ev.increment) == ((1, 0), F(2, 15))
-        cell = f._complex.hcells[ev.monomial]
-        assert [c.args[0] for c in conv.call_args_list] == cell
-        assert f.cells()[ev.monomial] == [exactlp.to_point(h) for h in cell]
+        assert conv.call_count == 0
+        cx = g._complex
+        assert g._cells is cx.cells
+        cell = cx.hcells[ev.monomial]
+        assert len(cell) == 4
+        assert g.cells()[ev.monomial] == [exactlp.to_point(h) for h in cell]
+        assert [c.args[0] for c in conv.call_args_list] == cell + cell
+        g.cells()[ev.monomial]
         assert conv.call_count == 2 * len(cell)
-        assert len(f.complex_vertices()) == len(f._complex.table)
-        assert conv.call_count == len(cell) + len(f._complex.table)
-        assert g._complex is None
+        assert len(g.complex_vertices()) == len(cx.table)
+        assert conv.call_count == len(cell) + len(cx.table)
+    assert complex_fields(cx) == complex_fields(
+        series._Complex(g.domain, g.support))
+
+
+# -- the complex add_monomial hands to its result -----------------------------
+
+RHOMBUS = QPolygon.from_vertices([(-1, 0), (0, -1), (1, 0), (0, 1)])
+TIE_DOMAINS = [QPolygon.box(0, 0, 2, 1), RHOMBUS,
+               QPolygon.from_vertices([(-2, 0), (-1, -1), (1, -1), (2, 0),
+                                       (1, 1), (-1, 1)])]
+
+
+def quarter_grid(poly):
+    """The interior points of the quarter grid of poly's bounding box: waves
+    there meet ties, and their results have segment cells."""
+    xs = [x for x, _ in poly.vertices]
+    ys = [y for _, y in poly.vertices]
+    w, h = max(xs) - min(xs), max(ys) - min(ys)
+    grid = [(min(xs) + F(i, 4) * w, min(ys) + F(j, 4) * h)
+            for i in range(5) for j in range(5)]
+    return [p for p in grid if poly.contains(p, strict=True)]
+
+
+@functools.cache
+def quadrilateral_wave():
+    return wave(zero_series(quadrilateral()), (F(-1, 2), F(-3, 2)))[0]
+
+
+def fresh_fields(g):
+    return complex_fields(series._Complex(g.domain, g.support))
+
+
+@given(st.sampled_from(["dynamics", "ties", "raise", "triangle",
+                        "quadrilateral"]),
+       DOMAINS, SEEDS, st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=30))
+def test_handed_off_complex_equals_a_fresh_build(source, kind, seed, n_waves,
+                                                 N):
+    # every positive wave's result inherits its complex, and it equals a
+    # fresh build on every field; an arbitrary raise inherits one unless it
+    # lifts v past where it touches the result
+    rng = random.Random(seed)
+    if source == "triangle":
+        results = [wave(zero_series(triangle(N)), (F(1), F(1, 2)))[0]]
+    elif source == "quadrilateral":
+        results = [quadrilateral_wave()]
+    else:
+        if source == "ties":
+            poly = rng.choice(TIE_DOMAINS + [random_polygon(rng)])
+            grid = quarter_grid(poly)
+            points = [rng.choice(grid) for _ in range(n_waves)]
+        else:
+            _, f = make_series_for(kind, seed, 0)
+            poly = f.domain
+            points = random_points(rng, poly, n_waves)
+        f, results = zero_series(poly), []
+        for p in points:
+            g, ev = wave(f, p)
+            if ev.increment > 0:
+                results.append(g)
+            f = g
+        if source == "raise":
+            v = (rng.randint(-3, 3), rng.randint(-3, 3))
+            c = F(rng.randint(1, 40), rng.randint(1, 12))
+            g = add_monomial(f, v, c)
+            if g._complex is None:
+                assert g.support[v] < canonical_coefficient(f, v) + c
+                return
+            results = [g]
+    for g in results:
+        assert g._cells is g._complex.cells
+        assert complex_fields(g._complex) == fresh_fields(g)
+
+
+def test_inherited_segment_cells_reach_the_boundary():
+    # the wave from zero at the rhombus's centre ties the four corners, and
+    # each of (0, 1), (1, 0), (0, -1), (-1, 0) touches the result along a
+    # segment from the centre to a vertex.  No kept cell is a segment with
+    # both ends on the boundary: the series vanishes there, so the touching
+    # monomial would vanish on the whole chord and, nonnegative on the
+    # domain, hold it on a side.
+    g, ev = wave(zero_series(RHOMBUS), (F(0), F(0)))
+    assert ev.increment == 1
+    segments = {v: hs for v, hs in g._complex.hcells.items() if len(hs) == 2}
+    assert sorted(segments) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
+    for v, hs in segments.items():
+        assert (0, 0, 1) in hs and (-v[0], -v[1], 1) in hs
+    assert complex_fields(g._complex) == fresh_fields(g)
+
+
+def test_raising_past_the_touching_level_inherits_no_complex():
+    # raised by 5, the constant no longer touches the result, whose small
+    # form keeps it at the canonical 1/2: the presentation has no cell for
+    # it there, and the result builds its own complex on first use
+    f = zero_series(unit_square())
+    g = add_monomial(f, (0, 0), 5)
+    assert g.support[(0, 0)] == F(1, 2)
+    assert g._complex is None and g._cells is None
+    assert complex_fields(g._int_complex()) == fresh_fields(g)
+
+
+def test_a_kept_monomial_missing_from_the_presentation_raises():
+    # the hand-off reads each kept cell off the presentation's complex and
+    # never falls back to a build
+    f = square13()
+    cx = series._Complex(f.domain, f.support)
+    missing = dict(f.support)
+    missing[(1, 1)] = F(0)
+    with mock.patch.object(series, "_Complex") as build, \
+            pytest.raises(SeriesError, match=r"\(1, 1\)"):
+        cx.restricted(missing)
+    assert build.call_count == 0

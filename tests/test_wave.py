@@ -4,10 +4,12 @@ import math
 import random
 import time
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from tropwave import series
 from tropwave.curve import attaining_monomials
 from tropwave.exactlp import dot, vsub
 from tropwave.geometry import QPolygon
@@ -256,6 +258,20 @@ class TestUpperBoundWitness:
                 assert len(attaining_monomials(w, p)) >= 2
             for z in random_points(rng, poly, 8):
                 assert evaluate(w, z) <= len(pts) * evaluate(l, z)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dynamics_builds_one_complex_per_positive_wave(seed):
+    # from zero, k positive waves build exactly k + 2 complexes: the zero
+    # series' constructor, its first use, and one renormalization probe per
+    # positive wave, which the wave's result inherits
+    rng = random.Random(seed)
+    poly = [unit_square, pentagon, lambda: random_polygon(rng)][seed % 3]()
+    pts = random_points(rng, poly, 3)
+    with mock.patch.object(series, "_Complex", wraps=series._Complex) as cx:
+        res = run_dynamics(zero_series(poly), pts)
+    assert res.stopped_reason == STABILIZED and res.events
+    assert cx.call_count == len(res.events) + 2
 
 
 class TestDynamics:
