@@ -13,16 +13,20 @@ other; `tropwave.oracle` covers domains given by support coefficients).
 `TropicalSeries(domain, support)` is the one constructor, and it always
 renormalizes, reading the small form off the presentation's complex.
 A series builds its own linearity complex once, on first use, in
-integers: each cell is the domain polygon clipped by the denominator-cleared
-dominance constraints one at a time, `exactlp.basic_points` on the cell's
-side lines (and, for a segment, the constraints that meet it at its ends)
-picks the vertices out of a clip of two or more points, the clip's
-counterclockwise order orders a polygon cell, the complex vertices are held
-as integer points over one common denominator D, and with them the
-integers D * f.  Canonical coefficients and
-renormalization read that table, and `refine`'s certificates clip the
-integer cells; values stay exact, and `Fraction` appears only at the API
-boundary (coefficients, `cells()`, `complex_vertices()`).  The `Fraction`
+integers: each cell is the domain polygon clipped by the
+denominator-cleared dominance constraints one at a time, nearest exponent
+first; `exactlp.basic_points` picks the vertices out of a clip of two or
+more points, on a polygon cell's distinct side lines or on a segment
+cell's support-order list (its line and the constraints that meet it at
+its ends, which fix its orientation); the clip's counterclockwise order
+orders a polygon cell, the complex vertices are held as integer points
+over one common denominator D, and with them the integers D * f.
+Renormalization keeps a monomial of the presentation whose cell is
+nonempty, at its presented coefficient, iff that cell reaches the
+interior; every other candidate, and `canonical_coefficient`, read that
+table, and `refine`'s certificates clip the integer cells.  Values stay
+exact, and `Fraction` appears only at the API boundary (coefficients,
+`cells()`, `complex_vertices()`).  The `Fraction`
 points of a cell or of the vertex list are made on first read, so a
 complex that is only read in integers converts none.
 
@@ -37,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from collections.abc import Mapping
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
@@ -147,29 +150,28 @@ class _Complex:
 
     Coefficients are scaled by the lcm of their denominators and every
     constraint is an integer triple (A, B, C) for A x + B y + C >= 0, with
-    no `Fraction` arithmetic.  Each monomial's values at the domain vertices
-    are computed once, and the constraint of w against v cuts the domain
-    iff the row of w minus the row of v has a negative entry.  A cell is
-    the domain clipped by each cutting constraint in turn (`_clip`, O(m V)
-    for m constraints and V vertices).  A clip of at most one point is the
-    cell.  Otherwise `exactlp.basic_points` runs once, on the short list
-    `_cell_constraints` keeps, and three rules keep the cell exactly as an
-    enumeration over every constraint tight at the clip would give it:
-    - the side lines (constraints tight at two or more clip points, found
-      as the lines through neighbouring clip points) cut out a polygon
-      cell, and the pairs they form meet exactly its vertices;
-    - a segment cell also keeps, at each end, the first pair of crossing
-      constraints tight there; the list is a subsequence of all the
-      constraints, so each end is met by the same first pair and the two
-      ends come out in the same order, which fixes the segment's
-      orientation;
-    - a later copy of a half-plane is dropped, as it never forms the first
-      pair at a point.
-    A polygon cell keeps the clip's points that `basic_points` returns, in
-    the clip's counterclockwise order, rotated by `exactlp.rotate_ccw` to
-    the start `exactlp.sort_ccw` would give.  Enumerating over every tight
-    constraint would cost O(k^3) per cell, and at a complex vertex hundreds
-    can be tight.
+    no `Fraction` arithmetic.  A cell is the domain clipped by the
+    constraint of each other monomial w against v, in order of the exponent
+    distance |w - v|^2 (a stable sort, so ties stay in support order).  The
+    cell is an intersection of half-planes, so the order changes at most
+    the clip's start and extra side points, which the rules below drop.
+    The neighbours of v in the regular subdivision come first and shrink
+    the clip to the cell after a few cuts; every later cut costs one
+    evaluation of a small ring, and a cut that misses or only touches it
+    leaves it as it is.  A clip of at most one point is the cell.
+    Otherwise `exactlp.basic_points` runs once, and the cell comes out
+    exactly as an enumeration over every constraint tight at the clip would
+    give it:
+    - a polygon cell passes its distinct side lines (`_side_lines`, the
+      lines through neighbouring clip points), whose pairs meet exactly its
+      vertices; it keeps the clip's points that `basic_points` returns, in
+      the clip's counterclockwise order, rotated by `exactlp.rotate_ccw` to
+      the start `exactlp.sort_ccw` would give;
+    - a segment cell passes the list `_cell_constraints` builds in support
+      order, since its ends come out in the order `basic_points` first
+      meets them.
+    Enumerating over every tight constraint would cost O(k^3) per cell, and
+    at a complex vertex hundreds can be tight.
     The complex vertices, in first-seen order over the cells, are kept as
     ``table`` rows (X, Y, F): the vertex is (X, Y) / denom and F is denom
     times the series there.  ``hcells`` maps each monomial to its cell as
@@ -187,36 +189,35 @@ class _Complex:
         scale = math.lcm(*[a.denominator for a in support.values()])
         alpha = [a.numerator * (scale // a.denominator)
                  for a in support.values()]
-        # monomial v as the triple (scale v0, scale v1, alpha_v), and its
-        # values at the domain vertices, each times scale * W
+        # monomial v as the triple (scale v0, scale v1, alpha_v)
         triples = [(scale * v[0], scale * v[1], av)
                    for v, av in zip(support, alpha)]
         domain_verts = domain.hvertices
-        rows = [[A * X + B * Y + C * W for X, Y, W in domain_verts]
-                for A, B, C in triples]
         domain_cons = domain.int_constraints()
         hcells = {}
-        for v, (Av, Bv, Cv), row_v in zip(support, triples, rows):
-            # the constraint (w - v) . z + alpha_w - alpha_v >= 0 cuts the
-            # domain iff a domain vertex violates it (exact by convexity);
-            # w == v gives a row of zeros and no cut
-            cuts = [(Aw - Av, Bw - Bv, Cw - Cv)
-                    for (Aw, Bw, Cw), row_w in zip(triples, rows)
-                    if min(map(operator.sub, row_w, row_v)) < 0]
-            cell = _clip(domain_verts, cuts)
+        for v, (Av, Bv, Cv) in zip(support, triples):
+            # the constraint (w - v) . z + alpha_w - alpha_v >= 0, for every
+            # w in support order; w == v gives the only row of zeros
+            cons = [(Aw - Av, Bw - Bv, Cw - Cv) for Aw, Bw, Cw in triples]
+            # nearest exponents first, ties in support order: v's own row
+            # leads, and the subdivision neighbours shrink the cell early
+            cuts = sorted(cons, key=lambda c: c[0] * c[0] + c[1] * c[1])
+            cell = _clip(domain_verts, cuts[1:])
             if len(cell) <= 1:
                 hcells[v] = cell
                 continue
-            hs = lp.basic_points(_cell_constraints([*domain_cons, *cuts], cell))
-            if len(hs) >= 3:
-                # the vertices in the clip's order, CCW as the domain's
-                # `hvertices` are; the clip may also hold points inside the
-                # sides
-                if len(hs) < len(cell):
-                    vertex = set(hs)
-                    cell = [h for h in cell if h in vertex]
-                hs = lp.rotate_ccw(cell)
-            hcells[v] = hs
+            sides = _side_lines(cell)
+            if len(sides) == 2:
+                hcells[v] = lp.basic_points(_cell_constraints(
+                    domain_cons, domain_verts, cons, cell, sides))
+                continue
+            hs = lp.basic_points(list(sides))
+            # the vertices in the clip's order, CCW as the domain's
+            # `hvertices` are; the clip may also hold points inside the sides
+            if len(hs) < len(cell):
+                vertex = set(hs)
+                cell = [h for h in cell if h in vertex]
+            hcells[v] = lp.rotate_ccw(cell)
 
         hverts = list(dict.fromkeys(h for hs in hcells.values() for h in hs))
         denom = math.lcm(scale, *[h[2] for h in hverts])
@@ -225,7 +226,8 @@ class _Complex:
         table = []
         for X, Y, W in hverts:
             X, Y = X * (denom // W), Y * (denom // W)
-            table.append((X, Y, min(a * X + b * Y + c for a, b, c in lifted)))
+            table.append((X, Y, min([a * X + b * Y + c
+                                     for a, b, c in lifted])))
         self.denom = denom
         self.table = table
         self.hcells = hcells
@@ -327,39 +329,62 @@ class _Cells(Mapping):
         return len(self._hcells)
 
 
-def _cell_constraints(cons: list, cell: list) -> list:
-    """The constraints of ``cons`` that `exactlp.basic_points` needs to
-    find the vertices of ``cell``, a clip of two or more points, in the
-    order of ``cons``: the three rules of `_Complex`.
-
-    A constraint tight at two or more clip points holds on the cell, so its
-    reduced triple is the line through two neighbouring clip points,
-    oriented with the cell on its nonnegative side: the clip runs
-    counterclockwise round the cell's boundary, and the clip points on a
-    side are neighbours.  A segment cell has just two such lines, its line
-    both ways round."""
-    sides = set()
+def _side_lines(cell: list) -> dict:
+    """The distinct lines through neighbouring points of ``cell``, a clip of
+    two or more points, in ring order, each as a reduced triple oriented
+    with the cell on its nonnegative side (the clip runs counterclockwise
+    round the cell's boundary, and the clip points on a side are
+    neighbours).  A polygon cell has one per side; a segment cell has two,
+    its line both ways round."""
+    sides = {}
     X0, Y0, W0 = cell[-1]
     for X1, Y1, W1 in cell:
         A, B, C = Y0 * W1 - W0 * Y1, W0 * X1 - X0 * W1, X0 * Y1 - Y0 * X1
         g = math.gcd(A, B, C)
-        sides.add((A // g, B // g, C // g))
+        sides[A // g, B // g, C // g] = None
         X0, Y0, W0 = X1, Y1, W1
+    return sides
+
+
+def _cell_constraints(domain_cons: list, domain_verts: Sequence,
+                      cuts: list, cell: list, sides: dict) -> list:
+    """The constraints that `exactlp.basic_points` needs to find the ends
+    of the segment cell ``cell``, whose `_side_lines` are ``sides``.
+
+    They are taken in the order of the list L: ``domain_cons``, then the
+    ``cuts`` that cut the domain (a domain vertex violates them), in their
+    order.  The list keeps those on the segment's line, the first pair of
+    crossing constraints tight at each end, and no later copy of a
+    half-plane, which never forms the first pair at a point.  A clip point
+    inside the segment meets only constraints parallel to it.  L is a
+    subsequence of the same list for every cell that holds the segment, so
+    each end is met by the same first pair and the two ends come out in
+    the same order, which fixes the segment's orientation.
+
+    Only constraints tight at a clip point can be kept, and dropping the
+    others keeps the first pair at each point, so L is narrowed to them
+    before the domain test."""
+    tight = []
+    for A, B, C in cuts:
+        for X, Y, W in cell:
+            if A * X + B * Y + C * W == 0:
+                tight.append((A, B, C))
+                break
+    cons = [*domain_cons,
+            *[(A, B, C) for A, B, C in tight
+              if min([A * X + B * Y + C * W
+                      for X, Y, W in domain_verts]) < 0]]
     keys = []
     for A, B, C in cons:
         g = math.gcd(A, B, C)
         keys.append((A // g, B // g, C // g))
-    keep = [i for i, key in enumerate(keys) if key in sides]
-    if len(sides) == 2:
-        # only the ends of a segment have a crossing pair tight there
-        more = set(keep)
-        for X, Y, W in cell:
-            more.update(_first_crossing_pair(
-                cons, [i for i, (A, B, C) in enumerate(cons)
-                       if A * X + B * Y + C * W == 0]))
-        keep = sorted(more)
+    keep = {i for i, key in enumerate(keys) if key in sides}
+    for X, Y, W in cell:
+        keep.update(_first_crossing_pair(
+            cons, [i for i, (A, B, C) in enumerate(cons)
+                   if A * X + B * Y + C * W == 0]))
     out, seen = [], set()
-    for i in keep:
+    for i in sorted(keep):
         if keys[i] not in seen:
             seen.add(keys[i])
             out.append(cons[i])
@@ -388,9 +413,12 @@ def _clip(poly: Sequence, cuts: list) -> list:
     opposite sides of a cut line meets it at s1 * h2 - s2 * h1.
     """
     for A, B, C in cuts:
-        s = [A * X + B * Y + C * W for X, Y, W in poly]
-        if min(s) >= 0:
+        for X, Y, W in poly:
+            if A * X + B * Y + C * W < 0:
+                break
+        else:
             continue
+        s = [A * X + B * Y + C * W for X, Y, W in poly]
         out = []
         n = len(poly)
         for i in range(n):
@@ -503,9 +531,16 @@ def _small_canonical_terms(domain: QPolygon, terms: Support,
 
     A candidate stays iff its canonical affine touches the function at an
     interior point.  The touching set is the argmax of a concave piecewise
-    linear function, hence the convex hull of the attaining complex vertices;
-    it meets the open interior iff the centroid of those attainers does (a
-    supporting boundary line through the centroid would contain them all).
+    linear function, the convex hull of finitely many points, and it meets
+    the open interior iff the centroid of those points does (a supporting
+    boundary line through the centroid would contain them all).  The
+    centroid lies on a side's line iff every point does.
+    - A candidate of the presentation with a nonempty cell attains the
+      function there, so its presented coefficient is canonical and its
+      cell is the touching set: it is read off the cell's vertices.
+    - Any other candidate scans the table: its canonical coefficient is the
+      max over the complex vertices of (f - u.z), and the touching set is
+      the hull of the vertices attaining it.
     """
     if min(F for _, _, F in cx.table) < 0:
         raise SeriesError("presentation is negative on the domain")
@@ -515,6 +550,12 @@ def _small_canonical_terms(domain: QPolygon, terms: Support,
     domain_cons = domain.int_constraints()
     kept: Support = {}
     for u in candidates:
+        cell = cx.hcells.get(u)
+        if cell:
+            if all(any(A * X + B * Y + C * W > 0 for X, Y, W in cell)
+                   for A, B, C in domain_cons):
+                kept[u] = terms[u]
+            continue
         u0, u1 = u
         gaps = [F - u0 * X - u1 * Y for X, Y, F in cx.table]
         b = max(gaps)

@@ -18,6 +18,7 @@ boundary.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -537,11 +538,10 @@ def avalanche_experiment(poly: QPolygon, n: int, trials: int, seed: int = 0, *,
     ccdf: List[Tuple[Fraction, Fraction]] = []
     if total:
         distinct = sorted(set(areas_sorted))
-        import bisect
         for a in distinct:
             idx = bisect.bisect_left(areas_sorted, a)
             ccdf.append((a, Fraction(total - idx, total)))
-    hist = _dyadic_histogram(areas_sorted)
+    hist = _histogram(areas_sorted)
     return {
         "seed": seed,
         "config": {"n": n, "trials": trials, "denom_bound": denom_bound,
@@ -558,7 +558,7 @@ def avalanche_experiment(poly: QPolygon, n: int, trials: int, seed: int = 0, *,
 _HISTOGRAM_BINS = 16
 
 
-def _dyadic_histogram(areas: Sequence[Fraction]) -> list:
+def _histogram(areas: Sequence[Fraction]) -> list:
     """Counts of the positive areas in `_HISTOGRAM_BINS` equal bins
     (lo, hi] up to the largest."""
     if not areas:

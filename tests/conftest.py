@@ -122,6 +122,34 @@ def ref_complex(domain: QPolygon, support):
         cells={v: [points[h] for h in hs] for v, hs in hcells.items()})
 
 
+def ref_small_canonical_terms(domain: QPolygon, terms, cx):
+    """`series._small_canonical_terms` as it was before a monomial of the
+    presentation with a nonempty cell was read off its cell: every
+    candidate scans the table of ``cx`` for its canonical coefficient and
+    its attaining vertices, whose centroid must be strictly interior."""
+    if min(val for _, _, val in cx.table) < 0:
+        raise series.SeriesError("presentation is negative on the domain")
+    degrees = series._presentation_side_degrees(domain, terms)
+    candidates = series._candidate_hull(domain, degrees)
+    domain_cons = domain.int_constraints()
+    kept = {}
+    for u in candidates:
+        u0, u1 = u
+        gaps = [val - u0 * X - u1 * Y for X, Y, val in cx.table]
+        b = max(gaps)
+        sx = sy = count = 0
+        for (X, Y, _), gap in zip(cx.table, gaps):
+            if gap == b:
+                sx += X
+                sy += Y
+                count += 1
+        # the attainers' centroid is (sx, sy) / w
+        w = count * cx.denom
+        if all(A * sx + B * sy + C * w > 0 for A, B, C in domain_cons):
+            kept[u] = F(b, cx.denom)
+    return dict(sorted(kept.items()))
+
+
 def triangle(N: int) -> QPolygon:
     """The triangle with inward normals (N, 1), (-N, 1), (0, -1) and offsets
     0, 2N, 1: apex (1, -N) and top side y = 1 from x = -1/N to 2 + 1/N."""

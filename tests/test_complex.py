@@ -10,7 +10,8 @@ exact and ordered: the cells' vertex lists, the vertex list and the
 renormalized supports must be identical, not just equal as sets.
 `conftest.ref_complex` keeps the integer build as it was before the cells
 were enumerated from their side lines only, and every field of `_Complex`
-must equal it.
+must equal it, in any clip order.  `conftest.ref_small_canonical_terms`
+keeps the renormalization that scans the vertex table for every candidate.
 """
 
 import functools
@@ -21,7 +22,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from tropwave import exactlp, jsonio, series
 from tropwave.exactlp import cross, dot, hull_lattice_points, vsub
@@ -32,7 +33,8 @@ from tropwave.series import (SeriesError, TropicalSeries, add_monomial,
 from tropwave.wave import wave
 
 from conftest import (pentagon, random_points, random_polygon, random_series,
-                      ref_cell_constraints, ref_complex, square13, triangle,
+                      ref_cell_constraints, ref_complex,
+                      ref_small_canonical_terms, square13, triangle,
                       unit_square)
 
 
@@ -109,7 +111,7 @@ def ref_canonical_coefficients(f, monomials):
             for v in monomials]
 
 
-def ref_small_canonical_terms(domain, terms):
+def ref_fraction_small_canonical_terms(domain, terms):
     for p in domain.vertices:
         if min(dot(v, p) + a for v, a in terms.items()) < 0:
             raise SeriesError("presentation is negative on the domain")
@@ -197,7 +199,7 @@ def test_renormalization_and_probe_complex_match_reference(kind, seed, n_waves):
     assert list(cx.cells.items()) == list(ref_cells(probe).items())
     assert cx.vertices == ref_complex_vertices(probe)
     assert (outcome(series._small_canonical_terms, f.domain, probe.support, cx)
-            == outcome(ref_small_canonical_terms, f.domain, terms))
+            == outcome(ref_fraction_small_canonical_terms, f.domain, terms))
 
 
 def test_segment_and_point_cells_match_reference():
@@ -221,6 +223,21 @@ def recorder(fn, log):
     return recording
 
 
+def ring_lines(pts):
+    """The distinct lines through neighbouring points of a counterclockwise
+    ring of homogeneous points, in ring order from the last point to the
+    first, each reduced and oriented with the ring on its nonnegative
+    side."""
+    out = []
+    for (X0, Y0, W0), (X1, Y1, W1) in zip([pts[-1], *pts], pts):
+        line = (Y0 * W1 - W0 * Y1, W0 * X1 - X0 * W1, X0 * Y1 - Y0 * X1)
+        g = math.gcd(*line)
+        line = tuple(c // g for c in line)
+        if line not in out:
+            out.append(line)
+    return out
+
+
 @given(DOMAINS, SEEDS, st.integers(min_value=0, max_value=3))
 def test_cells_are_enumerated_from_tight_constraints_only(kind, seed, n_waves):
     rng, f = make_series_for(kind, seed, n_waves)
@@ -233,12 +250,20 @@ def test_cells_are_enumerated_from_tight_constraints_only(kind, seed, n_waves):
     assert len(clips) == len(terms)  # one clip per cell
     # one enumeration per cell clipped to two or more points; a point or
     # empty clip is the cell
-    assert len(calls) == sum(1 for _, pts in clips if len(pts) >= 2)
+    enumerated = [pts for _, pts in clips if len(pts) >= 2]
+    assert len(calls) == len(enumerated)
     assert ([hs for hs, (_, pts) in zip(cx.hcells.values(), clips)
              if len(pts) <= 1] == [pts for _, pts in clips if len(pts) <= 1])
-    for (ics,), pts in calls:
+    for ((ics,), hs), pts in zip(calls, enumerated):
         assert all(any(A * X + B * Y + C * W == 0 for X, Y, W in pts)
                    for A, B, C in ics)
+        if len(hs) >= 3:
+            # a polygon cell passes exactly its distinct side lines, in the
+            # clip's ring order, one per vertex
+            assert list(ics) == ring_lines(pts)
+            assert len(ics) == len(hs)
+        else:
+            assert len(hs) == 2
 
 
 def quadrilateral():
@@ -321,6 +346,116 @@ def test_complex_matches_tight_list_reference(source, kind, seed, n_waves, N):
         built = [(args, series._Complex(*args))]
     for args, cx in built:
         assert complex_fields(cx) == complex_fields(ref_complex(*args))
+
+
+def shuffled_clip(seed):
+    """`series._clip` applying each cell's cuts in a seeded random order."""
+    rng, clip = random.Random(seed), series._clip
+
+    def clipping(poly, cuts):
+        cuts = list(cuts)
+        rng.shuffle(cuts)
+        return clip(poly, cuts)
+    return clipping
+
+
+def builds(fn, *args):
+    """The arguments of every `_Complex` that ``fn(*args)`` builds."""
+    built = []
+    with mock.patch.object(series, "_Complex",
+                           recorder(series._Complex, built)):
+        fn(*args)
+    return [args for args, _ in built]
+
+
+@functools.cache
+def quadrilateral_builds():
+    """The quadrilateral wave's builds with their fields, made once: the
+    presentation has 515 cells."""
+    return [(args, complex_fields(series._Complex(*args)))
+            for args in builds(wave, zero_series(quadrilateral()),
+                               (F(-1, 2), F(-3, 2)))]
+
+
+@given(st.sampled_from(["dynamics", "ties", "triangle", "quadrilateral"]),
+       DOMAINS, SEEDS, st.integers(min_value=1, max_value=3),
+       st.integers(min_value=1, max_value=30))
+def test_clip_order_does_not_change_the_complex(source, kind, seed, n_waves,
+                                                N):
+    # a cell is an intersection of half-planes: clipped in any order, every
+    # field of the complex comes out the same
+    if source == "quadrilateral":
+        cases = quadrilateral_builds()
+    else:
+        if source == "dynamics":
+            args = builds(make_series_for, kind, seed, n_waves)
+        elif source == "ties":
+            _, f = make_series_for(kind, seed, n_waves)
+            args = [(f.domain, presented(f.domain,
+                                         touching_presentation(f)).support)]
+        else:
+            args = builds(wave, zero_series(triangle(N)), (F(1), F(1, 2)))
+        cases = [(a, complex_fields(series._Complex(*a))) for a in args]
+    assert cases
+    for args, nearest_first in cases:
+        with mock.patch.object(series, "_clip", shuffled_clip(seed)):
+            assert complex_fields(series._Complex(*args)) == nearest_first
+
+
+def sparse_presentation(rng, f):
+    """A `presentation` of f with monomials dropped and coefficients raised
+    at random, so that hull candidates are missing and cells are empty.  A
+    monomial that vanishes on a side stays as it is."""
+    terms = {}
+    for u, a in presentation(rng, f).items():
+        if any(series._side_vanishing_multiplier(hp, (u, F(a))) is not None
+               for hp in f.domain.halfplanes):
+            terms[u] = a
+        elif rng.random() < 1 / 3:
+            continue
+        elif rng.random() < 1 / 2:
+            terms[u] = a + F(rng.randint(1, 5), rng.randint(1, 4))
+        else:
+            terms[u] = a
+    return terms
+
+
+def renormalizations(fn, *args):
+    """The arguments of every `_small_canonical_terms` call that
+    ``fn(*args)`` makes."""
+    calls = []
+    with mock.patch.object(series, "_small_canonical_terms",
+                           recorder(series._small_canonical_terms, calls)):
+        fn(*args)
+    return [args for args, _ in calls]
+
+
+@given(st.sampled_from(["sparse", "ties", "raise"]), DOMAINS, SEEDS,
+       st.integers(min_value=0, max_value=3))
+@example("ties", "random", 0, 2)
+@example("raise", "random", 0, 2)
+def test_renormalization_matches_the_table_scan(source, kind, seed, n_waves):
+    # a monomial of the presentation with a nonempty cell is read off its
+    # cell; every candidate scanning the table gives the same dict, in the
+    # same order.  The explicit examples have candidates whose nonempty
+    # cell lies on the boundary, which are dropped.
+    rng, f = make_series_for(kind, seed, n_waves)
+    if source == "raise":
+        # v raised past where it touches: its cell in the presentation is
+        # empty, and the table gives its canonical 1/2
+        calls = renormalizations(add_monomial, zero_series(unit_square()),
+                                 (0, 0), 5)
+        v = (rng.randint(-3, 3), rng.randint(-3, 3))
+        calls += renormalizations(add_monomial, f, v,
+                                  F(rng.randint(1, 40), rng.randint(1, 12)))
+    else:
+        terms = (sparse_presentation(rng, f) if source == "sparse"
+                 else touching_presentation(f))
+        support = presented(f.domain, terms).support
+        calls = [(f.domain, support, series._Complex(f.domain, support))]
+    for args in calls:
+        assert (outcome(series._small_canonical_terms, *args)
+                == outcome(ref_small_canonical_terms, *args))
 
 
 @given(SEEDS, st.integers(min_value=3, max_value=12))
