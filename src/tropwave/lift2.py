@@ -17,8 +17,11 @@ TAOCP vol. 2, 4.5.1):
 - a/b + c/d divides out g = gcd(b, d), then gcd(numerator, g);
 - the square, the inverse and a power of a reduced fraction are reduced, so
   they take no gcd at all;
-- a gcd with 1 returns at once, so products with the monomials t^q (mask 1)
-  that the lift evaluates at cost no polynomial division.
+- a product with a monomial t^q (numerator mask 1, denominator 1), as in
+  every ``a * p1.pow(i) * p2.pow(j)`` at the lift's monomial points, only
+  shifts the other numerator's exponent: t is prime to a denominator with
+  constant term 1, so the result is still reduced, with no dilation,
+  carry-less product or gcd.
 """
 
 from __future__ import annotations
@@ -367,6 +370,11 @@ class GF2RatFun:
         a, b, c, d = self.num, self.den, other.num, other.den
         if a.mask == 0 or c.mask == 0:
             return _ratfun(_ZERO, _ONE)
+        # a monomial t^q shifts the other numerator's exponent
+        if c.mask == 1 and d.mask == 1:
+            return _ratfun(_poly(*_exp_sum(a.v, a.k, c.v, c.k), a.s, a.mask), b)
+        if a.mask == 1 and b.mask == 1:
+            return _ratfun(_poly(*_exp_sum(a.v, a.k, c.v, c.k), c.s, c.mask), d)
         s = max(a.s, b.s, c.s, d.s)
         ma, mb = _dilate(a.mask, s - a.s), _dilate(b.mask, s - b.s)
         mc, md = _dilate(c.mask, s - c.s), _dilate(d.mask, s - d.s)

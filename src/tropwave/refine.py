@@ -21,7 +21,10 @@ vertices outside the corner's ball become rows (X, Y, F) over one common
 denominator Q, with z - apex = (X, Y) / Q and f(z) = F / Q, and the least
 multiplier is one more than a maximum of integer floor divisions.  Those
 floors are exact because each divisor is a positive integer, so no
-`Fraction` is made until the margin itself.
+`Fraction` is made until the margin itself.  The same rows prove that the
+blown-up series equals the input outside the corner balls: each cut is
+re-checked against its own corner's rows, in integers, and no complex of
+the result is read for it.
 """
 
 from __future__ import annotations
@@ -250,6 +253,24 @@ def _unimodular_fan(u1: Vec, u2: Vec) -> list[Vec]:
     return [w] + _unimodular_fan(w, u2)
 
 
+def _cut_ring(ring: list, cut: lp.IntConstraint, v: Vec) -> list:
+    """The vertex ring (reduced homogeneous points, counterclockwise) of a
+    polygon cut by the blow-up half-plane ``cut``, A x + B y + C >= 0, along
+    the direction v.
+
+    The clipped ring holds only extreme points: a kept point was a vertex,
+    and a new crossing lies on the cut line and on one old side.  So it is
+    the cut polygon's vertex cycle, the polygon has nonempty interior iff
+    three points remain, and the cut is essential iff its line holds two."""
+    ring = _clip(ring, [cut])
+    if len(ring) < 3:
+        raise EpsilonTooLarge("polygon must have nonempty interior")
+    A, B, C = cut
+    if sum(A * X + B * Y + C * W == 0 for X, Y, W in ring) < 2:
+        raise CertificationFailed(f"cut along {v} is not essential")
+    return ring
+
+
 def make_nice(poly: QPolygon, f: TropicalSeries, eps: Fraction
               ) -> tuple[QPolygon, TropicalSeries, list[BlowupStep]]:
     """Blow up corners so the polygon becomes unimodular and the series nice,
@@ -260,6 +281,16 @@ def make_nice(poly: QPolygon, f: TropicalSeries, eps: Fraction
     affine exceeds f outside the corner ball); adjacent multiplied sides are
     separated by mediants until the quasi-degree is nice.  Already-nice
     input returns unchanged with no steps.
+
+    The polygon is carried as its vertex ring, clipped by each cut in
+    integers (`_cut_ring`), and enumerated as a `QPolygon` once, after the
+    last cut.  The result equals f outside every corner ball, and this is
+    proved, not sampled: each cut affine is checked to be at least f at
+    its own corner's margin rows (`_margin_points`).  A row region is a
+    cell of f cut by one half-plane outside the ball, where the cut affine
+    minus f is affine, so the cut is at least f on the whole region iff it
+    is at its vertices, the rows.  The result is the min of f's terms and
+    the cuts, so it equals f outside the balls.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -273,9 +304,11 @@ def make_nice(poly: QPolygon, f: TropicalSeries, eps: Fraction
             if max(abs(pa[0] - pb[0]), abs(pa[1] - pb[1])) <= 2 * eps:
                 raise EpsilonTooLarge("corner neighborhoods overlap")
     degrees = quasi_degree(f)
-    current = poly
+    ring = list(poly.hvertices)
+    halfplanes = list(poly.halfplanes)
     terms: Support = dict(f.support)
     steps: list[BlowupStep] = []
+    cuts = []   # (margin certificate, w, K = w.apex - offset) per cut
     for corner in corners:
         n1, n2 = corner.normals
         if cross(n1, n2) < 0:
@@ -313,8 +346,9 @@ def make_nice(poly: QPolygon, f: TropicalSeries, eps: Fraction
         # current corner containing its direction, with a depth below both
         # the next vertex along v and the steepness margin
         for v, m, mg in entries:
-            vals = sorted(dot(v, w) - dot(v, corner.apex)
-                          for w in current.vertices)
+            base = dot(v, corner.apex)
+            vals = sorted(Fraction(v[0] * X + v[1] * Y, W) - base
+                          for X, Y, W in ring)
             a0 = vals[0]
             bigger = [x for x in vals if x > a0]
             if not bigger:
@@ -326,36 +360,30 @@ def make_nice(poly: QPolygon, f: TropicalSeries, eps: Fraction
             w = (m * v[0], m * v[1])
             offset = dot(w, corner.apex) + m * depth
             cut = HalfPlane(w, -offset)
-            try:
-                current = QPolygon(list(current.halfplanes) + [cut])
-            except GeometryError as exc:
-                raise EpsilonTooLarge(str(exc)) from exc
-            if cut.normalized() not in current.halfplanes:
-                raise CertificationFailed(f"cut along {v} is not essential")
+            (int_cut,) = lp.int_constraints([cut.constraint()])
+            ring = _cut_ring(ring, int_cut, v)
+            halfplanes.append(cut)
+            cuts.append((cert, w, dot(w, corner.apex) - offset))
             coeff = -offset
             terms[w] = min(terms[w], coeff) if w in terms else coeff
             steps.append(BlowupStep(corner.apex, v, m, depth))
 
+    current = QPolygon(halfplanes) if steps else poly
     result = TropicalSeries(current, terms)
     if not is_unimodular(current):
         raise CertificationFailed("blow-up polygon is not unimodular")
     if not is_nice(result):
         raise CertificationFailed("blow-up result is not nice")
-    _spot_check_equal_outside_balls(f, result, [c.apex for c in corners], eps)
+    # a row (X, Y, F) asks w.(X, Y) / Q + K >= F / Q of the cut affine, and
+    # with K = kn / kd that is kd w.(X, Y) + kn Q >= kd F in integers
+    for (Q, rows), w, K in cuts:
+        kn, kd = K.numerator, K.denominator
+        if any(kd * (w[0] * X + w[1] * Y) + kn * Q < kd * F
+               for X, Y, F in rows):
+            raise CertificationFailed(
+                f"series differ outside corner balls: the cut {w} dips "
+                "below the series")
     return current, result, steps
-
-
-def _spot_check_equal_outside_balls(f: TropicalSeries, g: TropicalSeries,
-                                    centers: Sequence[Point], eps: Fraction):
-    """The margin certificates prove f = g outside the corner balls; this
-    re-checks exactly at the vertices of g's linearity complex."""
-    for z in g.complex_vertices():
-        if any(max(abs(z[0] - c[0]), abs(z[1] - c[1])) < eps for c in centers):
-            continue
-        if not f.domain.contains(z):
-            continue
-        if evaluate(f, z) != evaluate(g, z):
-            raise CertificationFailed(f"series differ outside corner balls at {z}")
 
 
 def nice_restrict(poly: QPolygon, waves: Sequence[Point], eps: Fraction

@@ -419,60 +419,92 @@ def sample_interior_points(poly: QPolygon, n: int, rng: random.Random,
     """n distinct interior points on the dyadic grid (seeded, deterministic).
 
     The grid's interior points are counted first, which draws nothing from
-    rng, and SamplingFailed is raised at once if there are fewer than n."""
+    rng, and SamplingFailed is raised at once if there are fewer than n.
+    Points are drawn by rejection from the bounding box's grid.  Only if
+    _MAX_DRAWS draws leave points missing, where interior points are rare
+    in the box, is each remaining point drawn by its rank among the
+    interior points (`_grid_point`), which cannot fail; so an input that
+    rejection samples keeps its rng stream and its draws."""
     xs = [v[0] for v in poly.vertices]
     ys = [v[1] for v in poly.vertices]
     x0, y0 = min(xs), min(ys)
     w, h = max(xs) - x0, max(ys) - y0
-    have = _interior_grid_count(poly, (x0, y0), (w, h), denom_bound)
+    sides = _grid_sides(poly, (x0, y0), (w, h), denom_bound)
+    have = _columns_below(sides, denom_bound)
     if have < n:
         raise SamplingFailed(
             f"the bounding box's {denom_bound}-step grid has {have} interior "
             f"points, fewer than {n}")
-    out: List[Point] = []
-    seen = set()
-    guard = 0
-    while len(out) < n:
-        guard += 1
-        if guard > _MAX_DRAWS:
-            raise SamplingFailed(
-                f"rejection sampling found {len(out)} of {n} distinct interior "
-                f"points on the bounding box's {denom_bound}-step grid")
-        fx = Fraction(rng.randrange(denom_bound + 1), denom_bound)
-        fy = Fraction(rng.randrange(denom_bound + 1), denom_bound)
-        p = (x0 + fx * w, y0 + fy * h)
-        if p in seen or not poly.contains(p, strict=True):
-            continue
-        seen.add(p)
-        out.append(p)
-    return out
+    lines = [(a, b, c) for a, b, c, _, _ in sides]
+    picked: dict = {}   # grid points in draw order
+    draws = 0
+    while len(picked) < n and draws < _MAX_DRAWS:
+        draws += 1
+        i = rng.randrange(denom_bound + 1)
+        j = rng.randrange(denom_bound + 1)
+        if all(a * i + b * j + c > 0 for a, b, c in lines):
+            picked[i, j] = None
+    while len(picked) < n:
+        picked[_grid_point(sides, denom_bound, rng.randrange(have))] = None
+    return [(x0 + Fraction(i, denom_bound) * w,
+             y0 + Fraction(j, denom_bound) * h) for i, j in picked]
 
 
-def _interior_grid_count(poly: QPolygon, corner: Point, size: Point,
-                         steps: int) -> int:
-    """How many grid points corner + (i, j) * size / steps, 0 <= i, j <=
-    steps, lie strictly inside poly, whose bounding box the grid spans.
+def _grid_sides(poly: QPolygon, corner: Point, size: Point,
+                steps: int) -> list[tuple[int, int, int, int, int]]:
+    """poly's sides on the grid corner + (i, j) * size / steps, 0 <= i, j <=
+    steps, that spans its bounding box: (a, b, c, lo, hi) per side,
+    counterclockwise, with a i + b j + c > 0 strictly inside the side and
+    lo..hi the columns 0 < i < steps that the side bounds above or below.
 
-    Column i, 0 < i < steps, holds ceil(U(i)) - floor(L(i)) - 1 of them, for
-    U and L the boundary above and below.  A side, a i + b j + c > 0 inside,
-    is U = (a i + c) / -b or L = -(a i + c) / b over the columns (i0, i1]
-    between its ends, so by ceil(x) = -floor(-x) it adds one floor sum."""
+    A side from grid point (i0, j0) to (i1, j1) bounds the columns
+    (i0, i1] or (i1, i0], so each such column has exactly one side above
+    and one below; a vertical side bounds none."""
     m = lp.common_scale([corner, size])
     (X0, Y0), (WX, WY) = lp.scaled(corner, m), lp.scaled(size, m)
     # the vertices, counterclockwise, as grid points (i, j) / q with q > 0
     grid = [((X * m - X0 * W) * steps * WY, (Y * m - Y0 * W) * steps * WX,
              W * WX * WY) for X, Y, W in poly.hvertices]
-    total = 1 - steps
+    sides = []
     for k, (i1, j1, q1) in enumerate(grid):
         i0, j0, q0 = grid[k - 1]
-        # det(grid[k - 1], grid[k], (i, j, 1)), positive inside; a vertical
-        # side covers no column
-        a, b, c = j0 * q1 - q0 * j1, q0 * i1 - i0 * q1, i0 * j1 - j0 * i1
+        # det(grid[k - 1], grid[k], (i, j, 1)), positive inside
         f0, f1 = i0 // q0, i1 // q1
-        lo, hi = min(f0, f1) + 1, min(max(f0, f1), steps - 1)
+        sides.append((j0 * q1 - q0 * j1, q0 * i1 - i0 * q1, i0 * j1 - j0 * i1,
+                      min(f0, f1) + 1, min(max(f0, f1), steps - 1)))
+    return sides
+
+
+def _columns_below(sides, k: int) -> int:
+    """How many grid points of the columns 0 < i < k lie strictly inside
+    the polygon with these `_grid_sides`.
+
+    Column i holds ceil(U(i)) - floor(L(i)) - 1 of them, for U and L the
+    boundary above and below.  A side is U = (a i + c) / -b or
+    L = -(a i + c) / b over its columns, so by ceil(x) = -floor(-x) it adds
+    one floor sum."""
+    total = 1 - k
+    for a, b, c, lo, hi in sides:
+        hi = min(hi, k - 1)
         if lo <= hi:
             total -= _floor_sum(hi - lo + 1, abs(b), -a, -(a * lo + c))
     return total
+
+
+def _grid_point(sides, steps: int, r: int) -> tuple[int, int]:
+    """The interior grid point (i, j) of rank r, 0 <= r < the count, with
+    the points ordered by column and then by row.  Its column is the last
+    whose prefix count (`_columns_below`) is at most r, found by bisection;
+    in that column the interior starts one row above floor(L(i))."""
+    lo, hi = 1, steps - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _columns_below(sides, mid) <= r:
+            lo = mid
+        else:
+            hi = mid - 1
+    low = max(-(a * lo + c) // b for a, b, c, _, _ in sides if b > 0)
+    return lo, low + 1 + r - _columns_below(sides, lo)
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:

@@ -405,6 +405,21 @@ def test_arithmetic_matches_gcd_of_products_reference(sa, sb, k):
         assert_same(a.pow(k), ref_pow(ra, k))
 
 
+@settings(max_examples=200)
+@given(RATFUN_SPECS, DYADIC)
+def test_product_with_a_monomial_shifts_the_numerator(spec, q):
+    # in both orders, equal to the general constructor's reduction of the
+    # product, and computed with no gcd
+    a, _ = both(spec)
+    m = GF2RatFun.t(q)
+    want = GF2RatFun(a.num * m.num, a.den * m.den)
+    with mock.patch.object(lift2, "_poly_gcd") as gcd:
+        got = [a * m, m * a]
+    assert gcd.call_count == 0
+    for r in got:
+        assert r == want and structure(r) == structure(want)
+
+
 MONOMIALS = st.builds(lambda q: ([q], [F(0)]), DYADIC)
 
 

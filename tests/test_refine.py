@@ -1,15 +1,18 @@
 import math
 import random
+import re
 import time
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tropwave.curve import classify_vertex, curves_within, extract_curve
 from tropwave import exactlp as lp
-from tropwave import refine
-from tropwave.geometry import QPolygon, is_unimodular, primitive
+from tropwave import refine, series
+from tropwave.geometry import (GeometryError, HalfPlane, QPolygon,
+                               is_unimodular, primitive)
 from tropwave.series import (add_monomial, clamp, distance_function, evaluate,
                              is_nice, make_series, quasi_degree, zero_series)
 from tropwave.refine import (CertificationFailed, EmptyLevelSet,
@@ -152,6 +155,172 @@ class TestMakeNice:
         assert is_nice(g)
         assert is_unimodular(sub)
         assert len(steps) >= 1
+
+
+# -- the blow-up vertex ring and the equality proof ----------------------------
+
+
+def ref_spot_check_equal_outside_balls(f, g, centers, eps):
+    """The earlier equality check of `make_nice`: f = g, exactly, at the
+    vertices of g's linearity complex outside the corner balls."""
+    for z in g.complex_vertices():
+        if any(max(abs(z[0] - c[0]), abs(z[1] - c[1])) < eps for c in centers):
+            continue
+        if not f.domain.contains(z):
+            continue
+        if evaluate(f, z) != evaluate(g, z):
+            raise CertificationFailed(f"series differ outside corner balls at {z}")
+
+
+BENT = QPolygon.from_vertices([(0, 0), (2, 0), (3, 2), (1, 3)])
+WIDE_TRIANGLE = QPolygon.from_vertices([(0, 0), (2, 0), (0, 1)])
+
+
+def nonnice_square():
+    """Adjacent degree-2 sides on the unit square."""
+    return make_series(unit_square(),
+                       {(2, 0): 0, (0, 2): 0, (1, 0): F(1, 10),
+                        (0, 1): F(1, 10), (-1, 0): 1, (0, -1): 1,
+                        (0, 0): F(1, 3)})
+
+
+def _blowup_case(kind, seed, how):
+    """(polygon, series): the bent quadrilateral, the wide triangle, the
+    non-nice square, or a random polygon scaled by rationals so that its
+    corners are mostly not unimodular; the series is the distance function,
+    one wave of it at a point of the 16-step grid (as `certify` draws), or
+    the dynamics of two such points from zero."""
+    if kind == "nonnice square":
+        return unit_square(), nonnice_square()
+    rng = random.Random(seed)
+    if kind == "random":
+        poly = random_polygon(rng)
+        ax, ay = (F(rng.randrange(1, 6), rng.randrange(1, 5)) for _ in "xy")
+        poly = QPolygon.from_vertices([(ax * x, ay * y)
+                                       for x, y in poly.vertices])
+    else:
+        poly = {"bent": BENT, "wide triangle": WIDE_TRIANGLE}[kind]
+    f = distance_function(poly)
+    if how == "wave":
+        f, _ = wave(f, random_points(rng, poly, 1)[0])
+    elif how == "dynamics":
+        f = run_dynamics(zero_series(poly), random_points(rng, poly, 2)).final
+    return poly, f
+
+
+def _cyclic_equal(ring, cycle):
+    ring, cycle = list(ring), list(cycle)
+    if len(ring) != len(cycle) or cycle[0] not in ring:
+        return False
+    k = ring.index(cycle[0])
+    return ring[k:] + ring[:k] == cycle
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(["bent", "wide triangle", "nonnice square", "random"]),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from(["distance", "wave", "dynamics"]),
+       st.sampled_from([F(1, 8), F(1, 16), F(1, 32), F(1, 64)]))
+@example("bent", 0, "wave", F(1, 8))
+@example("wide triangle", 0, "distance", F(1, 8))
+@example("nonnice square", 0, "distance", F(1, 16))
+def test_blowup_ring_is_the_reenumerated_polygon(kind, seed, how, eps):
+    # after every cut the ring is the vertex cycle of the polygon
+    # re-enumerated from all half-planes so far, the final polygon is the
+    # stepwise one, and the old spot check accepts the result
+    poly, f = _blowup_case(kind, seed, how)
+    real, log = refine._cut_ring, []
+
+    def recording(ring, cut, v):
+        out = real(ring, cut, v)
+        log.append((cut, out))
+        return out
+
+    with mock.patch.object(refine, "_cut_ring", recording):
+        try:
+            sub, g, steps = make_nice(poly, f, eps)
+        except (EpsilonTooLarge, CertificationFailed):
+            sub = None
+    cuts = []
+    stepwise = poly
+    for (A, B, C), ring in log:
+        cuts.append(HalfPlane((A, B), C))
+        assert _cyclic_equal(
+            ring, QPolygon(list(poly.halfplanes) + cuts).hvertices)
+        stepwise = QPolygon(list(stepwise.halfplanes) + cuts[-1:])
+    if sub is None:
+        return
+    assert len(log) == len(steps)
+    assert sub == stepwise
+    ref_spot_check_equal_outside_balls(f, g, [c.apex for c in poly.corners()],
+                                       eps)
+
+
+def test_cut_ring_raises_as_the_enumeration_did():
+    # a cut that leaves no interior fails with QPolygon's own message; one
+    # whose line holds fewer than two ring points is not essential
+    square = unit_square()
+    ring = list(square.hvertices)
+    for cut in [(1, 0, -2), (1, 0, -1)]:
+        with pytest.raises(GeometryError) as enumerated:
+            QPolygon(list(square.halfplanes) + [HalfPlane(cut[:2], cut[2])])
+        with pytest.raises(EpsilonTooLarge) as clipped:
+            refine._cut_ring(ring, cut, (1, 0))
+        assert str(clipped.value) == str(enumerated.value)
+    for cut, v in [((1, 0, 1), (1, 0)), ((1, 1, 0), (1, 1))]:
+        with pytest.raises(CertificationFailed,
+                           match=re.escape(f"cut along {v} is not essential")):
+            refine._cut_ring(ring, cut, v)
+    half = refine._cut_ring(ring, (-2, 0, 1), (-1, 0))
+    assert _cyclic_equal(half, QPolygon.box(0, 0, F(1, 2), 1).hvertices)
+
+
+@pytest.mark.parametrize("kind, how, eps, k", [
+    ("bent", "distance", F(1, 8), 0),
+    ("bent", "distance", F(1, 8), 4),
+    ("wide triangle", "distance", F(1, 8), 0),
+    ("nonnice square", "distance", F(1, 16), 0),
+])
+def test_a_cut_below_the_series_outside_its_ball_is_caught(kind, how, eps, k):
+    # the k-th multiplier is lowered by one while its margin is kept, so
+    # the cut claims a margin it lacks and dips below f at a margin row
+    poly, f = _blowup_case(kind, 0, how)
+    real, calls = refine._least_multiplier, []
+
+    def inflated(cert, v, shift=F(0)):
+        m, mg = real(cert, v, shift)
+        calls.append(m)
+        return (m - 1, mg) if len(calls) == k + 1 else (m, mg)
+
+    with mock.patch.object(refine, "_least_multiplier", inflated):
+        with pytest.raises(CertificationFailed,
+                           match="series differ outside corner balls"):
+            make_nice(poly, f, eps)
+    assert calls[k] > 1
+
+
+def test_make_nice_enumerates_one_polygon_and_builds_one_complex():
+    # the bent quadrilateral with f's complex built: one QPolygon, the
+    # blown-up one, and one complex build, the result constructor's
+    f = distance_function(BENT)
+    f.cells()
+    polygons, built = [], []
+    real_init, real_complex = QPolygon.__init__, series._Complex
+
+    def counting_init(self, halfplanes):
+        polygons.append(len(halfplanes))
+        real_init(self, halfplanes)
+
+    def counting_complex(domain, support):
+        built.append(domain)
+        return real_complex(domain, support)
+
+    with mock.patch.object(QPolygon, "__init__", counting_init), \
+            mock.patch.object(series, "_Complex", counting_complex):
+        sub, g, steps = make_nice(BENT, f, F(1, 8))
+    assert len(polygons) == 1
+    assert polygons == [len(BENT.halfplanes) + len(steps)]
+    assert built == [sub]
 
 
 # -- region certificates against the Fraction enumeration ---------------------

@@ -55,3 +55,13 @@ def test_kernel_takes_polygons_only():
                 checks.append(f"{path.name}:{'.'.join(scope)}")
     assert not names & {"SupportOracle", "ConvexDomain", "truncated"}
     assert checks == ["series.py:TropicalSeries.__init__"]
+
+
+def test_refine_proves_equality_outside_the_balls_without_a_spot_check():
+    # make_nice proves f = g outside the corner balls from its margin rows;
+    # the vertex spot check that rebuilt the result's complex is gone
+    path = next(p for p in SOURCES if p.name == "refine.py")
+    defined = {node.name for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert "make_nice" in defined
+    assert "_spot_check_equal_outside_balls" not in defined

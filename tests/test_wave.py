@@ -17,8 +17,9 @@ from tropwave.series import (OutsideDomain, add_monomial,
                              canonical_coefficient, distance_function,
                              evaluate, quasi_degree, rho, zero_series)
 from tropwave.wave import (STABILIZED, STEP_LIMIT, SamplingFailed, Schedule,
-                           UnclassifiableSide, WaveError, _floor_sum,
-                           _interior_grid_count, _line_min, _second_min_at,
+                           UnclassifiableSide, WaveError, _columns_below,
+                           _floor_sum, _grid_point, _grid_sides,
+                           _line_min, _second_min_at,
                            avalanche_experiment, run_dynamics,
                            sample_interior_points, upper_bound_witness,
                            wave, wave_family_scan)
@@ -453,7 +454,8 @@ def test_grid_interior_count_matches_point_tests(seed, steps):
     inside = sum(poly.contains((x0 + F(i, steps) * w, y0 + F(j, steps) * h),
                                strict=True)
                  for i in range(steps + 1) for j in range(steps + 1))
-    assert _interior_grid_count(poly, (x0, y0), (w, h), steps) == inside
+    assert _columns_below(_grid_sides(poly, (x0, y0), (w, h), steps),
+                          steps) == inside
 
 
 def test_sampling_stream_unchanged_by_the_grid_count():
@@ -482,3 +484,94 @@ def test_empty_fine_grid_fails_at_once():
     with pytest.raises(SamplingFailed, match="has 0 interior points"):
         sample_interior_points(poly, 1, random.Random(0), 10 ** 9)
     assert time.perf_counter() - start < 0.5
+
+
+def _skewed_grid_case(seed):
+    """A random polygon, affinely scaled to make the grid and the sides
+    skew, with its bounding box's corner and size."""
+    rng = random.Random(seed)
+    poly = random_polygon(rng)
+    ax, ay, tx, ty = (F(rng.randrange(1, 9), rng.randrange(1, 7))
+                      for _ in range(4))
+    poly = QPolygon.from_vertices([(ax * x + tx, ay * y - ty)
+                                   for x, y in poly.vertices])
+    xs = [v[0] for v in poly.vertices]
+    ys = [v[1] for v in poly.vertices]
+    return poly, (min(xs), min(ys)), (max(xs) - min(xs), max(ys) - min(ys))
+
+
+def brute_interior_grid(poly, corner, size, steps):
+    """The interior grid points (i, j) by column, then row, each tested
+    with poly.contains."""
+    (x0, y0), (w, h) = corner, size
+    return [(i, j) for i in range(steps + 1) for j in range(steps + 1)
+            if poly.contains((x0 + F(i, steps) * w, y0 + F(j, steps) * h),
+                             strict=True)]
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=1, max_value=12))
+def test_rank_to_grid_point_is_a_bijection(seed, steps):
+    # rank r goes to the r-th interior grid point by column, then row, and
+    # every prefix count is the brute-force count of its columns
+    poly, corner, size = _skewed_grid_case(seed)
+    want = brute_interior_grid(poly, corner, size, steps)
+    sides = _grid_sides(poly, corner, size, steps)
+    for k in range(1, steps + 1):
+        assert _columns_below(sides, k) == sum(i < k for i, _ in want)
+    assert [_grid_point(sides, steps, r) for r in range(len(want))] == want
+
+
+def test_rare_interior_points_are_drawn_by_rank():
+    # the sliver's 10^7-step grid has 44 999 991 interior points, but
+    # rejection from its bounding box finds none in 10^5 draws: the points
+    # are then drawn by rank, so sampling succeeds
+    poly = QPolygon.from_vertices([(0, 0), (1, 1), (1, 1 - F(1, 10 ** 6))])
+    steps = 10 ** 7
+    assert _columns_below(_grid_sides(poly, (0, 0), (1, 1), steps),
+                          steps) == 44999991
+    start = time.perf_counter()
+    pts = sample_interior_points(poly, 3, random.Random(0), steps)
+    assert time.perf_counter() - start < 0.5
+    assert len(set(pts)) == 3
+    for x, y in pts:
+        assert poly.contains((x, y), strict=True)
+        assert (x * steps).denominator == (y * steps).denominator == 1
+
+
+def test_rank_draws_follow_the_failed_rejection_draws(monkeypatch):
+    # with rejection cut to 40 draws, the 24-step sliver's 3 points come
+    # from the same stream: 40 rejection draws, then ranks into the
+    # interior grid by column and row, skipping repeats
+    monkeypatch.setattr(importlib.import_module("tropwave.wave"),
+                        "_MAX_DRAWS", 40)
+    poly = QPolygon.from_vertices([(0, 0), (1, F(19, 20)), (1, 1)])
+    grid = brute_interior_grid(poly, (0, 0), (1, 1), 24)
+    assert len(grid) == 3
+    for seed in range(20):
+        rng = random.Random(seed)
+        want = []
+        for _ in range(40):
+            i, j = rng.randrange(25), rng.randrange(25)
+            if (i, j) in grid and (i, j) not in want:
+                want.append((i, j))
+        while len(want) < 3:
+            ij = grid[rng.randrange(3)]
+            if ij not in want:
+                want.append(ij)
+        assert sample_interior_points(poly, 3, random.Random(seed), 24) == [
+            (F(i, 24), F(j, 24)) for i, j in want]
+
+
+def test_too_few_interior_points_fail_before_any_draw():
+    # the 24-step sliver holds 3 interior points: asking for 4 fails at once
+    # and leaves the stream untouched
+    poly = QPolygon.from_vertices([(0, 0), (1, F(19, 20)), (1, 1)])
+    rng = random.Random(5)
+    state = rng.getstate()
+    start = time.perf_counter()
+    with pytest.raises(SamplingFailed, match="has 3 interior points, fewer "
+                                             "than 4"):
+        sample_interior_points(poly, 4, rng, 24)
+    assert time.perf_counter() - start < 0.5
+    assert rng.getstate() == state
