@@ -7,18 +7,18 @@ tiny (a handful of constraints), so vertices are found by basic-solution
 enumeration, which is simple and exact but O(m^3) in the constraint count m.
 Every caller keeps m small: `QPolygon` passes its own half-planes, the
 linearity complex of `series` only the side lines of a cell it has already
-clipped to two or more points (plus the two constraints that meet a segment
-cell at each end; a point cell is not enumerated), and `wave` one
-constraint per domain vertex.  Regions cut
-from a built complex (`refine`'s certificates) are clipped, not enumerated.
+clipped to a polygon (a point or segment cell is read off its clip), and
+`wave` one constraint per domain vertex.  Regions cut from a built complex
+(`refine`'s certificates) are clipped, not enumerated.
 
 The enumeration itself is pure integer arithmetic: `basic_points` takes
 denominator-cleared constraints ``(A, B, C)`` (``A x + B y + C >= 0``, made
 by `int_constraints`) and returns homogeneous integer points ``(X, Y, W)``
 standing for ``(X / W, Y / W)``; `sort_ccw` orders such points
-(`rotate_ccw` does it in O(n) for a convex ring already in order), `to_point`
-turns one into a `Fraction` point, and `homogeneous` turns a rational
-point back into its reduced triple.
+(`rotate_ccw` does it in O(n) for a convex ring already in order),
+`polygon_area` takes the shoelace area of a ring of them, `to_point` turns
+one into a `Fraction` point, and `homogeneous` turns a rational point back
+into its reduced triple.
 """
 
 from __future__ import annotations
@@ -203,16 +203,21 @@ def _segment_constraints(a: Point, b: Point):
     ]
 
 
-def polygon_area(vertices: Sequence[Point]) -> Fraction:
-    """Shoelace area of a CCW (or CW, absolute value taken) vertex cycle."""
-    n = len(vertices)
-    if n < 3:
+def polygon_area(ring: Sequence[Homogeneous]) -> Fraction:
+    """The area of a polygon given as homogeneous points in cyclic order,
+    either way round, by the shoelace formula on one common denominator Q:
+    the points (X Q / W, Y Q / W) are integers, and their shoelace sum is
+    twice the area times Q^2.  Fewer than three points have none."""
+    if len(ring) < 3:
         return Fraction(0)
-    s = Fraction(0)
-    for i in range(n):
-        a, b = vertices[i], vertices[(i + 1) % n]
-        s += a[0] * b[1] - b[0] * a[1]
-    return abs(s) / 2
+    Q = math.lcm(*[W for _, _, W in ring])
+    pts = [(X * (Q // W), Y * (Q // W)) for X, Y, W in ring]
+    x0, y0 = pts[-1]
+    s = 0
+    for x1, y1 in pts:
+        s += x0 * y1 - x1 * y0
+        x0, y0 = x1, y1
+    return Fraction(abs(s), 2 * Q * Q)
 
 
 def angle_order(vectors: Sequence[Vec]) -> list[int]:

@@ -191,7 +191,7 @@ class QPolygon:
         return all(A * X + B * Y + C * W >= 0 for A, B, C in self._int_cons)
 
     def area(self) -> Fraction:
-        return lp.polygon_area(self.vertices)
+        return lp.polygon_area(self.hvertices)
 
     def sides(self) -> list[tuple[HalfPlane, Point, Point]]:
         """Each essential half-plane with the endpoints of its edge."""

@@ -610,9 +610,10 @@ def degenerate_cancellation(F: LaurentPoly2, p) -> bool:
 
 
 def fuzz_lift(trials: int, seed: int = 0) -> dict:
-    """Random verification of the lift identity plus idempotence and the
-    vanishing of S_p F at p; degenerate cancellation draws are resampled and
-    counted."""
+    """Random verification of the lift identity and of the vanishing of
+    S_p F at p; degenerate cancellation draws are resampled and counted.
+    Vanishing at p also makes S_p idempotent there: `s_wave` returns its
+    input unchanged where it vanishes."""
     rng = random.Random(seed)
     checked = 0
     degenerate = 0
@@ -628,8 +629,6 @@ def fuzz_lift(trials: int, seed: int = 0) -> dict:
             failures.append((F.to_text(), str(p[0]), str(p[1]), witness))
         if not SF.evaluate(p).is_zero():
             failures.append((F.to_text(), str(p[0]), str(p[1]), "S_p F (p) != 0"))
-        if s_wave(SF, p) != SF:
-            failures.append((F.to_text(), str(p[0]), str(p[1]), "not idempotent"))
         checked += 1
     return {"trials": checked, "degenerate_skipped": degenerate,
             "failures": failures, "seed": seed}

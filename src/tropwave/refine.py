@@ -494,42 +494,34 @@ def verge_polynomial(poly: QPolygon, degrees: Dict[Vec, int],
     raise CertificationFailed("no delta small enough for a smooth verge curve")
 
 
+def _dist2_rows(points: Sequence[Point], segs: Sequence) -> list[list[Fraction]]:
+    """The exact squared distance from each point to each segment (a, b),
+    one row per point, found in integers over one common denominator."""
+    scale = lp.common_scale(list(points) + [p for s in segs for p in s])
+    isegs = [(lp.scaled(a, scale), lp.scaled(b, scale)) for a, b in segs]
+    rows = []
+    for p in points:
+        P = lp.scaled(p, scale) + (1,)
+        rows.append([Fraction(num, den * scale * scale) for num, den in
+                     [lp.segment_dist2(P, a, b) for a, b in isegs]])
+    return rows
+
+
 def _max_vertex_boundary_dist2(curve, poly: QPolygon) -> Fraction:
-    """The largest squared distance from a curve vertex to the boundary,
-    found in integers over one common denominator."""
-    sides = [(a, b) for _, a, b in poly.sides()]
-    scale = lp.common_scale(list(curve.vertices) + [p for s in sides for p in s])
-    isides = [(lp.scaled(a, scale), lp.scaled(b, scale)) for a, b in sides]
-    out = (0, 1)
-    for z in curve.vertices:
-        Z = lp.scaled(z, scale) + (1,)
-        near = None
-        for a, b in isides:
-            num, den = lp.segment_dist2(Z, a, b)
-            if near is None or num * near[1] < near[0] * den:
-                near = (num, den)
-        if near[0] * out[1] > out[0] * near[1]:
-            out = near
-    return Fraction(out[0], out[1] * scale * scale)
+    """The largest squared distance from a curve vertex to the boundary."""
+    rows = _dist2_rows(curve.vertices, [(a, b) for _, a, b in poly.sides()])
+    return max([Fraction(0), *[min(row) for row in rows]])
 
 
 # -- coarse smooth approximation ------------------------------------------------
 
 
 def _min_point_curve_dist2(points: Sequence[Point], curves) -> Optional[Fraction]:
-    """The least positive squared distance from a point to a curve segment,
-    found in integers over one common denominator; None if there is none."""
+    """The least positive squared distance from a point to a curve segment;
+    None if there is none."""
     segs = [s for curve in curves for s in curve.segments()]
-    scale = lp.common_scale(list(points) + [p for s in segs for p in s])
-    isegs = [(lp.scaled(a, scale), lp.scaled(b, scale)) for a, b in segs]
-    best: Optional[tuple[int, int]] = None
-    for p in points:
-        P = lp.scaled(p, scale) + (1,)
-        for a, b in isegs:
-            num, den = lp.segment_dist2(P, a, b)
-            if num > 0 and (best is None or num * best[1] < best[0] * den):
-                best = (num, den)
-    return None if best is None else Fraction(best[0], best[1] * scale * scale)
+    return min([d for row in _dist2_rows(points, segs) for d in row if d > 0],
+               default=None)
 
 
 def _certify_smooth_or_nodal(f: TropicalSeries, step: int):
@@ -541,11 +533,14 @@ def _certify_smooth_or_nodal(f: TropicalSeries, step: int):
                 f"vertex {z} is {c.kind} ({c.detail})", step=step)
 
 
-def _certify_family(f: TropicalSeries, v: Vec, c: Fraction, step: int,
-                    samples: int = 3):
+# the members add_monomial(f, v, t * c) of a one-wave family that
+# `_certify_family` checks
+_FAMILY_SAMPLES = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+
+
+def _certify_family(f: TropicalSeries, v: Vec, c: Fraction, step: int):
     """Sampled members of the one-wave family stay smooth or nodal."""
-    for i in range(1, samples + 1):
-        t = Fraction(i, samples + 1)
+    for t in _FAMILY_SAMPLES:
         _certify_smooth_or_nodal(add_monomial(f, v, c * t), step=step)
 
 

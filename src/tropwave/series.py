@@ -15,12 +15,12 @@ renormalizes, reading the small form off the presentation's complex.
 A series builds its own linearity complex once, on first use, in
 integers: each cell is the domain polygon clipped by the
 denominator-cleared dominance constraints one at a time, nearest exponent
-first; `exactlp.basic_points` picks the vertices out of a clip of two or
-more points, on a polygon cell's distinct side lines or on a segment
-cell's support-order list (its line and the constraints that meet it at
-its ends, which fix its orientation); the clip's counterclockwise order
-orders a polygon cell, the complex vertices are held as integer points
-over one common denominator D, and with them the integers D * f.
+first.  The clip is the cell: a segment cell's two ends come straight from
+it, ordered by the constraints tight at each, and a polygon cell's
+vertices in the clip's counterclockwise order, checked once by
+`exactlp.basic_points` on its side lines.  The complex vertices are held
+as integer points over one common denominator D, and with them the
+integers D * f.
 Renormalization keeps a monomial of the presentation whose cell is
 nonempty, at its presented coefficient, iff that cell reaches the
 interior; every other candidate, and `canonical_coefficient`, read that
@@ -30,8 +30,10 @@ exact, and `Fraction` appears only at the API boundary (coefficients,
 points of a cell or of the vertex list are made on first read, so a
 complex that is only read in integers converts none.
 
-The constructor drops the presentation's complex, and the series builds its
-own on first use, with one exception: `add_monomial`, the write path of
+The constructor keeps the presentation's side degrees as the series'
+quasi-degree (`_small_canonical_terms` says why they are the small form's).
+It drops the presentation's complex, and the series builds its own on
+first use, with one exception: `add_monomial`, the write path of
 every wave, hands the presentation's complex, restricted to the kept
 monomials, to its result (`_Complex.restricted` says why that is exact), so
 the next wave reads it without a second build.
@@ -78,7 +80,8 @@ class TropicalSeries:
 
     ``support`` is any presentation of a valid series.  The constructor
     holds it sorted, builds its complex through `cells()` and keeps the
-    small form read off that complex.  It drops the complex, and the series
+    small form read off that complex, with the presentation's side degrees
+    as its quasi-degree.  It drops the complex, and the series
     builds its own on first use, unless ``_inherit`` is set (`add_monomial`
     alone sets it) and every kept monomial carries its presented
     coefficient: the series then keeps the complex restricted to its small
@@ -90,7 +93,6 @@ class TropicalSeries:
         if not isinstance(domain, QPolygon):
             raise SeriesError("a tropical series needs a polygon domain")
         self.domain = domain
-        self._quasi_degree = None
         support = {tuple(v): Fraction(a) for v, a in support.items()}
         if not support:
             raise SeriesError("series needs at least one monomial")
@@ -99,7 +101,8 @@ class TropicalSeries:
         self._complex: Optional[_Complex] = None
         self.cells()
         presented, cx = self.support, self._complex
-        self.support = _small_canonical_terms(domain, presented, cx)
+        self.support, self._quasi_degree = _small_canonical_terms(
+            domain, presented, cx)
         self._cells = self._complex = None
         # a kept monomial whose coefficient is below its presented one (v,
         # raised past where it touches) has a cell the presentation lacks
@@ -154,24 +157,22 @@ class _Complex:
     constraint of each other monomial w against v, in order of the exponent
     distance |w - v|^2 (a stable sort, so ties stay in support order).  The
     cell is an intersection of half-planes, so the order changes at most
-    the clip's start and extra side points, which the rules below drop.
-    The neighbours of v in the regular subdivision come first and shrink
-    the clip to the cell after a few cuts; every later cut costs one
-    evaluation of a small ring, and a cut that misses or only touches it
-    leaves it as it is.  A clip of at most one point is the cell.
-    Otherwise `exactlp.basic_points` runs once, and the cell comes out
-    exactly as an enumeration over every constraint tight at the clip would
-    give it:
-    - a polygon cell passes its distinct side lines (`_side_lines`, the
-      lines through neighbouring clip points), whose pairs meet exactly its
-      vertices; it keeps the clip's points that `basic_points` returns, in
-      the clip's counterclockwise order, rotated by `exactlp.rotate_ccw` to
-      the start `exactlp.sort_ccw` would give;
-    - a segment cell passes the list `_cell_constraints` builds in support
-      order, since its ends come out in the order `basic_points` first
-      meets them.
-    Enumerating over every tight constraint would cost O(k^3) per cell, and
-    at a complex vertex hundreds can be tight.
+    the clip's start.  The neighbours of v in the regular subdivision come
+    first and shrink the clip to the cell after a few cuts; every later cut
+    costs one evaluation of a small ring, and a cut that misses or only
+    touches it leaves it as it is.  The clip holds only vertices of the cell
+    (a kept point was a vertex of a larger polygon, and a crossing lies on
+    two distinct lines that both bound the cut one), so it is the cell:
+    - a clip of at most one point is the cell as it is;
+    - a segment cell's two ends are put in the order `exactlp.basic_points`
+      would meet them on its constraints (`_segment_ends`);
+    - a polygon cell takes the clip's counterclockwise order, rotated by
+      `exactlp.rotate_ccw` to the start `exactlp.sort_ccw` would give.  One
+      `exactlp.basic_points` call on its distinct side lines (`_side_lines`,
+      the lines through neighbouring clip points), whose pairs meet exactly
+      its vertices, checks that the clip holds nothing else.
+    Enumerating the vertices over every tight constraint would cost O(k^3)
+    per cell, and at a complex vertex hundreds can be tight.
     The complex vertices, in first-seen order over the cells, are kept as
     ``table`` rows (X, Y, F): the vertex is (X, Y) / denom and F is denom
     times the series there.  ``hcells`` maps each monomial to its cell as
@@ -206,18 +207,14 @@ class _Complex:
             if len(cell) <= 1:
                 hcells[v] = cell
                 continue
+            # a segment cell has two side lines, its line both ways round
             sides = _side_lines(cell)
-            if len(sides) == 2:
-                hcells[v] = lp.basic_points(_cell_constraints(
-                    domain_cons, domain_verts, cons, cell, sides))
-                continue
-            hs = lp.basic_points(list(sides))
-            # the vertices in the clip's order, CCW as the domain's
-            # `hvertices` are; the clip may also hold points inside the sides
-            if len(hs) < len(cell):
-                vertex = set(hs)
-                cell = [h for h in cell if h in vertex]
-            hcells[v] = lp.rotate_ccw(cell)
+            n = 2 if len(sides) == 2 else len(lp.basic_points(list(sides)))
+            if n != len(cell):
+                raise SeriesError(f"the clip of {v} holds a point that is "
+                                  "no vertex of its cell")
+            hcells[v] = (_segment_ends(cell, [*domain_cons, *cons]) if n == 2
+                         else lp.rotate_ccw(cell))
 
         hverts = list(dict.fromkeys(h for hs in hcells.values() for h in hs))
         denom = math.lcm(scale, *[h[2] for h in hverts])
@@ -246,16 +243,16 @@ class _Complex:
         ``support`` has the same cell in both builds.  A point cell is its
         clip, and a polygon cell's vertices come out in the same order,
         since `exactlp.rotate_ccw` fixes a polygon's start.  A segment cell's
-        ends come out in the order in which `exactlp.basic_points` first
-        meets them on the constraints `_cell_constraints` keeps.  P's list
-        can differ from g's only by monomials of P outside ``support`` that
-        are tight at an end, and such a monomial touches g there:
-        - a monomial tight at an interior end, or along the segment, touches
-          g at an interior point and is kept, so at an interior end both
-          lists hold the same constraints in the same (support) order;
+        ends are ordered by the first crossing pair of constraints tight at
+        each (`_segment_ends`).  P's constraints tight at an end can differ
+        from g's only by monomials of P outside ``support``, and such a
+        monomial touches g there:
+        - a monomial tight at an interior end touches g at an interior
+          point and is kept, so at an interior end both lists hold the same
+          tight constraints in the same (support) order;
         - at a boundary end the first crossing pair starts with the first
           domain constraint tight there.  Domain constraints come first in
-          both lists, so both meet first the end on the first of them.
+          both lists, so both builds put that end first.
         ``hcells`` is P's restricted to ``support``, in its order; the
         vertices are taken in first-seen order over it.  ``denom`` becomes
         lcm(scale of ``support``, vertex W), which divides P's, and each
@@ -346,61 +343,28 @@ def _side_lines(cell: list) -> dict:
     return sides
 
 
-def _cell_constraints(domain_cons: list, domain_verts: Sequence,
-                      cuts: list, cell: list, sides: dict) -> list:
-    """The constraints that `exactlp.basic_points` needs to find the ends
-    of the segment cell ``cell``, whose `_side_lines` are ``sides``.
+def _segment_ends(cell: list, cons: list) -> list:
+    """The two points of the segment cell ``cell`` in the order in which
+    `exactlp.basic_points` meets them on the cell's constraints.
 
-    They are taken in the order of the list L: ``domain_cons``, then the
-    ``cuts`` that cut the domain (a domain vertex violates them), in their
-    order.  The list keeps those on the segment's line, the first pair of
-    crossing constraints tight at each end, and no later copy of a
-    half-plane, which never forms the first pair at a point.  A clip point
-    inside the segment meets only constraints parallel to it.  L is a
-    subsequence of the same list for every cell that holds the segment, so
-    each end is met by the same first pair and the two ends come out in
-    the same order, which fixes the segment's orientation.
-
-    Only constraints tight at a clip point can be kept, and dropping the
-    others keeps the first pair at each point, so L is narrowed to them
-    before the domain test."""
-    tight = []
-    for A, B, C in cuts:
-        for X, Y, W in cell:
-            if A * X + B * Y + C * W == 0:
-                tight.append((A, B, C))
-                break
-    cons = [*domain_cons,
-            *[(A, B, C) for A, B, C in tight
-              if min([A * X + B * Y + C * W
-                      for X, Y, W in domain_verts]) < 0]]
+    ``cons`` is the list L: the domain's constraints, then the cut of every
+    monomial against v, in support order.  `exactlp.basic_points` meets a
+    point first at the lexicographically first pair i < j of crossing
+    constraints of L tight there.  Every line tight at an end passes
+    through it, so two cross iff they are not parallel: the pair is the
+    first tight constraint and the first later one not parallel to it.
+    v's own row of zeros crosses nothing and is skipped.  Dropping the cuts
+    that keep the whole domain, as the cell's own constraint list would,
+    changes no pair: such a cut's line meets the domain only in a vertex,
+    where two crossing domain constraints come first, or along a side,
+    parallel to that side's constraint."""
     keys = []
-    for A, B, C in cons:
-        g = math.gcd(A, B, C)
-        keys.append((A // g, B // g, C // g))
-    keep = {i for i, key in enumerate(keys) if key in sides}
     for X, Y, W in cell:
-        keep.update(_first_crossing_pair(
-            cons, [i for i, (A, B, C) in enumerate(cons)
-                   if A * X + B * Y + C * W == 0]))
-    out, seen = [], set()
-    for i in sorted(keep):
-        if keys[i] not in seen:
-            seen.add(keys[i])
-            out.append(cons[i])
-    return out
-
-
-def _first_crossing_pair(cons: list, ts: list) -> tuple:
-    """The first pair i < j in ``ts`` of constraints whose lines cross, or
-    () if all are parallel."""
-    for k, i in enumerate(ts):
-        A1, B1, _ = cons[i]
-        for j in ts[k + 1:]:
-            A2, B2, _ = cons[j]
-            if A1 * B2 != B1 * A2:
-                return (i, j)
-    return ()
+        tight = [(i, A, B) for i, (A, B, C) in enumerate(cons)
+                 if A * X + B * Y + C * W == 0 and (A or B)]
+        i, A0, B0 = tight[0]
+        keys.append((i, next(j for j, A, B in tight if A0 * B != B0 * A)))
+    return cell if keys[0] < keys[1] else cell[::-1]
 
 
 def _clip(poly: Sequence, cuts: list) -> list:
@@ -503,7 +467,7 @@ def _presentation_side_degrees(domain: QPolygon, terms: Support) -> Dict[Vec, in
     return out
 
 
-def _candidate_hull(domain: QPolygon, degrees: Dict[Vec, int]) -> tuple[Vec, ...]:
+def _candidate_hull(degrees: Dict[Vec, int]) -> tuple[Vec, ...]:
     """Lattice points of conv{m(S) * n(S)}; the small support of any series
     with side degrees <= m(S) lies inside this hull."""
     return _degree_hull(tuple(sorted(degrees.items())))
@@ -519,15 +483,25 @@ def _degree_hull(degrees: tuple) -> tuple[Vec, ...]:
     return tuple(lp.hull_lattice_points(pts))
 
 
-def _small_canonical_terms(domain: QPolygon, terms: Support,
-                           cx: _Complex) -> Support:
+def _small_canonical_terms(domain: QPolygon, terms: Support, cx: _Complex
+                           ) -> tuple[Support, Dict[Vec, int]]:
     """Renormalize a finite presentation, whose linearity complex is cx, to
-    the small canonical form.
+    the small canonical form; return it with the presentation's side
+    degrees, which are also the small form's.
 
     The presentation must define a valid series: nonnegative (checked at the
     complex vertices, which include the domain vertices where the concave
     min attains its minimum) and vanishing on every side (a vanishing
     monomial per side must be present).
+
+    The side degrees agree because near a side's midpoint every monomial
+    that does not vanish on that side stays positive: it is nonnegative on
+    the side and affine, so a zero inside the side would make it vanish on
+    the whole line.  There the vanishing monomials, m times the distance-like
+    form of the side, lie below the rest, and the one of least multiplier m
+    attains f at interior points.  Its cell reaches the interior, so it is
+    kept, and no vanishing monomial of smaller multiplier can be in the
+    small form, as it would lie below f near the side.
 
     A candidate stays iff its canonical affine touches the function at an
     interior point.  The touching set is the argmax of a concave piecewise
@@ -545,7 +519,7 @@ def _small_canonical_terms(domain: QPolygon, terms: Support,
     if min(F for _, _, F in cx.table) < 0:
         raise SeriesError("presentation is negative on the domain")
     degrees = _presentation_side_degrees(domain, terms)
-    candidates = _candidate_hull(domain, degrees)
+    candidates = _candidate_hull(degrees)
 
     domain_cons = domain.int_constraints()
     kept: Support = {}
@@ -569,7 +543,7 @@ def _small_canonical_terms(domain: QPolygon, terms: Support,
         w = count * cx.denom
         if all(A * sx + B * sy + C * w > 0 for A, B, C in domain_cons):
             kept[u] = Fraction(b, cx.denom)
-    return dict(sorted(kept.items()))
+    return dict(sorted(kept.items())), degrees
 
 
 def make_series(domain: QPolygon, support: Support) -> TropicalSeries:
@@ -585,7 +559,7 @@ def distance_function(domain: QPolygon) -> TropicalSeries:
     minimal affine form nonnegative on the domain."""
     degrees = {hp.n: 1 for hp in domain.halfplanes}
     return TropicalSeries(domain, {v: -support_coeff(domain, v)
-                                   for v in _candidate_hull(domain, degrees)
+                                   for v in _candidate_hull(degrees)
                                    if v != (0, 0)})
 
 
@@ -614,8 +588,6 @@ def rho(f: TropicalSeries, g: TropicalSeries) -> Fraction:
 def quasi_degree(f: TropicalSeries) -> Dict[Vec, int]:
     """Per side (keyed by primitive inward normal): the multiplier of the
     monomial dominating near that side.  Zero only for the zero series."""
-    if f._quasi_degree is None:
-        f._quasi_degree = _presentation_side_degrees(f.domain, f.support)
     return dict(f._quasi_degree)
 
 
@@ -657,7 +629,7 @@ def add_monomial(f: TropicalSeries, v: Vec, c: Fraction) -> TropicalSeries:
         if _side_vanishing_multiplier(hp, (v, a_v)) == degrees[hp.n]:
             degrees[hp.n] += 1
     terms: Support = {u: canonical_coefficient(f, u)
-                      for u in _candidate_hull(f.domain, degrees) if u != v}
+                      for u in _candidate_hull(degrees) if u != v}
     terms[v] = a_v + c
     # each u != v carries c_u(f), and f <= g <= u.z + c_u(f) gives
     # c_u(g) = c_u(f): the result inherits the presentation's complex

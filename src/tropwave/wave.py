@@ -206,26 +206,9 @@ def wave(f: TropicalSeries, p: Point, step: int = 0) -> Tuple[TropicalSeries, Wa
     c = rest - (dot(v, p) + f.support[v])
     if c <= 0:
         raise WaveError(f"nonpositive wave increment {c} at {p}")
-    area = _cell_area(f._int_complex().hcells[v])
+    area = lp.polygon_area(f._int_complex().hcells[v])
     g = add_monomial(f, v, c)
     return g, WaveEvent(p, v, c, area, step)
-
-
-def _cell_area(cell: Sequence[lp.Homogeneous]) -> Fraction:
-    """The area of a cell given as homogeneous points in cyclic order, by
-    the shoelace formula on one common denominator Q: the points
-    (X Q / W, Y Q / W) are integers, and their shoelace sum is twice the
-    area times Q^2.  A cell of fewer than three points has none."""
-    if len(cell) < 3:
-        return Fraction(0)
-    Q = math.lcm(*[W for _, _, W in cell])
-    pts = [(X * (Q // W), Y * (Q // W)) for X, Y, W in cell]
-    x0, y0 = pts[-1]
-    s = 0
-    for x1, y1 in pts:
-        s += x0 * y1 - x1 * y0
-        x0, y0 = x1, y1
-    return Fraction(abs(s), 2 * Q * Q)
 
 
 def upper_bound_witness(f: TropicalSeries, points: Sequence[Point]) -> TropicalSeries:

@@ -126,11 +126,12 @@ def ref_small_canonical_terms(domain: QPolygon, terms, cx):
     """`series._small_canonical_terms` as it was before a monomial of the
     presentation with a nonempty cell was read off its cell: every
     candidate scans the table of ``cx`` for its canonical coefficient and
-    its attaining vertices, whose centroid must be strictly interior."""
+    its attaining vertices, whose centroid must be strictly interior.
+    Returns the small form with the presentation's side degrees."""
     if min(val for _, _, val in cx.table) < 0:
         raise series.SeriesError("presentation is negative on the domain")
     degrees = series._presentation_side_degrees(domain, terms)
-    candidates = series._candidate_hull(domain, degrees)
+    candidates = series._candidate_hull(degrees)
     domain_cons = domain.int_constraints()
     kept = {}
     for u in candidates:
@@ -147,7 +148,7 @@ def ref_small_canonical_terms(domain: QPolygon, terms, cx):
         w = count * cx.denom
         if all(A * sx + B * sy + C * w > 0 for A, B, C in domain_cons):
             kept[u] = F(b, cx.denom)
-    return dict(sorted(kept.items()))
+    return dict(sorted(kept.items())), degrees
 
 
 def triangle(N: int) -> QPolygon:
@@ -173,6 +174,18 @@ def ref_point_segment_dist2(p, a, b):
     q = (a[0] + t * d[0], a[1] + t * d[1])
     w = vsub(p, q)
     return dot(w, w)
+
+
+def ref_polygon_area(vertices):
+    """Shoelace area of a cycle of `Fraction` points, either way round."""
+    n = len(vertices)
+    if n < 3:
+        return F(0)
+    s = F(0)
+    for i in range(n):
+        a, b = vertices[i], vertices[(i + 1) % n]
+        s += a[0] * b[1] - b[0] * a[1]
+    return abs(s) / 2
 
 
 def ref_cell_constraints(f: TropicalSeries, v):

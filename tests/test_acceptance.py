@@ -19,7 +19,8 @@ from tropwave.refine import (coarsen_dynamics, make_nice, verge_polynomial,
 from tropwave.wave import (STABILIZED, avalanche_experiment, run_dynamics,
                            upper_bound_witness, wave)
 
-from conftest import random_points, random_polygon, square13, unit_square
+from conftest import (random_points, random_polygon, ref_polygon_area,
+                      square13, unit_square)
 
 
 def _report(name, t0, detail=""):
@@ -278,12 +279,11 @@ def test_criterion_refinement_pipeline():
             full = add_monomial(full, ev.monomial, ev.increment)
         assert curves_within(final, full, eps / 2)
         # the decremented replay keeps every waved face two-dimensional
-        from tropwave.exactlp import polygon_area
         replay = g
         for ev, dec in zip(events, plan.decremented):
             replay = add_monomial(replay, ev.monomial, dec)
             assert ev.monomial in replay.support
-            assert polygon_area(replay.cells()[ev.monomial]) > 0
+            assert ref_polygon_area(replay.cells()[ev.monomial]) > 0
 
     assert time.time() - t0 < 300
     _report("refinement pipeline on 10 instances", t0)

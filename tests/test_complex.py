@@ -130,7 +130,7 @@ def ref_fraction_small_canonical_terms(domain, terms):
         cy = sum((p[1] for p in attain), F(0)) / len(attain)
         if domain.contains((cx, cy), strict=True):
             kept[u] = b
-    return dict(sorted(kept.items()))
+    return dict(sorted(kept.items())), degrees
 
 
 # -- inputs -----------------------------------------------------------------
@@ -171,16 +171,27 @@ def presented(domain, terms):
 
 
 def outcome(fn, *args):
+    """A renormalization's small form and side degrees, as ordered lists,
+    or the type of the SeriesError it raises."""
     try:
-        return list(fn(*args).items())
+        support, degrees = fn(*args)
     except SeriesError as exc:
         return type(exc)
+    return list(support.items()), list(degrees.items())
 
 
 # -- properties ---------------------------------------------------------------
 
 
+# The explicit examples draw segment cells whose ends are ordered by their
+# first crossing pairs: ("square", 3, 3) has one from a corner, where the
+# pair is two sides, to an interior end, where it is two cuts;
+# ("square", 0, 0) has the square's sides, each end a corner; and
+# ("square", 10, 3) has one from a corner to a side point, where the pair
+# is a side and a cut, and one with both ends inside, whose first cuts
+# come in a different order nearest exponent first.
 @given(DOMAINS, SEEDS, st.integers(min_value=0, max_value=4))
+@example("square", 3, 3)
 def test_cells_vertices_and_coefficients_match_reference(kind, seed, n_waves):
     _, f = make_series_for(kind, seed, n_waves)
     assert list(f.cells().items()) == list(ref_cells(f).items())
@@ -191,6 +202,8 @@ def test_cells_vertices_and_coefficients_match_reference(kind, seed, n_waves):
 
 
 @given(DOMAINS, SEEDS, st.integers(min_value=0, max_value=3))
+@example("square", 0, 0)
+@example("square", 10, 3)
 def test_renormalization_and_probe_complex_match_reference(kind, seed, n_waves):
     rng, f = make_series_for(kind, seed, n_waves)
     terms = presentation(rng, f)
@@ -248,22 +261,47 @@ def test_cells_are_enumerated_from_tight_constraints_only(kind, seed, n_waves):
             mock.patch.object(series, "_clip", recorder(series._clip, clips)):
         cx = series._Complex(f.domain, terms)
     assert len(clips) == len(terms)  # one clip per cell
-    # one enumeration per cell clipped to two or more points; a point or
-    # empty clip is the cell
-    enumerated = [pts for _, pts in clips if len(pts) >= 2]
+    # one enumeration per polygon cell; a clip of at most one point is the
+    # cell, and a segment cell is its clip's two points in some order
+    enumerated = [pts for _, pts in clips if len(pts) >= 3]
     assert len(calls) == len(enumerated)
-    assert ([hs for hs, (_, pts) in zip(cx.hcells.values(), clips)
-             if len(pts) <= 1] == [pts for _, pts in clips if len(pts) <= 1])
+    for hs, (_, pts) in zip(cx.hcells.values(), clips):
+        if len(pts) <= 2:
+            assert hs in (pts, pts[::-1])
     for ((ics,), hs), pts in zip(calls, enumerated):
-        assert all(any(A * X + B * Y + C * W == 0 for X, Y, W in pts)
-                   for A, B, C in ics)
-        if len(hs) >= 3:
-            # a polygon cell passes exactly its distinct side lines, in the
-            # clip's ring order, one per vertex
-            assert list(ics) == ring_lines(pts)
-            assert len(ics) == len(hs)
-        else:
-            assert len(hs) == 2
+        # a polygon cell passes exactly its distinct side lines, in the
+        # clip's ring order, one per vertex, and they meet in the clip
+        assert list(ics) == ring_lines(pts)
+        assert len(ics) == len(hs) == len(pts)
+        assert set(hs) == set(pts)
+
+
+@pytest.mark.parametrize("terms, size", [
+    ({(0, 0): 0}, 4),
+    ({(1, 0): 0, (-1, 0): 2, (0, 1): 0, (0, -1): 1, (0, 0): F(1, 2)}, 2)],
+    ids=["polygon", "segment"])
+def test_a_clip_point_inside_a_side_raises(terms, size):
+    # a clip holds only vertices of its cell, and the build checks it: a
+    # polygon cell against its one enumeration, a segment cell by its two
+    # points.  Here the clip of the constant, of ``size`` points, gets the
+    # midpoint of its first side added.
+    domain = QPolygon.box(0, 0, 2, 1)
+    support = presented(domain, terms).support
+    assert len(series._Complex(domain, support).hcells[(0, 0)]) == size
+    clip = series._clip
+
+    def clipping(poly, cuts):
+        pts = clip(poly, cuts)
+        if len(pts) != size:
+            return pts
+        (X0, Y0, W0), (X1, Y1, W1) = pts[:2]
+        mid = (X0 * W1 + X1 * W0, Y0 * W1 + Y1 * W0, 2 * W0 * W1)
+        g = math.gcd(*mid)
+        return [pts[0], tuple(c // g for c in mid), *pts[1:]]
+
+    with mock.patch.object(series, "_clip", clipping), \
+            pytest.raises(SeriesError, match=r"clip of \(0, 0\)"):
+        series._Complex(domain, support)
 
 
 def quadrilateral():
@@ -277,18 +315,18 @@ def test_point_cells_are_not_enumerated():
     # a wave from zero on this quadrilateral renormalizes 515 candidates,
     # most of whose cells are single points where up to 392 constraints are
     # tight.  Of the two complexes built (the zero series' and the
-    # presentation's, 516 cells), 48 cells are clipped to two or more
-    # points; `_second_min_at` makes the 49th call.  A cell passes only its
-    # side lines and a segment's end pairs, 223 constraints over the 49
-    # calls; every constraint tight at the clips would be 4041, up to 392
-    # at one cell of 2-3 points.
+    # presentation's, 516 cells), 13 cells are polygons and 35 segments.
+    # Only a polygon cell is enumerated, on its side lines; `_second_min_at`
+    # makes the 14th call.  That is 54 constraints over the 14 calls; every
+    # constraint tight at the clips would be 4041, up to 392 at one cell of
+    # 2-3 points.
     f = zero_series(quadrilateral())
     calls = []
     with mock.patch.object(exactlp, "basic_points",
                            recorder(exactlp.basic_points, calls)):
         g, ev = wave(f, (F(-1, 2), F(-3, 2)))
-    assert len(calls) == 49
-    assert sum(len(ics) for (ics,), _ in calls) == 223
+    assert len(calls) == 14
+    assert sum(len(ics) for (ics,), _ in calls) == 54
     assert (ev.monomial, ev.increment, ev.avalanche_area) == ((0, 0), F(7, 6),
                                                               F(539, 72))
     assert len(g.support) == 41
@@ -296,17 +334,18 @@ def test_point_cells_are_not_enumerated():
 
 def test_triangle_cells_pass_only_side_lines():
     # a wave from zero on the N = 60 triangle renormalizes candidates of
-    # which hundreds touch at each of a few complex vertices; each cell of
-    # two or more points still gets one enumeration, on 5 constraints at
-    # most (every constraint tight at the clips would be 15153, up to 155
-    # at one cell)
+    # which hundreds touch at each of a few complex vertices.  Of the cells
+    # of two or more points, 119 are segments, read off their clips; the 7
+    # polygon cells and `_second_min_at` make one enumeration each, on 5
+    # constraints at most (every constraint tight at the clips would be
+    # 15153, up to 155 at one cell)
     f = zero_series(triangle(60))
     calls = []
     with mock.patch.object(exactlp, "basic_points",
                            recorder(exactlp.basic_points, calls)):
         g, ev = wave(f, (F(1), F(1, 2)))
-    assert len(calls) == 127
-    assert sum(len(ics) for (ics,), _ in calls) == 624
+    assert len(calls) == 8
+    assert sum(len(ics) for (ics,), _ in calls) == 29
     assert (ev.monomial, ev.increment, ev.avalanche_area) == ((0, 0), F(1, 2),
                                                               F(3721, 60))
     assert len(g.support) == 125
@@ -327,10 +366,14 @@ def touching_presentation(f):
     return terms
 
 
-@given(st.sampled_from(["presentation", "ties", "triangle"]), DOMAINS, SEEDS,
-       st.integers(min_value=0, max_value=3), st.integers(min_value=1,
-                                                         max_value=30))
+@given(st.sampled_from(["presentation", "ties", "shuffled", "triangle"]),
+       DOMAINS, SEEDS, st.integers(min_value=0, max_value=3),
+       st.integers(min_value=1, max_value=30))
+@example("presentation", "square", 10, 3, 1)
+@example("shuffled", "square", 3, 3, 1)
 def test_complex_matches_tight_list_reference(source, kind, seed, n_waves, N):
+    # "shuffled" takes the ties out of support order: a monomial can then
+    # come before every other monomial tight at an end of its segment cell
     if source == "triangle":
         # every complex a wave from zero builds on the N-th triangle
         built = []
@@ -342,7 +385,12 @@ def test_complex_matches_tight_list_reference(source, kind, seed, n_waves, N):
         rng, f = make_series_for(kind, seed, n_waves)
         terms = (presentation(rng, f) if source == "presentation"
                  else touching_presentation(f))
-        args = (f.domain, presented(f.domain, terms).support)
+        support = presented(f.domain, terms).support
+        if source == "shuffled":
+            order = list(support.items())
+            rng.shuffle(order)
+            support = dict(order)
+        args = (f.domain, support)
         built = [(args, series._Complex(*args))]
     for args, cx in built:
         assert complex_fields(cx) == complex_fields(ref_complex(*args))

@@ -18,8 +18,9 @@ from tropwave.refine import level_set_polygon
 from tropwave.series import evaluate
 
 from conftest import (pentagon, random_polygon, random_series,
-                      ref_corners, ref_int_constraints, ref_polytope_vertices,
-                      ref_primitive, ref_sides, ref_vertices, unit_square)
+                      ref_corners, ref_int_constraints, ref_polygon_area,
+                      ref_polytope_vertices, ref_primitive, ref_sides,
+                      ref_vertices, unit_square)
 
 
 class TestSupportCoeff:
@@ -335,7 +336,7 @@ def polygons(draw):
     if kind == "vertices":
         pts = draw(st.lists(st.tuples(COORDS, COORDS), min_size=3, max_size=8))
         hull = lp.convex_hull(pts)
-        assume(len(hull) >= 3 and lp.polygon_area(hull) > 0)
+        assume(len(hull) >= 3 and ref_polygon_area(hull) > 0)
         return QPolygon.from_vertices(pts)
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     poly = random_polygon(rng)
@@ -362,6 +363,7 @@ def test_polygon_matches_fraction_scans(poly):
     assert list(poly.int_constraints()) == ref_int_constraints(poly)
     assert [lp.to_point(h) for h in poly.hvertices] == list(poly.vertices)
     assert [lp.homogeneous(z) for z in poly.vertices] == list(poly.hvertices)
+    assert poly.area() == ref_polygon_area(list(poly.vertices))
 
 
 @given(COORDS, COORDS, COORDS, COORDS)

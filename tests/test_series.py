@@ -10,6 +10,7 @@ from tropwave.exactlp import dot
 from tropwave.geometry import QPolygon
 from tropwave import series
 from tropwave.oracle import SupportOracle
+from tropwave.wave import wave
 from tropwave.series import (BoundaryMismatch, NegativeIncrement,
                              OutsideDomain, SeriesError, TropicalSeries,
                              add_monomial,
@@ -250,9 +251,11 @@ class TestAddMonomial:
 
 class TestSeriesValidation:
     def test_negative_presentation_rejected(self):
-        from tropwave.series import SeriesError
-        with pytest.raises(SeriesError):
+        # no monomial vanishes on a side either: negativity is checked
+        # first, and the CLI's error message names the type it raises
+        with pytest.raises(SeriesError) as exc:
             make_series(unit_square(), {(0, 0): F(-1, 2)})
+        assert type(exc.value) is SeriesError
 
     def test_missing_side_rejected(self):
         with pytest.raises(BoundaryMismatch):
@@ -316,11 +319,57 @@ def test_add_monomial_degrees_match_the_envelope(kind, seed, n_waves, on_side):
     hulls = []
     original = series._candidate_hull
 
-    def recording(domain, degrees):
+    def recording(degrees):
         hulls.append(dict(degrees))
-        return original(domain, degrees)
+        return original(degrees)
 
     with mock.patch.object(series, "_candidate_hull", recording):
         add_monomial(f, v, c)
     # add_monomial's own hull comes first, then its result's renormalization
     assert hulls[0] == ref_envelope_degrees(f, v, c)
+
+
+@given(st.sampled_from(["square", "pentagon", "random"]),
+       st.integers(0, 2 ** 32 - 1), st.integers(0, 4))
+def test_quasi_degree_is_the_presentations_side_degrees(kind, seed, n_waves):
+    """The constructor keeps the side degrees of the presentation as the
+    quasi-degree; they equal the small form's, also when the presentation
+    carries higher vanishing multiples of every side's normal and a raised
+    monomial."""
+    rng = random.Random(seed)
+    poly = {"square": unit_square, "pentagon": pentagon,
+            "random": lambda: random_polygon(rng)}[kind]()
+    f = random_series(rng, poly, n_waves)
+    terms = dict(f.support)
+    for n, m in quasi_degree(f).items():
+        a = next(hp.a for hp in poly.halfplanes if hp.n == n)
+        for k in range(m + 1, m + 1 + rng.randint(1, 3)):
+            terms.setdefault((k * n[0], k * n[1]), k * a)
+    v = (rng.randint(-3, 3), rng.randint(-3, 3))
+    terms[v] = canonical_coefficient(f, v) + F(rng.randint(0, 6), rng.randint(1, 6))
+    g = TropicalSeries(poly, terms)
+    assert (quasi_degree(g)
+            == series._presentation_side_degrees(poly, g.support)
+            == series._presentation_side_degrees(poly, terms))
+
+
+def test_side_degrees_are_scanned_once_per_constructor():
+    calls = []
+    original = series._presentation_side_degrees
+
+    def counting(domain, terms):
+        calls.append(dict(terms))
+        return original(domain, terms)
+
+    with mock.patch.object(series, "_presentation_side_degrees", counting):
+        f = square13()
+        assert len(calls) == 1
+        assert quasi_degree(f) == {(1, 0): 1, (0, 1): 1, (-1, 0): 1,
+                                   (0, -1): 1}
+        is_nice(f)
+        # a positive wave builds one series: one scan, of its presentation
+        g, ev = wave(f, (F(1, 5), F(1, 2)))
+        assert ev.increment > 0 and len(calls) == 2
+        assert quasi_degree(g)[(1, 0)] == 2
+        add_monomial(g, (0, 0), 0)
+        assert len(calls) == 2

@@ -65,3 +65,23 @@ def test_refine_proves_equality_outside_the_balls_without_a_spot_check():
                if isinstance(node, ast.FunctionDef)}
     assert "make_nice" in defined
     assert "_spot_check_equal_outside_balls" not in defined
+
+
+def test_segment_cells_are_read_off_their_clips():
+    # a segment cell's ends are ordered straight from its clip: the list of
+    # constraints narrowed for `exactlp.basic_points` is gone
+    path = next(p for p in SOURCES if p.name == "series.py")
+    defined = {node.name for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert "_segment_ends" in defined
+    assert not defined & {"_cell_constraints", "_first_crossing_pair"}
+
+
+def test_certify_family_takes_no_sample_count():
+    # the one-wave family is checked at fixed members, a module constant
+    path = next(p for p in SOURCES if p.name == "refine.py")
+    fn = next(node for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.FunctionDef)
+              and node.name == "_certify_family")
+    names = [a.arg for a in fn.args.args + fn.args.kwonlyargs]
+    assert names == ["f", "v", "c", "step"]
