@@ -3,7 +3,9 @@ balancing checks, Hausdorff closeness, and tropical symplectic area.
 
 Curves are derived from the monomial dominance regions of a series (the dual
 representation), so edges, weights and faces are automatically consistent
-with the function.  Everything is clipped to the closed domain.
+with the function.  Everything is clipped to the closed domain.  The edges
+are read off the counterclockwise cell rings of the series' complex: a side
+that two polygon cells share is one edge.
 """
 
 from __future__ import annotations
@@ -79,24 +81,31 @@ def extract_curve(f: TropicalSeries) -> TropicalCurve:
     Only monomials with full-dimensional dominance regions generate faces and
     edges; a monomial whose region is a segment (the midpoint of a composite
     dual edge) does not subdivide the weight of that edge.
+
+    The edges are read off the complex's counterclockwise cell rings.  Two
+    polygon cells u, w meet in a face of each, the set where u = w = f, so
+    if they share a side, u's ring runs along it as (h, k) and w's as
+    (k, h).  Each edge is emitted once, for u < w, in (u, w) order, with its
+    two ends sorted.
     """
-    cells = f.cells()
+    cx = f._int_complex()
+    cells = cx.cells
     # a cell holds only its extreme points, so three or more span an area
-    support = sorted(v for v in f.support if len(cells[v]) >= 3)
-    vert_sets = {v: set(cells[v]) for v in support}
-    edges: list[Edge] = []
-    for i, u in enumerate(support):
-        for w in support[i + 1:]:
-            # adjacent cells share the endpoints of their common edge
-            shared = vert_sets[u] & vert_sets[w]
-            if len(shared) < 2:
-                continue
-            pts = sorted(shared)
-            a = pts[0]
-            far = max(pts[1:], key=lambda p: dot(vsub(p, a), vsub(p, a)))
-            if a == far:
-                continue
-            edges.append(Edge(a, far, gcd2(vsub(w, u)), (u, w)))
+    support = [v for v in f.support if len(cx.hcells[v]) >= 3]
+    owner = {}
+    for u in support:
+        ring = cx.hcells[u]
+        for h, k in zip([ring[-1], *ring], ring):
+            owner[h, k] = u
+    sides = []
+    for (h, k), u in owner.items():
+        w = owner.get((k, h))
+        if w is not None and u < w:
+            sides.append((u, w, h, k))
+    edges = []
+    for u, w, h, k in sorted(sides):
+        a, b = sorted((cells.point(h), cells.point(k)))
+        edges.append(Edge(a, b, gcd2(vsub(w, u)), (u, w)))
     verts: dict[Point, bool] = {}
     for e in edges:
         verts[e.a] = True
@@ -182,12 +191,17 @@ def symplectic_area(curve: TropicalCurve) -> Optional[Fraction]:
                Fraction(0))
 
 
-def _segment_area(a: Point, b: Point) -> Fraction:
-    """|s| * (p . p) for the rational segment b - a = s * p, p primitive."""
+def _lattice_length(a: Point, b: Point) -> Fraction:
+    """|s| for the rational segment b - a = s * p, p primitive."""
     d = vsub(b, a)
     p = primitive(d)
-    s = Fraction(d[0], p[0]) if p[0] != 0 else Fraction(d[1], p[1])
-    return abs(s) * dot(p, p)
+    return abs(Fraction(d[0], p[0]) if p[0] != 0 else Fraction(d[1], p[1]))
+
+
+def _segment_area(a: Point, b: Point) -> Fraction:
+    """|s| * (p . p) for the rational segment b - a = s * p, p primitive."""
+    p = primitive(vsub(b, a))
+    return _lattice_length(a, b) * dot(p, p)
 
 
 def side_area(poly: QPolygon, n: Vec) -> Fraction:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 Vec = Tuple[int, int]
 Point = Tuple[Fraction, Fraction]
@@ -49,18 +49,6 @@ def vsub(u, v):
 
 def vneg(u):
     return (-u[0], -u[1])
-
-
-def boundary_intersection(c1: Constraint, c2: Constraint) -> Optional[Point]:
-    """Intersection point of the two boundary lines, or None if parallel."""
-    n1, a1 = c1
-    n2, a2 = c2
-    det = cross(n1, n2)
-    if det == 0:
-        return None
-    x = Fraction(-a1 * n2[1] + a2 * n1[1], 1) / det
-    y = Fraction(-a2 * n1[0] + a1 * n2[0], 1) / det
-    return (x, y)
 
 
 def int_constraints(cons: Sequence[Constraint]) -> list[IntConstraint]:
@@ -248,23 +236,22 @@ def _centroid_offsets(pts: Sequence[Homogeneous]) -> list[Vec]:
 
 def sort_ccw(points: Sequence[Homogeneous]) -> list[Homogeneous]:
     """Sort distinct homogeneous points counterclockwise around their
-    centroid, starting at angle 0 (`angle_order`); two or fewer points keep
-    their order."""
+    centroid, starting at angle 0 (`angle_order`).  Two points come out
+    with the one above their midpoint first, or the one right of it if
+    they lie on a level line."""
     pts = list(points)
-    if len(pts) <= 2:
-        return pts
     return [pts[i] for i in angle_order(_centroid_offsets(pts))]
 
 
 def rotate_ccw(ring: Sequence[Homogeneous]) -> list[Homogeneous]:
     """The vertices of a convex polygon, counterclockwise from any start,
     rotated to start where `sort_ccw` starts: equal to ``sort_ccw(ring)``,
-    in O(n).  Needs three or more vertices.
+    in O(n).  Needs two or more vertices; two are a segment's ends.
 
-    Round the centroid, which is inside, the angle from direction (1, 0)
-    grows along the ring through one turn, so the points of the upper half
-    (angle in [0, pi), as in `angle_order`) are one run of the ring, and
-    `sort_ccw` starts at the first of them."""
+    Round the centroid, which is inside (a segment's midpoint), the angle
+    from direction (1, 0) grows along the ring through one turn, so the
+    points of the upper half (angle in [0, pi), as in `angle_order`) are
+    one run of the ring, and `sort_ccw` starts at the first of them."""
     ring = list(ring)
     up = [y > 0 or (y == 0 and x > 0) for x, y in _centroid_offsets(ring)]
     k = next(k for k in range(len(ring)) if up[k] and not up[k - 1])

@@ -556,14 +556,18 @@ def _compare_lift(F: LaurentPoly2, p: Tuple[GF2RatFun, GF2RatFun],
 # -- fuzzing -------------------------------------------------------------------
 
 
-def random_gf2ratfun(rng: random.Random, *, max_terms: int = 2,
-                     denom_pow: int = 1) -> GF2RatFun:
+_MAX_TERMS = 2  # terms in a random numerator or denominator, at most
+_DENOM_POW = 1  # a random exponent's denominator is 2^k, k <= _DENOM_POW
+_N_TERMS = 5  # monomials of a random instance's polynomial
+
+
+def random_gf2ratfun(rng: random.Random) -> GF2RatFun:
     """A random nonzero rational function with small dyadic exponents."""
     def poly():
-        k = rng.randrange(1, max_terms + 1)
+        k = rng.randrange(1, _MAX_TERMS + 1)
         exps = set()
         while len(exps) < k:
-            exps.add(Fraction(rng.randrange(0, 9), 2 ** rng.randrange(0, denom_pow + 1)))
+            exps.add(Fraction(rng.randrange(0, 9), 2 ** rng.randrange(0, _DENOM_POW + 1)))
         return GF2Poly(exps)
 
     num = poly()
@@ -571,10 +575,10 @@ def random_gf2ratfun(rng: random.Random, *, max_terms: int = 2,
     return GF2RatFun(num, den)
 
 
-def random_instance(rng: random.Random, *, n_terms: int = 5):
+def random_instance(rng: random.Random):
     """A random (F, p) pair with monomial point coordinates (dyadic powers)."""
     support: set = set()
-    while len(support) < n_terms:
+    while len(support) < _N_TERMS:
         support.add((rng.randrange(-2, 3), rng.randrange(-2, 3)))
     coeffs = {v: random_gf2ratfun(rng) for v in support}
     F = LaurentPoly2(coeffs)

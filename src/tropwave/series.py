@@ -15,9 +15,9 @@ renormalizes, reading the small form off the presentation's complex.
 A series builds its own linearity complex once, on first use, in
 integers: each cell is the domain polygon clipped by the
 denominator-cleared dominance constraints one at a time, nearest exponent
-first.  The clip is the cell: a segment cell's two ends come straight from
-it, ordered by the constraints tight at each, and a polygon cell's
-vertices in the clip's counterclockwise order, checked once by
+first.  The clip is the cell: its points in the clip's counterclockwise
+order, rotated to the start `exactlp.sort_ccw` gives, one rule for
+segments and polygons alike; a polygon cell is checked once by
 `exactlp.basic_points` on its side lines.  The complex vertices are held
 as integer points over one common denominator D, and with them the
 integers D * f.
@@ -164,13 +164,15 @@ class _Complex:
     (a kept point was a vertex of a larger polygon, and a crossing lies on
     two distinct lines that both bound the cut one), so it is the cell:
     - a clip of at most one point is the cell as it is;
-    - a segment cell's two ends are put in the order `exactlp.basic_points`
-      would meet them on its constraints (`_segment_ends`);
-    - a polygon cell takes the clip's counterclockwise order, rotated by
-      `exactlp.rotate_ccw` to the start `exactlp.sort_ccw` would give.  One
-      `exactlp.basic_points` call on its distinct side lines (`_side_lines`,
-      the lines through neighbouring clip points), whose pairs meet exactly
-      its vertices, checks that the clip holds nothing else.
+    - a clip of two or more points takes the clip's counterclockwise order,
+      rotated by `exactlp.rotate_ccw` to the start `exactlp.sort_ccw` would
+      give, so a cell's order is a function of its points alone (a
+      segment's end above its midpoint first, or right of it on a level
+      line).  A segment is checked by its two side lines, its line both
+      ways round; a polygon by one `exactlp.basic_points` call on its
+      distinct side lines (`_side_lines`, the lines through neighbouring
+      clip points), whose pairs meet exactly its vertices.  Either check
+      raises if the clip holds anything else.
     Enumerating the vertices over every tight constraint would cost O(k^3)
     per cell, and at a complex vertex hundreds can be tight.
     The complex vertices, in first-seen order over the cells, are kept as
@@ -194,7 +196,6 @@ class _Complex:
         triples = [(scale * v[0], scale * v[1], av)
                    for v, av in zip(support, alpha)]
         domain_verts = domain.hvertices
-        domain_cons = domain.int_constraints()
         hcells = {}
         for v, (Av, Bv, Cv) in zip(support, triples):
             # the constraint (w - v) . z + alpha_w - alpha_v >= 0, for every
@@ -204,17 +205,15 @@ class _Complex:
             # leads, and the subdivision neighbours shrink the cell early
             cuts = sorted(cons, key=lambda c: c[0] * c[0] + c[1] * c[1])
             cell = _clip(domain_verts, cuts[1:])
-            if len(cell) <= 1:
-                hcells[v] = cell
-                continue
-            # a segment cell has two side lines, its line both ways round
-            sides = _side_lines(cell)
-            n = 2 if len(sides) == 2 else len(lp.basic_points(list(sides)))
-            if n != len(cell):
-                raise SeriesError(f"the clip of {v} holds a point that is "
-                                  "no vertex of its cell")
-            hcells[v] = (_segment_ends(cell, [*domain_cons, *cons]) if n == 2
-                         else lp.rotate_ccw(cell))
+            if len(cell) >= 2:
+                # a segment cell has two side lines, its line both ways round
+                sides = _side_lines(cell)
+                n = 2 if len(sides) == 2 else len(lp.basic_points(list(sides)))
+                if n != len(cell):
+                    raise SeriesError(f"the clip of {v} holds a point that "
+                                      "is no vertex of its cell")
+                cell = lp.rotate_ccw(cell)
+            hcells[v] = cell
 
         hverts = list(dict.fromkeys(h for hs in hcells.values() for h in hs))
         denom = math.lcm(scale, *[h[2] for h in hverts])
@@ -241,18 +240,8 @@ class _Complex:
 
         A cell is the set where its monomial attains g, so each monomial of
         ``support`` has the same cell in both builds.  A point cell is its
-        clip, and a polygon cell's vertices come out in the same order,
-        since `exactlp.rotate_ccw` fixes a polygon's start.  A segment cell's
-        ends are ordered by the first crossing pair of constraints tight at
-        each (`_segment_ends`).  P's constraints tight at an end can differ
-        from g's only by monomials of P outside ``support``, and such a
-        monomial touches g there:
-        - a monomial tight at an interior end touches g at an interior
-          point and is kept, so at an interior end both lists hold the same
-          tight constraints in the same (support) order;
-        - at a boundary end the first crossing pair starts with the first
-          domain constraint tight there.  Domain constraints come first in
-          both lists, so both builds put that end first.
+        clip, and a cell of two or more points comes out in the same order
+        in both, since `exactlp.rotate_ccw` orders it by its points alone.
         ``hcells`` is P's restricted to ``support``, in its order; the
         vertices are taken in first-seen order over it.  ``denom`` becomes
         lcm(scale of ``support``, vertex W), which divides P's, and each
@@ -341,30 +330,6 @@ def _side_lines(cell: list) -> dict:
         sides[A // g, B // g, C // g] = None
         X0, Y0, W0 = X1, Y1, W1
     return sides
-
-
-def _segment_ends(cell: list, cons: list) -> list:
-    """The two points of the segment cell ``cell`` in the order in which
-    `exactlp.basic_points` meets them on the cell's constraints.
-
-    ``cons`` is the list L: the domain's constraints, then the cut of every
-    monomial against v, in support order.  `exactlp.basic_points` meets a
-    point first at the lexicographically first pair i < j of crossing
-    constraints of L tight there.  Every line tight at an end passes
-    through it, so two cross iff they are not parallel: the pair is the
-    first tight constraint and the first later one not parallel to it.
-    v's own row of zeros crosses nothing and is skipped.  Dropping the cuts
-    that keep the whole domain, as the cell's own constraint list would,
-    changes no pair: such a cut's line meets the domain only in a vertex,
-    where two crossing domain constraints come first, or along a side,
-    parallel to that side's constraint."""
-    keys = []
-    for X, Y, W in cell:
-        tight = [(i, A, B) for i, (A, B, C) in enumerate(cons)
-                 if A * X + B * Y + C * W == 0 and (A or B)]
-        i, A0, B0 = tight[0]
-        keys.append((i, next(j for j, A, B in tight if A0 * B != B0 * A)))
-    return cell if keys[0] < keys[1] else cell[::-1]
 
 
 def _clip(poly: Sequence, cuts: list) -> list:

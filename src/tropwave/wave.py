@@ -28,10 +28,11 @@ from typing import List, Optional, Sequence, Tuple
 from . import exactlp as lp
 from .exactlp import Point, Vec, dot, vsub
 from .geometry import QPolygon, gcd2, xgcd
-from .series import (OutsideDomain, TropicalSeries, add_monomial,
-                     canonical_coefficient, clamp, distance_function,
-                     evaluate, tropical_product, zero_series)
-from .curve import attaining_monomials, classify_vertex, extract_curve
+from .series import (OutsideDomain, TropicalSeries, add_monomial, clamp,
+                     distance_function, evaluate, tropical_product,
+                     zero_series)
+from .curve import (_lattice_length, attaining_monomials, classify_vertex,
+                    extract_curve)
 
 
 class WaveError(Exception):
@@ -292,8 +293,10 @@ def wave_family_scan(f: TropicalSeries, p: Point) -> PerestroikaReport:
     For each side of the face of p: the neighbor exponents (n1, n2) in the
     normalized coordinates of the local model min(0, y, x + n1 y, -x + n2 y + 1),
     the side-length derivative sign (shrinking iff n1 + n2 < 2), and the
-    parameter t where the side length reaches zero.  Events are classified
-    per the face-contraction trichotomy.
+    parameter t where the side length reaches zero.  In the model, raising
+    v by c t leaves a side of lattice length l at l - c t (2 - n1 - n2), so
+    a shrinking side vanishes at t = l / (c (2 - n1 - n2)) if that is at
+    most 1.  Events are classified per the face-contraction trichotomy.
 
     The face of p survives for every t < 1, so no member is replayed: at p,
     v lies c below the runner-up, raised by c t < c it stays strictly below,
@@ -305,7 +308,6 @@ def wave_family_scan(f: TropicalSeries, p: Point) -> PerestroikaReport:
     if c == 0:
         return PerestroikaReport(c, [], [])
     v = ev.monomial
-    a_v = f.support[v]
     curve = extract_curve(f)
     face_edges = [e for e in curve.edges if v in e.dual]
     sides_info = []
@@ -343,27 +345,10 @@ def wave_family_scan(f: TropicalSeries, p: Point) -> PerestroikaReport:
         n1 = ta[1] if ta[0] == 1 else tb[1]
         n2 = tb[1] if ta[0] == 1 else ta[1]
 
-        # exact endpoint trajectories: intersect bisector(v_t, w) with
-        # bisector(v_t, u): (w - v).z = a_v + c t - a_w etc.
-        def endpoint_at(u: Vec, t: Fraction) -> Point:
-            pt = lp.boundary_intersection(
-                (vsub(w, v), -(a_v + c * t - f.support[w])),
-                (vsub(u, v), -(a_v + c * t - canonical_coefficient(f, u))))
-            if pt is None:
-                raise WaveError(f"side {v}-{w} is parallel to its neighbor {u}")
-            return pt
-
-        e0a, e1a = endpoint_at(u_a, Fraction(0)), endpoint_at(u_a, Fraction(1))
-        e0b, e1b = endpoint_at(u_b, Fraction(0)), endpoint_at(u_b, Fraction(1))
-        dvec = vsub(e0b, e0a)
-        ref = dvec if dvec != (0, 0) else vsub(e1b, e1a)
-        # signed length along the side direction, linear in t
-        l0 = dot(vsub(e0b, e0a), ref)
-        l1 = dot(vsub(e1b, e1a), ref)
         vanish: Optional[Fraction] = None
-        if l1 < l0:
-            t_star = Fraction(l0) / (l0 - l1)
-            if 0 < t_star <= 1:
+        if n1 + n2 < 2:
+            t_star = _lattice_length(e.a, e.b) / (c * (2 - n1 - n2))
+            if t_star <= 1:
                 vanish = t_star
         sides_info.append({
             "side_dual": w,

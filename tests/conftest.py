@@ -7,12 +7,15 @@ import pytest
 from hypothesis import settings
 
 from tropwave import exactlp as lp
-from tropwave.exactlp import dot, vsub
-from tropwave.geometry import HalfPlane, QPolygon
+from tropwave.exactlp import cross, dot, vsub
+from tropwave.geometry import HalfPlane, QPolygon, gcd2
 from tropwave import series
 from tropwave.series import (TropicalSeries, canonical_coefficient,
                              make_series, zero_series)
-from tropwave.wave import sample_interior_points, wave
+from tropwave.curve import Edge, TropicalCurve, classify_vertex
+from tropwave.wave import (FamilyEvent, PerestroikaReport, UnclassifiableSide,
+                           WaveError, _apply, _unimodular_map_to,
+                           sample_interior_points, wave)
 
 # Exact arithmetic makes example times vary widely, and a slow host makes
 # them drift; a deadline would flake, so none is set.  Derandomized runs
@@ -203,6 +206,16 @@ def ref_cell_constraints(f: TropicalSeries, v):
     return cons
 
 
+def ref_line_meet(c1, c2):
+    """The point where the boundary lines of the `Fraction` constraints
+    ``(n, a)`` meet, or None if they are parallel."""
+    (n1, a1), (n2, a2) = c1, c2
+    det = cross(n1, n2)
+    if det == 0:
+        return None
+    return (F(a2 * n1[1] - a1 * n2[1]) / det, F(a1 * n2[0] - a2 * n1[0]) / det)
+
+
 def ref_vertices(poly: QPolygon):
     """The vertices of the polygon by `Fraction` arithmetic: every pairwise
     boundary intersection that satisfies each constraint, counterclockwise
@@ -211,7 +224,7 @@ def ref_vertices(poly: QPolygon):
     pts = []
     for i, c1 in enumerate(cons):
         for c2 in cons[i + 1:]:
-            z = lp.boundary_intersection(c1, c2)
+            z = ref_line_meet(c1, c2)
             if (z is not None and z not in pts
                     and all(dot(n, z) + a >= 0 for n, a in cons)):
                 pts.append(z)
@@ -277,6 +290,118 @@ def ref_envelope_degrees(f: TropicalSeries, v, c):
             nxt = ((m + 1) * hp.n[0], (m + 1) * hp.n[1])
             envelope.setdefault(nxt, (m + 1) * hp.a)
     return series._presentation_side_degrees(f.domain, envelope)
+
+
+def ref_extract_curve(f: TropicalSeries):
+    """`curve.extract_curve` as it was before the edges were read off the
+    cell rings: the `Fraction` vertex sets of every pair of polygon cells
+    in support order are intersected, and a pair sharing two or more
+    points gives the edge from the least of them to the farthest."""
+    cells = f.cells()
+    support = sorted(v for v in f.support if len(cells[v]) >= 3)
+    vert_sets = {v: set(cells[v]) for v in support}
+    edges = []
+    for i, u in enumerate(support):
+        for w in support[i + 1:]:
+            shared = vert_sets[u] & vert_sets[w]
+            if len(shared) < 2:
+                continue
+            pts = sorted(shared)
+            a = pts[0]
+            far = max(pts[1:], key=lambda p: dot(vsub(p, a), vsub(p, a)))
+            if a == far:
+                continue
+            edges.append(Edge(a, far, gcd2(vsub(w, u)), (u, w)))
+    verts = {}
+    for e in edges:
+        verts[e.a] = True
+        verts[e.b] = True
+    faces = {v: cells[v] for v in support}
+    return TropicalCurve(f, list(verts), edges, faces)
+
+
+def ref_wave_family_scan(f: TropicalSeries, p):
+    """`wave.wave_family_scan` as it was before the vanishing parameter was
+    read off the local model: each side's two ends are followed along the
+    family as meets of bisector lines at t = 0 and t = 1, in `Fraction`s,
+    and the signed side length, linear in t, is solved for zero."""
+    p = (F(p[0]), F(p[1]))
+    g, ev = wave(f, p)
+    c = ev.increment
+    if c == 0:
+        return PerestroikaReport(c, [], [])
+    v = ev.monomial
+    a_v = f.support[v]
+    curve = ref_extract_curve(f)
+    face_edges = [e for e in curve.edges if v in e.dual]
+    sides_info, events = [], []
+
+    def neighbor_across(vertex, not_dual):
+        for e in face_edges:
+            if not_dual in e.dual:
+                continue
+            if e.a == vertex or e.b == vertex:
+                return e.dual[0] if e.dual[1] == v else e.dual[1]
+        return None
+
+    for e in face_edges:
+        w = e.dual[0] if e.dual[1] == v else e.dual[1]
+        for endpoint in (e.a, e.b):
+            if not f.domain.contains(endpoint, strict=True):
+                raise UnclassifiableSide(
+                    f"side {v}-{w} meets the boundary at {endpoint}")
+            if not classify_vertex(curve, endpoint).is_smooth:
+                raise UnclassifiableSide(
+                    f"endpoint {endpoint} of side {v}-{w} is not smooth")
+        u_a = neighbor_across(e.a, w)
+        u_b = neighbor_across(e.b, w)
+        if u_a is None or u_b is None:
+            raise UnclassifiableSide(f"side {v}-{w} lacks two neighbors")
+        d = vsub(w, v)
+        if gcd2(d) != 1:
+            raise UnclassifiableSide(f"side {v}-{w} has weight > 1")
+        T = _unimodular_map_to(d)
+        ta = _apply(T, vsub(u_a, v))
+        tb = _apply(T, vsub(u_b, v))
+        if {ta[0], tb[0]} != {1, -1}:
+            raise WaveError("smooth endpoints must give x-components +-1")
+        n1 = ta[1] if ta[0] == 1 else tb[1]
+        n2 = tb[1] if ta[0] == 1 else ta[1]
+
+        def endpoint_at(u, t):
+            pt = ref_line_meet(
+                (vsub(w, v), -(a_v + c * t - f.support[w])),
+                (vsub(u, v), -(a_v + c * t - canonical_coefficient(f, u))))
+            if pt is None:
+                raise WaveError(f"side {v}-{w} is parallel to its neighbor {u}")
+            return pt
+
+        e0a, e1a = endpoint_at(u_a, F(0)), endpoint_at(u_a, F(1))
+        e0b, e1b = endpoint_at(u_b, F(0)), endpoint_at(u_b, F(1))
+        dvec = vsub(e0b, e0a)
+        ref = dvec if dvec != (0, 0) else vsub(e1b, e1a)
+        l0 = dot(vsub(e0b, e0a), ref)
+        l1 = dot(vsub(e1b, e1a), ref)
+        vanish = None
+        if l1 < l0:
+            t_star = F(l0) / (l0 - l1)
+            if 0 < t_star <= 1:
+                vanish = t_star
+        sides_info.append({"side_dual": w, "n1": n1, "n2": n2,
+                           "shrinking": n1 + n2 < 2, "vanish_t": vanish})
+        if vanish is not None and vanish < 1:
+            kind = "NodalPerestroika" if n1 + n2 == 1 else "SideContracted"
+            events.append(FamilyEvent(vanish, kind, w, (n1, n2)))
+        elif vanish == 1:
+            events.append(FamilyEvent(F(1), "SideContracted", w, (n1, n2)))
+    face1 = g.cells().get(v, [])
+    if len(face1) < 3:
+        kind = ("FaceCollapsedToPoint" if len(face1) <= 1
+                else "FaceCollapsedToInterval")
+        events = ([e for e in events if e.t < 1]
+                  + [FamilyEvent(F(1), kind, None)])
+    events.sort(key=lambda e: e.t)
+    return PerestroikaReport(c, sides_info, events)
 
 
 @pytest.fixture

@@ -70,8 +70,11 @@ def ref_basic_points(cons):
 
 
 def ref_sort_ccw(points):
+    """Points counterclockwise round their centroid from angle 0; two
+    points put the one above their midpoint first, or the one right of it
+    on a level line."""
     pts = list(dict.fromkeys(points))
-    if len(pts) <= 2:
+    if len(pts) <= 1:
         return pts
     c = (sum((p[0] for p in pts), F(0)) / len(pts),
          sum((p[1] for p in pts), F(0)) / len(pts))
@@ -183,13 +186,10 @@ def outcome(fn, *args):
 # -- properties ---------------------------------------------------------------
 
 
-# The explicit examples draw segment cells whose ends are ordered by their
-# first crossing pairs: ("square", 3, 3) has one from a corner, where the
-# pair is two sides, to an interior end, where it is two cuts;
-# ("square", 0, 0) has the square's sides, each end a corner; and
-# ("square", 10, 3) has one from a corner to a side point, where the pair
-# is a side and a cut, and one with both ends inside, whose first cuts
-# come in a different order nearest exponent first.
+# The explicit examples draw segment cells: ("square", 3, 3) has one from
+# a corner to an interior end; ("square", 0, 0) has the square's sides,
+# each end a corner; and ("square", 10, 3) has one from a corner to a side
+# point and one with both ends inside.
 @given(DOMAINS, SEEDS, st.integers(min_value=0, max_value=4))
 @example("square", 3, 3)
 def test_cells_vertices_and_coefficients_match_reference(kind, seed, n_waves):
@@ -372,8 +372,8 @@ def touching_presentation(f):
 @example("presentation", "square", 10, 3, 1)
 @example("shuffled", "square", 3, 3, 1)
 def test_complex_matches_tight_list_reference(source, kind, seed, n_waves, N):
-    # "shuffled" takes the ties out of support order: a monomial can then
-    # come before every other monomial tight at an end of its segment cell
+    # "shuffled" takes the ties out of support order, so no cell's order
+    # can lean on the support's
     if source == "triangle":
         # every complex a wave from zero builds on the N-th triangle
         built = []
@@ -506,17 +506,24 @@ def test_renormalization_matches_the_table_scan(source, kind, seed, n_waves):
                 == outcome(ref_small_canonical_terms, *args))
 
 
-@given(SEEDS, st.integers(min_value=3, max_value=12))
+@given(SEEDS, st.integers(min_value=2, max_value=12))
+@example(0, 2)
 def test_rotate_ccw_equals_sort_ccw(seed, n):
+    # a ring of two points is a segment's ends, in either order; a level
+    # segment (equal y) is drawn one time in three
     rng = random.Random(seed)
-    hull = exactlp.convex_hull([(F(rng.randint(-20, 20), rng.randint(1, 6)),
-                                 F(rng.randint(-20, 20), rng.randint(1, 6)))
-                                for _ in range(n)])
-    assume(len(hull) >= 3)
+    pts = [(F(rng.randint(-20, 20), rng.randint(1, 6)),
+            F(rng.randint(-20, 20), rng.randint(1, 6))) for _ in range(n)]
+    if n == 2 and rng.random() < 1 / 3:
+        pts[1] = (pts[1][0], pts[0][1])
+    hull = exactlp.convex_hull(pts)
+    assume(len(hull) >= 2)
     ring = [exactlp.homogeneous(p) for p in hull]
     k = rng.randrange(len(ring))
     ring = ring[k:] + ring[:k]
     assert exactlp.rotate_ccw(ring) == exactlp.sort_ccw(ring)
+    assert exactlp.sort_ccw(ring) == [exactlp.homogeneous(p) for p in
+                                      ref_sort_ccw(hull)]
 
 
 def test_constructor_builds_one_complex_and_keeps_none():
@@ -611,46 +618,73 @@ def fresh_fields(g):
     return complex_fields(series._Complex(g.domain, g.support))
 
 
-@given(st.sampled_from(["dynamics", "ties", "raise", "triangle",
-                        "quadrilateral"]),
-       DOMAINS, SEEDS, st.integers(min_value=1, max_value=4),
+def wave_results(source, kind, seed, n_waves, N):
+    """The results of positive waves that inherit their complex, or for
+    "raise" an arbitrary raise, with ``(g, v, f, c)`` when that raise
+    g = add_monomial(f, v, c) inherits none."""
+    rng = random.Random(seed)
+    if source == "triangle":
+        return [wave(zero_series(triangle(N)), (F(1), F(1, 2)))[0]], None
+    if source == "quadrilateral":
+        return [quadrilateral_wave()], None
+    if source == "ties":
+        poly = rng.choice(TIE_DOMAINS + [random_polygon(rng)])
+        grid = quarter_grid(poly)
+        points = [rng.choice(grid) for _ in range(n_waves)]
+    else:
+        _, f = make_series_for(kind, seed, 0)
+        poly = f.domain
+        points = random_points(rng, poly, n_waves)
+    f, results = zero_series(poly), []
+    for p in points:
+        g, ev = wave(f, p)
+        if ev.increment > 0:
+            results.append(g)
+        f = g
+    if source == "raise":
+        v = (rng.randint(-3, 3), rng.randint(-3, 3))
+        c = F(rng.randint(1, 40), rng.randint(1, 12))
+        g = add_monomial(f, v, c)
+        if g._complex is None:
+            return [], (g, v, f, c)
+        results = [g]
+    return results, None
+
+
+WAVE_SOURCES = st.sampled_from(["dynamics", "ties", "raise", "triangle",
+                                "quadrilateral"])
+
+
+@given(WAVE_SOURCES, DOMAINS, SEEDS, st.integers(min_value=1, max_value=4),
        st.integers(min_value=1, max_value=30))
 def test_handed_off_complex_equals_a_fresh_build(source, kind, seed, n_waves,
                                                  N):
     # every positive wave's result inherits its complex, and it equals a
     # fresh build on every field; an arbitrary raise inherits one unless it
     # lifts v past where it touches the result
-    rng = random.Random(seed)
-    if source == "triangle":
-        results = [wave(zero_series(triangle(N)), (F(1), F(1, 2)))[0]]
-    elif source == "quadrilateral":
-        results = [quadrilateral_wave()]
-    else:
-        if source == "ties":
-            poly = rng.choice(TIE_DOMAINS + [random_polygon(rng)])
-            grid = quarter_grid(poly)
-            points = [rng.choice(grid) for _ in range(n_waves)]
-        else:
-            _, f = make_series_for(kind, seed, 0)
-            poly = f.domain
-            points = random_points(rng, poly, n_waves)
-        f, results = zero_series(poly), []
-        for p in points:
-            g, ev = wave(f, p)
-            if ev.increment > 0:
-                results.append(g)
-            f = g
-        if source == "raise":
-            v = (rng.randint(-3, 3), rng.randint(-3, 3))
-            c = F(rng.randint(1, 40), rng.randint(1, 12))
-            g = add_monomial(f, v, c)
-            if g._complex is None:
-                assert g.support[v] < canonical_coefficient(f, v) + c
-                return
-            results = [g]
+    results, lifted = wave_results(source, kind, seed, n_waves, N)
+    if lifted:
+        g, v, f, c = lifted
+        assert g.support[v] < canonical_coefficient(f, v) + c
+        return
     for g in results:
         assert g._cells is g._complex.cells
         assert complex_fields(g._complex) == fresh_fields(g)
+
+
+@given(WAVE_SOURCES, DOMAINS, SEEDS, st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=30))
+@example("ties", "square", 0, 1, 1)  # two segment cells
+def test_every_cell_of_two_or_more_points_is_in_sort_ccw_order(
+        source, kind, seed, n_waves, N):
+    # one order for segments and polygons alike, in a handed-off complex
+    # and in a fresh build
+    results, _ = wave_results(source, kind, seed, n_waves, N)
+    for g in results:
+        for cx in (g._complex, series._Complex(g.domain, g.support)):
+            for hs in cx.hcells.values():
+                if len(hs) >= 2:
+                    assert hs == exactlp.sort_ccw(hs)
 
 
 def test_inherited_segment_cells_reach_the_boundary():

@@ -1,20 +1,27 @@
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+
+from tropwave import series
 
 from tropwave.curve import (NotAVertex, attaining_monomials, balanced_star,
                             check_balancing, classify_vertex, curves_within,
                             extract_curve, quasi_degree_area, symplectic_area)
 from tropwave.exactlp import cross, dot, vsub
 from tropwave.geometry import QPolygon, gcd2
+from tropwave.refine import (CertificationFailed, EpsilonTooLarge,
+                             make_nice, verge_polynomial)
 from tropwave.series import (OutsideDomain, TropicalSeries, add_monomial,
-                             evaluate, make_series, zero_series)
+                             distance_function, evaluate, make_series,
+                             zero_series)
 from tropwave.wave import run_dynamics, upper_bound_witness, wave
 
 from conftest import pentagon, random_points, random_polygon, random_series, \
-    ref_point_segment_dist2, square13, unit_square
+    ref_extract_curve, ref_point_segment_dist2, square13, triangle, \
+    unit_square
 
 
 class TestExtract:
@@ -298,3 +305,87 @@ def test_curves_within_matches_fraction_reference(kind, seed):
                 g = add_monomial(g, v, delta)
     for eps in epsilons:
         assert curves_within(f, g, eps) == ref_curves_within(f, g, eps)
+
+
+# -- extract_curve against the pairwise scan it replaced ----------------------
+
+BENT = QPolygon.from_vertices([(0, 0), (2, 0), (3, 2), (1, 3)])
+VERGE_DOMAINS = [unit_square(), QPolygon.box(0, 0, 2, 2),
+                 QPolygon.box(0, 0, 3, 1),
+                 QPolygon.from_vertices([(0, 0), (2, 0), (0, 2)])]
+
+
+def curve_series(source, kind, seed, n, N):
+    """Series whose curves are compared: every wave result of a dynamic on
+    n points, a verge polynomial, or a make_nice input and result.  For
+    "dynamics", the kind "triangle" is the wave from zero at (1, 1/2) on
+    the N-th triangle, and "bent" the quadrilateral `certify` blows up."""
+    rng = random.Random(seed)
+    if source == "verge":
+        poly = rng.choice(VERGE_DOMAINS)
+        sides = [hp.n for hp in poly.halfplanes]
+        degrees = {m: 1 for m in sides}
+        degrees[rng.choice(sides)] = rng.randint(1, 4)
+        return [verge_polynomial(poly, degrees, F(1, rng.choice([4, 8])))]
+    if kind == "triangle":
+        return [wave(zero_series(triangle(N)), (F(1), F(1, 2)))[0]]
+    poly = {"square": unit_square, "pentagon": pentagon, "bent": lambda: BENT,
+            "random": lambda: random_polygon(rng)}[kind]()
+    if source == "make_nice":
+        # as `certify` draws: one wave of the distance function at a point
+        # of the 16-step grid
+        f, _ = wave(distance_function(poly), random_points(rng, poly, 1)[0])
+        try:
+            return [f, make_nice(poly, f, F(1, 8))[1]]
+        except (EpsilonTooLarge, CertificationFailed):
+            return [f]
+    out, f = [], zero_series(poly)
+    for _ in range(2):
+        for p in random_points(rng, poly, n):
+            f, ev = wave(f, p)
+            if ev.increment > 0:
+                out.append(f)
+    return out
+
+
+def curve_fields(curve):
+    return curve.vertices, curve.edges, list(curve.faces.items())
+
+
+@given(st.sampled_from(["dynamics", "verge", "make_nice"]),
+       st.sampled_from(["square", "pentagon", "bent", "random", "triangle"]),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=1, max_value=5),
+       st.integers(min_value=1, max_value=60))
+@example("make_nice", "bent", 0, 1, 1)
+@example("dynamics", "pentagon", 0, 5, 1)
+@example("dynamics", "triangle", 0, 1, 60)
+def test_extract_curve_matches_the_pairwise_scan(source, kind, seed, n, N):
+    # the edges read off the cell rings are the pairwise scan's, in its
+    # (u, w) order with sorted ends, and so are the vertices and faces
+    for f in curve_series(source, kind, seed, n, N):
+        assert curve_fields(extract_curve(f)) == curve_fields(
+            ref_extract_curve(f))
+
+
+def test_extract_curve_reads_only_polygon_cells():
+    # the wave from zero at the rhombus's centre leaves the constant a point
+    # cell there, four segment cells from it to the corners and four
+    # triangles.  Cells are told apart by their integer rings, so only the
+    # triangles, the faces, are made in `Fraction`s, once each, in support
+    # order.
+    rhombus = QPolygon.from_vertices([(-1, 0), (0, -1), (1, 0), (0, 1)])
+    g, _ = wave(zero_series(rhombus), (F(0), F(0)))
+    hcells = g._int_complex().hcells
+    assert sorted(len(hs) for hs in hcells.values()) == [1] + [2] * 4 + [3] * 4
+    reads = []
+    real = series._Cells.__getitem__
+
+    def reading(self, v):
+        reads.append(v)
+        return real(self, v)
+
+    with mock.patch.object(series._Cells, "__getitem__", reading):
+        curve = extract_curve(g)
+    polygons = [v for v, hs in hcells.items() if len(hs) >= 3]
+    assert reads == polygons == list(curve.faces)

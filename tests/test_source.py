@@ -67,14 +67,24 @@ def test_refine_proves_equality_outside_the_balls_without_a_spot_check():
     assert "_spot_check_equal_outside_balls" not in defined
 
 
+def defined_functions(name):
+    path = next(p for p in SOURCES if p.name == name)
+    return {node.name for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef)}
+
+
 def test_segment_cells_are_read_off_their_clips():
-    # a segment cell's ends are ordered straight from its clip: the list of
-    # constraints narrowed for `exactlp.basic_points` is gone
-    path = next(p for p in SOURCES if p.name == "series.py")
-    defined = {node.name for node in ast.walk(ast.parse(path.read_text()))
-               if isinstance(node, ast.FunctionDef)}
-    assert "_segment_ends" in defined
+    # a segment cell is its clip in `exactlp.rotate_ccw` order, as a polygon
+    # cell is: no list of tight constraints orders its ends
+    defined = defined_functions("series.py")
+    assert "_segment_ends" not in defined
     assert not defined & {"_cell_constraints", "_first_crossing_pair"}
+
+
+def test_exactlp_has_no_fraction_line_meet():
+    # the one-wave family reads its vanishing parameters off the local
+    # model, so no `Fraction` meet of boundary lines is left
+    assert "boundary_intersection" not in defined_functions("exactlp.py")
 
 
 def test_certify_family_takes_no_sample_count():

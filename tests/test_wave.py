@@ -25,7 +25,8 @@ from tropwave.wave import (STABILIZED, STEP_LIMIT, SamplingFailed, Schedule,
                            wave, wave_family_scan)
 
 from conftest import pentagon, random_points, random_polygon, random_series, \
-    ref_polygon_area, ref_polytope_vertices, square13, unit_square
+    ref_polygon_area, ref_polytope_vertices, ref_wave_family_scan, square13, \
+    unit_square
 
 
 class TestSingleWave:
@@ -393,6 +394,50 @@ class TestFamilyScan:
         f = square13()
         with pytest.raises(UnclassifiableSide):
             wave_family_scan(f, (F(1, 10), F(1, 2)))  # face touches the boundary
+
+
+def scan_outcome(fn, f, p):
+    """A family scan's report, or the type and message of its WaveError."""
+    try:
+        return fn(f, p)
+    except WaveError as exc:
+        return type(exc), str(exc)
+
+
+FAMILY_CASES = {
+    "square center": (square13, (F(1, 2), F(1, 2))),
+    "square strip": (lambda: add_monomial(square13(), (1, 0), F(2, 15)),
+                     (F(1, 6), F(1, 2))),
+    "pentagon nodal": (lambda: wave(zero_series(pentagon()), (F(1, 2), F(1)))[0],
+                       (F(13, 20), F(13, 20))),
+    "boundary face": (square13, (F(1, 10), F(1, 2))),
+}
+
+
+@pytest.mark.parametrize("case", FAMILY_CASES)
+def test_family_scan_matches_the_trajectory_reference_on_known_cases(case):
+    make, p = FAMILY_CASES[case]
+    f = make()
+    assert scan_outcome(wave_family_scan, f, p) == scan_outcome(
+        ref_wave_family_scan, f, p)
+
+
+@given(st.sampled_from(["square", "pentagon", "random"]),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=1, max_value=4))
+def test_family_scan_matches_the_trajectory_reference(kind, seed, n):
+    # every series of a dynamic on n points, scanned at three interior
+    # points: the vanishing parameters read off the local model equal the
+    # side ends followed along the family, and so do the errors
+    rng = random.Random(seed)
+    poly = {"square": unit_square, "pentagon": pentagon,
+            "random": lambda: random_polygon(rng)}[kind]()
+    f = zero_series(poly)
+    for p in random_points(rng, poly, n) * 2:
+        f, _ = wave(f, p)
+        for q in random_points(rng, poly, 3):
+            assert scan_outcome(wave_family_scan, f, q) == scan_outcome(
+                ref_wave_family_scan, f, q)
 
 
 class TestExperiment:
