@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import jsonio
-from .geometry import GeometryError, QPolygon
+from .geometry import GeometryError, QPolygon, primitive
 from .series import OutsideDomain, SeriesError, zero_series
 from .curve import extract_curve
 from .svgout import render_curve
@@ -186,8 +186,16 @@ def _points_from_json(obj):
 
 
 def _degrees_from_json(obj):
-    return {jsonio.vec_from_json(d["n"]): jsonio.int_from_json(d["m"])
-            for d in obj["degrees"]}
+    """Side degrees keyed by primitive normal: a zero normal, or two
+    entries for one side (also through a non-primitive normal), is bad
+    input."""
+    degrees = {}
+    for d in obj["degrees"]:
+        n = primitive(jsonio.vec_from_json(d["n"]))
+        if n in degrees:
+            raise jsonio.ParseError(f"side {list(n)} has two degrees")
+        degrees[n] = jsonio.int_from_json(d["m"])
+    return degrees
 
 
 def _parse_point(text):
@@ -247,12 +255,7 @@ def cmd_stats(args, bundle: OutputBundle) -> int:
 
 def cmd_lift_check(args, bundle: OutputBundle) -> int:
     report = fuzz_lift(args.trials, seed=bundle.cfg.seed)
-    bundle.write_json("lift_report.json", {
-        "trials": report["trials"],
-        "degenerate_skipped": report["degenerate_skipped"],
-        "failures": report["failures"],
-        "seed": report["seed"],
-    })
+    bundle.write_json("lift_report.json", report)
     return EXIT_OK if not report["failures"] else EXIT_CERTIFICATE
 
 

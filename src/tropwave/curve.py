@@ -135,7 +135,7 @@ def classify_vertex(curve: TropicalCurve, v: Point) -> VertexClass:
     att = attaining_monomials(curve.series, v)
     if len(att) < 3:
         raise NotAVertex(f"{v} has only {len(att)} attaining monomials")
-    hull = lp.convex_hull([(Fraction(u[0]), Fraction(u[1])) for u in att])
+    hull = lp.convex_hull(att)
     if len(hull) == 3:
         area2 = abs(cross(vsub(hull[1], hull[0]), vsub(hull[2], hull[0])))
         if area2 == 1 and len(att) == 3:

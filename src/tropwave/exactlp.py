@@ -19,6 +19,13 @@ standing for ``(X / W, Y / W)``; `sort_ccw` orders such points
 `polygon_area` takes the shoelace area of a ring of them, `to_point` turns
 one into a `Fraction` point, and `homogeneous` turns a rational point back
 into its reduced triple.
+
+Orientation questions are signs of integer cross products, asked where the
+order is already known: `angle_order` sorts directions, `convex_hull`
+returns a counterclockwise ring, and `hull_lattice_points` tests a box's
+lattice points against that ring's edges.  There is no general cone test:
+a polygon's boundedness and its corner cones are decided in `geometry`
+from normals already in angle order or already independent.
 """
 
 from __future__ import annotations
@@ -45,10 +52,6 @@ def cross(u, v):
 
 def vsub(u, v):
     return (u[0] - v[0], u[1] - v[1])
-
-
-def vneg(u):
-    return (-u[0], -u[1])
 
 
 def int_constraints(cons: Sequence[Constraint]) -> list[IntConstraint]:
@@ -107,30 +110,6 @@ def basic_points(ics: Sequence[IntConstraint]) -> list[Homogeneous]:
     return pts
 
 
-def cone_contains(gens: Sequence[Vec], v) -> bool:
-    """Is v a nonnegative combination of the generators? (Caratheodory in 2D:
-    a single generator or a pair suffices.)  Decided by the signs of integer
-    cross products."""
-    if v[0] == 0 and v[1] == 0:
-        return True
-    gens = [g for g in gens if g != (0, 0)]
-    for g in gens:
-        if cross(g, v) == 0 and dot(g, v) > 0:
-            return True
-    m = len(gens)
-    for i in range(m):
-        for j in range(i + 1, m):
-            g, h = gens[i], gens[j]
-            det = cross(g, h)
-            if det == 0:
-                continue
-            # v = (cross(v, h) g + cross(g, v) h) / det: both weights >= 0
-            # iff both crosses have det's sign or vanish
-            if det * cross(v, h) >= 0 and det * cross(g, v) >= 0:
-                return True
-    return False
-
-
 def convex_hull(points: Sequence[Point]) -> list[Point]:
     """Monotone-chain convex hull; returns CCW vertex list without repeats."""
     pts = sorted(set(points))
@@ -150,45 +129,28 @@ def convex_hull(points: Sequence[Point]) -> list[Point]:
 
 
 def hull_lattice_points(points: Sequence[Point]) -> list[Vec]:
-    """All integer points inside the convex hull of `points`."""
+    """All integer points inside the convex hull of `points`, in order of
+    x, then y.
+
+    They are the lattice points of the hull's bounding box on the inner
+    side of every edge (a, b) of the closed counterclockwise hull:
+    n . z + c >= 0 with n = (a1 - b1, b0 - a0) and c = a0 b1 - a1 b0.  The
+    one test covers every hull: a one-point hull's only edge (p, p) holds
+    everywhere, and its box is p itself when p is integral; a two-point
+    hull's edges (a, b) and (b, a) leave only its line, which the box cuts
+    to the segment."""
     if not points:
         return []
     hull = convex_hull(points)
-    if len(hull) == 1:
-        p = hull[0]
-        ok = p[0].denominator == 1 and p[1].denominator == 1
-        return [(int(p[0]), int(p[1]))] if ok else []
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    x_lo, x_hi = math.ceil(min(xs)), math.floor(max(xs))
-    y_lo, y_hi = math.ceil(min(ys)), math.floor(max(ys))
-    if len(hull) == 2:
-        cons = _segment_constraints(hull[0], hull[1])
-    else:
-        cons = []
-        m = len(hull)
-        for i in range(m):
-            a, b = hull[i], hull[(i + 1) % m]
-            d = vsub(b, a)
-            n = (-d[1], d[0])  # inward for CCW hull
-            cons.append((n, -(n[0] * a[0] + n[1] * a[1])))
-    out = []
-    for x in range(x_lo, x_hi + 1):
-        for y in range(y_lo, y_hi + 1):
-            if all(n[0] * x + n[1] * y + a >= 0 for n, a in cons):
-                out.append((x, y))
-    return out
-
-
-def _segment_constraints(a: Point, b: Point):
-    d = vsub(b, a)
-    n = (-d[1], d[0])
-    return [
-        (n, -(n[0] * a[0] + n[1] * a[1])),
-        (vneg(n), n[0] * a[0] + n[1] * a[1]),
-        (d, -(d[0] * a[0] + d[1] * a[1])),
-        (vneg(d), d[0] * b[0] + d[1] * b[1]),
-    ]
+    cons = [((a[1] - b[1], b[0] - a[0]), a[0] * b[1] - a[1] * b[0])
+            for a, b in zip(hull, hull[1:] + hull[:1])]
+    x_lo = math.ceil(min(p[0] for p in hull))
+    x_hi = math.floor(max(p[0] for p in hull))
+    y_lo = math.ceil(min(p[1] for p in hull))
+    y_hi = math.floor(max(p[1] for p in hull))
+    return [(x, y) for x in range(x_lo, x_hi + 1)
+            for y in range(y_lo, y_hi + 1)
+            if all(n0 * x + n1 * y + c >= 0 for (n0, n1), c in cons)]
 
 
 def polygon_area(ring: Sequence[Homogeneous]) -> Fraction:

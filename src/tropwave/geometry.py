@@ -118,14 +118,17 @@ class QPolygon:
     interior.
 
     Canonical form: redundant half-planes removed, normals primitive, sorted
-    by angle.  One integer enumeration of the vertices (`exactlp.basic_points`
-    on the denominator-cleared constraints) fixes everything else at
-    construction: the vertex cycle (CCW) as ``vertices`` and, reduced and
-    homogeneous, as ``hvertices``; the integer constraints; and, from which
-    vertices lie on which constraint's line, the sides and the corners.  A
-    system whose normals do not positively span the plane is unbounded or
-    empty and is rejected.  Structural equality compares the canonical
-    half-plane lists.
+    by angle.  The distinct normals are sorted once, first.  A system whose
+    normals do not positively span the plane is unbounded or empty and is
+    rejected; in angle order they span it iff each turns strictly left of
+    the one before it, cyclically (``cross(prev, n) > 0``), i.e. iff every
+    angular gap is below pi.  One integer enumeration of the vertices
+    (`exactlp.basic_points` on the denominator-cleared constraints, in that
+    order) fixes everything else at construction: the vertex cycle (CCW) as
+    ``vertices`` and, reduced and homogeneous, as ``hvertices``; the integer
+    constraints; and, from which vertices lie on which constraint's line,
+    the sides, still in angle order, and the corners.  Structural equality
+    compares the canonical half-plane lists.
     """
 
     def __init__(self, halfplanes: Sequence[HalfPlane]):
@@ -137,11 +140,14 @@ class QPolygon:
         for hp in normalized:
             if hp.n not in best or hp.a < best[hp.n]:
                 best[hp.n] = hp.a
-        if not all(lp.cone_contains(list(best), d)
-                   for d in ((1, 0), (-1, 0), (0, 1), (0, -1))):
-            raise GeometryError("polygon must be bounded")
         normals = list(best)
-        ics = lp.int_constraints(best.items())
+        normals = [normals[k] for k in lp.angle_order(normals)]
+        # a gap of pi or more leaves a direction d with n . d >= 0 for
+        # every n: the system is unbounded along it, or empty
+        if not all(cross(m, n) > 0
+                   for m, n in zip(normals[-1:] + normals, normals)):
+            raise GeometryError("polygon must be bounded")
+        ics = lp.int_constraints([(n, best[n]) for n in normals])
         hverts = lp.basic_points(ics)
         on_line = [[h for h in hverts if A * h[0] + B * h[1] + C * h[2] == 0]
                    for A, B, C in ics]
@@ -150,17 +156,16 @@ class QPolygon:
         edges = [i for i, hs in enumerate(on_line) if len(hs) >= 2]
         if len(edges) < 3:
             raise EmptyInterior("polygon must have nonempty interior")
-        order = [edges[k] for k in lp.angle_order([normals[i] for i in edges])]
         self.halfplanes: tuple[HalfPlane, ...] = tuple(
-            HalfPlane(normals[i], best[normals[i]]) for i in order)
-        self._int_cons = tuple(ics[i] for i in order)
+            HalfPlane(normals[i], best[normals[i]]) for i in edges)
+        self._int_cons = tuple(ics[i] for i in edges)
         self.hvertices: tuple[lp.Homogeneous, ...] = tuple(lp.sort_ccw(hverts))
         point = {h: lp.to_point(h) for h in self.hvertices}
         self.vertices: tuple[Point, ...] = tuple(point.values())
         # a side runs between its two vertices in the direction (-n1, n0)
         sides = []
         incident: dict[lp.Homogeneous, list[Vec]] = {h: [] for h in self.hvertices}
-        for hp, i in zip(self.halfplanes, order):
+        for hp, i in zip(self.halfplanes, edges):
             h, k = on_line[i]
             d0, d1 = -hp.n[1], hp.n[0]
             if (d0 * k[0] + d1 * k[1]) * h[2] < (d0 * h[0] + d1 * h[1]) * k[2]:
@@ -296,8 +301,13 @@ def is_unimodular(poly: QPolygon) -> bool:
 
 
 def cone_lattice_contains(corner: Corner, v: Vec) -> bool:
-    """Is v in the cone spanned by the corner's two normals?"""
-    return lp.cone_contains(list(corner.normals), v)
+    """Is v in the cone spanned by the corner's two normals n1, n2?  They
+    are independent, so with d = cross(n1, n2) != 0,
+    v = (cross(v, n2) n1 + cross(n1, v) n2) / d, and v is in the cone iff
+    both weights are >= 0: two integer cross signs."""
+    n1, n2 = corner.normals
+    d = cross(n1, n2)
+    return d * cross(v, n2) >= 0 and d * cross(n1, v) >= 0
 
 
 def blow_up(poly: QPolygon, corner: Corner, v: Vec, eps: Fraction) -> QPolygon:

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence
 from . import exactlp as lp
 from .exactlp import Point, Vec, cross, dot
 from .geometry import (EmptyInterior, GeometryError, HalfPlane, QPolygon,
-                       is_unimodular, primitive, xgcd)
+                       corner_is_unimodular, is_unimodular, primitive, xgcd)
 from .series import (SeriesError, Support, TropicalSeries, _clip,
                      add_monomial, evaluate, is_nice, nice_degrees,
                      quasi_degree, zero_series)
@@ -313,8 +313,8 @@ def make_nice(poly: QPolygon, f: TropicalSeries, eps: Fraction
         n1, n2 = corner.normals
         if cross(n1, n2) < 0:
             n1, n2 = n2, n1
-        needs_fan = abs(cross(n1, n2)) != 1
-        needs_split = degrees[primitive(n1)] > 1 and degrees[primitive(n2)] > 1
+        needs_fan = not corner_is_unimodular(corner)
+        needs_split = degrees[n1] > 1 and degrees[n2] > 1
         if not needs_fan and not needs_split:
             continue
         cert = _margin_points(f, corner.apex, eps)
@@ -326,9 +326,9 @@ def make_nice(poly: QPolygon, f: TropicalSeries, eps: Fraction
         # a mediant lies strictly between its pair, so inserting it between
         # them keeps the fan in CCW order
         for _ in range(64):
-            seq = ([(n1, degrees[primitive(n1)])]
+            seq = ([(n1, degrees[n1])]
                    + [(v, m) for v, m, _ in entries]
-                   + [(n2, degrees[primitive(n2)])])
+                   + [(n2, degrees[n2])])
             bad = None
             for i in range(len(seq) - 1):
                 if seq[i][1] > 1 and seq[i + 1][1] > 1:

@@ -8,7 +8,8 @@ from hypothesis import settings
 
 from tropwave import exactlp as lp
 from tropwave.exactlp import cross, dot, vsub
-from tropwave.geometry import HalfPlane, QPolygon, gcd2
+from tropwave.geometry import (EmptyInterior, GeometryError, HalfPlane,
+                               QPolygon, gcd2)
 from tropwave import series
 from tropwave.series import (TropicalSeries, canonical_coefficient,
                              make_series, zero_series)
@@ -402,6 +403,102 @@ def ref_wave_family_scan(f: TropicalSeries, p):
                   + [FamilyEvent(F(1), kind, None)])
     events.sort(key=lambda e: e.t)
     return PerestroikaReport(c, sides_info, events)
+
+
+def ref_cone_contains(gens, v):
+    """Is v a nonnegative combination of the integer generators?  The
+    Caratheodory scan that `exactlp.cone_contains` did: a single generator
+    or a pair suffices in the plane, so every one and every independent
+    pair is tried, by the signs of integer cross products."""
+    if v[0] == 0 and v[1] == 0:
+        return True
+    gens = [g for g in gens if g != (0, 0)]
+    for g in gens:
+        if cross(g, v) == 0 and dot(g, v) > 0:
+            return True
+    for i, g in enumerate(gens):
+        for h in gens[i + 1:]:
+            det = cross(g, h)
+            # v = (cross(v, h) g + cross(g, v) h) / det
+            if det != 0 and det * cross(v, h) >= 0 and det * cross(g, v) >= 0:
+                return True
+    return False
+
+
+def ref_qpolygon(halfplanes):
+    """The fields of `QPolygon(halfplanes)` as its constructor made them
+    when boundedness was four cone scans (`ref_cone_contains` of the axis
+    directions) and the edges were sorted by angle after the enumeration:
+    (halfplanes, int_constraints, hvertices, vertices, sides, corners as
+    (apex, normals), area).  Raises what that constructor raised."""
+    if not halfplanes:
+        raise GeometryError("empty half-plane list is not allowed")
+    best = {}
+    for hp in (hp.normalized() for hp in halfplanes):
+        if hp.n not in best or hp.a < best[hp.n]:
+            best[hp.n] = hp.a
+    if not all(ref_cone_contains(list(best), d)
+               for d in ((1, 0), (-1, 0), (0, 1), (0, -1))):
+        raise GeometryError("polygon must be bounded")
+    normals = list(best)
+    ics = lp.int_constraints(best.items())
+    hverts = lp.basic_points(ics)
+    on_line = [[h for h in hverts if A * h[0] + B * h[1] + C * h[2] == 0]
+               for A, B, C in ics]
+    edges = [i for i, hs in enumerate(on_line) if len(hs) >= 2]
+    if len(edges) < 3:
+        raise EmptyInterior("polygon must have nonempty interior")
+    order = [edges[k] for k in lp.angle_order([normals[i] for i in edges])]
+    hps = [HalfPlane(normals[i], best[normals[i]]) for i in order]
+    hvertices = lp.sort_ccw(hverts)
+    point = {h: lp.to_point(h) for h in hvertices}
+    sides = []
+    incident = {h: [] for h in hvertices}
+    for hp, i in zip(hps, order):
+        h, k = on_line[i]
+        d0, d1 = -hp.n[1], hp.n[0]
+        if (d0 * k[0] + d1 * k[1]) * h[2] < (d0 * h[0] + d1 * h[1]) * k[2]:
+            h, k = k, h
+        sides.append((hp, point[h], point[k]))
+        incident[h].append(hp.n)
+        incident[k].append(hp.n)
+    vertices = list(point.values())
+    return (hps, [ics[i] for i in order], hvertices, vertices, sides,
+            [(point[h], tuple(ns)) for h, ns in incident.items()],
+            ref_polygon_area(vertices))
+
+
+def ref_hull_lattice_points(points):
+    """`exactlp.hull_lattice_points` with its three branches: a one-point
+    hull by an integrality test, a segment by four constraints (its line
+    both ways and its two ends), and a polygon by its edges, each
+    constraint built afresh for every box point."""
+    if not points:
+        return []
+    hull = lp.convex_hull(points)
+    if len(hull) == 1:
+        p = hull[0]
+        ok = p[0].denominator == 1 and p[1].denominator == 1
+        return [(int(p[0]), int(p[1]))] if ok else []
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    x_lo, x_hi = math.ceil(min(xs)), math.floor(max(xs))
+    y_lo, y_hi = math.ceil(min(ys)), math.floor(max(ys))
+    if len(hull) == 2:
+        a, b = hull
+        d = vsub(b, a)
+        n = (-d[1], d[0])
+        cons = [(n, -dot(n, a)), ((-n[0], -n[1]), dot(n, a)),
+                (d, -dot(d, a)), ((-d[0], -d[1]), dot(d, b))]
+    else:
+        cons = []
+        for i, a in enumerate(hull):
+            d = vsub(hull[(i + 1) % len(hull)], a)
+            n = (-d[1], d[0])  # inward for a counterclockwise hull
+            cons.append((n, -dot(n, a)))
+    return [(x, y) for x in range(x_lo, x_hi + 1)
+            for y in range(y_lo, y_hi + 1)
+            if all(dot(n, (x, y)) + a >= 0 for n, a in cons)]
 
 
 @pytest.fixture

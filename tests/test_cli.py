@@ -95,6 +95,8 @@ class TestWaveCommand:
     ["curve", "{float_series}"],
     ["curve", "{bool_series}"],
     ["verge", "{square}", "{float_degrees}", "--eps", "1/8"],
+    ["verge", "{square}", "{zero_degree_normal}", "--eps", "1/8"],
+    ["verge", "{square}", "{repeated_side}", "--eps", "1/8"],
     ["--config", "{float_tol}", "stats", "{square}"],
     ["--config", "{bool_tol}", "stats", "{square}"],
     ["--config", "{float_ints}", "stats", "{square}"],
@@ -123,6 +125,7 @@ class TestWaveCommand:
         "coarsen-points-not-list", "dynamics-points-not-object",
         "coarsen-points-not-object", "float-normal", "float-point",
         "bool-point", "float-coefficient", "bool-exponent", "float-degree",
+        "verge-zero-normal", "verge-repeated-side",
         "config-float-tol", "config-bool-tol", "config-float-ints",
         "config-bool-ints", "max-steps-negative",
         "config-max-steps-negative", "out-empty", "config-out-empty",
@@ -156,6 +159,13 @@ def test_bad_input_exit_2(files, argv, monkeypatch):
     jsonio.dump({"degrees": [{"n": [1, 0], "m": 2.0}, {"n": [0, 1], "m": 1},
                              {"n": [-1, 0], "m": 1}, {"n": [0, -1], "m": 1}]},
                 files / "float_degrees.json")
+    # a zero normal has no side; [2, 0] names the side of [1, 0] again
+    jsonio.dump({"degrees": [{"n": [0, 0], "m": 1}]},
+                files / "zero_degree_normal.json")
+    jsonio.dump({"degrees": [{"n": [1, 0], "m": 1}, {"n": [0, 1], "m": 1},
+                             {"n": [-1, 0], "m": 1}, {"n": [0, -1], "m": 1},
+                             {"n": [2, 0], "m": 2}]},
+                files / "repeated_side.json")
     jsonio.dump({"tol": 0.1}, files / "float_tol.json")
     jsonio.dump({"tol": True}, files / "bool_tol.json")
     jsonio.dump({"seed": 1.7, "denom_bound": 8.9}, files / "float_ints.json")
@@ -167,6 +177,7 @@ def test_bad_input_exit_2(files, argv, monkeypatch):
     names = ("half", "points", "square", "series", "missing", "zero_bound",
              "not_object", "points_not_list", "float_normal", "float_points",
              "bool_points", "float_series", "bool_series", "float_degrees",
+             "zero_degree_normal", "repeated_side",
              "float_tol", "bool_tol", "float_ints", "bool_ints",
              "negative_steps", "empty_out", "not_utf8", "deep")
     paths = {k: str(files / f"{k}.json") for k in names}

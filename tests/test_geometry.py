@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tropwave import exactlp as lp
 from tropwave.curve import _segment_area
@@ -18,9 +18,10 @@ from tropwave.refine import level_set_polygon
 from tropwave.series import evaluate
 
 from conftest import (pentagon, random_polygon, random_series,
-                      ref_corners, ref_int_constraints, ref_polygon_area,
-                      ref_polytope_vertices, ref_primitive, ref_sides,
-                      ref_vertices, unit_square)
+                      ref_cone_contains, ref_corners, ref_hull_lattice_points,
+                      ref_int_constraints, ref_polygon_area,
+                      ref_polytope_vertices, ref_primitive, ref_qpolygon,
+                      ref_sides, ref_vertices, unit_square)
 
 
 class TestSupportCoeff:
@@ -378,3 +379,80 @@ def test_primitive_of_rational_vectors_matches_old_formulas(x, y, s, t):
     # |s| (p . p) for b - a = s p is |(b - a) . p|
     a, b = (s, t), (s + x, t + y)
     assert _segment_area(a, b) == abs(dot(vsub(b, a), p))
+
+
+# -- integer cross signs against the general scans ----------------------------
+
+NORMALS = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(
+    lambda n: n != (0, 0))
+OFFSETS = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+def polygon_outcome(build, system):
+    """The fields of the polygon that ``build`` makes of the half-planes
+    (n, a), as `ref_qpolygon` lists them, or the type and message of the
+    error it raises."""
+    hps = [HalfPlane(n, a) for n, a in system]
+    try:
+        out = build(hps)
+    except GeometryError as exc:
+        return type(exc), str(exc)
+    if isinstance(out, QPolygon):
+        out = (list(out.halfplanes), list(out.int_constraints()),
+               list(out.hvertices), list(out.vertices), out.sides(),
+               [(c.apex, c.normals) for c in out.corners()], out.area())
+    return out
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(NORMALS, OFFSETS), min_size=1, max_size=7))
+@example([((1, 0), F(0)), ((-1, 0), F(1))])  # two opposite normals
+@example([((1, 0), F(0)), ((-1, 0), F(1)), ((0, 1), F(0))])  # a gap of pi
+@example([((1, 0), F(0)), ((-1, 0), F(1)), ((0, 1), F(0)), ((0, -1), F(1)),
+          ((2, 0), F(1)), ((1, 0), F(-1, 4)), ((-3, 0), F(2))])  # repeats
+@example([((1, 0), F(0)), ((-1, 0), F(0)), ((0, 1), F(0)),
+          ((0, -1), F(1))])  # a segment: bounded, no interior
+@example([((1, 0), F(-1)), ((-1, 0), F(0)), ((0, 1), F(0)),
+          ((0, -1), F(1))])  # bounded and empty
+@example([((1, 0), F(0)), ((0, 1), F(0)), ((-1, -1), F(2)),
+          ((1, 2), F(0))])  # a redundant line through a vertex
+def test_polygon_matches_the_cone_scan_construction(system):
+    """Boundedness by the cyclic crosses of the sorted normals, against
+    four Caratheodory cone scans: equal fields, or the same error."""
+    assert (polygon_outcome(QPolygon, system)
+            == polygon_outcome(ref_qpolygon, system))
+
+
+@given(NORMALS, NORMALS, st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
+@example((1, 0), (0, 1), (0, 0))
+@example((1, 0), (0, 1), (3, 0))  # on a generator's ray
+@example((1, 0), (0, 1), (-3, 0))  # on its opposite ray
+@example((0, 1), (1, 0), (1, 1))  # clockwise pair: cross(n1, n2) < 0
+@example((1, 2), (2, 1), (1, 1))  # a non-unimodular corner
+def test_corner_cone_matches_the_caratheodory_scan(n1, n2, v):
+    assume(cross(n1, n2) != 0)
+    corner = Corner((F(0), F(0)), (n1, n2))
+    assert cone_lattice_contains(corner, v) == ref_cone_contains([n1, n2], v)
+
+
+FRACTION_POINTS = st.lists(
+    st.tuples(*[st.fractions(-4, 4, max_denominator=3)] * 2),
+    min_size=1, max_size=6)
+LATTICE_POINTS = st.lists(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+    max_size=5).map(lambda pts: pts + [(0, 0)])
+
+
+@settings(max_examples=100)
+@given(st.one_of(FRACTION_POINTS, LATTICE_POINTS))
+@example([(F(1), F(2))])  # a one-point hull at a lattice point
+@example([(F(1, 2), F(1)), (F(1, 2), F(1))])  # ... and off the lattice
+@example([(0, 0), (3, 3)])  # a segment with interior lattice points
+@example([(F(0), F(0)), (F(1), F(2))])  # ... with only its ends
+@example([(F(1, 2), F(0)), (F(1, 2), F(3))])  # ... with none
+@example([(F(1, 3), F(1, 3)), (F(8, 3), F(8, 3))])  # ... none at its ends
+@example([(0, 0), (1, 1), (2, 2)])  # collinear triples
+@example([(F(-1, 2), F(0)), (F(1, 2), F(0)), (F(5, 2), F(0))])
+@example([(0, 0), (2, 1), (1, 3), (1, 1)])  # a triangle and a point inside
+def test_hull_lattice_points_match_the_three_branch_scan(points):
+    assert lp.hull_lattice_points(points) == ref_hull_lattice_points(points)

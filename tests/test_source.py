@@ -95,3 +95,24 @@ def test_certify_family_takes_no_sample_count():
               and node.name == "_certify_family")
     names = [a.arg for a in fn.args.args + fn.args.kwonlyargs]
     assert names == ["f", "v", "c", "step"]
+
+
+def test_exactlp_has_no_general_cone_or_segment_scan():
+    # polygon boundedness and corner cones are cross signs in `geometry`,
+    # and every hull's lattice points come from one edge test
+    defined = defined_functions("exactlp.py")
+    assert "hull_lattice_points" in defined
+    assert not defined & {"cone_contains", "_segment_constraints", "vneg"}
+
+
+def test_polygon_sorts_its_normals_once():
+    # `QPolygon` sorts the distinct normals before the enumeration, and its
+    # edges come out in that order with no second sort
+    path = next(p for p in SOURCES if p.name == "geometry.py")
+    cls = next(node for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef) and node.name == "QPolygon")
+    init = next(node for node in cls.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    calls = [node for node in ast.walk(init) if isinstance(node, ast.Call)
+             and ast.unparse(node.func).endswith("angle_order")]
+    assert [ast.unparse(c.args[0]) for c in calls] == ["normals"]

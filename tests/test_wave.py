@@ -7,7 +7,7 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tropwave import series
 from tropwave.curve import attaining_monomials
@@ -165,6 +165,17 @@ def test_second_min_matches_lattice_scan(kind, seed, n_waves, where, d, s):
     """A generic interior point, a point at lattice distance 1/d from a
     random side (s/20 along it), or the point 1/d of the way from a random
     corner to the vertex centroid."""
+    f, p = series_and_wave_point(kind, seed, n_waves, where, d, s)
+    att = attaining_monomials(f, p)
+    assume(len(att) == 1)
+    assert _second_min_at(f, p, att[0]) == ref_second_min_at(f, p, att[0])
+
+
+def series_and_wave_point(kind, seed, n_waves, where, d, s):
+    """A series of a few waves on the named domain, and an interior point:
+    a generic one, one at lattice distance 1/d from a random side (s/20
+    along it), or the point 1/d of the way from a random corner to the
+    vertex centroid."""
     rng = random.Random(seed)
     poly = {"square": unit_square, "pentagon": pentagon,
             "random": lambda: random_polygon(rng)}[kind]()
@@ -185,9 +196,36 @@ def test_second_min_matches_lattice_scan(kind, seed, n_waves, where, d, s):
              sum(v[1] for v in poly.vertices) / m)
         p = (a[0] + (c[0] - a[0]) / d, a[1] + (c[1] - a[1]) / d)
     assume(poly.contains(p, strict=True))
+    return f, p
+
+
+@given(st.sampled_from(["square", "pentagon", "random"]),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=0, max_value=5),
+       st.sampled_from(["interior", "side", "corner"]),
+       st.integers(min_value=2, max_value=1000),
+       st.integers(min_value=1, max_value=19))
+@example("pentagon", 0, 2, "side", 100, 7)  # v vanishes on that side
+@example("random", 0, 2, "side", 1000, 7)  # v is its side's degree-2 term
+def test_runner_up_is_least_on_the_raised_degree_hull(kind, seed, n_waves,
+                                                      where, d, s):
+    """The wave's runner-up at p is h(p) for h the inf over u != v of
+    u.z + c_u(f).  h is a series whose side degrees are f's quasi-degree
+    raised by one on each side whose least vanishing monomial is v, so its
+    small support lies in the hull of those degrees, `add_monomial`'s own
+    candidates, and the runner-up is least over them."""
+    f, p = series_and_wave_point(kind, seed, n_waves, where, d, s)
     att = attaining_monomials(f, p)
     assume(len(att) == 1)
-    assert _second_min_at(f, p, att[0]) == ref_second_min_at(f, p, att[0])
+    v = att[0]
+    a_v = canonical_coefficient(f, v)
+    raised = quasi_degree(f)
+    for hp in f.domain.halfplanes:
+        if series._side_vanishing_multiplier(hp, (v, a_v)) == raised[hp.n]:
+            raised[hp.n] += 1
+    assert _second_min_at(f, p, v) == min(
+        dot(u, p) + canonical_coefficient(f, u)
+        for u in series._candidate_hull(raised) if u != v)
 
 
 @given(st.sampled_from(["square", "pentagon", "random"]),
