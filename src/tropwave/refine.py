@@ -446,7 +446,14 @@ def verge_polynomial(poly: QPolygon, degrees: Dict[Vec, int],
         raise RefineError("eps must be positive")
     if not is_unimodular(poly):
         raise RefineError("polygon must be unimodular")
-    ndeg = {primitive(n): int(m) for n, m in degrees.items()}
+    ndeg = {}
+    for n, m in degrees.items():
+        if not any(n):
+            raise RefineError("a side normal must be nonzero")
+        side = primitive(n)
+        if side in ndeg:
+            raise RefineError(f"side {side} has two degrees")
+        ndeg[side] = int(m)
     if set(ndeg) != {hp.n for hp in poly.halfplanes}:
         raise RefineError("degree map must cover exactly the sides")
     if any(m < 1 for m in ndeg.values()):

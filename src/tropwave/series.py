@@ -36,7 +36,12 @@ It drops the presentation's complex, and the series builds its own on
 first use, with one exception: `add_monomial`, the write path of
 every wave, hands the presentation's complex, restricted to the kept
 monomials, to its result (`_Complex.restricted` says why that is exact), so
-the next wave reads it without a second build.
+the next wave reads it without a second build.  When f holds its complex
+and the raised v has a cell P_v there, `add_monomial` also hands f's
+complex and v to the presentation's build: raising one coefficient changes
+the complex only inside P_v, so a cell the raise cannot reach is copied,
+and the rest are clipped inside P_v (`_raised_cells`).  Only a candidate
+outside f's support is clipped from the domain.
 """
 
 from __future__ import annotations
@@ -45,10 +50,10 @@ import functools
 import math
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from . import exactlp as lp
-from .exactlp import Point, Vec, cross, dot
+from .exactlp import Point, Vec
 from .geometry import QPolygon, is_unimodular, support_coeff
 
 
@@ -82,14 +87,16 @@ class TropicalSeries:
     holds it sorted, builds its complex through `cells()` and keeps the
     small form read off that complex, with the presentation's side degrees
     as its quasi-degree.  It drops the complex, and the series
-    builds its own on first use, unless ``_inherit`` is set (`add_monomial`
+    builds its own on first use, unless ``_raised`` is set (`add_monomial`
     alone sets it) and every kept monomial carries its presented
     coefficient: the series then keeps the complex restricted to its small
-    form (`_Complex.restricted`).
+    form (`_Complex.restricted`).  ``_raised`` is (f's complex or None, v)
+    for the presentation of f with v raised; with a complex, `cells()`
+    passes it on to the build (`_Complex`).
     """
 
     def __init__(self, domain: QPolygon, support: Support, *,
-                 _inherit: bool = False):
+                 _raised: Optional[tuple] = None):
         if not isinstance(domain, QPolygon):
             raise SeriesError("a tropical series needs a polygon domain")
         self.domain = domain
@@ -99,15 +106,15 @@ class TropicalSeries:
         self.support = dict(sorted(support.items()))
         self._cells: Optional[Mapping] = None
         self._complex: Optional[_Complex] = None
-        self.cells()
+        self.cells(_raised=_raised)
         presented, cx = self.support, self._complex
         self.support, self._quasi_degree = _small_canonical_terms(
             domain, presented, cx)
         self._cells = self._complex = None
         # a kept monomial whose coefficient is below its presented one (v,
         # raised past where it touches) has a cell the presentation lacks
-        if _inherit and all(presented.get(u, a) == a
-                            for u, a in self.support.items()):
+        if _raised is not None and all(presented.get(u, a) == a
+                                       for u, a in self.support.items()):
             self._complex = cx.restricted(self.support)
             self._cells = self._complex.cells
 
@@ -130,11 +137,16 @@ class TropicalSeries:
 
     # -- cached geometry ---------------------------------------------------
 
-    def cells(self) -> Mapping:
+    def cells(self, *, _raised: Optional[tuple] = None) -> Mapping:
         """Monomial -> CCW vertex list of its (possibly degenerate) region,
-        each list made on first read."""
+        each list made on first read.  The constructor alone passes
+        ``_raised``."""
         if self._cells is None:
-            self._complex = _Complex(self.domain, self.support)
+            if _raised is None or _raised[0] is None:
+                self._complex = _Complex(self.domain, self.support)
+            else:
+                self._complex = _Complex(self.domain, self.support,
+                                         _raised=_raised)
             self._cells = self._complex.cells
         return self._cells
 
@@ -175,6 +187,13 @@ class _Complex:
       raises if the clip holds anything else.
     Enumerating the vertices over every tight constraint would cost O(k^3)
     per cell, and at a complex vertex hundreds can be tight.
+    ``_raised`` = (f's complex, v) marks the presentation of
+    `add_monomial`(f, v, c), v with a cell in f's complex: the cells of v
+    and of f's support come from `_raised_cells` already in order, copied
+    or clipped inside v's cell in f, and only the other monomials are
+    clipped from the domain.  Every cell of two or more points, copied or
+    not, takes the same check, and the fields equal a build from the
+    domain's.
     The complex vertices, in first-seen order over the cells, are kept as
     ``table`` rows (X, Y, F): the vertex is (X, Y) / denom and F is denom
     times the series there.  ``hcells`` maps each monomial to its cell as
@@ -186,7 +205,8 @@ class _Complex:
 
     __slots__ = ("denom", "table", "hcells", "cells", "_hverts", "_vertices")
 
-    def __init__(self, domain: QPolygon, support: Support):
+    def __init__(self, domain: QPolygon, support: Support, *,
+                 _raised: Optional[tuple] = None):
         # star-arguments come from lists, not generators: on CPython 3.11
         # the generator form made the peak RSS of long runs creep upwards
         scale = math.lcm(*[a.denominator for a in support.values()])
@@ -195,16 +215,22 @@ class _Complex:
         # monomial v as the triple (scale v0, scale v1, alpha_v)
         triples = [(scale * v[0], scale * v[1], av)
                    for v, av in zip(support, alpha)]
+        local = ({} if _raised is None
+                 else _raised_cells(dict(zip(support, triples)), *_raised))
         domain_verts = domain.hvertices
         hcells = {}
         for v, (Av, Bv, Cv) in zip(support, triples):
-            # the constraint (w - v) . z + alpha_w - alpha_v >= 0, for every
-            # w in support order; w == v gives the only row of zeros
-            cons = [(Aw - Av, Bw - Bv, Cw - Cv) for Aw, Bw, Cw in triples]
-            # nearest exponents first, ties in support order: v's own row
-            # leads, and the subdivision neighbours shrink the cell early
-            cuts = sorted(cons, key=lambda c: c[0] * c[0] + c[1] * c[1])
-            cell = _clip(domain_verts, cuts[1:])
+            cell = local.get(v)
+            ordered = cell is not None
+            if not ordered:
+                # the constraint (w - v) . z + alpha_w - alpha_v >= 0, for
+                # every w in support order; w == v gives the only row of
+                # zeros
+                cons = [(Aw - Av, Bw - Bv, Cw - Cv) for Aw, Bw, Cw in triples]
+                # nearest exponents first, ties in support order: v's own
+                # row leads, and the subdivision neighbours shrink the cell
+                # early
+                cell = _clip(domain_verts, _nearest_first(cons)[1:])
             if len(cell) >= 2:
                 # a segment cell has two side lines, its line both ways round
                 sides = _side_lines(cell)
@@ -212,7 +238,8 @@ class _Complex:
                 if n != len(cell):
                     raise SeriesError(f"the clip of {v} holds a point that "
                                       "is no vertex of its cell")
-                cell = lp.rotate_ccw(cell)
+                if not ordered:
+                    cell = lp.rotate_ccw(cell)
             hcells[v] = cell
 
         hverts = list(dict.fromkeys(h for hs in hcells.values() for h in hs))
@@ -315,6 +342,66 @@ class _Cells(Mapping):
         return len(self._hcells)
 
 
+def _nearest_first(cuts: list) -> list:
+    """``cuts`` of one monomial u, each the row (w - u, alpha_w - alpha_u)
+    of another, by the exponent distance |w - u|^2, ties in their order."""
+    return sorted(cuts, key=lambda c: c[0] * c[0] + c[1] * c[1])
+
+
+def _raised_cells(triples: dict, base: "_Complex", v: Vec) -> dict:
+    """The cells of the presentation of g = `add_monomial`(f, v, c) that
+    f's complex ``base`` gives with clips inside P_v, v's cell in it, only:
+    v's cell and those of f's support.  ``triples`` maps each monomial of
+    the presentation to its integer triple, v's raised; every u != v
+    carries c_u(f), and P_v is nonempty.
+
+    Off P_v, f lies below v, so g = f there.  A u != v is reached iff its
+    row against the raised v is <= 0 at some vertex of P_v.
+    - An unreached u lies above the raised v on all of P_v, so above g and
+      f there: its cell in g is its cell in f, copied.
+    - A reached u of f's support has the cell conv(its cell in f, its
+      piece), the piece being P_v clipped by the reached monomials and v.
+      Off P_v its cells in f and g agree, and where its cell in f meets
+      P_v, u = f < raised v, so u = g there.
+    - v's cell is P_v clipped by the reached monomials.
+    No unreached monomial cuts inside P_v, where it lies above the raised
+    v.  Each cell comes out as the set of its vertices in
+    `exactlp.rotate_ccw` order, as a build from the domain gives it."""
+    ring = base.hcells[v]
+    Av, Bv, Cv = triples[v]
+    reached = {}
+    for u, (A, B, C) in triples.items():
+        if u != v:
+            A, B, C = A - Av, B - Bv, C - Cv
+            if any(A * X + B * Y + C * W <= 0 for X, Y, W in ring):
+                reached[u] = (A, B, C)
+    own = _clip(ring, _nearest_first(list(reached.values())))
+    out = {v: lp.rotate_ccw(own) if len(own) >= 2 else own}
+    near = [(w, triples[w]) for w in triples if w == v or w in reached]
+    for u, cell in base.hcells.items():
+        if u == v:
+            continue
+        if u in reached:
+            Au, Bu, Cu = triples[u]
+            piece = _clip(ring, _nearest_first([(A - Au, B - Bu, C - Cu)
+                                                for w, (A, B, C) in near
+                                                if w != u]))
+            if piece:
+                cell = _hull(cell + piece)
+        out[u] = cell
+    return out
+
+
+def _hull(points: list) -> list:
+    """The vertices of the convex hull of homogeneous points, in
+    `exactlp.rotate_ccw` order: `exactlp.convex_hull` of the points on one
+    common denominator, whose strict turns drop collinear points."""
+    Q = math.lcm(*[W for _, _, W in points])
+    back = {(X * (Q // W), Y * (Q // W)): (X, Y, W) for X, Y, W in points}
+    ring = [back[p] for p in lp.convex_hull(list(back))]
+    return lp.rotate_ccw(ring) if len(ring) >= 2 else ring
+
+
 def _side_lines(cell: list) -> dict:
     """The distinct lines through neighbouring points of ``cell``, a clip of
     two or more points, in ring order, each as a reduced triple oriented
@@ -399,37 +486,42 @@ def zero_series(domain: QPolygon) -> TropicalSeries:
 # -- small canonical form -------------------------------------------------
 
 
-def _side_vanishing_multiplier(side_hp, term: Tuple[Vec, Fraction]) -> Optional[int]:
-    """If the monomial vanishes identically on the side's line, return its
-    multiplier m >= 0 with exponent m * n(S); otherwise None."""
-    v, a = term
-    n = side_hp.n
+def _vanishing_sides(offsets: Mapping[Vec, Fraction], v: Vec, a: Fraction
+                     ) -> list[tuple[Vec, int]]:
+    """The sides on whose line the monomial v.z + a vanishes identically,
+    each as (primitive normal n, multiplier m >= 0) with v = m n; ``offsets``
+    maps each side's normal to its offset a_S (the side's line is
+    n.z + a_S = 0).  The constant 0 vanishes on every side, with m = 0, and
+    any other constant on none.  Otherwise n is v's primitive direction and
+    m = gcd(v), and v vanishes on that side iff it is one and a = m a_S."""
     if v == (0, 0):
-        return 0 if a == 0 else None
-    if cross(v, n) != 0:
-        return None
-    m, r = divmod(dot(v, n), dot(n, n))
-    if r or m <= 0:
-        return None
-    # vanishing on the line n.z + a_side = 0 means a == m * a_side
-    b = side_hp.a
-    if a.numerator * b.denominator != m * b.numerator * a.denominator:
-        return None
-    return m
+        return [(n, 0) for n in offsets] if a == 0 else []
+    m = math.gcd(*v)
+    n = (v[0] // m, v[1] // m)
+    b = offsets.get(n)
+    if b is None or a.numerator * b.denominator != m * b.numerator * a.denominator:
+        return []
+    return [(n, m)]
+
+
+def _side_offsets(domain: QPolygon) -> Dict[Vec, Fraction]:
+    return {hp.n: hp.a for hp in domain.halfplanes}
 
 
 def _presentation_side_degrees(domain: QPolygon, terms: Support) -> Dict[Vec, int]:
-    """Per side (keyed by primitive normal), the smallest multiplier of a
-    vanishing monomial present in the presentation; raises if a side has
-    none (the function would not vanish there)."""
-    out: Dict[Vec, int] = {}
-    for hp in domain.halfplanes:
-        ms = [m for m in (_side_vanishing_multiplier(hp, t) for t in terms.items())
-              if m is not None]
-        if not ms:
-            raise BoundaryMismatch(f"no monomial vanishes on side {hp.n}")
-        out[hp.n] = min(ms)
-    return out
+    """Per side (keyed by primitive normal, in half-plane order), the
+    smallest multiplier of a vanishing monomial present in the presentation;
+    raises if a side has none (the function would not vanish there)."""
+    offsets = _side_offsets(domain)
+    least: Dict[Vec, int] = {}
+    for v, a in terms.items():
+        for n, m in _vanishing_sides(offsets, v, a):
+            if m < least.get(n, m + 1):
+                least[n] = m
+    for n in offsets:
+        if n not in least:
+            raise BoundaryMismatch(f"no monomial vanishes on side {n}")
+    return {n: least[n] for n in offsets}
 
 
 def _candidate_hull(degrees: Dict[Vec, int]) -> tuple[Vec, ...]:
@@ -476,7 +568,9 @@ def _small_canonical_terms(domain: QPolygon, terms: Support, cx: _Complex
     centroid lies on a side's line iff every point does.
     - A candidate of the presentation with a nonempty cell attains the
       function there, so its presented coefficient is canonical and its
-      cell is the touching set: it is read off the cell's vertices.
+      cell is the touching set: it is read off the cell's vertices.  A cell
+      of three or more points is a polygon, whose interior lies in the open
+      domain, so it is kept without the test.
     - Any other candidate scans the table: its canonical coefficient is the
       max over the complex vertices of (f - u.z), and the touching set is
       the hull of the vertices attaining it.
@@ -491,8 +585,10 @@ def _small_canonical_terms(domain: QPolygon, terms: Support, cx: _Complex
     for u in candidates:
         cell = cx.hcells.get(u)
         if cell:
-            if all(any(A * X + B * Y + C * W > 0 for X, Y, W in cell)
-                   for A, B, C in domain_cons):
+            # a polygon cell has interior points, inside the open domain
+            if len(cell) >= 3 or all(
+                    any(A * X + B * Y + C * W > 0 for X, Y, W in cell)
+                    for A, B, C in domain_cons):
                 kept[u] = terms[u]
             continue
         u0, u1 = u
@@ -580,7 +676,10 @@ def add_monomial(f: TropicalSeries, v: Vec, c: Fraction) -> TropicalSeries:
     longer vanishes there, and the next multiple of the side's normal
     dominates near it.  The candidates for the new small support are the
     lattice points of their hull; coefficients come from the canonical form
-    of f with only v bumped.
+    of f with only v bumped.  When f holds its complex and v has a cell
+    there, the presentation's complex is built from f's, with clips inside
+    v's cell only (`_raised_cells`); the result keeps that complex
+    restricted to its small form.
     """
     v = tuple(v)
     c = Fraction(c)
@@ -590,15 +689,18 @@ def add_monomial(f: TropicalSeries, v: Vec, c: Fraction) -> TropicalSeries:
         return f
     a_v = canonical_coefficient(f, v)
     degrees = quasi_degree(f)
-    for hp in f.domain.halfplanes:
-        if _side_vanishing_multiplier(hp, (v, a_v)) == degrees[hp.n]:
-            degrees[hp.n] += 1
+    for n, m in _vanishing_sides(_side_offsets(f.domain), v, a_v):
+        if m == degrees[n]:
+            degrees[n] += 1
     terms: Support = {u: canonical_coefficient(f, u)
                       for u in _candidate_hull(degrees) if u != v}
     terms[v] = a_v + c
     # each u != v carries c_u(f), and f <= g <= u.z + c_u(f) gives
-    # c_u(g) = c_u(f): the result inherits the presentation's complex
-    return TropicalSeries(f.domain, terms, _inherit=True)
+    # c_u(g) = c_u(f): the result inherits the presentation's complex,
+    # built from f's when f holds one in which v has a cell
+    cx = f._complex
+    base = cx if cx is not None and cx.hcells.get(v) else None
+    return TropicalSeries(f.domain, terms, _raised=(base, v))
 
 
 def tropical_product(f: TropicalSeries, g: TropicalSeries) -> TropicalSeries:

@@ -276,6 +276,40 @@ def ref_primitive(v):
     return (x // g, y // g)
 
 
+def ref_side_vanishing_multiplier(side_hp, term):
+    """If the monomial ``term`` = (v, a) vanishes identically on the side's
+    line, its multiplier m >= 0 with exponent m * n(S); otherwise None.
+    `series._presentation_side_degrees` asked this for every (term, side)
+    pair before it looked each term's direction up among the sides."""
+    v, a = term
+    n = side_hp.n
+    if v == (0, 0):
+        return 0 if a == 0 else None
+    if cross(v, n) != 0:
+        return None
+    m, r = divmod(dot(v, n), dot(n, n))
+    if r or m <= 0:
+        return None
+    # vanishing on the line n.z + a_side = 0 means a == m * a_side
+    b = side_hp.a
+    if a.numerator * b.denominator != m * b.numerator * a.denominator:
+        return None
+    return m
+
+
+def ref_presentation_side_degrees(domain: QPolygon, terms):
+    """Per side, in half-plane order, the least `ref_side_vanishing_multiplier`
+    over the terms; raises `series.BoundaryMismatch` if a side has none."""
+    out = {}
+    for hp in domain.halfplanes:
+        ms = [m for m in (ref_side_vanishing_multiplier(hp, t)
+                          for t in terms.items()) if m is not None]
+        if not ms:
+            raise series.BoundaryMismatch(f"no monomial vanishes on side {hp.n}")
+        out[hp.n] = min(ms)
+    return out
+
+
 def ref_envelope_degrees(f: TropicalSeries, v, c):
     """The side degrees of `add_monomial(f, v, c)`, c > 0, read off a finite
     upper envelope of the result: f's support with v raised by c plus, on
@@ -284,13 +318,13 @@ def ref_envelope_degrees(f: TropicalSeries, v, c):
     a_v = canonical_coefficient(f, v)
     envelope = dict(f.support)
     envelope[v] = a_v + c
-    old_degrees = series._presentation_side_degrees(f.domain, f.support)
+    old_degrees = ref_presentation_side_degrees(f.domain, f.support)
     for hp in f.domain.halfplanes:
-        m = series._side_vanishing_multiplier(hp, (v, a_v))
+        m = ref_side_vanishing_multiplier(hp, (v, a_v))
         if m is not None and m == old_degrees[hp.n]:
             nxt = ((m + 1) * hp.n[0], (m + 1) * hp.n[1])
             envelope.setdefault(nxt, (m + 1) * hp.a)
-    return series._presentation_side_degrees(f.domain, envelope)
+    return ref_presentation_side_degrees(f.domain, envelope)
 
 
 def ref_extract_curve(f: TropicalSeries):

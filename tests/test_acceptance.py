@@ -20,7 +20,7 @@ from tropwave.wave import (STABILIZED, avalanche_experiment, run_dynamics,
                            upper_bound_witness, wave)
 
 from conftest import (random_points, random_polygon, ref_polygon_area,
-                      square13, unit_square)
+                      ref_side_vanishing_multiplier, square13, unit_square)
 
 
 def _report(name, t0, detail=""):
@@ -153,7 +153,6 @@ def test_criterion_property_suite():
 
     # 2-eps curve closeness under sub-eps coefficient perturbation
     t1 = time.time()
-    from tropwave.series import _side_vanishing_multiplier
     done = 0
     k = 0
     while done < 200:
@@ -164,7 +163,7 @@ def test_criterion_property_suite():
         terms = dict(f.support)
         bumped = False
         for v in list(terms):
-            if all(_side_vanishing_multiplier(hp, (v, terms[v])) is None
+            if all(ref_side_vanishing_multiplier(hp, (v, terms[v])) is None
                    for hp in poly.halfplanes):
                 terms[v] = terms[v] + eps * F(rng.randrange(0, 8), 16)
                 bumped = True

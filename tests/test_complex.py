@@ -30,10 +30,11 @@ from tropwave.geometry import QPolygon
 from tropwave.series import (SeriesError, TropicalSeries, add_monomial,
                              canonical_coefficient, clamp, make_series,
                              tropical_product, zero_series)
-from tropwave.wave import wave
+from tropwave.wave import run_dynamics, wave
 
 from conftest import (pentagon, random_points, random_polygon, random_series,
                       ref_cell_constraints, ref_complex,
+                      ref_side_vanishing_multiplier,
                       ref_small_canonical_terms, square13, triangle,
                       unit_square)
 
@@ -229,8 +230,10 @@ def test_segment_and_point_cells_match_reference():
 
 
 def recorder(fn, log):
-    def recording(*args):
-        out = fn(*args)
+    """``fn``, logging each call's positional arguments with its result;
+    keyword arguments are passed on and not logged."""
+    def recording(*args, **kwargs):
+        out = fn(*args, **kwargs)
         log.append((args, out))
         return out
     return recording
@@ -375,7 +378,8 @@ def test_complex_matches_tight_list_reference(source, kind, seed, n_waves, N):
     # "shuffled" takes the ties out of support order, so no cell's order
     # can lean on the support's
     if source == "triangle":
-        # every complex a wave from zero builds on the N-th triangle
+        # every complex a wave from zero builds on the N-th triangle, the
+        # presentation's from the zero series' complex among them
         built = []
         with mock.patch.object(series, "_Complex",
                                recorder(series._Complex, built)):
@@ -456,7 +460,7 @@ def sparse_presentation(rng, f):
     monomial that vanishes on a side stays as it is."""
     terms = {}
     for u, a in presentation(rng, f).items():
-        if any(series._side_vanishing_multiplier(hp, (u, F(a))) is not None
+        if any(ref_side_vanishing_multiplier(hp, (u, F(a))) is not None
                for hp in f.domain.halfplanes):
             terms[u] = a
         elif rng.random() < 1 / 3:
@@ -478,17 +482,33 @@ def renormalizations(fn, *args):
     return [args for args, _ in calls]
 
 
-@given(st.sampled_from(["sparse", "ties", "raise"]), DOMAINS, SEEDS,
+def side_segment_presentation(rng):
+    """A presentation on the hexagon of `TIE_DOMAINS` whose side degrees 2
+    on (1, 1) and (-1, 1) put (0, 2) among the candidates.  It vanishes on
+    the side y = -1, where (0, 1) has the least multiplier, so its cell is
+    that side: a segment on the boundary."""
+    terms = {(2, 2): 4, (0, 1): 1, (-2, 2): 4, (-1, -1): 2, (0, -1): 1,
+             (1, -1): 2, (0, 2): 2, (0, 0): F(rng.randint(1, 6), 4)}
+    return TIE_DOMAINS[2], terms
+
+
+@given(st.sampled_from(["sparse", "ties", "raise", "side"]), DOMAINS, SEEDS,
        st.integers(min_value=0, max_value=3))
 @example("ties", "random", 0, 2)
 @example("raise", "random", 0, 2)
+@example("side", "square", 0, 0)
 def test_renormalization_matches_the_table_scan(source, kind, seed, n_waves):
     # a monomial of the presentation with a nonempty cell is read off its
-    # cell; every candidate scanning the table gives the same dict, in the
-    # same order.  The explicit examples have candidates whose nonempty
-    # cell lies on the boundary, which are dropped.
+    # cell, a polygon cell without the domain test; every candidate
+    # scanning the table gives the same dict, in the same order.  The
+    # explicit examples have candidates whose nonempty cell lies on the
+    # boundary, which are dropped: a point, or for "side" a segment.
     rng, f = make_series_for(kind, seed, n_waves)
-    if source == "raise":
+    if source == "side":
+        domain, terms = side_segment_presentation(rng)
+        support = presented(domain, terms).support
+        calls = [(domain, support, series._Complex(domain, support))]
+    elif source == "raise":
         # v raised past where it touches: its cell in the presentation is
         # empty, and the table gives its canonical 1/2
         calls = renormalizations(add_monomial, zero_series(unit_square()),
@@ -725,3 +745,177 @@ def test_a_kept_monomial_missing_from_the_presentation_raises():
             pytest.raises(SeriesError, match=r"\(1, 1\)"):
         cx.restricted(missing)
     assert build.call_count == 0
+
+
+# -- the presentation add_monomial builds from f's complex --------------------
+
+
+def complex_builds(fn, *args):
+    """``fn(*args)``'s result and the `_Complex` builds it makes, each as
+    (positional arguments, keyword arguments, the complex)."""
+    built, real = [], series._Complex
+
+    def recording(*a, **kw):
+        cx = real(*a, **kw)
+        built.append((a, kw, cx))
+        return cx
+    with mock.patch.object(series, "_Complex", recording):
+        out = fn(*args)
+    return out, built
+
+
+def near_side_point(rng, poly, d):
+    """A point at lattice distance 1/d from a random side of poly."""
+    hp, a, b = rng.choice(poly.sides())
+    nn, t = dot(hp.n, hp.n), F(rng.randint(1, 19), 20)
+    return (a[0] + t * (b[0] - a[0]) + F(hp.n[0], d * nn),
+            a[1] + t * (b[1] - a[1]) + F(hp.n[1], d * nn))
+
+
+def waves_from_zero(poly, points):
+    f = zero_series(poly)
+    for p in points:
+        f, _ = wave(f, p)
+    return f
+
+
+@functools.cache
+def quadrilateral_raise():
+    """The quadrilateral wave's raised build, with its full build's
+    fields, made once."""
+    _, built = complex_builds(wave, zero_series(quadrilateral()),
+                              (F(-1, 2), F(-3, 2)))
+    return [(a, kw, complex_fields(cx),
+             complex_fields(series._Complex(*a)))
+            for a, kw, cx in built if kw]
+
+
+RAISE_SOURCES = st.sampled_from(["dynamics", "ties", "centre", "near_side",
+                                 "raise", "bare", "triangle",
+                                 "quadrilateral"])
+
+
+@given(RAISE_SOURCES, DOMAINS, SEEDS, st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=30))
+@example("ties", "square", 2, 4, 1)  # quarter-grid waves, many ties
+@example("ties", "square", 0, 2, 1)  # reached cells that become segments
+@example("centre", "square", 2, 1, 1)  # a reached cell that stays a point
+@example("near_side", "pentagon", 0, 2, 1)  # P_v meets the boundary
+@example("near_side", "square", 1, 3, 1)  # a side degree goes from 1 to 2
+@example("triangle", "square", 0, 1, 1)
+@example("triangle", "square", 0, 1, 30)
+@example("quadrilateral", "square", 0, 1, 1)
+@example("raise", "square", 0, 2, 1)  # v outside f's support
+@example("bare", "square", 0, 2, 1)  # f builds its complex in the raise
+def test_raised_build_equals_a_full_build(source, kind, seed, n_waves, N):
+    # a raise hands f's complex and v to the presentation's build, which
+    # clips inside v's old cell only; every field equals a build from the
+    # domain.  "raise" and "bare" call add_monomial directly, and its build
+    # is from the domain when v has no cell in f or f holds no complex.
+    rng = random.Random(seed)
+    if source == "quadrilateral":
+        cases = quadrilateral_raise()
+        assert len(cases) == 1
+        for _, _, local, full in cases:
+            assert local == full
+        return
+    if source == "triangle":
+        _, built = complex_builds(wave, zero_series(triangle(N)),
+                                  (F(1), F(1, 2)))
+    elif source in ("raise", "bare"):
+        _, f = make_series_for(kind, seed, n_waves)
+        if source == "bare":
+            f = TropicalSeries(f.domain, f.support)
+            v = rng.choice(list(f.support))
+        else:
+            v = (rng.randint(-3, 3), rng.randint(-3, 3))
+        c = F(rng.randint(1, 40), rng.randint(1, 12))
+        _, built = complex_builds(add_monomial, f, v, c)
+        # a bare f builds its complex first if a candidate's coefficient
+        # needs it, and the raise then hands it off
+        local = v in f.support if source == "raise" else len(built) == 2
+        assert [bool(kw) for _, kw, _ in built] == (
+            [False] * (len(built) - 1) + [local])
+    else:
+        if source == "ties":
+            poly = rng.choice(TIE_DOMAINS + [random_polygon(rng)])
+            points = [rng.choice(quarter_grid(poly)) for _ in range(n_waves)]
+        elif source == "centre":
+            # after the wave at the rhombus's centre the constant's cell is
+            # that point, and every later wave reaches it there
+            poly = RHOMBUS
+            points = [(F(0), F(0))] + random_points(rng, poly, n_waves)
+        elif source == "near_side":
+            _, f = make_series_for(kind, seed, 0)
+            poly = f.domain
+            points = [near_side_point(rng, poly, rng.choice([100, 200]))
+                      for _ in range(n_waves)]
+        else:
+            _, f = make_series_for(kind, seed, 0)
+            poly = f.domain
+            points = random_points(rng, poly, n_waves)
+        _, built = complex_builds(waves_from_zero, poly, points)
+    for args, kw, cx in built:
+        assert complex_fields(cx) == complex_fields(series._Complex(*args))
+
+
+def test_figure3_raise_clips_inside_v_cell():
+    # the worked example's wave raises (1, 0) by 2/15 and bumps the side
+    # x = 0 to degree 2.  Four clips start from (1, 0)'s old cell: its own,
+    # and those of (0, 1), (0, -1) and (0, 0), which it reaches.  (2, 0),
+    # new, is clipped from the domain, and (-1, 0), unreached, is copied.
+    # The polygon cells still take one enumeration each: seven calls with
+    # the runner-up search's.
+    f = square13()
+    cx = f._int_complex()
+    clips, calls = [], []
+    with mock.patch.object(series, "_clip", recorder(series._clip, clips)), \
+            mock.patch.object(exactlp, "basic_points",
+                              recorder(exactlp.basic_points, calls)):
+        (g, ev), built = complex_builds(wave, f, (F(1, 5), F(1, 2)))
+    assert (ev.monomial, ev.increment) == ((1, 0), F(2, 15))
+    assert len(clips) == 5 and len(calls) == 7
+    starts = [poly for (poly, _), _ in clips]
+    assert starts.count(cx.hcells[(1, 0)]) == 4
+    assert starts.count(f.domain.hvertices) == 1
+    [(args, kw, presentation_cx)] = built
+    assert kw == {"_raised": (cx, (1, 0))}
+    assert presentation_cx.hcells[(-1, 0)] == cx.hcells[(-1, 0)]
+    assert len(args[1]) == 6 and (2, 0) in args[1]
+
+
+def test_a_raise_of_a_series_without_its_complex_builds_from_the_domain():
+    # raising the constant of the worked example keeps its side degrees,
+    # and every candidate is in its support: no coefficient needs f's
+    # complex, so f still holds none at the raise
+    f = square13()
+    g, built = complex_builds(add_monomial, f, (0, 0), F(1, 7))
+    assert f._complex is None
+    assert [(args, kw) for args, kw, _ in built] == [
+        ((f.domain, presented(f.domain, {**f.support, (0, 0): F(10, 21)})
+          .support), {})]
+    assert complex_fields(g._complex) == fresh_fields(g)
+
+
+FULL_COMPLEX = series._Complex
+
+
+def stripped_complex(domain, support, **_):
+    """`series._Complex` that ignores the hand-off: a build from the
+    domain."""
+    return FULL_COMPLEX(domain, support)
+
+
+def test_sixteen_point_trial_equals_the_trial_built_from_the_domain():
+    # the same trial with every presentation built from the domain gives
+    # the same events and the same final series
+    rng = random.Random(16)
+    poly = pentagon()
+    points = random_points(rng, poly, 16)
+    local = run_dynamics(zero_series(poly), points)
+    with mock.patch.object(series, "_Complex", stripped_complex):
+        full = run_dynamics(zero_series(poly), points)
+    assert local.events and local.events == full.events
+    assert local.final == full.final
+    assert complex_fields(local.final._int_complex()) == complex_fields(
+        full.final._int_complex())

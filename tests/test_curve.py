@@ -20,8 +20,8 @@ from tropwave.series import (OutsideDomain, TropicalSeries, add_monomial,
 from tropwave.wave import run_dynamics, upper_bound_witness, wave
 
 from conftest import pentagon, random_points, random_polygon, random_series, \
-    ref_extract_curve, ref_point_segment_dist2, square13, triangle, \
-    unit_square
+    ref_extract_curve, ref_point_segment_dist2, ref_side_vanishing_multiplier, \
+    square13, triangle, unit_square
 
 
 class TestExtract:
@@ -192,8 +192,7 @@ class TestCurvesWithin:
             terms = dict(f.support)
             bumped = False
             for v in list(terms):
-                from tropwave.series import _side_vanishing_multiplier
-                if all(_side_vanishing_multiplier(hp, (v, terms[v])) is None
+                if all(ref_side_vanishing_multiplier(hp, (v, terms[v])) is None
                        for hp in poly.halfplanes):
                     terms[v] = terms[v] + eps * F(rng.randrange(0, 8), 16)
                     bumped = True
@@ -293,10 +292,9 @@ def test_curves_within_matches_fraction_reference(kind, seed):
         elif kind == "other":
             g = random_series(rng, poly, rng.randrange(1, 4))
         else:
-            from tropwave.series import _side_vanishing_multiplier
             terms = dict(f.support)
             for v in list(terms):
-                if all(_side_vanishing_multiplier(hp, (v, terms[v])) is None
+                if all(ref_side_vanishing_multiplier(hp, (v, terms[v])) is None
                        for hp in poly.halfplanes):
                     terms[v] += delta * F(rng.randrange(0, 9), 8)
             g = TropicalSeries(poly, terms)

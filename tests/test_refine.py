@@ -696,6 +696,18 @@ class TestVerge:
                              {(1, 0): 1, (0, 1): 1, (-1, 0): 1, (0, -1): 1},
                              eps)
 
+    @pytest.mark.parametrize("degrees, message", [
+        ({(1, 0): 1, (2, 0): 2, (0, 1): 1, (-1, 0): 1, (0, -1): 1},
+         r"side \(1, 0\) has two degrees"),
+        ({(0, 0): 1, (1, 0): 1, (0, 1): 1, (-1, 0): 1, (0, -1): 1},
+         "side normal must be nonzero")],
+        ids=["repeated side", "zero normal"])
+    def test_bad_degree_map_rejected(self, degrees, message):
+        # a side named twice, here through a non-primitive normal, would let
+        # the last entry win; a zero normal names no side
+        with pytest.raises(RefineError, match=message):
+            verge_polynomial(unit_square(), degrees, F(1, 4))
+
     def test_non_nice_degrees_rejected(self):
         with pytest.raises(RefineError):
             verge_polynomial(unit_square(),

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tropwave.curve import attaining_monomials
 from tropwave.exactlp import dot
@@ -19,7 +19,8 @@ from tropwave.series import (BoundaryMismatch, NegativeIncrement,
                              rho, values_at, zero_series)
 
 from conftest import pentagon, random_points, random_polygon, random_series, \
-    ref_envelope_degrees, ref_values, square13, unit_square
+    ref_envelope_degrees, ref_presentation_side_degrees, \
+    ref_side_vanishing_multiplier, ref_values, square13, triangle, unit_square
 
 
 class TestEvaluate:
@@ -373,3 +374,56 @@ def test_side_degrees_are_scanned_once_per_constructor():
         assert quasi_degree(g)[(1, 0)] == 2
         add_monomial(g, (0, 0), 0)
         assert len(calls) == 2
+
+
+SIDE_DOMAINS = {"square": unit_square, "pentagon": pentagon,
+                "triangle": lambda: triangle(3)}
+
+
+@given(st.sampled_from(sorted(SIDE_DOMAINS)), st.integers(0, 4),
+       st.integers(-3, 3), st.sampled_from([(0, 0), (1, 0), (0, 1), (1, -2)]),
+       st.fractions(min_value=-2, max_value=2, max_denominator=6))
+@example("square", 0, 0, (0, 0), F(1, 3))  # a nonzero constant
+@example("square", 0, 0, (0, 0), F(0))  # the zero constant: every side
+@example("triangle", 0, 3, (0, 0), F(0))  # 3 (3, 1)
+@example("pentagon", 3, 2, (0, 0), F(0))  # 2 (-1, -1), offset 34/5
+@example("triangle", 2, -2, (0, 0), F(0))  # (0, 2): a negative multiple
+@example("triangle", 0, 1, (1, 0), F(0))  # (4, 1): a direction that is no side
+@example("square", 2, 2, (0, 0), F(1, 2))  # (-2, 0) with a wrong offset
+def test_vanishing_sides_match_the_per_side_scan(kind, i, k, dv, da):
+    # the term k n + dv with coefficient k a + da, for the i-th side n.z + a
+    domain = SIDE_DOMAINS[kind]()
+    hps = domain.halfplanes
+    hp = hps[i % len(hps)]
+    v = (k * hp.n[0] + dv[0], k * hp.n[1] + dv[1])
+    a = k * hp.a + da
+    expected = [(h.n, ref_side_vanishing_multiplier(h, (v, a))) for h in hps]
+    assert series._vanishing_sides(series._side_offsets(domain), v, a) == [
+        (n, m) for n, m in expected if m is not None]
+
+
+@given(st.sampled_from(sorted(SIDE_DOMAINS)),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_presentation_side_degrees_match_the_per_side_scan(kind, seed):
+    # multiples of every side's normal, some with a wrong offset or a
+    # negative multiplier, and a few other terms; a side may have none
+    rng = random.Random(seed)
+    domain = SIDE_DOMAINS[kind]()
+    terms = {}
+    for hp in domain.halfplanes:
+        for _ in range(rng.randint(0, 3)):
+            k = rng.randint(-2, 3)
+            a = k * hp.a + rng.choice([0, 0, F(1, rng.randint(1, 4))])
+            terms[(k * hp.n[0], k * hp.n[1])] = F(a)
+    for _ in range(rng.randint(0, 3)):
+        terms[(rng.randint(-3, 3), rng.randint(-3, 3))] = F(
+            rng.randint(-3, 3), rng.randint(1, 3))
+
+    def outcome(fn):
+        try:
+            return list(fn(domain, terms).items())
+        except BoundaryMismatch:
+            return BoundaryMismatch
+
+    assert (outcome(series._presentation_side_degrees)
+            == outcome(ref_presentation_side_degrees))

@@ -25,8 +25,8 @@ from tropwave.wave import (STABILIZED, STEP_LIMIT, SamplingFailed, Schedule,
                            wave, wave_family_scan)
 
 from conftest import pentagon, random_points, random_polygon, random_series, \
-    ref_polygon_area, ref_polytope_vertices, ref_wave_family_scan, square13, \
-    unit_square
+    ref_polygon_area, ref_polytope_vertices, ref_side_vanishing_multiplier, \
+    ref_wave_family_scan, square13, unit_square
 
 
 class TestSingleWave:
@@ -221,7 +221,7 @@ def test_runner_up_is_least_on_the_raised_degree_hull(kind, seed, n_waves,
     a_v = canonical_coefficient(f, v)
     raised = quasi_degree(f)
     for hp in f.domain.halfplanes:
-        if series._side_vanishing_multiplier(hp, (v, a_v)) == raised[hp.n]:
+        if ref_side_vanishing_multiplier(hp, (v, a_v)) == raised[hp.n]:
             raised[hp.n] += 1
     assert _second_min_at(f, p, v) == min(
         dot(u, p) + canonical_coefficient(f, u)
