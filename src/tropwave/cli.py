@@ -171,6 +171,10 @@ class OutputBundle:
         return p
 
     def finish(self) -> None:
+        """Write the manifest of the files written, if there are any: a
+        command that wrote none leaves no directory behind."""
+        if not self.files:
+            return
         manifest = {"config": self.cfg.echo(), "files": []}
         for name in sorted(self.files):
             with open(self.path(name), "rb") as fh:
@@ -250,6 +254,9 @@ def cmd_stats(args, bundle: OutputBundle) -> int:
                                  denom_bound=bundle.cfg.denom_bound,
                                  max_steps=bundle.cfg.max_steps)
     bundle.write_json("stats.json", jsonio.stats_to_json(stats))
+    if any(t["stopped_reason"] == STEP_LIMIT for t in stats["trials"]):
+        print("stopped at step limit", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
     return EXIT_OK
 
 
@@ -295,6 +302,10 @@ def cmd_coarsen(args, bundle: OutputBundle) -> int:
     g = verge_polynomial(poly, degrees, eps)
     res = run_dynamics(g, pts, Schedule("round_robin"),
                        tol=bundle.cfg.tol, max_steps=bundle.cfg.max_steps)
+    if res.stopped_reason == STEP_LIMIT:
+        # a truncated dynamic has no final state to certify
+        print("stopped at step limit", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
     plan, final, cert = coarsen_dynamics(g, res.events, eps)
     bundle.write_json("plan.json", {
         "M": jsonio.frac_to_str(plan.M),

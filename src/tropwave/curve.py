@@ -156,22 +156,15 @@ def classify_vertex(curve: TropicalCurve, v: Point) -> VertexClass:
 
 def check_balancing(curve: TropicalCurve) -> bool:
     """Weighted outgoing primitive directions sum to zero at every interior
-    vertex."""
-    for v in curve.interior_vertices():
-        sx = sy = 0
-        for e in curve.edges:
-            if e.a == v:
-                d = e.direction()
-            elif e.b == v:
-                d = e.direction()
-                d = (-d[0], -d[1])
-            else:
-                continue
-            sx += e.weight * d[0]
-            sy += e.weight * d[1]
-        if (sx, sy) != (0, 0):
-            return False
-    return True
+    vertex: each edge joins the stars of its two ends once, and each star
+    is tested by `balanced_star`."""
+    stars: Dict[Point, list] = {}
+    for e in curve.edges:
+        d = e.direction()
+        stars.setdefault(e.a, []).append((d, e.weight))
+        stars.setdefault(e.b, []).append(((-d[0], -d[1]), e.weight))
+    return all(balanced_star(stars.get(v, []))
+               for v in curve.interior_vertices())
 
 
 def balanced_star(dirs_weights: Sequence[Tuple[Vec, int]]) -> bool:

@@ -38,10 +38,13 @@ every wave, hands the presentation's complex, restricted to the kept
 monomials, to its result (`_Complex.restricted` says why that is exact), so
 the next wave reads it without a second build.  When f holds its complex
 and the raised v has a cell P_v there, `add_monomial` also hands f's
-complex and v to the presentation's build: raising one coefficient changes
-the complex only inside P_v, so a cell the raise cannot reach is copied,
-and the rest are clipped inside P_v (`_raised_cells`).  Only a candidate
-outside f's support is clipped from the domain.
+complex and v to the presentation's build, which then takes every cell by
+one rule and clips nothing from the domain: raising one coefficient changes
+the series only inside P_v, so each monomial's cell is where it touches f,
+joined with its piece of P_v if the raise reaches it (`_raised_cells`).
+`_Complex.touching` is the one scan of the vertex table for a monomial's
+coefficient and touching set; `canonical_coefficient`, renormalization and
+the raise all read it.
 """
 
 from __future__ import annotations
@@ -142,11 +145,9 @@ class TropicalSeries:
         each list made on first read.  The constructor alone passes
         ``_raised``."""
         if self._cells is None:
-            if _raised is None or _raised[0] is None:
-                self._complex = _Complex(self.domain, self.support)
-            else:
-                self._complex = _Complex(self.domain, self.support,
-                                         _raised=_raised)
+            hand_off = {} if _raised is None or _raised[0] is None else {
+                "_raised": _raised}
+            self._complex = _Complex(self.domain, self.support, **hand_off)
             self._cells = self._complex.cells
         return self._cells
 
@@ -188,12 +189,11 @@ class _Complex:
     Enumerating the vertices over every tight constraint would cost O(k^3)
     per cell, and at a complex vertex hundreds can be tight.
     ``_raised`` = (f's complex, v) marks the presentation of
-    `add_monomial`(f, v, c), v with a cell in f's complex: the cells of v
-    and of f's support come from `_raised_cells` already in order, copied
-    or clipped inside v's cell in f, and only the other monomials are
-    clipped from the domain.  Every cell of two or more points, copied or
-    not, takes the same check, and the fields equal a build from the
-    domain's.
+    `add_monomial`(f, v, c), v with a cell in f's complex: then every cell
+    comes from `_raised_cells` already in order, read off f's complex with
+    clips inside v's cell in f only, and none is clipped from the domain.
+    Every cell of two or more points takes the same check either way
+    (`_check_cell`), and the fields equal a build from the domain's.
     The complex vertices, in first-seen order over the cells, are kept as
     ``table`` rows (X, Y, F): the vertex is (X, Y) / denom and F is denom
     times the series there.  ``hcells`` maps each monomial to its cell as
@@ -203,7 +203,8 @@ class _Complex:
     cells it reads.
     """
 
-    __slots__ = ("denom", "table", "hcells", "cells", "_hverts", "_vertices")
+    __slots__ = ("denom", "table", "hcells", "cells", "_hverts", "_vertices",
+                 "_touching")
 
     def __init__(self, domain: QPolygon, support: Support, *,
                  _raised: Optional[tuple] = None):
@@ -215,14 +216,10 @@ class _Complex:
         # monomial v as the triple (scale v0, scale v1, alpha_v)
         triples = [(scale * v[0], scale * v[1], av)
                    for v, av in zip(support, alpha)]
-        local = ({} if _raised is None
-                 else _raised_cells(dict(zip(support, triples)), *_raised))
-        domain_verts = domain.hvertices
-        hcells = {}
-        for v, (Av, Bv, Cv) in zip(support, triples):
-            cell = local.get(v)
-            ordered = cell is not None
-            if not ordered:
+        if _raised is None:
+            domain_verts = domain.hvertices
+            hcells = {}
+            for v, (Av, Bv, Cv) in zip(support, triples):
                 # the constraint (w - v) . z + alpha_w - alpha_v >= 0, for
                 # every w in support order; w == v gives the only row of
                 # zeros
@@ -231,16 +228,12 @@ class _Complex:
                 # row leads, and the subdivision neighbours shrink the cell
                 # early
                 cell = _clip(domain_verts, _nearest_first(cons)[1:])
-            if len(cell) >= 2:
-                # a segment cell has two side lines, its line both ways round
-                sides = _side_lines(cell)
-                n = 2 if len(sides) == 2 else len(lp.basic_points(list(sides)))
-                if n != len(cell):
-                    raise SeriesError(f"the clip of {v} holds a point that "
-                                      "is no vertex of its cell")
-                if not ordered:
-                    cell = lp.rotate_ccw(cell)
-            hcells[v] = cell
+                _check_cell(v, cell)
+                hcells[v] = lp.rotate_ccw(cell) if len(cell) >= 2 else cell
+        else:
+            hcells = _raised_cells(dict(zip(support, triples)), *_raised)
+            for v, cell in hcells.items():
+                _check_cell(v, cell)
 
         hverts = list(dict.fromkeys(h for hs in hcells.values() for h in hs))
         denom = math.lcm(scale, *[h[2] for h in hverts])
@@ -257,6 +250,7 @@ class _Complex:
         self.cells = _Cells(hcells)
         self._hverts = hverts
         self._vertices = None
+        self._touching = {}
 
     def restricted(self, support: Support) -> "_Complex":
         """The complex of the series g whose small form is ``support``, read
@@ -293,6 +287,7 @@ class _Complex:
         out.cells = _Cells(hcells)
         out._hverts = hverts
         out._vertices = None
+        out._touching = {}
         return out
 
     @property
@@ -302,12 +297,26 @@ class _Complex:
             self._vertices = [self.cells.point(h) for h in self._hverts]
         return self._vertices
 
+    def touching(self, u: Vec) -> tuple[int, list]:
+        """(b, attainers): b / denom is the canonical coefficient of u, the
+        max over the complex vertices of (f - u.z), and ``attainers`` are the
+        vertices that attain it, as ``hcells`` points in ``table`` order.
+        u's touching set is their convex hull: f - u.z is affine on each
+        cell, so its argmax meets each cell in a face, whose vertices are
+        complex vertices.  Each monomial is scanned once per complex: a
+        raise reads the entrants that `add_monomial` has just priced."""
+        hit = self._touching.get(u)
+        if hit is None:
+            u0, u1 = u
+            gaps = [F - u0 * X - u1 * Y for X, Y, F in self.table]
+            b = max(gaps)
+            attainers = [h for h, gap in zip(self._hverts, gaps) if gap == b]
+            hit = self._touching[u] = (b, attainers)
+        return hit
+
     def coefficient(self, u: Vec) -> Fraction:
-        """max over the complex vertices of (f - u.z): the canonical
-        coefficient of a monomial outside the support."""
-        u0, u1 = u
-        return Fraction(max(F - u0 * X - u1 * Y for X, Y, F in self.table),
-                        self.denom)
+        """The canonical coefficient of a monomial outside the support."""
+        return Fraction(self.touching(u)[0], self.denom)
 
 
 class _Cells(Mapping):
@@ -349,57 +358,79 @@ def _nearest_first(cuts: list) -> list:
 
 
 def _raised_cells(triples: dict, base: "_Complex", v: Vec) -> dict:
-    """The cells of the presentation of g = `add_monomial`(f, v, c) that
-    f's complex ``base`` gives with clips inside P_v, v's cell in it, only:
-    v's cell and those of f's support.  ``triples`` maps each monomial of
-    the presentation to its integer triple, v's raised; every u != v
-    carries c_u(f), and P_v is nonempty.
+    """Every cell of the presentation of g = `add_monomial`(f, v, c), read
+    off f's complex ``base`` with clips inside P_v, v's cell in it, only.
+    ``triples`` maps each monomial of the presentation to its integer
+    triple, in support order, v's raised; every w != v carries c_w(f), and
+    P_v is nonempty.
 
-    Off P_v, f lies below v, so g = f there.  A u != v is reached iff its
-    row against the raised v is <= 0 at some vertex of P_v.
-    - An unreached u lies above the raised v on all of P_v, so above g and
-      f there: its cell in g is its cell in f, copied.
-    - A reached u of f's support has the cell conv(its cell in f, its
-      piece), the piece being P_v clipped by the reached monomials and v.
-      Off P_v its cells in f and g agree, and where its cell in f meets
-      P_v, u = f < raised v, so u = g there.
-    - v's cell is P_v clipped by the reached monomials.
-    No unreached monomial cuts inside P_v, where it lies above the raised
-    v.  Each cell comes out as the set of its vertices in
+    Off P_v, f lies below the raised v, so g = f there.  The cell of w in
+    g, the set where w = g, is S_f(w) | piece(w):
+    - S_f(w) is where w touches f: its cell in f for w in f's support, the
+      hull of the complex vertices that attain c_w(f) for any other w
+      (`_Complex.touching`), and empty for v.  Where it meets P_v,
+      w = f < raised v, so w = g there too.
+    - piece(w) is P_v clipped by the near monomials, v and each w reached:
+      one whose row against the raised v is <= 0 at some vertex of P_v.
+      On P_v, g is the min of the near monomials, since an unreached w
+      lies above the raised v there; so an unreached w has no piece, and
+      its cell in g is S_f(w).
+    The union is convex.  A piece that holds every point of S_f(w) is the
+    cell, and so is S_f(w) with no piece: a cell of f, copied in order
+    already, or one or two attainers.  Any other cell is the hull of both
+    parts (`_hull`).  Each cell comes out as its vertices in
     `exactlp.rotate_ccw` order, as a build from the domain gives it."""
     ring = base.hcells[v]
     Av, Bv, Cv = triples[v]
-    reached = {}
-    for u, (A, B, C) in triples.items():
-        if u != v:
-            A, B, C = A - Av, B - Bv, C - Cv
-            if any(A * X + B * Y + C * W <= 0 for X, Y, W in ring):
-                reached[u] = (A, B, C)
-    own = _clip(ring, _nearest_first(list(reached.values())))
-    out = {v: lp.rotate_ccw(own) if len(own) >= 2 else own}
-    near = [(w, triples[w]) for w in triples if w == v or w in reached]
-    for u, cell in base.hcells.items():
-        if u == v:
-            continue
-        if u in reached:
-            Au, Bu, Cu = triples[u]
+    # v's own row is all zeros, so v is near
+    near = {}
+    for w, (A, B, C) in triples.items():
+        dA, dB, dC = A - Av, B - Bv, C - Cv
+        if any(dA * X + dB * Y + dC * W <= 0 for X, Y, W in ring):
+            near[w] = (A, B, C)
+    out = {}
+    for u, (Au, Bu, Cu) in triples.items():
+        cell = [] if u == v else base.hcells.get(u) or base.touching(u)[1]
+        piece = []
+        if u in near:
             piece = _clip(ring, _nearest_first([(A - Au, B - Bu, C - Cu)
-                                                for w, (A, B, C) in near
+                                                for w, (A, B, C) in near.items()
                                                 if w != u]))
-            if piece:
-                cell = _hull(cell + piece)
+        if piece and not set(cell) <= set(piece):
+            cell = _hull(cell + piece)
+        elif piece:
+            cell = lp.rotate_ccw(piece) if len(piece) >= 2 else piece
+        elif u not in base.hcells:
+            cell = _hull(cell)
         out[u] = cell
     return out
 
 
 def _hull(points: list) -> list:
     """The vertices of the convex hull of homogeneous points, in
-    `exactlp.rotate_ccw` order: `exactlp.convex_hull` of the points on one
-    common denominator, whose strict turns drop collinear points."""
-    Q = math.lcm(*[W for _, _, W in points])
-    back = {(X * (Q // W), Y * (Q // W)): (X, Y, W) for X, Y, W in points}
-    ring = [back[p] for p in lp.convex_hull(list(back))]
+    `exactlp.rotate_ccw` order.  One or two distinct points are their own
+    hull; more take `exactlp.convex_hull` over the points on one common
+    denominator, whose strict turns drop collinear points."""
+    ring = list(dict.fromkeys(points))
+    if len(ring) > 2:
+        Q = math.lcm(*[W for _, _, W in ring])
+        back = {(X * (Q // W), Y * (Q // W)): (X, Y, W) for X, Y, W in ring}
+        ring = [back[p] for p in lp.convex_hull(list(back))]
     return lp.rotate_ccw(ring) if len(ring) >= 2 else ring
+
+
+def _check_cell(v: Vec, cell: list) -> None:
+    """Raise unless ``cell``, a clip or a raised cell of ``v``, holds only
+    vertices of its cell: a segment by its two side lines, its line both
+    ways round; a polygon by one `exactlp.basic_points` call on its
+    distinct side lines (`_side_lines`), whose pairs meet exactly its
+    vertices."""
+    if len(cell) >= 2:
+        sides = _side_lines(cell)
+        n = 2 if len(sides) == 2 else len(lp.basic_points(list(sides)))
+        if n != len(cell):
+            raise SeriesError(f"the clip of {v} holds a point that is no "
+                              "vertex of its cell")
 
 
 def _side_lines(cell: list) -> dict:
@@ -562,18 +593,18 @@ def _small_canonical_terms(domain: QPolygon, terms: Support, cx: _Complex
 
     A candidate stays iff its canonical affine touches the function at an
     interior point.  The touching set is the argmax of a concave piecewise
-    linear function, the convex hull of finitely many points, and it meets
-    the open interior iff the centroid of those points does (a supporting
-    boundary line through the centroid would contain them all).  The
-    centroid lies on a side's line iff every point does.
+    linear function, the convex hull of finitely many points of the closed
+    domain, and it misses the open interior iff a supporting line of the
+    domain holds it: iff all those points lie on one side's line, so it is
+    kept iff every side's line misses one of them.
     - A candidate of the presentation with a nonempty cell attains the
       function there, so its presented coefficient is canonical and its
       cell is the touching set: it is read off the cell's vertices.  A cell
       of three or more points is a polygon, whose interior lies in the open
       domain, so it is kept without the test.
-    - Any other candidate scans the table: its canonical coefficient is the
-      max over the complex vertices of (f - u.z), and the touching set is
-      the hull of the vertices attaining it.
+    - Any other candidate reads `_Complex.touching`: its canonical
+      coefficient is the max over the complex vertices of (f - u.z), and
+      the touching set is the hull of the vertices attaining it.
     """
     if min(F for _, _, F in cx.table) < 0:
         raise SeriesError("presentation is negative on the domain")
@@ -583,27 +614,14 @@ def _small_canonical_terms(domain: QPolygon, terms: Support, cx: _Complex
     domain_cons = domain.int_constraints()
     kept: Support = {}
     for u in candidates:
-        cell = cx.hcells.get(u)
-        if cell:
-            # a polygon cell has interior points, inside the open domain
-            if len(cell) >= 3 or all(
-                    any(A * X + B * Y + C * W > 0 for X, Y, W in cell)
-                    for A, B, C in domain_cons):
-                kept[u] = terms[u]
-            continue
-        u0, u1 = u
-        gaps = [F - u0 * X - u1 * Y for X, Y, F in cx.table]
-        b = max(gaps)
-        sx = sy = count = 0
-        for (X, Y, _), gap in zip(cx.table, gaps):
-            if gap == b:
-                sx += X
-                sy += Y
-                count += 1
-        # the attainers' centroid is (sx, sy) / w; strictly inside the domain?
-        w = count * cx.denom
-        if all(A * sx + B * sy + C * w > 0 for A, B, C in domain_cons):
-            kept[u] = Fraction(b, cx.denom)
+        cell = points = cx.hcells.get(u)
+        if not cell:
+            b, points = cx.touching(u)
+        # a polygon cell has interior points, inside the open domain
+        if cell and len(cell) >= 3 or all(
+                any(A * X + B * Y + C * W > 0 for X, Y, W in points)
+                for A, B, C in domain_cons):
+            kept[u] = terms[u] if cell else Fraction(b, cx.denom)
     return dict(sorted(kept.items())), degrees
 
 
@@ -677,9 +695,9 @@ def add_monomial(f: TropicalSeries, v: Vec, c: Fraction) -> TropicalSeries:
     dominates near it.  The candidates for the new small support are the
     lattice points of their hull; coefficients come from the canonical form
     of f with only v bumped.  When f holds its complex and v has a cell
-    there, the presentation's complex is built from f's, with clips inside
-    v's cell only (`_raised_cells`); the result keeps that complex
-    restricted to its small form.
+    there, every cell of the presentation's complex is read off f's, with
+    clips inside v's cell only (`_raised_cells`); the result keeps that
+    complex restricted to its small form.
     """
     v = tuple(v)
     c = Fraction(c)

@@ -355,6 +355,27 @@ def ref_extract_curve(f: TropicalSeries):
     return TropicalCurve(f, list(verts), edges, faces)
 
 
+def ref_check_balancing(curve: TropicalCurve) -> bool:
+    """`curve.check_balancing` as it was before the edges were grouped by
+    end: every edge is scanned for every interior vertex, and the weighted
+    directions at that vertex are summed in place."""
+    for v in curve.interior_vertices():
+        sx = sy = 0
+        for e in curve.edges:
+            if e.a == v:
+                d = e.direction()
+            elif e.b == v:
+                d = e.direction()
+                d = (-d[0], -d[1])
+            else:
+                continue
+            sx += e.weight * d[0]
+            sy += e.weight * d[1]
+        if (sx, sy) != (0, 0):
+            return False
+    return True
+
+
 def ref_wave_family_scan(f: TropicalSeries, p):
     """`wave.wave_family_scan` as it was before the vanishing parameter was
     read off the local model: each side's two ends are followed along the

@@ -254,6 +254,19 @@ class TestStatsCommand:
         assert all(x >= y for x, y in zip(probs, probs[1:]))
         assert "alpha" in stats["hill"]
 
+    def test_step_limit_exit_4(self, files, capsys):
+        # three waves stop both trials short: the statistics are written,
+        # and the run exits 4 as a capped dynamics does
+        out = str(files / "s4")
+        assert main(["--out", out, "--max-steps", "3", "stats",
+                     str(files / "square.json"), "--n", "4",
+                     "--trials", "2"]) == 4
+        assert "stopped at step limit" in capsys.readouterr().err
+        with open(os.path.join(out, "stats.json")) as fh:
+            trials = json.load(fh)["trials"]
+        assert [t["stopped_reason"] for t in trials] == ["StepLimit"] * 2
+        assert set(_manifest_digests(out)) == {"stats.json"}
+
 
 class TestOtherCommands:
     def test_lift_check(self, files):
@@ -288,6 +301,19 @@ class TestOtherCommands:
             plan = json.load(fh)
         assert plan["face_collapse_events"] == 0
         assert all(jsonio.frac_from_str(e) > 0 for e in plan["decremented"])
+
+    def test_capped_coarsen_exits_4_and_writes_nothing(self, files,
+                                                       tmp_path, capsys):
+        # a truncated dynamic has no final state to certify; this pair
+        # takes three positive waves from the verge polynomial
+        jsonio.dump({"points": [["1/5", "1/2"], ["1/2", "1/3"]]},
+                    tmp_path / "pts.json")
+        out = files / "co4"
+        assert main(["--out", str(out), "--max-steps", "1", "coarsen",
+                     str(files / "square.json"), str(tmp_path / "pts.json"),
+                     "--eps", "1/8"]) == 4
+        assert "stopped at step limit" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_curve(self, files):
         out = str(files / "c")

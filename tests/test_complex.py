@@ -807,10 +807,16 @@ RAISE_SOURCES = st.sampled_from(["dynamics", "ties", "centre", "near_side",
 @example("quadrilateral", "square", 0, 1, 1)
 @example("raise", "square", 0, 2, 1)  # v outside f's support
 @example("bare", "square", 0, 2, 1)  # f builds its complex in the raise
+@example("dynamics", "random", 0, 3, 1)  # an unreached entrant touching f
+# at a domain vertex
+@example("centre", "square", 0, 1, 1)  # reached entrants: a polygon cell, a
+# piece that is a segment
+@example("dynamics", "random", 0, 2, 1)  # a reached entrant whose piece is a
+# point
 def test_raised_build_equals_a_full_build(source, kind, seed, n_waves, N):
     # a raise hands f's complex and v to the presentation's build, which
     # clips inside v's old cell only; every field equals a build from the
-    # domain.  "raise" and "bare" call add_monomial directly, and its build
+    # domain.  An entrant is a candidate outside f's support.  "raise" and "bare" call add_monomial directly, and its build
     # is from the domain when v has no cell in f or f holds no complex.
     rng = random.Random(seed)
     if source == "quadrilateral":
@@ -861,11 +867,12 @@ def test_raised_build_equals_a_full_build(source, kind, seed, n_waves, N):
 
 def test_figure3_raise_clips_inside_v_cell():
     # the worked example's wave raises (1, 0) by 2/15 and bumps the side
-    # x = 0 to degree 2.  Four clips start from (1, 0)'s old cell: its own,
-    # and those of (0, 1), (0, -1) and (0, 0), which it reaches.  (2, 0),
-    # new, is clipped from the domain, and (-1, 0), unreached, is copied.
-    # The polygon cells still take one enumeration each: seven calls with
-    # the runner-up search's.
+    # x = 0 to degree 2.  All five clips start from (1, 0)'s old cell: its
+    # own, and those of (0, 1), (0, -1), (0, 0) and the entrant (2, 0),
+    # which it reaches.  (2, 0) touches f along the side x = 0, and its
+    # cell is the hull of that side and its piece.  (-1, 0), unreached, is
+    # copied.  The polygon cells still take one enumeration each: seven
+    # calls with the runner-up search's.
     f = square13()
     cx = f._int_complex()
     clips, calls = [], []
@@ -876,12 +883,17 @@ def test_figure3_raise_clips_inside_v_cell():
     assert (ev.monomial, ev.increment) == ((1, 0), F(2, 15))
     assert len(clips) == 5 and len(calls) == 7
     starts = [poly for (poly, _), _ in clips]
-    assert starts.count(cx.hcells[(1, 0)]) == 4
-    assert starts.count(f.domain.hvertices) == 1
+    assert starts.count(cx.hcells[(1, 0)]) == 5
+    assert starts.count(f.domain.hvertices) == 0
     [(args, kw, presentation_cx)] = built
     assert kw == {"_raised": (cx, (1, 0))}
     assert presentation_cx.hcells[(-1, 0)] == cx.hcells[(-1, 0)]
     assert len(args[1]) == 6 and (2, 0) in args[1]
+    # add_monomial priced the one entrant, and the raise read that scan
+    assert list(cx._touching) == [(2, 0)]
+    assert cx.touching((2, 0)) == (0, [(0, 1, 1), (0, 0, 1)])
+    assert presentation_cx.hcells[(2, 0)] == [(2, 11, 15), (0, 1, 1),
+                                              (0, 0, 1), (2, 4, 15)]
 
 
 def test_a_raise_of_a_series_without_its_complex_builds_from_the_domain():
@@ -919,3 +931,94 @@ def test_sixteen_point_trial_equals_the_trial_built_from_the_domain():
     assert local.final == full.final
     assert complex_fields(local.final._int_complex()) == complex_fields(
         full.final._int_complex())
+
+
+def test_no_raised_build_clips_from_the_domain():
+    # in the same trial every clip made by a raised build starts from v's
+    # old cell, one raised build per positive wave; only the zero series'
+    # two builds (its constructor's and its first read's) clip from the
+    # domain, once each
+    rng = random.Random(16)
+    poly = pentagon()
+    points = random_points(rng, poly, 16)
+    rings, starts, builds = [], [], []
+    raised_cells, clip = series._raised_cells, series._clip
+
+    def raising(triples, base, v):
+        builds.append(v)
+        rings.append(base.hcells[v])
+        try:
+            return raised_cells(triples, base, v)
+        finally:
+            rings.pop()
+
+    def clipping(ring, cuts):
+        starts.append((ring, rings[-1] if rings else None))
+        return clip(ring, cuts)
+    with mock.patch.object(series, "_raised_cells", raising), \
+            mock.patch.object(series, "_clip", clipping):
+        res = run_dynamics(zero_series(poly), points)
+    raised = [ring for ring, old in starts if old is not None]
+    assert builds == [ev.monomial for ev in res.events if ev.increment > 0]
+    assert len(builds) == 47
+    assert len(raised) == 430 and len(starts) == 432
+    assert all(ring is old for ring, old in starts if old is not None)
+    assert [old for ring, old in starts if ring == poly.hvertices] == [
+        None, None]
+
+
+def test_an_entrant_touches_f_at_a_domain_vertex_or_along_a_side():
+    # a candidate outside f's support touches f on the boundary only: at an
+    # interior point it would lie in the hull of the exponents attaining
+    # there, a candidate of f's small form.  On the boundary f vanishes, and
+    # no complex vertex lies inside a side, so the touching set is a domain
+    # vertex or a whole side: one or two attainers, all domain vertices
+    rng = random.Random(16)
+    poly = pentagon()
+    seen = []
+    raised_cells = series._raised_cells
+
+    def raising(triples, base, v):
+        for u in triples:
+            if u not in base.hcells:
+                seen.append(base.touching(u)[1])
+        return raised_cells(triples, base, v)
+    with mock.patch.object(series, "_raised_cells", raising):
+        run_dynamics(zero_series(poly), random_points(rng, poly, 8))
+    assert {len(att) for att in seen} == {1, 2}
+    assert all(set(att) <= set(poly.hvertices) for att in seen)
+
+
+def test_hull_drops_a_point_inside_a_side():
+    # three points on one line are a segment: the hull keeps its ends only
+    ends = [(0, 0, 1), (0, 1, 1)]
+    assert series._hull([(0, 0, 1), (0, 1, 2), (0, 1, 1)]) == \
+        exactlp.rotate_ccw(ends)
+    assert series._hull([(0, 1, 1), (0, 1, 1)]) == [(0, 1, 1)]
+
+
+@given(DOMAINS, SEEDS)
+@example("pentagon", 5)  # the ends of the side (-1, -1) out of table order
+def test_an_unreached_entrant_along_a_side_keeps_the_side(kind, seed):
+    # 5 n for a side's normal n, outside f's support, touches f along that
+    # whole side.  Added to a small raise of any monomial of f, it keeps
+    # the side as its cell when the raise does not reach it, and the raised
+    # build equals a build from the domain
+    rng = random.Random(seed)
+    poly = {"square": unit_square(), "pentagon": pentagon()}.get(
+        kind) or random_polygon(rng)
+    f = random_series(rng, poly, 2)
+    cx = f._int_complex()
+    for hp in poly.halfplanes:
+        u = (5 * hp.n[0], 5 * hp.n[1])
+        side = exactlp.rotate_ccw(cx.touching(u)[1])
+        assert len(side) == 2
+        for v in f.support:
+            terms = {**f.support, u: canonical_coefficient(f, u)}
+            terms[v] += F(1, 100)
+            terms = dict(sorted(terms.items()))
+            raised = series._Complex(poly, terms, _raised=(cx, v))
+            assert complex_fields(raised) == complex_fields(
+                series._Complex(poly, terms))
+            if len(raised.hcells[u]) == 2:
+                assert raised.hcells[u] == side

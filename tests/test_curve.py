@@ -7,7 +7,8 @@ from hypothesis import example, given, strategies as st
 
 from tropwave import series
 
-from tropwave.curve import (NotAVertex, attaining_monomials, balanced_star,
+from tropwave.curve import (Edge, NotAVertex, TropicalCurve,
+                            attaining_monomials, balanced_star,
                             check_balancing, classify_vertex, curves_within,
                             extract_curve, quasi_degree_area, symplectic_area)
 from tropwave.exactlp import cross, dot, vsub
@@ -20,7 +21,7 @@ from tropwave.series import (OutsideDomain, TropicalSeries, add_monomial,
 from tropwave.wave import run_dynamics, upper_bound_witness, wave
 
 from conftest import pentagon, random_points, random_polygon, random_series, \
-    ref_extract_curve, ref_point_segment_dist2, ref_side_vanishing_multiplier, \
+    ref_check_balancing, ref_extract_curve, ref_point_segment_dist2, ref_side_vanishing_multiplier, \
     square13, triangle, unit_square
 
 
@@ -124,10 +125,39 @@ class TestBalancing:
         assert not balanced_star([((1, 0), 1), ((0, 1), 1)])
 
 
+@given(st.sampled_from(["square", "pentagon", "random"]),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from(["as_is", "drop", "weight", "flip"]),
+       st.integers(min_value=0, max_value=63))
+@example("square", 0, "drop", 0)  # an edge gone: both its ends unbalance
+@example("square", 0, "weight", 3)
+@example("square", 0, "flip", 5)  # an edge's ends swapped: the same star
+def test_balancing_matches_the_per_vertex_scan(kind, seed, change, i):
+    # the stars grouped once by edge end against the scan of every edge at
+    # every interior vertex, on extracted curves and on curves with one
+    # edge dropped, reweighted or turned round
+    rng = random.Random(seed)
+    poly = {"square": unit_square(), "pentagon": pentagon()}.get(
+        kind) or random_polygon(rng)
+    curve = extract_curve(random_series(rng, poly, 3))
+    edges = list(curve.edges)
+    if edges and change != "as_is":
+        e = edges[i % len(edges)]
+        if change == "drop":
+            del edges[i % len(edges)]
+        elif change == "weight":
+            edges[i % len(edges)] = Edge(e.a, e.b, e.weight + 1, e.dual)
+        else:
+            edges[i % len(edges)] = Edge(e.b, e.a, e.weight, e.dual)
+    curve = TropicalCurve(curve.series, curve.vertices, edges, curve.faces)
+    assert check_balancing(curve) == ref_check_balancing(curve)
+    if change == "as_is":
+        assert check_balancing(curve)
+
+
 class TestSymplecticArea:
     def test_single_diagonal_edge(self):
         # edge (0,0)->(1,1) weight 1: |L|*|v| = sqrt2*sqrt2 = 2
-        from tropwave.curve import Edge, TropicalCurve
         f = square13()
         e = Edge((F(0), F(0)), (F(1), F(1)), 1, ((0, 0), (1, -1)))
         c = TropicalCurve(f, [], [e], {})

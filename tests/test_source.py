@@ -116,3 +116,41 @@ def test_polygon_sorts_its_normals_once():
     calls = [node for node in ast.walk(init) if isinstance(node, ast.Call)
              and ast.unparse(node.func).endswith("angle_order")]
     assert [ast.unparse(c.args[0]) for c in calls] == ["normals"]
+
+
+def series_function(name, cls=None):
+    """The definition of ``name`` in series.py, a method of ``cls`` if
+    given."""
+    path = next(p for p in SOURCES if p.name == "series.py")
+    scope = ast.parse(path.read_text())
+    if cls is not None:
+        scope = next(node for node in scope.body
+                     if isinstance(node, ast.ClassDef) and node.name == cls)
+    return next(node for node in ast.walk(scope)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_a_raise_clips_nothing_from_the_domain():
+    # every cell of a raised build comes from f's complex and v's old cell
+    fn = series_function("_raised_cells")
+    names = {node.attr for node in ast.walk(fn)
+             if isinstance(node, ast.Attribute)}
+    assert "touching" in names and "hvertices" not in names
+
+
+def test_one_table_scan_serves_every_monomial():
+    # `_Complex.touching` is the one scan of the vertex table for a
+    # monomial's gap: its other readers call it and compute no gap of
+    # their own from a table row
+    for fn in (series_function("coefficient", "_Complex"),
+               series_function("_small_canonical_terms")):
+        calls = [ast.unparse(node.func) for node in ast.walk(fn)
+                 if isinstance(node, ast.Call)]
+        assert any(c.endswith(".touching") for c in calls), fn.name
+        scans = [node for node in ast.walk(fn)
+                 if isinstance(node, (ast.ListComp, ast.GeneratorExp))
+                 and any(ast.unparse(gen.iter).endswith(".table")
+                         for gen in node.generators)]
+        assert not [ast.unparse(node) for node in scans
+                    if any(isinstance(op, ast.Sub)
+                           for op in ast.walk(node.elt))], fn.name
