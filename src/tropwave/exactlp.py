@@ -111,21 +111,29 @@ def basic_points(ics: Sequence[IntConstraint]) -> list[Homogeneous]:
 
 
 def convex_hull(points: Sequence[Point]) -> list[Point]:
-    """Monotone-chain convex hull; returns CCW vertex list without repeats."""
+    """Monotone-chain convex hull; returns CCW vertex list without repeats.
+    A chain keeps p after (a, b) only on a strict left turn:
+    (b - a) x (p - a) > 0, so collinear points are dropped."""
     pts = sorted(set(points))
     if len(pts) <= 2:
         return list(pts)
-    lower: list[Point] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(vsub(lower[-1], lower[-2]), vsub(p, lower[-2])) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(vsub(upper[-1], upper[-2]), vsub(p, upper[-2])) <= 0:
-            upper.pop()
-        upper.append(p)
+    lower = _chain(pts)
+    upper = _chain(pts[::-1])
     return lower[:-1] + upper[:-1]
+
+
+def _chain(pts: list) -> list:
+    """One monotone chain of the hull: the strict left turns over ``pts``."""
+    out: list = []
+    for p in pts:
+        px, py = p
+        while len(out) >= 2:
+            (ax, ay), (bx, by) = out[-2], out[-1]
+            if (bx - ax) * (py - ay) - (by - ay) * (px - ax) > 0:
+                break
+            out.pop()
+        out.append(p)
+    return out
 
 
 def hull_lattice_points(points: Sequence[Point]) -> list[Vec]:

@@ -42,6 +42,9 @@ complex and v to the presentation's build, which then takes every cell by
 one rule and clips nothing from the domain: raising one coefficient changes
 the series only inside P_v, so each monomial's cell is where it touches f,
 joined with its piece of P_v if the raise reaches it (`_raised_cells`).
+Most joins are a splice of two rings that share one side (`_splice`),
+and every vertex of f's complex keeps f's value, so only the vertices
+new in the raised build take a min over the monomials.
 `_Complex.touching` is the one scan of the vertex table for a monomial's
 coefficient and touching set; `canonical_coefficient`, renormalization and
 the raise all read it.
@@ -196,7 +199,12 @@ class _Complex:
     (`_check_cell`), and the fields equal a build from the domain's.
     The complex vertices, in first-seen order over the cells, are kept as
     ``table`` rows (X, Y, F): the vertex is (X, Y) / denom and F is denom
-    times the series there.  ``hcells`` maps each monomial to its cell as
+    times the series there, the least of the lifted monomials
+    (`_min_values`).  In a raised build, a vertex already in f's table lies
+    on the boundary of v's cell in f or outside it, where the raised series
+    equals f, so its F is f's row rescaled to this denom; the division is
+    exact, and a remainder raises SeriesError.  Only the new vertices take
+    the min.  ``hcells`` maps each monomial to its cell as
     reduced homogeneous points (X, Y, W), W > 0, in the order of ``cells``;
     ``cells`` and ``vertices`` are the same data as `Fraction` points, made
     on first read: a build converts nothing, and a reader pays only for the
@@ -237,13 +245,25 @@ class _Complex:
 
         hverts = list(dict.fromkeys(h for hs in hcells.values() for h in hs))
         denom = math.lcm(scale, *[h[2] for h in hverts])
+        points = [(X * (denom // W), Y * (denom // W)) for X, Y, W in hverts]
+        # a vertex of f's complex lies off the interior of P_v, where g = f
+        base = _raised[0] if _raised else None
+        old = dict(zip(base._hverts, base.table)) if base else {}
         lift = denom // scale
         lifted = [(v[0], v[1], av * lift) for v, av in zip(support, alpha)]
+        new = iter(_min_values(lifted, [p for h, p in zip(hverts, points)
+                                        if h not in old]))
         table = []
-        for X, Y, W in hverts:
-            X, Y = X * (denom // W), Y * (denom // W)
-            table.append((X, Y, min([a * X + b * Y + c
-                                     for a, b, c in lifted])))
+        for h, (X, Y) in zip(hverts, points):
+            row = old.get(h)
+            if row is None:
+                F = next(new)
+            else:
+                F, r = divmod(row[2] * denom, base.denom)
+                if r:
+                    raise SeriesError(f"f at the vertex {h} of its complex "
+                                      f"is no multiple of 1/{denom}")
+            table.append((X, Y, F))
         self.denom = denom
         self.table = table
         self.hcells = hcells
@@ -351,6 +371,14 @@ class _Cells(Mapping):
         return len(self._hcells)
 
 
+def _min_values(lifted: list, points: list) -> list:
+    """denom times the series at each of ``points``, integer pairs (X, Y)
+    standing for (X, Y) / denom: the least of the ``lifted`` monomials
+    (a, b, c), each a x + b y + c on that scale."""
+    return [min([a * X + b * Y + c for a, b, c in lifted])
+            for X, Y in points]
+
+
 def _nearest_first(cuts: list) -> list:
     """``cuts`` of one monomial u, each the row (w - u, alpha_w - alpha_u)
     of another, by the exponent distance |w - u|^2, ties in their order."""
@@ -375,11 +403,17 @@ def _raised_cells(triples: dict, base: "_Complex", v: Vec) -> dict:
       On P_v, g is the min of the near monomials, since an unreached w
       lies above the raised v there; so an unreached w has no piece, and
       its cell in g is S_f(w).
-    The union is convex.  A piece that holds every point of S_f(w) is the
-    cell, and so is S_f(w) with no piece: a cell of f, copied in order
-    already, or one or two attainers.  Any other cell is the hull of both
-    parts (`_hull`).  Each cell comes out as its vertices in
-    `exactlp.rotate_ccw` order, as a build from the domain gives it."""
+    The union is convex.  S_f(w) with no piece is the cell: a cell of f,
+    copied in order already, or the hull of one or two attainers.  A piece
+    that holds every point of S_f(w) is the cell, in `exactlp.rotate_ccw`
+    order (v's always, as S_f(v) is empty).  Any other cell is S_f(w)
+    joined with its piece (`_join`), in one of three ways: S_f(w) as it is
+    when the piece's points are all its points (a shared side or vertex);
+    a splice of the two rings when both are polygons sharing one side
+    (`_splice`); else the hull of both parts (`_hull`), as for a segment or
+    a point on either side, and so for every entrant.  Each cell comes out
+    as its vertices in `exactlp.rotate_ccw` order, as a build from the
+    domain gives it."""
     ring = base.hcells[v]
     Av, Bv, Cv = triples[v]
     # v's own row is all zeros, so v is near
@@ -390,20 +424,69 @@ def _raised_cells(triples: dict, base: "_Complex", v: Vec) -> dict:
             near[w] = (A, B, C)
     out = {}
     for u, (Au, Bu, Cu) in triples.items():
-        cell = [] if u == v else base.hcells.get(u) or base.touching(u)[1]
-        piece = []
+        cell = [] if u == v else (base.hcells.get(u)
+                                  or _hull(base.touching(u)[1]))
         if u in near:
             piece = _clip(ring, _nearest_first([(A - Au, B - Bu, C - Cu)
                                                 for w, (A, B, C) in near.items()
                                                 if w != u]))
-        if piece and not set(cell) <= set(piece):
-            cell = _hull(cell + piece)
-        elif piece:
-            cell = lp.rotate_ccw(piece) if len(piece) >= 2 else piece
-        elif u not in base.hcells:
-            cell = _hull(cell)
+            if piece and set(cell) <= set(piece):
+                cell = lp.rotate_ccw(piece) if len(piece) >= 2 else piece
+            elif piece:
+                cell = _join(cell, piece)
         out[u] = cell
     return out
+
+
+def _join(cell: list, piece: list) -> list:
+    """The vertices of S | B in `exactlp.rotate_ccw` order, for S =
+    ``cell`` a monomial's touching set in f, in that order already, and B =
+    ``piece`` its piece of P_v, which does not hold every point of S; the
+    union is the monomial's cell in g.  If B's points are all points of S,
+    it is S as it is; if `_splice` takes the shape, its ring; else `_hull`
+    of both parts."""
+    if set(piece) <= set(cell):
+        return cell
+    return _splice(cell, piece) or _hull(cell + piece)
+
+
+def _splice(cell: list, piece: list) -> Optional[list]:
+    """The union of two counterclockwise polygons S = ``cell`` and B =
+    ``piece`` whose union is convex, in `exactlp.rotate_ccw` order, when
+    they share exactly two points a1, a2, an edge a1 a2 of S and a2 a1 of
+    B; None for any other shape.
+
+    S and B lie on opposite sides of the edge's line, which meets each in
+    that edge, so the union's boundary is S's ring from a2 round to a1
+    followed by B's points strictly between.  Every point off the line
+    stays a vertex; a junction a1 or a2 is dropped where it is collinear
+    with its two neighbours (`_turn`)."""
+    if len(cell) < 3 or len(piece) < 3:
+        return None
+    at = {h: j for j, h in enumerate(piece)}
+    shared = [i for i, h in enumerate(cell) if h in at]
+    if len(shared) != 2:
+        return None
+    i, k = shared
+    a1 = k if (i, k) == (0, len(cell) - 1) else i
+    a2 = a1 + 1 if a1 + 1 < len(cell) else 0
+    # a1 a2 is an edge of S (so a2 is shared) and a2 a1 one of B
+    j = at[cell[a1]]
+    if piece[j - 1] != cell[a2]:
+        return None
+    ring = cell[a2:] + cell[:a2] + (piece[j + 1:] + piece[:j])[:-1]
+    n, end = len(ring), len(cell) - 1
+    return lp.rotate_ccw([h for m, h in enumerate(ring)
+                          if m not in (0, end)
+                          or _turn(ring[m - 1], h, ring[(m + 1) % n])])
+
+
+def _turn(a, b, c) -> int:
+    """det[a; b; c] of three homogeneous points (W > 0), whose sign is
+    their orientation: positive for a left turn, zero iff collinear."""
+    (X1, Y1, W1), (X2, Y2, W2), (X3, Y3, W3) = a, b, c
+    return (X1 * (Y2 * W3 - Y3 * W2) - Y1 * (X2 * W3 - X3 * W2)
+            + W1 * (X2 * Y3 - X3 * Y2))
 
 
 def _hull(points: list) -> list:

@@ -1022,3 +1022,171 @@ def test_an_unreached_entrant_along_a_side_keeps_the_side(kind, seed):
                 series._Complex(poly, terms))
             if len(raised.hcells[u]) == 2:
                 assert raised.hcells[u] == side
+
+
+def test_figure3_raise_takes_the_min_at_new_vertices_only():
+    # of the presentation's vertices, only those not in f's table take the
+    # min over the lifted monomials; the others carry f's row over, scaled
+    # from f's denominator 3 to the presentation's
+    f = square13()
+    cx = f._int_complex()
+    rows, min_values = [], series._min_values
+
+    def recording(lifted, points):
+        rows.extend(points)
+        return min_values(lifted, points)
+    with mock.patch.object(series, "_min_values", recording):
+        _, built = complex_builds(wave, f, (F(1, 5), F(1, 2)))
+    [(args, _, raised)] = built
+    new = [h for h in raised._hverts if h not in cx._hverts]
+    assert len(rows) == len(new) == 4
+    assert rows == [(X, Y) for (X, Y, _), h in zip(raised.table,
+                                                   raised._hverts)
+                    if h in new]
+    # a copy of f's row unscaled would be wrong at every vertex where f > 0
+    assert (cx.denom, raised.denom) == (3, 15)
+    old = dict(zip(cx._hverts, cx.table))
+    carried = [(old[h][2], row[2]) for h, row in zip(raised._hverts,
+                                                     raised.table)
+               if h in old]
+    assert len(carried) == 6
+    assert all(Fg == Ff * 5 for Ff, Fg in carried)
+    assert sum(Ff != Fg for Ff, Fg in carried) == 2
+    assert complex_fields(raised) == complex_fields(series._Complex(*args))
+
+
+def test_a_carried_row_that_is_no_multiple_of_the_new_step_raises():
+    # f's table is read as values over f's denominator; one that does not
+    # scale to the presentation's is refused, not rounded
+    f = square13()
+    cx = f._int_complex()
+    bad = object.__new__(series._Complex)
+    for name in series._Complex.__slots__:
+        setattr(bad, name, getattr(cx, name))
+    bad.denom = 7 * cx.denom
+    terms = presented(f.domain, {**f.support, (1, 0): F(2, 15)}).support
+    with pytest.raises(SeriesError, match="no multiple"):
+        series._Complex(f.domain, terms, _raised=(bad, (1, 0)))
+    series._Complex(f.domain, terms, _raised=(cx, (1, 0)))
+
+
+# -- the joins of a raise -------------------------------------------------------
+
+JOIN_DOMAINS = {"square": unit_square, "pentagon": pentagon,
+                "triangle": lambda: triangle(30),
+                "quadrilateral": quadrilateral}
+
+
+def raised_joins(source, kind, seed, n_waves):
+    """Every `series._join` call made by the raises of a dynamic from zero
+    on ``JOIN_DOMAINS[kind]``, as (S, B, the joined cell, the `_hull`
+    calls the join made).  The points are random, quarter-grid ("ties")
+    or at lattice distance 1/100 or 1/200 from a side ("near_side")."""
+    rng = random.Random(seed)
+    poly = JOIN_DOMAINS[kind]()
+    if source == "ties":
+        points = [rng.choice(quarter_grid(poly)) for _ in range(n_waves)]
+    elif source == "near_side":
+        points = [near_side_point(rng, poly, rng.choice([100, 200]))
+                  for _ in range(n_waves)]
+    else:
+        points = random_points(rng, poly, n_waves)
+    joins, hulls = [], []
+    join, hull = series._join, series._hull
+
+    def hulling(points):
+        hulls.append(points)
+        return hull(points)
+
+    def joining(cell, piece):
+        hulls.clear()
+        out = join(cell, piece)
+        joins.append((cell, piece, out, list(hulls)))
+        return out
+    with mock.patch.object(series, "_join", joining), \
+            mock.patch.object(series, "_hull", hulling):
+        waves_from_zero(poly, points)
+    return joins
+
+
+def on_an_edge(ring, a, b):
+    return (ring.index(a) - ring.index(b)) % len(ring) in (1, len(ring) - 1)
+
+
+def join_shape(cell, piece, out):
+    """A join's shape, read off S, B and the union's vertex count.  A
+    piece that is a point lies in S, since the union is convex."""
+    if set(piece) <= set(cell):
+        return {1: "B is a shared vertex", 2: "B is the shared edge"}.get(
+            len(piece), "B in S")
+    shared = [h for h in cell if h in piece]
+    if (len(cell) >= 3 and len(piece) >= 3 and len(shared) == 2
+            and on_an_edge(cell, *shared) and on_an_edge(piece, *shared)):
+        return ["no end absorbed", "one end kept", "both ends absorbed"][
+            len(cell) + len(piece) - 2 - len(out)]
+    return "S a segment" if len(cell) == 2 else "other"
+
+
+SPLICED = {"no end absorbed", "one end kept", "both ends absorbed"}
+EVERY_SHAPE = SPLICED | {"B is a shared vertex", "B is the shared edge",
+                         "S a segment"}
+JOIN_EXAMPLES = [
+    (("dynamics", "square", 1, 2), {"both ends absorbed"}),
+    (("dynamics", "square", 0, 2), {"one end kept"}),
+    (("ties", "square", 5, 2), {"no end absorbed", "B is a shared vertex"}),
+    (("ties", "square", 5, 3), {"B is the shared edge"}),
+    (("near_side", "pentagon", 21, 3), {"S a segment"}),
+    (("dynamics", "triangle", 5, 4), EVERY_SHAPE),
+    (("dynamics", "quadrilateral", 2, 3), EVERY_SHAPE),
+]
+
+
+def with_examples(cases):
+    """Each case's arguments as a `hypothesis` `@example`."""
+    def add(test):
+        for args, _ in cases:
+            test = example(*args)(test)
+        return test
+    return add
+
+
+@given(st.sampled_from(["dynamics", "ties", "near_side"]),
+       st.sampled_from(["square", "pentagon"]), SEEDS,
+       st.integers(min_value=1, max_value=5))
+@with_examples(JOIN_EXAMPLES)
+def test_every_join_equals_the_hull_of_both_parts(source, kind, seed,
+                                                   n_waves):
+    # a splice and a copied S make no hull; every other shape is one
+    # `_hull` of both parts
+    for cell, piece, out, hulls in raised_joins(source, kind, seed, n_waves):
+        assert out == series._hull(cell + piece)
+        shape = join_shape(cell, piece, out)
+        copied = shape.startswith("B is")
+        assert hulls == ([] if shape in SPLICED or copied
+                         else [cell + piece])
+
+
+@pytest.mark.parametrize("args, shapes", JOIN_EXAMPLES)
+def test_the_named_draws_hold_their_join_shapes(args, shapes):
+    assert shapes <= {join_shape(cell, piece, out)
+                      for cell, piece, out, _ in raised_joins(*args)}
+
+
+def test_splice_takes_only_two_polygons_sharing_one_edge():
+    square = [(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)]
+    right = [(1, 0, 1), (2, 0, 1), (2, 1, 1), (1, 1, 1)]
+    # the shared side's ends are both absorbed into the 2 x 1 box
+    assert series._splice(square, right) == exactlp.rotate_ccw(
+        [(0, 0, 1), (2, 0, 1), (2, 1, 1), (0, 1, 1)])
+    # a triangle on the top side keeps both ends
+    roof = [(0, 1, 1), (1, 1, 1), (1, 3, 2)]
+    assert series._splice(square, roof) == series._hull(square + roof)
+    assert len(series._splice(square, roof)) == 5
+    # a segment, a point, or a vertex shared alone is no splice
+    assert series._splice(square, [(1, 1, 1), (2, 2, 1)]) is None
+    assert series._splice(square[:2], right) is None
+    assert series._splice(square, [(1, 1, 1), (2, 1, 1), (2, 2, 1)]) is None
+    # two shared points that are not one edge of each
+    assert series._splice(square, [(1, 0, 1), (2, 1, 1), (1, 1, 1),
+                                   (1, 1, 2)]) is None
+    assert series._splice(square, [(0, 0, 1), (1, 1, 1), (0, 2, 1)]) is None

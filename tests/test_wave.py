@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import math
@@ -490,6 +491,20 @@ class TestExperiment:
         a = avalanche_experiment(poly, n=3, trials=2, seed=42)
         b = avalanche_experiment(poly, n=3, trials=2, seed=42)
         assert a == b
+
+    def test_32_point_trial_digest(self):
+        # 205 positive waves and 480 steps: absorbed splice ends, P_v on the
+        # boundary and entrants each occur many times.  The digest was
+        # recorded with every raise built from f's complex by hull joins and
+        # every table row a min over the lifted monomials
+        out = avalanche_experiment(QPolygon.box(0, 0, 1, 1), 32, 1, seed=1)
+        assert out["trials"] == [{"trial": 0, "events": 205,
+                                  "stopped_reason": STABILIZED,
+                                  "steps": 480}]
+        blob = json.dumps({"areas": [str(a) for a in out["areas"]],
+                           "trials": out["trials"]}, sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "6509329de50bfcb12085e958b1997e4cdd4185b91c42272fd2d6e7244a30a239")
 
     def test_ccdf_monotone(self):
         poly = unit_square()
