@@ -257,8 +257,14 @@ class QPolygon:
 
 
 def support_coeff(domain: QPolygon, v: Vec) -> Fraction:
-    """min over the polygon of v . z, attained at a vertex."""
-    return min(dot(v, p) for p in domain.vertices)
+    """min over the polygon of v . z, attained at a vertex: the integer
+    vertices ``hvertices`` (X, Y, W) are put on one common denominator D,
+    and the least v . (X, Y) D / W is divided by D once."""
+    hverts = domain.hvertices
+    D = math.lcm(*[W for _, _, W in hverts])
+    v0, v1 = v
+    return Fraction(min([(v0 * X + v1 * Y) * (D // W) for X, Y, W in hverts]),
+                    D)
 
 
 def relevant_monomials(domain: QPolygon, K: Sequence[Point],

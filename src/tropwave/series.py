@@ -23,8 +23,8 @@ as integer points over one common denominator D, and with them the
 integers D * f.
 Renormalization keeps a monomial of the presentation whose cell is
 nonempty, at its presented coefficient, iff that cell reaches the
-interior; every other candidate, and `canonical_coefficient`, read that
-table, and `refine`'s certificates clip the integer cells.  Values stay
+interior; every other candidate reads that table (`_Complex.touching`),
+and `refine`'s certificates clip the integer cells.  Values stay
 exact, and `Fraction` appears only at the API boundary (coefficients,
 `cells()`, `complex_vertices()`).  The `Fraction`
 points of a cell or of the vertex list are made on first read, so a
@@ -45,9 +45,10 @@ joined with its piece of P_v if the raise reaches it (`_raised_cells`).
 Most joins are a splice of two rings that share one side (`_splice`),
 and every vertex of f's complex keeps f's value, so only the vertices
 new in the raised build take a min over the monomials.
-`_Complex.touching` is the one scan of the vertex table for a monomial's
-coefficient and touching set; `canonical_coefficient`, renormalization and
-the raise all read it.
+A monomial outside a series' small form touches it on the boundary only,
+where it vanishes, so `canonical_coefficient` prices it from the domain
+(`geometry.support_coeff`) and reads no complex, and in a raise its
+touching set is the face of the domain where its priced affine vanishes.
 """
 
 from __future__ import annotations
@@ -193,7 +194,8 @@ class _Complex:
     per cell, and at a complex vertex hundreds can be tight.
     ``_raised`` = (f's complex, v) marks the presentation of
     `add_monomial`(f, v, c), v with a cell in f's complex: then every cell
-    comes from `_raised_cells` already in order, read off f's complex with
+    comes from `_raised_cells` already in order, read off f's complex (and,
+    for a monomial outside f's support, off the domain's vertices) with
     clips inside v's cell in f only, and none is clipped from the domain.
     Every cell of two or more points takes the same check either way
     (`_check_cell`), and the fields equal a build from the domain's.
@@ -211,8 +213,7 @@ class _Complex:
     cells it reads.
     """
 
-    __slots__ = ("denom", "table", "hcells", "cells", "_hverts", "_vertices",
-                 "_touching")
+    __slots__ = ("denom", "table", "hcells", "cells", "_hverts", "_vertices")
 
     def __init__(self, domain: QPolygon, support: Support, *,
                  _raised: Optional[tuple] = None):
@@ -239,7 +240,8 @@ class _Complex:
                 _check_cell(v, cell)
                 hcells[v] = lp.rotate_ccw(cell) if len(cell) >= 2 else cell
         else:
-            hcells = _raised_cells(dict(zip(support, triples)), *_raised)
+            hcells = _raised_cells(dict(zip(support, triples)), domain,
+                                   *_raised)
             for v, cell in hcells.items():
                 _check_cell(v, cell)
 
@@ -270,7 +272,6 @@ class _Complex:
         self.cells = _Cells(hcells)
         self._hverts = hverts
         self._vertices = None
-        self._touching = {}
 
     def restricted(self, support: Support) -> "_Complex":
         """The complex of the series g whose small form is ``support``, read
@@ -307,7 +308,6 @@ class _Complex:
         out.cells = _Cells(hcells)
         out._hverts = hverts
         out._vertices = None
-        out._touching = {}
         return out
 
     @property
@@ -323,20 +323,14 @@ class _Complex:
         vertices that attain it, as ``hcells`` points in ``table`` order.
         u's touching set is their convex hull: f - u.z is affine on each
         cell, so its argmax meets each cell in a face, whose vertices are
-        complex vertices.  Each monomial is scanned once per complex: a
-        raise reads the entrants that `add_monomial` has just priced."""
-        hit = self._touching.get(u)
-        if hit is None:
-            u0, u1 = u
-            gaps = [F - u0 * X - u1 * Y for X, Y, F in self.table]
-            b = max(gaps)
-            attainers = [h for h, gap in zip(self._hverts, gaps) if gap == b]
-            hit = self._touching[u] = (b, attainers)
-        return hit
-
-    def coefficient(self, u: Vec) -> Fraction:
-        """The canonical coefficient of a monomial outside the support."""
-        return Fraction(self.touching(u)[0], self.denom)
+        complex vertices.  Renormalizing an arbitrary presentation is the
+        one reader; a monomial outside a series' small form needs no scan,
+        as it touches the series on the boundary only
+        (`canonical_coefficient`)."""
+        u0, u1 = u
+        gaps = [F - u0 * X - u1 * Y for X, Y, F in self.table]
+        b = max(gaps)
+        return b, [h for h, gap in zip(self._hverts, gaps) if gap == b]
 
 
 class _Cells(Mapping):
@@ -385,26 +379,29 @@ def _nearest_first(cuts: list) -> list:
     return sorted(cuts, key=lambda c: c[0] * c[0] + c[1] * c[1])
 
 
-def _raised_cells(triples: dict, base: "_Complex", v: Vec) -> dict:
+def _raised_cells(triples: dict, domain: QPolygon, base: "_Complex",
+                  v: Vec) -> dict:
     """Every cell of the presentation of g = `add_monomial`(f, v, c), read
-    off f's complex ``base`` with clips inside P_v, v's cell in it, only.
-    ``triples`` maps each monomial of the presentation to its integer
-    triple, in support order, v's raised; every w != v carries c_w(f), and
-    P_v is nonempty.
+    off f's complex ``base`` on ``domain`` with clips inside P_v, v's cell
+    in it, only.  ``triples`` maps each monomial of the presentation to its
+    integer triple, in support order, v's raised; every w != v carries
+    c_w(f), and P_v is nonempty.
 
     Off P_v, f lies below the raised v, so g = f there.  The cell of w in
     g, the set where w = g, is S_f(w) | piece(w):
-    - S_f(w) is where w touches f: its cell in f for w in f's support, the
-      hull of the complex vertices that attain c_w(f) for any other w
-      (`_Complex.touching`), and empty for v.  Where it meets P_v,
-      w = f < raised v, so w = g there too.
+    - S_f(w) is where w touches f: its cell in f for w in f's support, and
+      empty for v.  Any other w touches f on the boundary only
+      (`canonical_coefficient`), on the face of the domain where its
+      priced affine vanishes: the hull of the domain vertices at which its
+      triple is zero, one vertex or the two ends of a side.  Where S_f(w)
+      meets P_v, w = f < raised v, so w = g there too.
     - piece(w) is P_v clipped by the near monomials, v and each w reached:
       one whose row against the raised v is <= 0 at some vertex of P_v.
       On P_v, g is the min of the near monomials, since an unreached w
       lies above the raised v there; so an unreached w has no piece, and
       its cell in g is S_f(w).
     The union is convex.  S_f(w) with no piece is the cell: a cell of f,
-    copied in order already, or the hull of one or two attainers.  A piece
+    copied in order already, or a domain vertex or side.  A piece
     that holds every point of S_f(w) is the cell, in `exactlp.rotate_ccw`
     order (v's always, as S_f(v) is empty).  Any other cell is S_f(w)
     joined with its piece (`_join`), in one of three ways: S_f(w) as it is
@@ -424,8 +421,9 @@ def _raised_cells(triples: dict, base: "_Complex", v: Vec) -> dict:
             near[w] = (A, B, C)
     out = {}
     for u, (Au, Bu, Cu) in triples.items():
-        cell = [] if u == v else (base.hcells.get(u)
-                                  or _hull(base.touching(u)[1]))
+        cell = [] if u == v else (base.hcells.get(u) or _hull(
+            [h for h in domain.hvertices
+             if Au * h[0] + Bu * h[1] + Cu * h[2] == 0]))
         if u in near:
             piece = _clip(ring, _nearest_first([(A - Au, B - Bu, C - Cu)
                                                 for w, (A, B, C) in near.items()
@@ -726,12 +724,20 @@ def distance_function(domain: QPolygon) -> TropicalSeries:
 
 
 def canonical_coefficient(f: TropicalSeries, v: Vec) -> Fraction:
-    """sup over the domain of (f - v.z): the canonical-form coefficient."""
+    """sup over the domain of (f - v.z): the canonical-form coefficient.
+
+    For v in the small form it is the stored coefficient.  Any other v
+    touches f on the boundary only: at an interior point z where
+    v.z + c_v(f) touches f, v would be a supergradient of f, so in the hull
+    of the exponents attaining f at z, which lie in the small form's
+    candidate hull, and renormalization would have kept v.  On the
+    boundary f = 0, so c_v(f) = max over the domain of -v.z =
+    -`support_coeff`(domain, v), and v's touching set is the face of the
+    domain on which v.z + c_v(f) vanishes.  No complex is read."""
     v = tuple(v)
-    # a series' polygon is bounded, so every coefficient is finite
     if v in f.support:
         return f.support[v]
-    return f._int_complex().coefficient(v)
+    return -support_coeff(f.domain, v)
 
 
 def rho(f: TropicalSeries, g: TropicalSeries) -> Fraction:
@@ -777,10 +783,12 @@ def add_monomial(f: TropicalSeries, v: Vec, c: Fraction) -> TropicalSeries:
     longer vanishes there, and the next multiple of the side's normal
     dominates near it.  The candidates for the new small support are the
     lattice points of their hull; coefficients come from the canonical form
-    of f with only v bumped.  When f holds its complex and v has a cell
-    there, every cell of the presentation's complex is read off f's, with
-    clips inside v's cell only (`_raised_cells`); the result keeps that
-    complex restricted to its small form.
+    of f with only v bumped, those outside f's support priced from the
+    domain (`canonical_coefficient`), so pricing builds no complex.  When f
+    holds its complex and v has a cell there, every cell of the
+    presentation's complex is read off f's, with clips inside v's cell only
+    (`_raised_cells`); the result keeps that complex restricted to its
+    small form.
     """
     v = tuple(v)
     c = Fraction(c)

@@ -26,9 +26,9 @@ from hypothesis import assume, example, given, strategies as st
 
 from tropwave import exactlp, jsonio, series
 from tropwave.exactlp import cross, dot, hull_lattice_points, vsub
-from tropwave.geometry import QPolygon
+from tropwave.geometry import QPolygon, support_coeff
 from tropwave.series import (SeriesError, TropicalSeries, add_monomial,
-                             canonical_coefficient, clamp, make_series,
+                             canonical_coefficient, clamp, make_series, rho,
                              tropical_product, zero_series)
 from tropwave.wave import run_dynamics, wave
 
@@ -806,7 +806,7 @@ RAISE_SOURCES = st.sampled_from(["dynamics", "ties", "centre", "near_side",
 @example("triangle", "square", 0, 1, 30)
 @example("quadrilateral", "square", 0, 1, 1)
 @example("raise", "square", 0, 2, 1)  # v outside f's support
-@example("bare", "square", 0, 2, 1)  # f builds its complex in the raise
+@example("bare", "square", 0, 2, 1)  # f holds no complex at the raise
 @example("dynamics", "random", 0, 3, 1)  # an unreached entrant touching f
 # at a domain vertex
 @example("centre", "square", 0, 1, 1)  # reached entrants: a polygon cell, a
@@ -837,9 +837,9 @@ def test_raised_build_equals_a_full_build(source, kind, seed, n_waves, N):
             v = (rng.randint(-3, 3), rng.randint(-3, 3))
         c = F(rng.randint(1, 40), rng.randint(1, 12))
         _, built = complex_builds(add_monomial, f, v, c)
-        # a bare f builds its complex first if a candidate's coefficient
-        # needs it, and the raise then hands it off
-        local = v in f.support if source == "raise" else len(built) == 2
+        # a bare f holds no complex, and pricing the candidates builds
+        # none, so its raise builds from the domain
+        local = v in f.support if source == "raise" else False
         assert [bool(kw) for _, kw, _ in built] == (
             [False] * (len(built) - 1) + [local])
     else:
@@ -872,16 +872,20 @@ def test_figure3_raise_clips_inside_v_cell():
     # which it reaches.  (2, 0) touches f along the side x = 0, and its
     # cell is the hull of that side and its piece.  (-1, 0), unreached, is
     # copied.  The polygon cells still take one enumeration each: seven
-    # calls with the runner-up search's.
+    # calls with the runner-up search's.  (2, 0) is priced from the domain,
+    # so the wave scans none of f's table
     f = square13()
     cx = f._int_complex()
-    clips, calls = [], []
+    clips, calls, scans = [], [], []
     with mock.patch.object(series, "_clip", recorder(series._clip, clips)), \
             mock.patch.object(exactlp, "basic_points",
-                              recorder(exactlp.basic_points, calls)):
+                              recorder(exactlp.basic_points, calls)), \
+            mock.patch.object(series._Complex, "touching",
+                              recorder(series._Complex.touching, scans)):
         (g, ev), built = complex_builds(wave, f, (F(1, 5), F(1, 2)))
     assert (ev.monomial, ev.increment) == ((1, 0), F(2, 15))
     assert len(clips) == 5 and len(calls) == 7
+    assert [u for (on, u), _ in scans if on is cx] == []
     starts = [poly for (poly, _), _ in clips]
     assert starts.count(cx.hcells[(1, 0)]) == 5
     assert starts.count(f.domain.hvertices) == 0
@@ -889,8 +893,7 @@ def test_figure3_raise_clips_inside_v_cell():
     assert kw == {"_raised": (cx, (1, 0))}
     assert presentation_cx.hcells[(-1, 0)] == cx.hcells[(-1, 0)]
     assert len(args[1]) == 6 and (2, 0) in args[1]
-    # add_monomial priced the one entrant, and the raise read that scan
-    assert list(cx._touching) == [(2, 0)]
+    # the domain rule's side x = 0 is the table scan's
     assert cx.touching((2, 0)) == (0, [(0, 1, 1), (0, 0, 1)])
     assert presentation_cx.hcells[(2, 0)] == [(2, 11, 15), (0, 1, 1),
                                               (0, 0, 1), (2, 4, 15)]
@@ -907,6 +910,20 @@ def test_a_raise_of_a_series_without_its_complex_builds_from_the_domain():
         ((f.domain, presented(f.domain, {**f.support, (0, 0): F(10, 21)})
           .support), {})]
     assert complex_fields(g._complex) == fresh_fields(g)
+
+
+def test_pricing_an_entrant_builds_no_complex():
+    # canonical_coefficient prices a monomial outside the support from the
+    # domain, so neither it nor rho builds or reads a complex: (2, 0) is
+    # the worked example's entrant, and rho compares it with the wave's
+    # result, both freshly built
+    f = square13()
+    g, _ = wave(square13(), (F(1, 5), F(1, 2)))
+    g = TropicalSeries(g.domain, g.support)
+    assert (2, 0) not in f.support and (2, 0) in g.support
+    assert complex_builds(canonical_coefficient, f, (2, 0)) == (0, [])
+    assert complex_builds(rho, f, g) == (F(2, 15), [])
+    assert f._complex is None and g._complex is None
 
 
 FULL_COMPLEX = series._Complex
@@ -944,11 +961,11 @@ def test_no_raised_build_clips_from_the_domain():
     rings, starts, builds = [], [], []
     raised_cells, clip = series._raised_cells, series._clip
 
-    def raising(triples, base, v):
+    def raising(triples, domain, base, v):
         builds.append(v)
         rings.append(base.hcells[v])
         try:
-            return raised_cells(triples, base, v)
+            return raised_cells(triples, domain, base, v)
         finally:
             rings.pop()
 
@@ -967,26 +984,71 @@ def test_no_raised_build_clips_from_the_domain():
         None, None]
 
 
-def test_an_entrant_touches_f_at_a_domain_vertex_or_along_a_side():
-    # a candidate outside f's support touches f on the boundary only: at an
-    # interior point it would lie in the hull of the exponents attaining
-    # there, a candidate of f's small form.  On the boundary f vanishes, and
-    # no complex vertex lies inside a side, so the touching set is a domain
-    # vertex or a whole side: one or two attainers, all domain vertices
-    rng = random.Random(16)
-    poly = pentagon()
+def entrant_touchings(kind, seed, n_waves):
+    """Every entrant of every raise in a run of waves from zero, as
+    (domain, f's complex, u, u's priced triple); an entrant is a candidate
+    outside f's support.  "figure3" is the worked example's wave and
+    "triangle" waves triangle(30) at (1, 1/2) first."""
     seen = []
     raised_cells = series._raised_cells
 
-    def raising(triples, base, v):
-        for u in triples:
-            if u not in base.hcells:
-                seen.append(base.touching(u)[1])
-        return raised_cells(triples, base, v)
+    def raising(triples, domain, base, v):
+        seen.extend((domain, base, u, t) for u, t in triples.items()
+                    if u not in base.hcells)
+        return raised_cells(triples, domain, base, v)
     with mock.patch.object(series, "_raised_cells", raising):
-        run_dynamics(zero_series(poly), random_points(rng, poly, 8))
-    assert {len(att) for att in seen} == {1, 2}
-    assert all(set(att) <= set(poly.hvertices) for att in seen)
+        if kind == "figure3":
+            wave(square13(), (F(1, 5), F(1, 2)))
+        elif kind == "triangle":
+            rng, poly = random.Random(seed), triangle(30)
+            waves_from_zero(poly, [(F(1), F(1, 2))]
+                            + random_points(rng, poly, n_waves - 1))
+        else:
+            rng, f = make_series_for(kind, seed, 0)
+            waves_from_zero(f.domain, random_points(rng, f.domain, n_waves))
+    return seen
+
+
+def domain_face(domain, triple):
+    """The domain vertices at which the priced affine ``triple`` vanishes:
+    the rule `_raised_cells` takes an entrant's touching set by."""
+    A, B, C = triple
+    return {h for h in domain.hvertices if A * h[0] + B * h[1] + C * h[2] == 0}
+
+
+ENTRANT_SOURCES = st.sampled_from(["figure3", "square", "pentagon", "random",
+                                   "triangle"])
+
+
+@given(ENTRANT_SOURCES, SEEDS, st.integers(min_value=1, max_value=8))
+@example("figure3", 0, 1)  # (2, 0) along the whole side x = 0
+@example("square", 3, 3)  # an entrant at a single vertex
+@example("pentagon", 0, 1)  # vertices (2, 7/5) and (7/5, 2), with W = 5
+@example("triangle", 0, 1)  # triangle(30), vertices with W = 30
+def test_an_entrant_touches_f_at_a_domain_vertex_or_along_a_side(
+        kind, seed, n_waves):
+    # a candidate outside f's support touches f on the boundary only, where
+    # f vanishes: its coefficient is -support_coeff(domain, u), and its
+    # attainers are the domain vertices where that priced affine vanishes.
+    # Both equal the scan of f's vertex table
+    for domain, base, u, (A, B, C) in entrant_touchings(kind, seed, n_waves):
+        b, attainers = base.touching(u)
+        scale = A // u[0] if u[0] else B // u[1]
+        assert F(C, scale) == F(b, base.denom) == -support_coeff(domain, u)
+        assert domain_face(domain, (A, B, C)) == set(attainers)
+
+
+def test_the_named_entrant_draws_hold_their_geometry():
+    # each @example above draws the geometry it is named for
+    def faces(*args):
+        return [(u, domain_face(domain, t))
+                for domain, _, u, t in entrant_touchings(*args)]
+    assert faces("figure3", 0, 1) == [((2, 0), {(0, 1, 1), (0, 0, 1)})]
+    assert any(len(face) == 1 for _, face in faces("square", 3, 3))
+    assert any(h[2] == 5 for _, face in faces("pentagon", 0, 1)
+               for h in face)
+    assert any(h[2] == 30 for _, face in faces("triangle", 0, 1)
+               for h in face)
 
 
 def test_hull_drops_a_point_inside_a_side():

@@ -43,6 +43,8 @@ class TestSupportCoeff:
                 continue
             c = support_coeff(poly, v)
             assert all(dot(v, w) >= c for w in poly.vertices)
+            # the Fraction rule over the vertices is the reference
+            assert c == min(dot(v, w) for w in poly.vertices)
 
 
 class TestAdmissibility:

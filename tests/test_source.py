@@ -131,26 +131,49 @@ def series_function(name, cls=None):
 
 
 def test_a_raise_clips_nothing_from_the_domain():
-    # every cell of a raised build comes from f's complex and v's old cell
+    # every clip of a raised build starts from v's old cell in f's complex
     fn = series_function("_raised_cells")
-    names = {node.attr for node in ast.walk(fn)
-             if isinstance(node, ast.Attribute)}
-    assert "touching" in names and "hvertices" not in names
+    starts = [ast.unparse(node.args[0]) for node in ast.walk(fn)
+              if isinstance(node, ast.Call)
+              and ast.unparse(node.func) == "_clip"]
+    assert starts and set(starts) == {"ring"}
+    assert any(ast.unparse(node) == "ring = base.hcells[v]"
+               for node in ast.walk(fn) if isinstance(node, ast.Assign))
 
 
 def test_one_table_scan_serves_every_monomial():
     # `_Complex.touching` is the one scan of the vertex table for a
-    # monomial's gap: its other readers call it and compute no gap of
-    # their own from a table row
-    for fn in (series_function("coefficient", "_Complex"),
-               series_function("_small_canonical_terms")):
-        calls = [ast.unparse(node.func) for node in ast.walk(fn)
-                 if isinstance(node, ast.Call)]
-        assert any(c.endswith(".touching") for c in calls), fn.name
-        scans = [node for node in ast.walk(fn)
-                 if isinstance(node, (ast.ListComp, ast.GeneratorExp))
-                 and any(ast.unparse(gen.iter).endswith(".table")
-                         for gen in node.generators)]
-        assert not [ast.unparse(node) for node in scans
-                    if any(isinstance(op, ast.Sub)
-                           for op in ast.walk(node.elt))], fn.name
+    # monomial's gap, and renormalization is its one reader, which computes
+    # no gap of its own from a table row; a monomial outside a series'
+    # support is priced from the domain, so `_Complex` has no `coefficient`
+    path = next(p for p in SOURCES if p.name == "series.py")
+    tree = ast.parse(path.read_text())
+    readers = {fn.name for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef)
+               and any(isinstance(node, ast.Call)
+                       and ast.unparse(node.func).endswith(".touching")
+                       for node in ast.walk(fn))}
+    assert readers == {"_small_canonical_terms"}
+    fn = series_function("_small_canonical_terms")
+    scans = [node for node in ast.walk(fn)
+             if isinstance(node, (ast.ListComp, ast.GeneratorExp))
+             and any(ast.unparse(gen.iter).endswith(".table")
+                     for gen in node.generators)]
+    assert not [ast.unparse(node) for node in scans
+                if any(isinstance(op, ast.Sub) for op in ast.walk(node.elt))]
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "_Complex")
+    assert "coefficient" not in {node.name for node in cls.body
+                                 if isinstance(node, ast.FunctionDef)}
+
+
+def test_canonical_coefficient_reads_no_complex():
+    # `_Complex` keeps no per-monomial memo, and `canonical_coefficient`
+    # reads neither a complex nor its table
+    assert "_touching" not in tropwave.series._Complex.__slots__
+    fn = series_function("canonical_coefficient")
+    names = ({node.attr for node in ast.walk(fn)
+              if isinstance(node, ast.Attribute)}
+             | {node.id for node in ast.walk(fn)
+                if isinstance(node, ast.Name)})
+    assert not names & {"_int_complex", "_complex", "table"}
