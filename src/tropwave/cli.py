@@ -31,7 +31,7 @@ from .geometry import GeometryError, QPolygon, primitive
 from .series import OutsideDomain, SeriesError, zero_series
 from .curve import extract_curve
 from .svgout import render_curve
-from .wave import (STEP_LIMIT, SamplingFailed, Schedule,
+from .wave import (MAX_STEPS, STEP_LIMIT, SamplingFailed, Schedule,
                    avalanche_experiment, run_dynamics, wave)
 from .refine import (RefineError, coarsen_dynamics, make_nice,
                      verge_polynomial)
@@ -90,7 +90,7 @@ class RunConfig:
     seed: int = 0
     denom_bound: int = 64
     tol: Fraction = Fraction(1, 10 ** 9)
-    max_steps: int = 10000
+    max_steps: int = MAX_STEPS
     out_dir: str = "out"
 
     @staticmethod

@@ -36,11 +36,11 @@ It drops the presentation's complex, and the series builds its own on
 first use, with one exception: `add_monomial`, the write path of
 every wave, hands the presentation's complex, restricted to the kept
 monomials, to its result (`_Complex.restricted` says why that is exact), so
-the next wave reads it without a second build.  When f holds its complex
-and the raised v has a cell P_v there, `add_monomial` also hands f's
-complex and v to the presentation's build, which then takes every cell by
-one rule and clips nothing from the domain: raising one coefficient changes
-the series only inside P_v, so each monomial's cell is where it touches f,
+the next wave reads it without a second build.  `add_monomial` also hands
+f's complex, built first if f holds none, and the raised v to the
+presentation's build, which then takes every cell by one rule and clips
+nothing from the domain: raising one coefficient changes the series only
+inside P_v, v's cell in f, so each monomial's cell is where it touches f,
 joined with its piece of P_v if the raise reaches it (`_raised_cells`).
 Most joins are a splice of two rings that share one side (`_splice`),
 and every vertex of f's complex keeps f's value, so only the vertices
@@ -97,9 +97,9 @@ class TropicalSeries:
     builds its own on first use, unless ``_raised`` is set (`add_monomial`
     alone sets it) and every kept monomial carries its presented
     coefficient: the series then keeps the complex restricted to its small
-    form (`_Complex.restricted`).  ``_raised`` is (f's complex or None, v)
-    for the presentation of f with v raised; with a complex, `cells()`
-    passes it on to the build (`_Complex`).
+    form (`_Complex.restricted`).  ``_raised`` is (f's complex, v) for the
+    presentation of f with v raised, and `cells()` passes it on to the
+    build (`_Complex`).
     """
 
     def __init__(self, domain: QPolygon, support: Support, *,
@@ -149,8 +149,7 @@ class TropicalSeries:
         each list made on first read.  The constructor alone passes
         ``_raised``."""
         if self._cells is None:
-            hand_off = {} if _raised is None or _raised[0] is None else {
-                "_raised": _raised}
+            hand_off = {} if _raised is None else {"_raised": _raised}
             self._complex = _Complex(self.domain, self.support, **hand_off)
             self._cells = self._complex.cells
         return self._cells
@@ -193,10 +192,10 @@ class _Complex:
     Enumerating the vertices over every tight constraint would cost O(k^3)
     per cell, and at a complex vertex hundreds can be tight.
     ``_raised`` = (f's complex, v) marks the presentation of
-    `add_monomial`(f, v, c), v with a cell in f's complex: then every cell
-    comes from `_raised_cells` already in order, read off f's complex (and,
-    for a monomial outside f's support, off the domain's vertices) with
-    clips inside v's cell in f only, and none is clipped from the domain.
+    `add_monomial`(f, v, c): then every cell comes from `_raised_cells`
+    already in order, read off f's complex (and, for a monomial outside f's
+    support, off the domain's vertices) with clips inside v's cell in f
+    only, and none is clipped from the domain.
     Every cell of two or more points takes the same check either way
     (`_check_cell`), and the fields equal a build from the domain's.
     The complex vertices, in first-seen order over the cells, are kept as
@@ -385,7 +384,9 @@ def _raised_cells(triples: dict, domain: QPolygon, base: "_Complex",
     off f's complex ``base`` on ``domain`` with clips inside P_v, v's cell
     in it, only.  ``triples`` maps each monomial of the presentation to its
     integer triple, in support order, v's raised; every w != v carries
-    c_w(f), and P_v is nonempty.
+    c_w(f).  A v outside f's small form has no cell in f: P_v is empty, so
+    no monomial is near, no clip is made and every cell is S_f(w), as v
+    touches f on the boundary only and the raise leaves f as it is.
 
     Off P_v, f lies below the raised v, so g = f there.  The cell of w in
     g, the set where w = g, is S_f(w) | piece(w):
@@ -411,9 +412,9 @@ def _raised_cells(triples: dict, domain: QPolygon, base: "_Complex",
     a point on either side, and so for every entrant.  Each cell comes out
     as its vertices in `exactlp.rotate_ccw` order, as a build from the
     domain gives it."""
-    ring = base.hcells[v]
+    ring = base.hcells.get(v, [])
     Av, Bv, Cv = triples[v]
-    # v's own row is all zeros, so v is near
+    # v's own row is all zeros, so v is near unless P_v is empty
     near = {}
     for w, (A, B, C) in triples.items():
         dA, dB, dC = A - Av, B - Bv, C - Cv
@@ -784,9 +785,9 @@ def add_monomial(f: TropicalSeries, v: Vec, c: Fraction) -> TropicalSeries:
     dominates near it.  The candidates for the new small support are the
     lattice points of their hull; coefficients come from the canonical form
     of f with only v bumped, those outside f's support priced from the
-    domain (`canonical_coefficient`), so pricing builds no complex.  When f
-    holds its complex and v has a cell there, every cell of the
-    presentation's complex is read off f's, with clips inside v's cell only
+    domain (`canonical_coefficient`), so pricing builds no complex.  Every
+    cell of the presentation's complex is read off f's, built first and
+    kept if f holds none, with clips inside v's cell only
     (`_raised_cells`); the result keeps that complex restricted to its
     small form.
     """
@@ -806,10 +807,8 @@ def add_monomial(f: TropicalSeries, v: Vec, c: Fraction) -> TropicalSeries:
     terms[v] = a_v + c
     # each u != v carries c_u(f), and f <= g <= u.z + c_u(f) gives
     # c_u(g) = c_u(f): the result inherits the presentation's complex,
-    # built from f's when f holds one in which v has a cell
-    cx = f._complex
-    base = cx if cx is not None and cx.hcells.get(v) else None
-    return TropicalSeries(f.domain, terms, _raised=(base, v))
+    # built from f's
+    return TropicalSeries(f.domain, terms, _raised=(f._int_complex(), v))
 
 
 def tropical_product(f: TropicalSeries, g: TropicalSeries) -> TropicalSeries:

@@ -51,6 +51,9 @@ STABILIZED = "Stabilized"
 TOLERANCE = "ToleranceReached"
 STEP_LIMIT = "StepLimit"
 
+# The one default step cap of the dynamic, for the library and the CLI alike
+MAX_STEPS = 10000
+
 
 @dataclass(frozen=True)
 class WaveEvent:
@@ -235,7 +238,7 @@ def _stabilized_at(f: TropicalSeries, points: Sequence[Point]) -> bool:
 def run_dynamics(f: TropicalSeries, points: Sequence[Point],
                  schedule: Optional[Schedule] = None, *,
                  tol: Optional[Fraction] = None,
-                 max_steps: int = 100000) -> DynamicsResult:
+                 max_steps: int = MAX_STEPS) -> DynamicsResult:
     """Iterate waves per the schedule until exact stabilization, a sweep with
     total increment below `tol`, or the step limit."""
     points = [(Fraction(p[0]), Fraction(p[1])) for p in points]
@@ -511,7 +514,7 @@ def hill_estimate(areas: Sequence[Fraction]) -> dict:
 
 def avalanche_experiment(poly: QPolygon, n: int, trials: int, seed: int = 0, *,
                          denom_bound: int = 64,
-                         max_steps: int = 4000) -> dict:
+                         max_steps: int = MAX_STEPS) -> dict:
     """Repeated dynamics from the zero series with n fresh random points per
     trial; logs every positive avalanche area and aggregates CCDF, histogram,
     and a Hill tail estimate.  Bit-deterministic for a fixed seed."""

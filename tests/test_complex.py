@@ -28,8 +28,8 @@ from tropwave import exactlp, jsonio, series
 from tropwave.exactlp import cross, dot, hull_lattice_points, vsub
 from tropwave.geometry import QPolygon, support_coeff
 from tropwave.series import (SeriesError, TropicalSeries, add_monomial,
-                             canonical_coefficient, clamp, make_series, rho,
-                             tropical_product, zero_series)
+                             canonical_coefficient, clamp, make_series,
+                             quasi_degree, rho, tropical_product, zero_series)
 from tropwave.wave import run_dynamics, wave
 
 from conftest import (pentagon, random_points, random_polygon, random_series,
@@ -747,6 +747,15 @@ def test_a_kept_monomial_missing_from_the_presentation_raises():
     assert build.call_count == 0
 
 
+def with_examples(cases):
+    """Each case's arguments as a `hypothesis` `@example`."""
+    def add(test):
+        for args, _ in cases:
+            test = example(*args)(test)
+        return test
+    return add
+
+
 # -- the presentation add_monomial builds from f's complex --------------------
 
 
@@ -780,19 +789,68 @@ def waves_from_zero(poly, points):
 
 
 @functools.cache
+def quadrilateral_built():
+    """The quadrilateral wave's `_Complex` builds, made once: the
+    presentation has 515 cells."""
+    return complex_builds(wave, zero_series(quadrilateral()),
+                          (F(-1, 2), F(-3, 2)))[1]
+
+
+@functools.cache
 def quadrilateral_raise():
     """The quadrilateral wave's raised build, with its full build's
     fields, made once."""
-    _, built = complex_builds(wave, zero_series(quadrilateral()),
-                              (F(-1, 2), F(-3, 2)))
     return [(a, kw, complex_fields(cx),
              complex_fields(series._Complex(*a)))
-            for a, kw, cx in built if kw]
+            for a, kw, cx in quadrilateral_built() if kw]
 
 
 RAISE_SOURCES = st.sampled_from(["dynamics", "ties", "centre", "near_side",
                                  "raise", "bare", "triangle",
                                  "quadrilateral"])
+
+
+def raise_run(source, kind, seed, n_waves, N):
+    """The `_Complex` builds, each (args, kw, the complex), of one draw of
+    ``RAISE_SOURCES``, and for "raise" and "bare", which call add_monomial
+    directly, the raise as (f, v, whether f held its complex)."""
+    rng = random.Random(seed)
+    if source == "quadrilateral":
+        return quadrilateral_built(), None
+    if source == "triangle":
+        _, built = complex_builds(wave, zero_series(triangle(N)),
+                                  (F(1), F(1, 2)))
+        return built, None
+    if source in ("raise", "bare"):
+        _, f = make_series_for(kind, seed, n_waves)
+        if source == "bare":
+            f = TropicalSeries(f.domain, f.support)
+            v = rng.choice(list(f.support))
+        else:
+            v = (rng.randint(-3, 3), rng.randint(-3, 3))
+        c = F(rng.randint(1, 40), rng.randint(1, 12))
+        held = f._complex is not None
+        _, built = complex_builds(add_monomial, f, v, c)
+        return built, (f, v, held)
+    if source == "ties":
+        poly = rng.choice(TIE_DOMAINS + [random_polygon(rng)])
+        points = [rng.choice(quarter_grid(poly)) for _ in range(n_waves)]
+    elif source == "centre":
+        # after the wave at the rhombus's centre the constant's cell is
+        # that point, and every later wave reaches it there
+        poly = RHOMBUS
+        points = [(F(0), F(0))] + random_points(rng, poly, n_waves)
+    elif source == "near_side":
+        _, f = make_series_for(kind, seed, 0)
+        poly = f.domain
+        points = [near_side_point(rng, poly, rng.choice([100, 200]))
+                  for _ in range(n_waves)]
+    else:
+        _, f = make_series_for(kind, seed, 0)
+        poly = f.domain
+        points = random_points(rng, poly, n_waves)
+    _, built = complex_builds(waves_from_zero, poly, points)
+    return built, None
 
 
 @given(RAISE_SOURCES, DOMAINS, SEEDS, st.integers(min_value=1, max_value=4),
@@ -816,53 +874,62 @@ RAISE_SOURCES = st.sampled_from(["dynamics", "ties", "centre", "near_side",
 def test_raised_build_equals_a_full_build(source, kind, seed, n_waves, N):
     # a raise hands f's complex and v to the presentation's build, which
     # clips inside v's old cell only; every field equals a build from the
-    # domain.  An entrant is a candidate outside f's support.  "raise" and "bare" call add_monomial directly, and its build
-    # is from the domain when v has no cell in f or f holds no complex.
-    rng = random.Random(seed)
+    # domain.  An entrant is a candidate outside f's support.  "raise" and
+    # "bare" call add_monomial directly: its last build is always the
+    # raised one, and a bare f, which holds no complex, first builds its
+    # own from the domain
     if source == "quadrilateral":
         cases = quadrilateral_raise()
         assert len(cases) == 1
         for _, _, local, full in cases:
             assert local == full
         return
-    if source == "triangle":
-        _, built = complex_builds(wave, zero_series(triangle(N)),
-                                  (F(1), F(1, 2)))
-    elif source in ("raise", "bare"):
-        _, f = make_series_for(kind, seed, n_waves)
-        if source == "bare":
-            f = TropicalSeries(f.domain, f.support)
-            v = rng.choice(list(f.support))
-        else:
-            v = (rng.randint(-3, 3), rng.randint(-3, 3))
-        c = F(rng.randint(1, 40), rng.randint(1, 12))
-        _, built = complex_builds(add_monomial, f, v, c)
-        # a bare f holds no complex, and pricing the candidates builds
-        # none, so its raise builds from the domain
-        local = v in f.support if source == "raise" else False
-        assert [bool(kw) for _, kw, _ in built] == (
-            [False] * (len(built) - 1) + [local])
-    else:
-        if source == "ties":
-            poly = rng.choice(TIE_DOMAINS + [random_polygon(rng)])
-            points = [rng.choice(quarter_grid(poly)) for _ in range(n_waves)]
-        elif source == "centre":
-            # after the wave at the rhombus's centre the constant's cell is
-            # that point, and every later wave reaches it there
-            poly = RHOMBUS
-            points = [(F(0), F(0))] + random_points(rng, poly, n_waves)
-        elif source == "near_side":
-            _, f = make_series_for(kind, seed, 0)
-            poly = f.domain
-            points = [near_side_point(rng, poly, rng.choice([100, 200]))
-                      for _ in range(n_waves)]
-        else:
-            _, f = make_series_for(kind, seed, 0)
-            poly = f.domain
-            points = random_points(rng, poly, n_waves)
-        _, built = complex_builds(waves_from_zero, poly, points)
+    built, raised = raise_run(source, kind, seed, n_waves, N)
+    if raised:
+        f, v, held = raised
+        own = [] if held else [((f.domain, f.support), {})]
+        assert [(args, kw) for args, kw, _ in built[:-1]] == own
+        assert built[-1][1] == {"_raised": (f._complex, v)}
     for args, kw, cx in built:
         assert complex_fields(cx) == complex_fields(series._Complex(*args))
+
+
+CLIP_ORDER_EXAMPLES = [
+    (("ties", "square", 2, 4, 1), "quarter-grid waves, many ties"),
+    (("near_side", "pentagon", 0, 2, 1), "P_v meets the boundary"),
+    (("centre", "square", 2, 1, 1), "a reached cell that stays a point"),
+    (("triangle", "square", 0, 1, 30), "triangle(30)"),
+    (("quadrilateral", "square", 0, 1, 1), "the quadrilateral"),
+    (("raise", "square", 0, 2, 1), "v outside f's support: an empty ring"),
+]
+
+
+@given(RAISE_SOURCES, DOMAINS, SEEDS, st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=30))
+@with_examples(CLIP_ORDER_EXAMPLES)
+def test_clip_order_does_not_change_a_raised_build(source, kind, seed,
+                                                    n_waves, N):
+    # a piece of P_v is an intersection of half-planes too: a raised build
+    # with its clips' cuts in any order comes out the same on every field
+    built, _ = raise_run(source, kind, seed, n_waves, N)
+    raised = [(args, kw, complex_fields(cx)) for args, kw, cx in built if kw]
+    assert raised
+    with mock.patch.object(series, "_clip", shuffled_clip(seed)):
+        for args, kw, fields in raised:
+            assert complex_fields(series._Complex(*args, **kw)) == fields
+
+
+def test_the_named_raised_builds_hold_their_geometry():
+    # the examples above with a checkable shape still draw it
+    def rings(args):
+        return [kw["_raised"][0].hcells.get(kw["_raised"][1], [])
+                for _, kw, _ in raise_run(*args)[0] if kw]
+    _, (near, _), _, (tri, _), (quad, _), (outside, _) = CLIP_ORDER_EXAMPLES
+    boundary = set(pentagon().hvertices)
+    assert any(set(ring) & boundary for ring in rings(near))
+    assert any(h[2] == 30 for ring in rings(tri) for h in ring)
+    assert len(rings(quad)) == 1
+    assert rings(outside) == [[]]
 
 
 def test_figure3_raise_clips_inside_v_cell():
@@ -899,17 +966,89 @@ def test_figure3_raise_clips_inside_v_cell():
                                               (0, 0, 1), (2, 4, 15)]
 
 
-def test_a_raise_of_a_series_without_its_complex_builds_from_the_domain():
+def test_a_raise_of_a_series_without_its_complex_builds_its_complex_first():
     # raising the constant of the worked example keeps its side degrees,
-    # and every candidate is in its support: no coefficient needs f's
-    # complex, so f still holds none at the raise
+    # and every candidate is in its support, so pricing needs no complex;
+    # f holds none, so the raise builds f's own from the domain, keeps it
+    # for f's later readers, and builds the presentation from it
     f = square13()
     g, built = complex_builds(add_monomial, f, (0, 0), F(1, 7))
-    assert f._complex is None
+    assert f._complex is not None
     assert [(args, kw) for args, kw, _ in built] == [
+        ((f.domain, f.support), {}),
         ((f.domain, presented(f.domain, {**f.support, (0, 0): F(10, 21)})
-          .support), {})]
+          .support), {"_raised": (f._complex, (0, 0))})]
+    assert built[0][2] is f._complex
     assert complex_fields(g._complex) == fresh_fields(g)
+
+
+def outside_raise(kind, seed, n_waves, bare, side):
+    """A series f and a raise (v, c) of f, v drawn to lie outside f's small
+    form.  f is n_waves waves from zero on the domain ``kind``
+    ("triangle" is triangle(30), waved at (1, 1/2) first), rebuilt so that
+    it holds no complex if ``bare``.  v is (m + 1) n for a side of normal
+    n and degree m if ``side``, which vanishes there but is not the least
+    monomial that does, and else a point of [-4, 4]^2; both may fall in
+    f's support."""
+    if kind == "triangle":
+        rng, poly = random.Random(seed), triangle(30)
+        f = waves_from_zero(poly, [(F(1), F(1, 2))]
+                            + random_points(rng, poly, n_waves))
+    else:
+        rng, f = make_series_for(kind, seed, n_waves)
+    if bare:
+        f = TropicalSeries(f.domain, f.support)
+    if side:
+        n = rng.choice(f.domain.halfplanes).n
+        m = quasi_degree(f)[n] + 1
+        v = (m * n[0], m * n[1])
+    else:
+        v = (rng.randint(-4, 4), rng.randint(-4, 4))
+    return f, v, F(rng.randint(1, 40), rng.randint(1, 12))
+
+
+OUTSIDE_EXAMPLES = [
+    (("pentagon", 0, 2, False, False), "vertices with W = 5"),
+    (("triangle", 0, 1, False, False), "vertices with W = 30"),
+    (("square", 0, 2, True, False), "f holds no complex at the raise"),
+    (("square", 1, 2, False, True), "(m + 1) n on a side of degree m"),
+]
+
+
+@given(st.sampled_from(["square", "pentagon", "random", "triangle"]), SEEDS,
+       st.integers(min_value=0, max_value=3), st.booleans(), st.booleans())
+@with_examples(OUTSIDE_EXAMPLES)
+def test_a_raise_outside_the_small_form_returns_f(kind, seed, n_waves, bare,
+                                                  side):
+    # a v outside f's small form touches f on the boundary only, so
+    # raising it leaves f as it is: its cell in f is empty, no monomial is
+    # near, and the raised build clips nothing.  Only a bare f's own
+    # build clips, each of its cells once from the domain
+    f, v, c = outside_raise(kind, seed, n_waves, bare, side)
+    assume(v not in f.support)
+    held = f._complex is not None
+    clips = []
+    with mock.patch.object(series, "_clip", recorder(series._clip, clips)):
+        g = add_monomial(f, v, c)
+    assert g == f and quasi_degree(g) == quasi_degree(f)
+    assert complex_fields(g._complex) == fresh_fields(g)
+    assert [poly for (poly, _), _ in clips] == [f.domain.hvertices] * (
+        0 if held else len(f.support))
+
+
+def test_the_named_outside_raises_hold_their_geometry():
+    # each example above draws a v outside f's small form and the geometry
+    # it is named for
+    draws = [outside_raise(*args) for args, _ in OUTSIDE_EXAMPLES]
+    assert all(v not in f.support for f, v, _ in draws)
+    (pent, _, _), (tri, _, _), (bare, _, _), (f, v, _) = draws
+    assert any(h[2] == 5 for h in pent._int_complex()._hverts)
+    assert any(h[2] == 30 for h in tri._int_complex()._hverts)
+    assert bare._complex is None
+    offsets = series._side_offsets(f.domain)
+    [(n, m)] = series._vanishing_sides(offsets, v,
+                                       canonical_coefficient(f, v))
+    assert m == quasi_degree(f)[n] + 1
 
 
 def test_pricing_an_entrant_builds_no_complex():
@@ -1201,15 +1340,6 @@ JOIN_EXAMPLES = [
     (("dynamics", "triangle", 5, 4), EVERY_SHAPE),
     (("dynamics", "quadrilateral", 2, 3), EVERY_SHAPE),
 ]
-
-
-def with_examples(cases):
-    """Each case's arguments as a `hypothesis` `@example`."""
-    def add(test):
-        for args, _ in cases:
-            test = example(*args)(test)
-        return test
-    return add
 
 
 @given(st.sampled_from(["dynamics", "ties", "near_side"]),

@@ -131,13 +131,14 @@ def series_function(name, cls=None):
 
 
 def test_a_raise_clips_nothing_from_the_domain():
-    # every clip of a raised build starts from v's old cell in f's complex
+    # every clip of a raised build starts from v's old cell in f's complex,
+    # which is empty for a v outside f's small form
     fn = series_function("_raised_cells")
     starts = [ast.unparse(node.args[0]) for node in ast.walk(fn)
               if isinstance(node, ast.Call)
               and ast.unparse(node.func) == "_clip"]
     assert starts and set(starts) == {"ring"}
-    assert any(ast.unparse(node) == "ring = base.hcells[v]"
+    assert any(ast.unparse(node) == "ring = base.hcells.get(v, [])"
                for node in ast.walk(fn) if isinstance(node, ast.Assign))
 
 
@@ -177,3 +178,16 @@ def test_canonical_coefficient_reads_no_complex():
              | {node.id for node in ast.walk(fn)
                 if isinstance(node, ast.Name)})
     assert not names & {"_int_complex", "_complex", "table"}
+
+
+def test_a_raise_has_one_path():
+    # add_monomial always hands f's complex to the raise, through
+    # `_int_complex`, and never picks a base by what f holds; the
+    # constructor passes the hand-off on without looking inside it
+    names = {node.attr for node in ast.walk(series_function("add_monomial"))
+             if isinstance(node, ast.Attribute)}
+    assert "_int_complex" in names and "_complex" not in names
+    cells = series_function("cells", cls="TropicalSeries")
+    assert not [ast.unparse(node) for node in ast.walk(cells)
+                if isinstance(node, ast.Subscript)
+                and ast.unparse(node.value) == "_raised"]

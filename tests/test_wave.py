@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import inspect
 import json
 import math
 import random
@@ -10,16 +11,17 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from tropwave import series
+from tropwave import cli, series
 from tropwave.curve import attaining_monomials
 from tropwave.exactlp import dot, vsub
 from tropwave.geometry import QPolygon
 from tropwave.series import (OutsideDomain, add_monomial,
                              canonical_coefficient, distance_function,
                              evaluate, quasi_degree, rho, zero_series)
-from tropwave.wave import (STABILIZED, STEP_LIMIT, SamplingFailed, Schedule,
-                           UnclassifiableSide, WaveError, _columns_below,
-                           _floor_sum, _grid_point, _grid_sides,
+from tropwave.wave import (MAX_STEPS, STABILIZED, STEP_LIMIT, SamplingFailed,
+                           Schedule, UnclassifiableSide, WaveError,
+                           _columns_below, _floor_sum, _grid_point,
+                           _grid_sides,
                            _line_min, _second_min_at,
                            avalanche_experiment, run_dynamics,
                            sample_interior_points, upper_bound_witness,
@@ -380,6 +382,14 @@ class TestDynamics:
         res = run_dynamics(zero_series(poly),
                            [(F(1), F(1)), (F(3, 2), F(5, 4))], max_steps=1)
         assert res.stopped_reason == STEP_LIMIT
+
+    def test_one_step_cap_default(self):
+        # the library's dynamic, its statistics harness and the CLI stop at
+        # the same step by default
+        defaults = [inspect.signature(fn).parameters["max_steps"].default
+                    for fn in (run_dynamics, avalanche_experiment)]
+        assert defaults + [cli.RunConfig().max_steps] == [MAX_STEPS] * 3
+        assert MAX_STEPS == 10000
 
     def test_random_schedule_matches_round_robin(self):
         poly = QPolygon.box(0, 0, 3, 3)
