@@ -262,7 +262,7 @@ def cmd_stats(args, bundle: OutputBundle) -> int:
 
 def cmd_lift_check(args, bundle: OutputBundle) -> int:
     report = fuzz_lift(args.trials, seed=bundle.cfg.seed)
-    bundle.write_json("lift_report.json", report)
+    bundle.write_json("lift_report.json", jsonio.lift_report_to_json(report))
     return EXIT_OK if not report["failures"] else EXIT_CERTIFICATE
 
 

@@ -135,10 +135,29 @@ def stats_to_json(bundle: dict) -> dict:
     }
 
 
+def lift_report_to_json(report: dict) -> dict:
+    """A `fuzz_lift` report with each failure as [F, p1, p2, witness]: a
+    witness (monomial, lhs, rhs) becomes [[i, j], "p/q", "p/q"] with null
+    for a missing entry, and a witness message stays a string."""
+    def value(x):
+        return None if x is None else frac_to_str(x)
+
+    def witness(w):
+        if isinstance(w, str):
+            return w
+        v, lhs, rhs = w
+        return [None if v is None else list(v), value(lhs), value(rhs)]
+
+    return {**report, "failures": [[text, p1, p2, witness(w)]
+                                   for text, p1, p2, w in report["failures"]]}
+
+
 def dump(obj: Any, path) -> None:
+    """Write obj as JSON in one call: an object that cannot be encoded
+    raises before the file is opened."""
+    text = json.dumps(obj, indent=1, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load(path) -> Any:

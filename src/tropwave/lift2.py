@@ -17,15 +17,25 @@ TAOCP vol. 2, 4.5.1):
 - a/b + c/d divides out g = gcd(b, d), then gcd(numerator, g);
 - the square, the inverse and a power of a reduced fraction are reduced, so
   they take no gcd at all;
-- a product with a monomial t^q (numerator mask 1, denominator 1), as in
-  every ``a * p1.pow(i) * p2.pow(j)`` at the lift's monomial points, only
+- a product with a monomial t^q (numerator mask 1, denominator 1) only
   shifts the other numerator's exponent: t is prime to a denominator with
   constant term 1, so the result is still reduced, with no dilation,
-  carry-less product or gcd.
+  carry-less product or gcd.  A power of a monomial, negative powers
+  included, is the monomial t^(nq), so each term a p1^i p2^j at the lift's
+  monomial points is one shift of a's numerator, by i q1 + j q2 (`_term`).
+
+The lift check is integer end to end too.  Random draws take their
+exponents as reduced dyadic pairs (v, k), and `_compare_lift` and
+`degenerate_cancellation` compare valuations as integers on one scale 2^K
+per instance, through the same tropical-wave rule `_int_wave` that
+`trop_wave` calls after putting its rationals on one scale.  A `Fraction`
+is made only at the public API (`val`, `trop`, `trop_wave`) and for a
+failure's witness.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -61,11 +71,12 @@ def _poly_divmod(a: int, b: int) -> tuple[int, int]:
     if b == 0:
         raise ZeroDivisionError
     q = 0
-    db = b.bit_length()
-    while a.bit_length() >= db:
-        shift = a.bit_length() - db
+    db, da = b.bit_length(), a.bit_length()
+    while da >= db:
+        shift = da - db
         q ^= 1 << shift
         a ^= b << shift
+        da = a.bit_length()
     return q, a
 
 
@@ -73,7 +84,12 @@ def _poly_gcd(a: int, b: int) -> int:
     if a == 1 or b == 1:
         return 1
     while b:
-        a, b = b, _poly_divmod(a, b)[1]
+        # a mod b, without the quotient
+        db, da = b.bit_length(), a.bit_length()
+        while da >= db:
+            a ^= b << (da - db)
+            da = a.bit_length()
+        a, b = b, a
     return a
 
 
@@ -148,6 +164,28 @@ def _dyadic(e) -> tuple[int, int]:
     return e.numerator, d.bit_length() - 1
 
 
+def _reduced(v: int, k: int) -> tuple[int, int]:
+    """The dyadic pair of v/2^k in lowest terms: v odd unless k = 0."""
+    while k and not v & 1:
+        v >>= 1
+        k -= 1
+    return v, k
+
+
+def _from_dyadics(pairs: list) -> "GF2Poly":
+    """The sum of the monomials t^(v/2^k) over the dyadic pairs (v, k); a
+    monomial that appears twice cancels (characteristic two)."""
+    if not pairs:
+        return _ZERO
+    k = max(kv for _, kv in pairs)
+    ints = [v << (k - kv) for v, kv in pairs]
+    v = min(ints)
+    mask = 0
+    for e in ints:
+        mask ^= 1 << (e - v)
+    return _poly(v, k, k, mask)
+
+
 class GF2Poly:
     """Polynomial in t^(1/2^s) over GF(2), canonically normalized: the
     lowest exponent is v/2^k and the odd mask holds the rest."""
@@ -155,18 +193,7 @@ class GF2Poly:
     __slots__ = ("v", "k", "s", "mask")
 
     def __init__(self, exps=()):
-        terms: Dict[tuple, int] = {}
-        for e in exps:
-            vk = _dyadic(e)
-            terms[vk] = terms.get(vk, 0) ^ 1
-        live = [vk for vk, c in terms.items() if c]
-        k = max((vk[1] for vk in live), default=0)
-        ints = [v << (k - kv) for v, kv in live]
-        v = min(ints, default=0)
-        mask = 0
-        for e in ints:
-            mask |= 1 << (e - v)
-        p = _poly(v, k, k, mask)
+        p = _from_dyadics([_dyadic(e) for e in exps])
         self.v, self.k, self.s, self.mask = p.v, p.k, p.s, p.mask
 
     @staticmethod
@@ -399,6 +426,10 @@ class GF2RatFun:
         return _ratfun(self.num.square(), self.den.square())
 
     def pow(self, k: int) -> "GF2RatFun":
+        a = self.num
+        if a.mask == 1 and self.den.mask == 1:
+            # the monomial t^q: its power t^(kq) is one exponent product
+            return _ratfun(_poly(a.v * k, a.k, 0, 1), _ONE)
         if k < 0:
             return self.inverse().pow(-k)
         return _ratfun(self.num.pow(k), self.den.pow(k))
@@ -436,6 +467,18 @@ def _ratfun(num: GF2Poly, den: GF2Poly) -> GF2RatFun:
     return r
 
 
+def _term(a: GF2RatFun, p: Tuple[GF2RatFun, GF2RatFun], i: int,
+          j: int) -> GF2RatFun:
+    """a * p1^i * p2^j.  At a monomial point (t^q1, t^q2) only a's
+    numerator exponent moves, by i q1 + j q2, through one `_poly`."""
+    p1, p2 = p
+    if p1.num.mask == p1.den.mask == p2.num.mask == p2.den.mask == 1:
+        n, m1, m2 = a.num, p1.num, p2.num
+        v, k = _exp_sum(*_exp_sum(n.v, n.k, i * m1.v, m1.k), j * m2.v, m2.k)
+        return _ratfun(_poly(v, k, n.s, n.mask), a.den)
+    return a * p1.pow(i) * p2.pow(j)
+
+
 class LaurentPoly2:
     """Two-variable Laurent polynomial with GF2RatFun coefficients."""
 
@@ -454,10 +497,9 @@ class LaurentPoly2:
         return self.coeffs == other.coeffs
 
     def evaluate(self, p: Tuple[GF2RatFun, GF2RatFun]) -> GF2RatFun:
-        p1, p2 = p
         out = GF2RatFun.zero()
         for (i, j), a in self.coeffs.items():
-            out = out + a * p1.pow(i) * p2.pow(j)
+            out = out + _term(a, p, i, j)
         return out
 
     def to_text(self) -> str:
@@ -497,13 +539,55 @@ def trop(F: LaurentPoly2) -> Dict[Vec, Fraction]:
 
 def trop_wave(tf: Dict[Vec, Fraction], q) -> Dict[Vec, Fraction]:
     """Domain-free single wave on a finite min-plus polynomial at q: bump the
-    unique minimal monomial to tie with the runner-up; ties fix the input."""
-    vals = sorted((c + v[0] * q[0] + v[1] * q[1], v) for v, c in tf.items())
-    if len(vals) < 2 or vals[0][0] == vals[1][0]:
-        return dict(tf)
+    unique minimal monomial to tie with the runner-up; ties fix the input.
+    The values are put on one integer scale for `_int_wave`."""
+    d = math.lcm(q[0].denominator, q[1].denominator,
+                 *(c.denominator for c in tf.values()))
     out = dict(tf)
-    out[vals[0][1]] = tf[vals[0][1]] + (vals[1][0] - vals[0][0])
+    hit = _int_wave({v: c.numerator * (d // c.denominator)
+                     for v, c in tf.items()},
+                    tuple(x.numerator * (d // x.denominator) for x in q))
+    if hit:
+        v, low, high = hit
+        out[v] = tf[v] + Fraction(high - low, d)
     return out
+
+
+def _int_wave(tf: Dict[Vec, int], q: Tuple[int, int]):
+    """The tropical wave's rule on integers, with tf's values and the point
+    q on one scale: (v, low, high) for the unique minimal monomial v at q,
+    its value low and the runner-up's value high; None when the minimum
+    ties or tf has fewer than two monomials, where the wave fixes tf."""
+    low = high = arg = None
+    for v, c in tf.items():
+        x = c + v[0] * q[0] + v[1] * q[1]
+        if low is None or x < low:
+            low, high, arg = x, low, v
+        elif high is None or x < high:
+            high = x
+    if high is None or high == low:
+        return None
+    return arg, low, high
+
+
+def _scale(p: Tuple[GF2RatFun, GF2RatFun], *polys: LaurentPoly2) -> int:
+    """The least K such that 2^K times the valuation of p's coordinates and
+    of the polys' coefficients is an integer."""
+    if p[0].is_zero() or p[1].is_zero():
+        raise LiftError("the point must have nonzero coordinates")
+    return max(p[0].num.k, p[1].num.k,
+               *(a.num.k for F in polys for a in F.coeffs.values()))
+
+
+def _int_trop(F: LaurentPoly2, K: int) -> Dict[Vec, int]:
+    """Trop F times 2^K: a coefficient's valuation is its numerator's lowest
+    exponent v/2^k (the denominator has constant term 1)."""
+    return {v: a.num.v << (K - a.num.k) for v, a in F.coeffs.items()}
+
+
+def _int_point(p: Tuple[GF2RatFun, GF2RatFun], K: int) -> Tuple[int, int]:
+    """val(p) times 2^K."""
+    return (p[0].num.v << (K - p[0].num.k), p[1].num.v << (K - p[1].num.k))
 
 
 def s_wave(F: LaurentPoly2, p: Tuple[GF2RatFun, GF2RatFun]) -> LaurentPoly2:
@@ -522,7 +606,7 @@ def s_wave(F: LaurentPoly2, p: Tuple[GF2RatFun, GF2RatFun]) -> LaurentPoly2:
     inv = Fp.inverse()
     out: Dict[Vec, GF2RatFun] = {}
     for (i, j), a in F.coeffs.items():
-        out[(i, j)] = a + a.square() * p1.pow(i) * p2.pow(j) * inv
+        out[(i, j)] = a + _term(a.square(), p, i, j) * inv
     return LaurentPoly2(out)
 
 
@@ -539,18 +623,29 @@ def verify_lift_theorem(F: LaurentPoly2, p: Tuple[GF2RatFun, GF2RatFun]):
 
 def _compare_lift(F: LaurentPoly2, p: Tuple[GF2RatFun, GF2RatFun],
                   SF: LaurentPoly2):
-    """`verify_lift_theorem` given SF = S_p F."""
-    q = (p[0].val(), p[1].val())
-    lhs = trop_wave(trop(F), q)
+    """`verify_lift_theorem` given SF = S_p F, with both sides' valuations
+    as integers on the one scale 2^K of F, SF and p."""
+    if F.is_zero():
+        raise ZeroPolynomial("Trop of the zero polynomial")
     if SF.is_zero():
         return False, (None, None, None)
-    rhs = trop(SF)
-    for v in sorted(set(lhs) | set(rhs)):
+    K = _scale(p, F, SF)
+    lhs = _int_trop(F, K)
+    hit = _int_wave(lhs, _int_point(p, K))
+    if hit:
+        v, low, high = hit
+        lhs[v] += high - low
+    rhs = _int_trop(SF, K)
+    for v in sorted(lhs.keys() | rhs.keys()):
         lv = lhs.get(v)
         rv = rhs.get(v)
         if lv != rv:
-            return False, (v, lv, rv)
+            return False, (v, _unscaled(lv, K), _unscaled(rv, K))
     return True, None
+
+
+def _unscaled(x: Optional[int], K: int) -> Optional[Fraction]:
+    return None if x is None else Fraction(x, 1 << K)
 
 
 # -- fuzzing -------------------------------------------------------------------
@@ -562,16 +657,18 @@ _N_TERMS = 5  # monomials of a random instance's polynomial
 
 
 def random_gf2ratfun(rng: random.Random) -> GF2RatFun:
-    """A random nonzero rational function with small dyadic exponents."""
+    """A random nonzero rational function with small dyadic exponents, each
+    drawn as a reduced dyadic pair (v, k) for v/2^k."""
     def poly():
-        k = rng.randrange(1, _MAX_TERMS + 1)
+        n = rng.randrange(1, _MAX_TERMS + 1)
         exps = set()
-        while len(exps) < k:
-            exps.add(Fraction(rng.randrange(0, 9), 2 ** rng.randrange(0, _DENOM_POW + 1)))
-        return GF2Poly(exps)
+        while len(exps) < n:
+            exps.add(_reduced(rng.randrange(0, 9),
+                              rng.randrange(0, _DENOM_POW + 1)))
+        return _from_dyadics(list(exps))
 
     num = poly()
-    den = poly() if rng.random() < 0.4 else GF2Poly.one()
+    den = poly() if rng.random() < 0.4 else _ONE
     return GF2RatFun(num, den)
 
 
@@ -582,8 +679,8 @@ def random_instance(rng: random.Random):
         support.add((rng.randrange(-2, 3), rng.randrange(-2, 3)))
     coeffs = {v: random_gf2ratfun(rng) for v in support}
     F = LaurentPoly2(coeffs)
-    p = (GF2RatFun.t(Fraction(rng.randrange(-4, 9), 2 ** rng.randrange(0, 2))),
-         GF2RatFun.t(Fraction(rng.randrange(-4, 9), 2 ** rng.randrange(0, 2))))
+    p = (_ratfun(_poly(rng.randrange(-4, 9), rng.randrange(0, 2), 0, 1), _ONE),
+         _ratfun(_poly(rng.randrange(-4, 9), rng.randrange(0, 2), 0, 1), _ONE))
     return F, p
 
 
@@ -596,21 +693,22 @@ def degenerate_cancellation(F: LaurentPoly2, p) -> bool:
     Over this field the residue coefficients are all 1, so any exact tie
     whose terms do not sum to zero shifts valuations on the lifted side while
     the tropical side stays fixed; the identity's tie branch is the F(p) = 0
-    configuration.
+    configuration.  Valuations are compared as integers on the scale 2^K.
     """
-    q = (p[0].val(), p[1].val())
-    tf = trop(F)
-    vals = sorted((c + v[0] * q[0] + v[1] * q[1], v) for v, c in tf.items())
-    if len(vals) < 2 or vals[0][0] == vals[1][0]:
+    if F.is_zero():
+        raise ZeroPolynomial("Trop of the zero polynomial")
+    K = _scale(p, F)
+    hit = _int_wave(_int_trop(F, K), _int_point(p, K))
+    if hit is None:
         return not F.evaluate(p).is_zero()
-    k = vals[0][1]
+    k, _, expected = hit
     rest = GF2RatFun.zero()
-    p1, p2 = p
     for (i, j), a in F.coeffs.items():
         if (i, j) != k:
-            rest = rest + a * p1.pow(i) * p2.pow(j)
-    expected = vals[1][0]
-    return rest.is_zero() or rest.val() != expected
+            rest = rest + _term(a, p, i, j)
+    # val(rest) = v/2^k against expected/2^K, crosswise: rest may need a
+    # finer scale than its terms
+    return rest.is_zero() or rest.num.v << K != expected << rest.num.k
 
 
 def fuzz_lift(trials: int, seed: int = 0) -> dict:

@@ -1,5 +1,6 @@
 import argparse
 import copy
+import hashlib
 import json
 import os
 import pathlib
@@ -271,10 +272,38 @@ class TestStatsCommand:
 class TestOtherCommands:
     def test_lift_check(self, files):
         assert main(["--out", str(files / "l"), "--seed", "2", "lift-check",
-                     "--trials", "100"]) == 0
-        with open(files / "l" / "lift_report.json") as fh:
-            rep = json.load(fh)
-        assert rep["failures"] == []
+                     "--trials", "200"]) == 0
+        with open(files / "l" / "lift_report.json", "rb") as fh:
+            data = fh.read()
+        assert json.loads(data)["failures"] == []
+        # the report's bytes are pinned: the draws, the checks and the
+        # writer all feed them
+        assert hashlib.sha256(data).hexdigest() == (
+            "626c855ccf423e13b6f32209e41b94a28e1c98b53183f0681794874326d6ccd5")
+
+    def test_lift_check_failure_writes_its_report(self, files):
+        # a failure's witness holds Fractions; the report writes them as
+        # "p/q" strings or null, exits 5 and lists the report in the manifest
+        from tropwave import lift2
+        compare = lift2._compare_lift
+        calls = []
+
+        def failing_once(Fp, p, SF):
+            calls.append(p)
+            if len(calls) == 1:
+                return False, ((1, 0), F(1, 2), None)
+            return compare(Fp, p, SF)
+
+        out = str(files / "lf")
+        with mock.patch.object(lift2, "_compare_lift", failing_once):
+            assert main(["--out", out, "lift-check", "--trials", "2"]) == 5
+        with open(os.path.join(out, "lift_report.json"), "rb") as fh:
+            data = fh.read()
+        rep = json.loads(data)
+        assert rep["trials"] == 2
+        assert [f[3] for f in rep["failures"]] == [[[1, 0], "1/2", None]]
+        assert _manifest_digests(out) == {
+            "lift_report.json": hashlib.sha256(data).hexdigest()}
 
     def test_verge(self, files):
         assert main(["--out", str(files / "v"), "verge",
@@ -335,12 +364,24 @@ class TestOtherCommands:
             assert json.load(fh)["seed"] == 5
 
     def test_manifest_digests_match_contents(self, files):
-        import hashlib
         out = str(files / "m")
         assert main(["--out", out, "curve", str(files / "series.json")]) == 0
         for name, digest in _manifest_digests(out).items():
             with open(os.path.join(out, name), "rb") as fh:
                 assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+
+def test_dump_writes_json_dump_bytes_in_one_call(tmp_path):
+    sample = {"b": [1, {"c": ["1/2", None, True]}, []], "a": {}, "z": "t^(1/2)"}
+    jsonio.dump(sample, tmp_path / "one.json")
+    with open(tmp_path / "chunks.json", "w") as fh:
+        json.dump(sample, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    assert ((tmp_path / "one.json").read_bytes()
+            == (tmp_path / "chunks.json").read_bytes())
+    with pytest.raises(TypeError):
+        jsonio.dump({"a": [1, F(1, 2)]}, tmp_path / "bad.json")
+    assert not (tmp_path / "bad.json").exists()
 
 
 # -- in-process calls share one parser ------------------------------------------

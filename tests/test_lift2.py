@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tropwave import lift2
 from tropwave.lift2 import (GF2Poly, GF2RatFun, LaurentPoly2, LiftError,
@@ -450,3 +450,145 @@ def test_evaluate_and_s_wave_match_reference(specs, point):
     assert sorted(SF.coeffs) == sorted(want)
     for v, c in SF.coeffs.items():
         assert_same(c, want[v])
+
+
+# -- the reference fuzz loop: Fraction draws and Fraction valuations ----------
+
+
+def ref_random_gf2ratfun(rng):
+    def poly():
+        k = rng.randrange(1, 3)
+        exps = set()
+        while len(exps) < k:
+            exps.add(F(rng.randrange(0, 9), 2 ** rng.randrange(0, 2)))
+        return GF2Poly(exps)
+
+    num = poly()
+    den = poly() if rng.random() < 0.4 else GF2Poly.one()
+    return GF2RatFun(num, den)
+
+
+def ref_random_instance(rng):
+    support = set()
+    while len(support) < 5:
+        support.add((rng.randrange(-2, 3), rng.randrange(-2, 3)))
+    coeffs = {v: ref_random_gf2ratfun(rng) for v in support}
+    p = (t(F(rng.randrange(-4, 9), 2 ** rng.randrange(0, 2))),
+         t(F(rng.randrange(-4, 9), 2 ** rng.randrange(0, 2))))
+    return LaurentPoly2(coeffs), p
+
+
+def ref_trop_wave(tf, q):
+    vals = sorted((c + v[0] * q[0] + v[1] * q[1], v) for v, c in tf.items())
+    if len(vals) < 2 or vals[0][0] == vals[1][0]:
+        return dict(tf)
+    out = dict(tf)
+    out[vals[0][1]] = tf[vals[0][1]] + (vals[1][0] - vals[0][0])
+    return out
+
+
+def ref_compare(Fx, p, SF):
+    lhs = ref_trop_wave(trop(Fx), (p[0].val(), p[1].val()))
+    if SF.is_zero():
+        return False, (None, None, None)
+    rhs = trop(SF)
+    for v in sorted(set(lhs) | set(rhs)):
+        if lhs.get(v) != rhs.get(v):
+            return False, (v, lhs.get(v), rhs.get(v))
+    return True, None
+
+
+def ref_degenerate(Fx, p):
+    q = (p[0].val(), p[1].val())
+    vals = sorted((c + v[0] * q[0] + v[1] * q[1], v)
+                  for v, c in trop(Fx).items())
+    if len(vals) < 2 or vals[0][0] == vals[1][0]:
+        return not Fx.evaluate(p).is_zero()
+    rest = GF2RatFun.zero()
+    for (i, j), a in Fx.coeffs.items():
+        if (i, j) != vals[0][1]:
+            rest = rest + a * p[0].pow(i) * p[1].pow(j)
+    return rest.is_zero() or rest.val() != vals[1][0]
+
+
+def ref_fuzz_lift(trials, seed):
+    rng = random.Random(seed)
+    checked = degenerate = 0
+    failures = []
+    while checked < trials:
+        Fx, p = ref_random_instance(rng)
+        if ref_degenerate(Fx, p):
+            degenerate += 1
+            continue
+        SF = s_wave(Fx, p)
+        ok, witness = ref_compare(Fx, p, SF)
+        if not ok:
+            failures.append((Fx.to_text(), str(p[0]), str(p[1]), witness))
+        if not SF.evaluate(p).is_zero():
+            failures.append((Fx.to_text(), str(p[0]), str(p[1]),
+                             "S_p F (p) != 0"))
+        checked += 1
+    return {"trials": checked, "degenerate_skipped": degenerate,
+            "failures": failures, "seed": seed}
+
+
+def test_integer_draws_keep_the_fraction_draw_stream():
+    for seed in range(200):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        Fx, p = lift2.random_instance(rng)
+        Fr, pr = ref_random_instance(ref_rng)
+        assert Fx.to_text() == Fr.to_text() and Fx == Fr
+        assert p == pr
+        assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("trials, seed", [(20, s) for s in range(60)]
+                         + [(300, 17), (1000, 505)])
+def test_fuzz_lift_matches_the_fraction_reference(trials, seed):
+    assert fuzz_lift(trials, seed) == ref_fuzz_lift(trials, seed)
+
+
+def test_fuzz_lift_makes_no_fraction():
+    with mock.patch.object(lift2, "Fraction", side_effect=F) as frac, \
+            mock.patch.object(GF2Poly, "val", autospec=True,
+                              side_effect=GF2Poly.val) as val:
+        report = fuzz_lift(40, seed=17)
+    assert report["trials"] == 40 and report["failures"] == []
+    assert frac.call_count == 0
+    assert val.call_count == 0
+
+
+NONZERO = st.one_of(MONOMIALS, st.tuples(EXPS, EXPS))
+F4 = {(1, 0): ([F(0)], [F(0)]), (0, 1): ([F(1)], [F(0)])}
+F5 = {(1, 0): ([F(0)], [F(0)]), (0, 1): ([F(1)], [F(0)]),
+      (1, 1): ([F(0)], [F(0)])}
+
+
+def spec_instance(specs, point):
+    Fx = LaurentPoly2({v: both(s)[0] for v, s in specs.items()})
+    return Fx, tuple(both(s)[0] for s in point)
+
+
+@settings(max_examples=150)
+@given(st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                       NONZERO, min_size=1, max_size=5),
+       st.tuples(NONZERO, NONZERO))
+# the tie: X + tY at (t, 1), where F(p) = 0
+@example(F4, (([F(1)], [F(0)]), ([F(0)], [F(0)])))
+# the degenerate cancellation X + tY + XY at (t, t^2)
+@example(F5, (([F(1)], [F(0)]), ([F(2)], [F(0)])))
+# negative half-integer point exponents
+@example({(1, 0): ([F(0)], [F(0)]), (-1, 2): ([F(1, 2)], [F(0)]),
+          (0, -1): ([F(3, 2)], [F(0)])},
+         (([F(-1, 2)], [F(0)]), ([F(-3, 2)], [F(0)])))
+# a coefficient with a denominator: t/(1 + t^(1/2))
+@example({(1, 0): ([F(1)], [F(0), F(1, 2)]), (0, 1): ([F(0)], [F(0)]),
+          (-1, -1): ([F(1, 4), F(2)], [F(0)])},
+         (([F(1, 2)], [F(0)]), ([F(-1)], [F(0)])))
+def test_integer_valuations_match_the_fraction_rule(specs, point):
+    Fx, p = spec_instance(specs, point)
+    q = (p[0].val(), p[1].val())
+    assert trop_wave(trop(Fx), q) == ref_trop_wave(trop(Fx), q)
+    SF = s_wave(Fx, p)
+    assert lift2._compare_lift(Fx, p, SF) == ref_compare(Fx, p, SF)
+    assert degenerate_cancellation(Fx, p) == ref_degenerate(Fx, p)
