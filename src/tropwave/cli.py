@@ -60,6 +60,14 @@ def nonnegative_int(text) -> int:
     return value
 
 
+def nonnegative_rational(value) -> Fraction:
+    """A nonnegative rational, from a flag or a config value."""
+    q = jsonio.frac_from_str(value)
+    if q < 0:
+        raise jsonio.ParseError(f"{value!r} is not a nonnegative rational")
+    return q
+
+
 def _read(path, build):
     """The one input reader: open ``path``, parse its JSON and ``build`` an
     object from it.  Every failure of bad input, a missing or unreadable
@@ -103,7 +111,7 @@ class RunConfig:
         cfg.denom_bound = positive_int(
             jsonio.int_from_json(raw.get("denom_bound", cfg.denom_bound)))
         if "tol" in raw:
-            cfg.tol = jsonio.frac_from_str(raw["tol"])
+            cfg.tol = nonnegative_rational(raw["tol"])
         cfg.max_steps = nonnegative_int(
             jsonio.int_from_json(raw.get("max_steps", cfg.max_steps)))
         cfg.out_dir = raw.get("out", cfg.out_dir)
@@ -122,7 +130,7 @@ class RunConfig:
         if args.denom_bound is not None:
             cfg.denom_bound = args.denom_bound
         if args.tol is not None:
-            cfg.tol = jsonio.frac_from_str(args.tol)
+            cfg.tol = nonnegative_rational(args.tol)
         if args.max_steps is not None:
             cfg.max_steps = args.max_steps
         if args.out is not None:
@@ -193,13 +201,9 @@ def _degrees_from_json(obj):
     """Side degrees keyed by primitive normal: a zero normal, or two
     entries for one side (also through a non-primitive normal), is bad
     input."""
-    degrees = {}
-    for d in obj["degrees"]:
-        n = primitive(jsonio.vec_from_json(d["n"]))
-        if n in degrees:
-            raise jsonio.ParseError(f"side {list(n)} has two degrees")
-        degrees[n] = jsonio.int_from_json(d["m"])
-    return degrees
+    return jsonio.unique_map([(primitive(jsonio.vec_from_json(d["n"])),
+                               jsonio.int_from_json(d["m"]))
+                              for d in obj["degrees"]], "side")
 
 
 def _parse_point(text):
@@ -346,7 +350,7 @@ def _parser() -> argparse.ArgumentParser:
                                  description="exact tropical wave dynamics")
     ap.add_argument("--config", help="JSON config file")
     ap.add_argument("--seed", type=int)
-    ap.add_argument("--tol", help="rho tolerance as p/q")
+    ap.add_argument("--tol", help="rho tolerance, a nonnegative p/q")
     ap.add_argument("--max-steps", type=nonnegative_int, dest="max_steps",
                     help="wave limit; 0 applies none")
     ap.add_argument("--denom-bound", type=positive_int, dest="denom_bound")

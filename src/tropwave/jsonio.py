@@ -90,10 +90,22 @@ def series_to_json(f: TropicalSeries) -> dict:
     }
 
 
+def unique_map(pairs, name: str) -> dict:
+    """The dict of ``pairs`` (an integer vector, a value).  A vector given
+    twice is bad input, not a silent choice of one of its values; ``name``
+    says what it names."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ParseError(f"{name} {list(key)} is given twice")
+        out[key] = value
+    return out
+
+
 def series_from_json(obj) -> TropicalSeries:
     domain = polygon_from_json(obj["domain"])
-    support = {vec_from_json(t["v"]): frac_from_str(t["a"])
-               for t in obj["support"]}
+    support = unique_map([(vec_from_json(t["v"]), frac_from_str(t["a"]))
+                          for t in obj["support"]], "monomial")
     return TropicalSeries(domain, support)
 
 

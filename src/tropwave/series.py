@@ -20,7 +20,8 @@ order, rotated to the start `exactlp.sort_ccw` gives, one rule for
 segments and polygons alike; a polygon cell is checked once by
 `exactlp.basic_points` on its side lines.  The complex vertices are held
 as integer points over one common denominator D, and with them the
-integers D * f.
+integers D * f: the vertex table, built in one pass over the cells
+(`_table`) when first read.
 Renormalization keeps a monomial of the presentation whose cell is
 nonempty, at its presented coefficient, iff that cell reaches the
 interior; every other candidate reads that table (`_Complex.touching`),
@@ -33,18 +34,22 @@ complex that is only read in integers converts none.
 The constructor keeps the presentation's side degrees as the series'
 quasi-degree (`_small_canonical_terms` says why they are the small form's).
 It drops the presentation's complex, and the series builds its own on
-first use, with one exception: `add_monomial`, the write path of
-every wave, hands the presentation's complex, restricted to the kept
-monomials, to its result (`_Complex.restricted` says why that is exact), so
-the next wave reads it without a second build.  `add_monomial` also hands
-f's complex, built first if f holds none, and the raised v to the
-presentation's build, which then takes every cell by one rule and clips
-nothing from the domain: raising one coefficient changes the series only
-inside P_v, v's cell in f, so each monomial's cell is where it touches f,
-joined with its piece of P_v if the raise reaches it (`_raised_cells`).
-Most joins are a splice of two rings that share one side (`_splice`),
-and every vertex of f's complex keeps f's value, so only the vertices
-new in the raised build take a min over the monomials.
+first use, with one exception: `add_monomial`, the write path of every
+wave, does each piece of work once.  It hands f's complex, built first if
+f holds none, the raised v and its raised side degrees to the
+constructor.  The degrees go to renormalization as they are, with no
+scan of the presentation.  The presentation's build takes every cell by
+one rule and clips nothing from the domain: raising one coefficient
+changes the series only inside P_v, v's cell in f, so each monomial's
+cell is where it touches f, joined with its piece of P_v if the raise
+reaches it (`_raised_cells`); most joins are a splice of two rings that
+share one side (`_splice`).  Every cell is checked as in a build from the
+domain, but the presentation's table is built only if renormalization
+reads it, for a v raised past where it touches or outside f's small
+form.  The result then keeps a complex over its own kept cells, whose
+table is built in one pass (`_Complex.kept`): every vertex of f's complex
+keeps f's value, so only the new vertices take a min over the monomials,
+and the next wave reads it without a second build.
 A monomial outside a series' small form touches it on the boundary only,
 where it vanishes, so `canonical_coefficient` prices it from the domain
 (`geometry.support_coeff`) and reads no complex, and in a raise its
@@ -96,10 +101,12 @@ class TropicalSeries:
     as its quasi-degree.  It drops the complex, and the series
     builds its own on first use, unless ``_raised`` is set (`add_monomial`
     alone sets it) and every kept monomial carries its presented
-    coefficient: the series then keeps the complex restricted to its small
-    form (`_Complex.restricted`).  ``_raised`` is (f's complex, v) for the
-    presentation of f with v raised, and `cells()` passes it on to the
-    build (`_Complex`).
+    coefficient: the series then keeps a complex over its own cells, read
+    off the presentation's, with its table built in one pass
+    (`_Complex.kept`).  ``_raised`` is (f's complex, v, the side degrees)
+    for the presentation of f with v raised: `cells()` passes f's complex
+    and v on to the build (`_Complex`), and renormalization takes the
+    degrees as they are.
     """
 
     def __init__(self, domain: QPolygon, support: Support, *,
@@ -113,16 +120,16 @@ class TropicalSeries:
         self.support = dict(sorted(support.items()))
         self._cells: Optional[Mapping] = None
         self._complex: Optional[_Complex] = None
-        self.cells(_raised=_raised)
+        self.cells(_raised=_raised and _raised[:2])
         presented, cx = self.support, self._complex
         self.support, self._quasi_degree = _small_canonical_terms(
-            domain, presented, cx)
+            domain, presented, cx, degrees=_raised and _raised[2])
         self._cells = self._complex = None
         # a kept monomial whose coefficient is below its presented one (v,
         # raised past where it touches) has a cell the presentation lacks
         if _raised is not None and all(presented.get(u, a) == a
                                        for u, a in self.support.items()):
-            self._complex = cx.restricted(self.support)
+            self._complex = cx.kept(self.support)
             self._cells = self._complex.cells
 
     # -- basics ----------------------------------------------------------
@@ -200,32 +207,29 @@ class _Complex:
     (`_check_cell`), and the fields equal a build from the domain's.
     The complex vertices, in first-seen order over the cells, are kept as
     ``table`` rows (X, Y, F): the vertex is (X, Y) / denom and F is denom
-    times the series there, the least of the lifted monomials
-    (`_min_values`).  In a raised build, a vertex already in f's table lies
-    on the boundary of v's cell in f or outside it, where the raised series
-    equals f, so its F is f's row rescaled to this denom; the division is
-    exact, and a remainder raises SeriesError.  Only the new vertices take
-    the min.  ``hcells`` maps each monomial to its cell as
-    reduced homogeneous points (X, Y, W), W > 0, in the order of ``cells``;
-    ``cells`` and ``vertices`` are the same data as `Fraction` points, made
-    on first read: a build converts nothing, and a reader pays only for the
-    cells it reads.
+    times the series there.  ``denom``, ``table`` and ``_hverts`` are built
+    together on first read, in one pass over the cells (`_table`), so a
+    raised build that renormalization reads through its cells alone builds
+    no table; its rows carry f's over where the raised series equals f.
+    ``hcells`` maps each monomial to its cell as reduced homogeneous points
+    (X, Y, W), W > 0, in the order of ``cells``; ``cells`` and ``vertices``
+    are the same data as `Fraction` points, made on first read: a build
+    converts nothing, and a reader pays only for the cells it reads.
     """
 
-    __slots__ = ("denom", "table", "hcells", "cells", "_hverts", "_vertices")
+    __slots__ = ("denom", "table", "hcells", "cells", "vertices", "_hverts",
+                 "_pending")
 
     def __init__(self, domain: QPolygon, support: Support, *,
                  _raised: Optional[tuple] = None):
         # star-arguments come from lists, not generators: on CPython 3.11
         # the generator form made the peak RSS of long runs creep upwards
         scale = math.lcm(*[a.denominator for a in support.values()])
-        alpha = [a.numerator * (scale // a.denominator)
-                 for a in support.values()]
         # monomial v as the triple (scale v0, scale v1, alpha_v)
-        triples = [(scale * v[0], scale * v[1], av)
-                   for v, av in zip(support, alpha)]
+        triples = [(scale * v[0], scale * v[1],
+                    a.numerator * (scale // a.denominator))
+                   for v, a in support.items()]
         if _raised is None:
-            domain_verts = domain.hvertices
             hcells = {}
             for v, (Av, Bv, Cv) in zip(support, triples):
                 # the constraint (w - v) . z + alpha_w - alpha_v >= 0, for
@@ -235,86 +239,50 @@ class _Complex:
                 # nearest exponents first, ties in support order: v's own
                 # row leads, and the subdivision neighbours shrink the cell
                 # early
-                cell = _clip(domain_verts, _nearest_first(cons)[1:])
+                cell = _clip(domain.hvertices, _nearest_first(cons)[1:])
                 _check_cell(v, cell)
                 hcells[v] = lp.rotate_ccw(cell) if len(cell) >= 2 else cell
         else:
             hcells = _raised_cells(dict(zip(support, triples)), domain,
                                    *_raised)
-            for v, cell in hcells.items():
-                _check_cell(v, cell)
-
-        hverts = list(dict.fromkeys(h for hs in hcells.values() for h in hs))
-        denom = math.lcm(scale, *[h[2] for h in hverts])
-        points = [(X * (denom // W), Y * (denom // W)) for X, Y, W in hverts]
-        # a vertex of f's complex lies off the interior of P_v, where g = f
-        base = _raised[0] if _raised else None
-        old = dict(zip(base._hverts, base.table)) if base else {}
-        lift = denom // scale
-        lifted = [(v[0], v[1], av * lift) for v, av in zip(support, alpha)]
-        new = iter(_min_values(lifted, [p for h, p in zip(hverts, points)
-                                        if h not in old]))
-        table = []
-        for h, (X, Y) in zip(hverts, points):
-            row = old.get(h)
-            if row is None:
-                F = next(new)
-            else:
-                F, r = divmod(row[2] * denom, base.denom)
-                if r:
-                    raise SeriesError(f"f at the vertex {h} of its complex "
-                                      f"is no multiple of 1/{denom}")
-            table.append((X, Y, F))
-        self.denom = denom
-        self.table = table
         self.hcells = hcells
         self.cells = _Cells(hcells)
-        self._hverts = hverts
-        self._vertices = None
+        # the arguments of `_table` after the cells, for a table built on
+        # first read
+        self._pending = (support, _raised and _raised[0])
 
-    def restricted(self, support: Support) -> "_Complex":
+    def __getattr__(self, name):
+        # a build leaves ``vertices``, ``denom``, ``table`` and ``_hverts``
+        # unset, and fills each on its first read, the last three together
+        if name == "vertices":
+            self.vertices = [self.cells.point(h) for h in self._hverts]
+        elif name in ("denom", "table", "_hverts"):
+            self._hverts, self.denom, self.table = _table(self.hcells,
+                                                          *self._pending)
+        else:
+            raise AttributeError(name)
+        return getattr(self, name)
+
+    def kept(self, support: Support) -> "_Complex":
         """The complex of the series g whose small form is ``support``, read
-        off this complex of a presentation P of g in which every monomial of
-        ``support`` carries the same coefficient.  It equals
-        ``_Complex(domain, support)`` on every field, and costs no clip and
-        no enumeration.
-
-        A cell is the set where its monomial attains g, so each monomial of
-        ``support`` has the same cell in both builds.  A point cell is its
-        clip, and a cell of two or more points comes out in the same order
-        in both, since `exactlp.rotate_ccw` orders it by its points alone.
-        ``hcells`` is P's restricted to ``support``, in its order; the
-        vertices are taken in first-seen order over it.  ``denom`` becomes
-        lcm(scale of ``support``, vertex W), which divides P's, and each
-        ``table`` row is P's row divided by their quotient, as P's min is g.
-        Raises SeriesError if a monomial of ``support`` is not in P.
-        """
-        hcells = {}
-        for v in support:
-            if v not in self.hcells:
-                raise SeriesError(f"kept monomial {v} is not in the presentation")
-            hcells[v] = self.hcells[v]
-        hverts = list(dict.fromkeys(h for hs in hcells.values() for h in hs))
-        denom = math.lcm(*[a.denominator for a in support.values()],
-                         *[h[2] for h in hverts])
-        k = self.denom // denom
-        rows = dict(zip(self._hverts, self.table))
+        off this complex of a raised presentation of g in which every
+        monomial of ``support`` carries the same coefficient, with its table
+        built now (`_table`).  It equals ``_Complex(domain, support)`` on
+        every field, and costs no clip and no enumeration: a cell is the
+        set where its monomial attains g, so each monomial of ``support``
+        has the same cell in both builds, in the same order, as
+        `exactlp.rotate_ccw` orders a cell by its points alone.  Raises
+        SeriesError if a monomial of ``support`` has no cell here."""
+        try:
+            hcells = {v: self.hcells[v] for v in support}
+        except KeyError as exc:
+            raise SeriesError(f"kept monomial {exc.args[0]} is not in the "
+                              "presentation") from None
         out = object.__new__(type(self))
-        out.denom = denom
-        out.table = [(X // k, Y // k, F // k)
-                     for X, Y, F in [rows[h] for h in hverts]]
-        out.hcells = hcells
-        out.cells = _Cells(hcells)
-        out._hverts = hverts
-        out._vertices = None
+        out.hcells, out.cells = hcells, _Cells(hcells)
+        out._hverts, out.denom, out.table = _table(hcells, support,
+                                                   self._pending[1])
         return out
-
-    @property
-    def vertices(self) -> list[Point]:
-        """The complex vertices as `Fraction` points, in ``table`` order."""
-        if self._vertices is None:
-            self._vertices = [self.cells.point(h) for h in self._hverts]
-        return self._vertices
 
     def touching(self, u: Vec) -> tuple[int, list]:
         """(b, attainers): b / denom is the canonical coefficient of u, the
@@ -364,6 +332,43 @@ class _Cells(Mapping):
         return len(self._hcells)
 
 
+def _table(hcells: dict, support: Support, base: Optional[_Complex]) -> tuple:
+    """(hverts, denom, table) of the complex whose cells are ``hcells``, of
+    the series presented by ``support``, in one pass over the cells: the
+    complex vertices in first-seen order, the lcm of the coefficient
+    denominators and the vertex W, and per vertex the row (X, Y, F), the
+    vertex (X, Y) / denom and F denom times the series there.  ``base`` is
+    f's complex for a raise g = `add_monomial`(f, v, c), else None.
+
+    In a raise, a vertex of f's complex lies off the interior of P_v, v's
+    cell in f, where g = f, so its F is f's row rescaled to this denom; the
+    division is exact, and a remainder raises SeriesError.  Every other
+    vertex takes the least of the lifted monomials (`_min_values`), and in a
+    raise a negative one raises SeriesError, as g >= f >= 0 (renormalizing
+    any other presentation checks its whole table)."""
+    hverts = list(dict.fromkeys(h for hs in hcells.values() for h in hs))
+    denom = math.lcm(*[a.denominator for a in support.values()],
+                     *[h[2] for h in hverts])
+    points = [(X * (denom // W), Y * (denom // W)) for X, Y, W in hverts]
+    old = dict(zip(base._hverts, base.table)) if base else {}
+    lifted = [(v[0], v[1], a.numerator * (denom // a.denominator))
+              for v, a in support.items()]
+    new = iter(_min_values(lifted, [p for h, p in zip(hverts, points)
+                                    if h not in old]))
+    table = []
+    for h, (X, Y) in zip(hverts, points):
+        row = old.get(h)
+        F, r = divmod(row[2] * denom, base.denom) if row else (next(new), 0)
+        if r:
+            raise SeriesError(f"f at the vertex {h} of its complex "
+                              f"is no multiple of 1/{denom}")
+        table.append((X, Y, F))
+    # f's rows are nonnegative, so only a new row can fail this
+    if base and min(F for _, _, F in table) < 0:
+        raise SeriesError("presentation is negative on the domain")
+    return hverts, denom, table
+
+
 def _min_values(lifted: list, points: list) -> list:
     """denom times the series at each of ``points``, integer pairs (X, Y)
     standing for (X, Y) / denom: the least of the ``lifted`` monomials
@@ -411,7 +416,8 @@ def _raised_cells(triples: dict, domain: QPolygon, base: "_Complex",
     (`_splice`); else the hull of both parts (`_hull`), as for a segment or
     a point on either side, and so for every entrant.  Each cell comes out
     as its vertices in `exactlp.rotate_ccw` order, as a build from the
-    domain gives it."""
+    domain gives it, and takes the check a clip from the domain takes
+    (`_check_cell`) as it is made."""
     ring = base.hcells.get(v, [])
     Av, Bv, Cv = triples[v]
     # v's own row is all zeros, so v is near unless P_v is empty
@@ -433,6 +439,7 @@ def _raised_cells(triples: dict, domain: QPolygon, base: "_Complex",
                 cell = lp.rotate_ccw(piece) if len(piece) >= 2 else piece
             elif piece:
                 cell = _join(cell, piece)
+        _check_cell(u, cell)
         out[u] = cell
     return out
 
@@ -542,12 +549,9 @@ def _clip(poly: Sequence, cuts: list) -> list:
     opposite sides of a cut line meets it at s1 * h2 - s2 * h1.
     """
     for A, B, C in cuts:
-        for X, Y, W in poly:
-            if A * X + B * Y + C * W < 0:
-                break
-        else:
-            continue
         s = [A * X + B * Y + C * W for X, Y, W in poly]
+        if min(s) >= 0:
+            continue
         out = []
         n = len(poly)
         for i in range(n):
@@ -653,16 +657,19 @@ def _degree_hull(degrees: tuple) -> tuple[Vec, ...]:
     return tuple(lp.hull_lattice_points(pts))
 
 
-def _small_canonical_terms(domain: QPolygon, terms: Support, cx: _Complex
+def _small_canonical_terms(domain: QPolygon, terms: Support, cx: _Complex,
+                           degrees: Optional[Dict[Vec, int]] = None
                            ) -> tuple[Support, Dict[Vec, int]]:
     """Renormalize a finite presentation, whose linearity complex is cx, to
     the small canonical form; return it with the presentation's side
-    degrees, which are also the small form's.
+    degrees, which are also the small form's.  A raise hands them over as
+    ``degrees``; else they are scanned here.
 
     The presentation must define a valid series: nonnegative (checked at the
     complex vertices, which include the domain vertices where the concave
     min attains its minimum) and vanishing on every side (a vanishing
-    monomial per side must be present).
+    monomial per side must be present).  A raise, which is valid by
+    construction, checks the new rows of its tables instead (`_table`).
 
     The side degrees agree because near a side's midpoint every monomial
     that does not vanish on that side stays positive: it is nonnegative on
@@ -688,9 +695,10 @@ def _small_canonical_terms(domain: QPolygon, terms: Support, cx: _Complex
       coefficient is the max over the complex vertices of (f - u.z), and
       the touching set is the hull of the vertices attaining it.
     """
-    if min(F for _, _, F in cx.table) < 0:
-        raise SeriesError("presentation is negative on the domain")
-    degrees = _presentation_side_degrees(domain, terms)
+    if degrees is None:
+        if min(F for _, _, F in cx.table) < 0:
+            raise SeriesError("presentation is negative on the domain")
+        degrees = _presentation_side_degrees(domain, terms)
     candidates = _candidate_hull(degrees)
 
     domain_cons = domain.int_constraints()
@@ -788,8 +796,9 @@ def add_monomial(f: TropicalSeries, v: Vec, c: Fraction) -> TropicalSeries:
     domain (`canonical_coefficient`), so pricing builds no complex.  Every
     cell of the presentation's complex is read off f's, built first and
     kept if f holds none, with clips inside v's cell only
-    (`_raised_cells`); the result keeps that complex restricted to its
-    small form.
+    (`_raised_cells`).  The result keeps a complex over its own cells, its
+    table built in one pass from f's (`_Complex.kept`), and the side
+    degrees go to its renormalization as they are.
     """
     v = tuple(v)
     c = Fraction(c)
@@ -806,9 +815,10 @@ def add_monomial(f: TropicalSeries, v: Vec, c: Fraction) -> TropicalSeries:
                       for u in _candidate_hull(degrees) if u != v}
     terms[v] = a_v + c
     # each u != v carries c_u(f), and f <= g <= u.z + c_u(f) gives
-    # c_u(g) = c_u(f): the result inherits the presentation's complex,
-    # built from f's
-    return TropicalSeries(f.domain, terms, _raised=(f._int_complex(), v))
+    # c_u(g) = c_u(f): the result keeps the presentation's cells, built
+    # from f's
+    return TropicalSeries(f.domain, terms,
+                          _raised=(f._int_complex(), v, degrees))
 
 
 def tropical_product(f: TropicalSeries, g: TropicalSeries) -> TropicalSeries:

@@ -119,6 +119,9 @@ class TestWaveCommand:
     ["curve", "{deep}"],
     ["verge", "{square}", "{deep}", "--eps", "1/8"],
     ["--config", "{deep}", "curve", "{series}"],
+    ["curve", "{repeated_monomial}"],
+    ["--tol", "-1", "dynamics", "{square}", "{points}"],
+    ["--config", "{negative_tol}", "dynamics", "{square}", "{points}"],
 ], ids=["unbounded-stats", "unbounded-dynamics", "unbounded-coarsen",
         "bad-tol", "missing-config", "config-denom-bound-0",
         "config-not-object", "denom-bound-0", "n-0", "stats-trials-negative",
@@ -135,7 +138,8 @@ class TestWaveCommand:
         "dynamics-points-not-utf8", "curve-series-not-utf8",
         "verge-degrees-not-utf8", "dynamics-polygon-deep",
         "dynamics-points-deep", "curve-series-deep", "verge-degrees-deep",
-        "config-deep"])
+        "config-deep", "series-repeated-monomial", "tol-negative",
+        "config-tol-negative"])
 def test_bad_input_exit_2(files, argv, monkeypatch):
     # a single half-plane is an unbounded polygon
     jsonio.dump({"halfplanes": [{"n": [1, 0], "a": "0/1"}]},
@@ -167,19 +171,25 @@ def test_bad_input_exit_2(files, argv, monkeypatch):
                              {"n": [-1, 0], "m": 1}, {"n": [0, -1], "m": 1},
                              {"n": [2, 0], "m": 2}]},
                 files / "repeated_side.json")
+    # (0, 0) twice: the last entry alone is the zero series
+    jsonio.dump({"domain": jsonio.polygon_to_json(unit_square()),
+                 "support": [{"v": [0, 0], "a": "1/2"},
+                             {"v": [0, 0], "a": "0"}]},
+                files / "repeated_monomial.json")
     jsonio.dump({"tol": 0.1}, files / "float_tol.json")
     jsonio.dump({"tol": True}, files / "bool_tol.json")
     jsonio.dump({"seed": 1.7, "denom_bound": 8.9}, files / "float_ints.json")
     jsonio.dump({"max_steps": True}, files / "bool_ints.json")
     jsonio.dump({"max_steps": -5}, files / "negative_steps.json")
+    jsonio.dump({"tol": "-1"}, files / "negative_tol.json")
     jsonio.dump({"out": ""}, files / "empty_out.json")
     (files / "not_utf8.json").write_bytes(b'{"points": ["\xff"]}')
     (files / "deep.json").write_text("[" * 100000 + "]" * 100000)
     names = ("half", "points", "square", "series", "missing", "zero_bound",
              "not_object", "points_not_list", "float_normal", "float_points",
              "bool_points", "float_series", "bool_series", "float_degrees",
-             "zero_degree_normal", "repeated_side",
-             "float_tol", "bool_tol", "float_ints", "bool_ints",
+             "zero_degree_normal", "repeated_side", "repeated_monomial",
+             "negative_tol", "float_tol", "bool_tol", "float_ints", "bool_ints",
              "negative_steps", "empty_out", "not_utf8", "deep")
     paths = {k: str(files / f"{k}.json") for k in names}
     argv = [a.format(**paths) for a in argv]
@@ -190,6 +200,31 @@ def test_bad_input_exit_2(files, argv, monkeypatch):
     except SystemExit as exc:  # argparse rejects a bad flag value
         code = exc.code
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["curve", "{repeated}"], "monomial [0, 0] is given twice"),
+    (["--tol", "-1", "dynamics", "{square}", "{points}"],
+     "'-1' is not a nonnegative rational"),
+    (["--config", "{config}", "dynamics", "{square}", "{points}"],
+     "'-1' is not a nonnegative rational"),
+])
+def test_a_repeated_monomial_or_negative_tolerance_is_a_parse_error(
+        files, argv, message, capsys):
+    # a series file listing (0, 0) twice would be read as one of them, and
+    # a negative tolerance would switch the tolerance stop off
+    jsonio.dump({"domain": jsonio.polygon_to_json(unit_square()),
+                 "support": [{"v": [0, 0], "a": "0"}, {"v": [1, 0], "a": "0"},
+                             {"v": [0, 0], "a": "1/2"}]},
+                files / "repeated.json")
+    jsonio.dump({"tol": "-1"}, files / "config.json")
+    paths = {k: str(files / f"{k}.json")
+             for k in ("repeated", "square", "points", "config")}
+    out = ["--out", str(files / "o")]
+    assert main(out + [a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error") and message in err
+    assert not (files / "o").exists()
 
 
 class TestDynamicsCommand:

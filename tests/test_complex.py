@@ -735,16 +735,18 @@ def test_raising_past_the_touching_level_inherits_no_complex():
 
 
 def test_a_kept_monomial_missing_from_the_presentation_raises():
-    # the hand-off reads each kept cell off the presentation's complex and
-    # never falls back to a build
+    # the one-pass builder reads each kept cell off the presentation's
+    # complex and never falls back to a build: a missing one raises before
+    # any table is built
     f = square13()
     cx = series._Complex(f.domain, f.support)
     missing = dict(f.support)
     missing[(1, 1)] = F(0)
     with mock.patch.object(series, "_Complex") as build, \
+            mock.patch.object(series, "_table") as table, \
             pytest.raises(SeriesError, match=r"\(1, 1\)"):
-        cx.restricted(missing)
-    assert build.call_count == 0
+        cx.kept(missing)
+    assert build.call_count == 0 and table.call_count == 0
 
 
 def with_examples(cases):
@@ -1051,6 +1053,94 @@ def test_the_named_outside_raises_hold_their_geometry():
     assert m == quasi_degree(f)[n] + 1
 
 
+# -- the result's complex, built in one pass over its kept cells ------------
+
+RESULT_EXAMPLES = [
+    (("past", "square", 0, 0), "v raised past where it touches"),
+    (("outside", "pentagon", 0, 2), "v outside f's small form"),
+    (("figure3", "square", 0, 1), "an entrant touching f along a side"),
+    (("waves", "square", 3, 3), "an entrant touching f at a vertex"),
+    (("near_side", "pentagon", 0, 2), "v's old cell meets the boundary"),
+    (("waves", "pentagon", 0, 1), "a pentagon raise: vertices with W = 5"),
+]
+
+
+def raise_draw(source, kind, seed, n_waves):
+    """The raised `_Complex` builds of one draw, each (args, kw, the
+    complex), and its `_Complex.kept` calls, each ((the presentation's
+    complex, the small form), the result's complex).  "waves" and
+    "near_side" run n_waves waves from zero on ``kind``, at random points
+    or at points 1/100 or 1/200 from a side; "figure3" is the worked
+    example's wave; "past" raises a monomial of a series n_waves waves from
+    zero by 40, past where it touches; "outside" is `outside_raise`'s."""
+    rng = random.Random(seed)
+    if source == "figure3":
+        fn, args = wave, (square13(), (F(1, 5), F(1, 2)))
+    elif source == "past":
+        _, f = make_series_for(kind, seed, n_waves)
+        fn, args = add_monomial, (f, rng.choice(list(f.support)), 40)
+    elif source == "outside":
+        fn, args = add_monomial, outside_raise(kind, seed, n_waves, False,
+                                               False)
+    elif source == "near_side":
+        _, f = make_series_for(kind, seed, 0)
+        fn, args = waves_from_zero, (f.domain, [
+            near_side_point(rng, f.domain, rng.choice([100, 200]))
+            for _ in range(n_waves)])
+    else:
+        rng, f = make_series_for(kind, seed, 0)
+        fn, args = waves_from_zero, (f.domain,
+                                     random_points(rng, f.domain, n_waves))
+    kept = []
+    with mock.patch.object(series._Complex, "kept",
+                           recorder(series._Complex.kept, kept)):
+        _, built = complex_builds(fn, *args)
+    return [(a, kw, cx) for a, kw, cx in built if kw], kept
+
+
+@given(st.sampled_from(["waves", "near_side", "figure3", "past", "outside"]),
+       DOMAINS, SEEDS, st.integers(min_value=0, max_value=4))
+@with_examples(RESULT_EXAMPLES)
+def test_a_raise_result_complex_equals_a_full_build(source, kind, seed,
+                                                     n_waves):
+    # a raise builds its result's complex in one pass over the kept cells
+    # of its presentation, and it equals a build from the domain on all
+    # five fields; so does the presentation's, whose table is built when
+    # first read
+    built, kept = raise_draw(source, kind, seed, n_waves)
+    domain = {id(cx): a[0] for a, _, cx in built}
+    for (presentation, support), cx in kept:
+        assert complex_fields(cx) == complex_fields(
+            series._Complex(domain[id(presentation)], support))
+    for args, _, cx in built:
+        assert complex_fields(cx) == complex_fields(series._Complex(*args))
+
+
+def test_the_named_result_draws_hold_their_geometry():
+    # each example above draws the geometry it is named for
+    past, outside, side, vertex, near, pent = [args for args, _ in
+                                               RESULT_EXAMPLES]
+    # renormalization read the presentation's table for v's canonical
+    # coefficient (a plain slot read, which builds nothing, finds it), and
+    # the result keeps no complex
+    [(_, _, cx)], kept = raise_draw(*past)
+    assert object.__getattribute__(cx, "table") and kept == []
+    [(_, kw, _)], [_] = raise_draw(*outside)
+    base, v = kw["_raised"]
+    assert v not in base.hcells
+    # the entrants of these draws touch f along a side and at a vertex
+    assert raise_draw(*side)[1] and raise_draw(*vertex)[1]
+    assert [len(domain_face(domain, t)) for domain, _, _, t
+            in entrant_touchings("figure3", 0, 1)] == [2]
+    assert 1 in {len(domain_face(domain, t)) for domain, _, _, t
+                 in entrant_touchings("square", 3, 3)}
+    boundary = set(pentagon().hvertices)
+    assert any(set(kw["_raised"][0].hcells.get(kw["_raised"][1], []))
+               & boundary for _, kw, _ in raise_draw(*near)[0])
+    assert any(h[2] == 5 for _, cx in raise_draw(*pent)[1]
+               for h in cx._hverts)
+
+
 def test_pricing_an_entrant_builds_no_complex():
     # canonical_coefficient prices a monomial outside the support from the
     # domain, so neither it nor rho builds or reads a complex: (2, 0) is
@@ -1226,49 +1316,95 @@ def test_an_unreached_entrant_along_a_side_keeps_the_side(kind, seed):
 
 
 def test_figure3_raise_takes_the_min_at_new_vertices_only():
-    # of the presentation's vertices, only those not in f's table take the
-    # min over the lifted monomials; the others carry f's row over, scaled
-    # from f's denominator 3 to the presentation's
+    # of the result's vertices, only those not in f's table take the min
+    # over the lifted monomials; the others carry f's row over, scaled
+    # from f's denominator 3 to the result's
     f = square13()
     cx = f._int_complex()
+    old = dict(zip(cx._hverts, cx.table))
     rows, min_values = [], series._min_values
 
     def recording(lifted, points):
         rows.extend(points)
         return min_values(lifted, points)
     with mock.patch.object(series, "_min_values", recording):
-        _, built = complex_builds(wave, f, (F(1, 5), F(1, 2)))
-    [(args, _, raised)] = built
-    new = [h for h in raised._hverts if h not in cx._hverts]
+        g, _ = wave(f, (F(1, 5), F(1, 2)))
+    result = g._complex
+    new = [h for h in result._hverts if h not in old]
     assert len(rows) == len(new) == 4
-    assert rows == [(X, Y) for (X, Y, _), h in zip(raised.table,
-                                                   raised._hverts)
+    assert rows == [(X, Y) for (X, Y, _), h in zip(result.table,
+                                                   result._hverts)
                     if h in new]
     # a copy of f's row unscaled would be wrong at every vertex where f > 0
-    assert (cx.denom, raised.denom) == (3, 15)
-    old = dict(zip(cx._hverts, cx.table))
-    carried = [(old[h][2], row[2]) for h, row in zip(raised._hverts,
-                                                     raised.table)
+    assert (cx.denom, result.denom) == (3, 15)
+    carried = [(old[h][2], row[2]) for h, row in zip(result._hverts,
+                                                     result.table)
                if h in old]
     assert len(carried) == 6
     assert all(Fg == Ff * 5 for Ff, Fg in carried)
     assert sum(Ff != Fg for Ff, Fg in carried) == 2
-    assert complex_fields(raised) == complex_fields(series._Complex(*args))
+    assert complex_fields(result) == fresh_fields(g)
+
+
+def test_a_positive_wave_builds_one_vertex_table():
+    # the figure-3 wave builds one vertex table, its result's, in one pass
+    # over the result's own cells: 4 rows take the min and 6 carry f's
+    # over.  The presentation's table is never read, as every candidate
+    # has a cell there, and no side degree is scanned
+    f = square13()
+    cx = f._int_complex()
+    assert cx.table
+    tables, mins, scans = [], [], []
+    with mock.patch.object(series, "_table",
+                           recorder(series._table, tables)), \
+            mock.patch.object(series, "_min_values",
+                              recorder(series._min_values, mins)), \
+            mock.patch.object(series, "_presentation_side_degrees",
+                              recorder(series._presentation_side_degrees,
+                                       scans)):
+        g, ev = wave(f, (F(1, 5), F(1, 2)))
+    assert ev.increment == F(2, 15)
+    [((hcells, support, base), rows)] = tables
+    assert hcells is g._complex.hcells and support is g.support
+    assert base is cx and rows == (g._complex._hverts, g._complex.denom,
+                                   g._complex.table)
+    [((_, points), _)] = mins
+    assert (len(points), len(rows[2]) - len(points)) == (4, 6)
+    assert scans == []
 
 
 def test_a_carried_row_that_is_no_multiple_of_the_new_step_raises():
     # f's table is read as values over f's denominator; one that does not
-    # scale to the presentation's is refused, not rounded
+    # scale to the new table's is refused, not rounded, by the one-pass
+    # builder, in the presentation's table read on demand and in a table
+    # over the kept cells alike
     f = square13()
     cx = f._int_complex()
     bad = object.__new__(series._Complex)
-    for name in series._Complex.__slots__:
-        setattr(bad, name, getattr(cx, name))
-    bad.denom = 7 * cx.denom
+    bad.hcells, bad.cells = cx.hcells, cx.cells
+    bad._hverts, bad.denom, bad.table = cx._hverts, 7 * cx.denom, cx.table
     terms = presented(f.domain, {**f.support, (1, 0): F(2, 15)}).support
+    raised = series._Complex(f.domain, terms, _raised=(bad, (1, 0)))
     with pytest.raises(SeriesError, match="no multiple"):
-        series._Complex(f.domain, terms, _raised=(bad, (1, 0)))
-    series._Complex(f.domain, terms, _raised=(cx, (1, 0)))
+        raised.table
+    with pytest.raises(SeriesError, match="no multiple"):
+        series._table(raised.hcells, terms, bad)
+    raised = series._Complex(f.domain, terms, _raised=(cx, (1, 0)))
+    assert complex_fields(raised) == complex_fields(
+        series._Complex(f.domain, terms))
+
+
+def test_a_negative_new_row_of_a_raise_raises():
+    # a raise's table takes the min only at its new vertices, and refuses a
+    # negative one there: the worked example's raise with its constant
+    # lowered to -1 is negative at every new vertex, while f's rows carry
+    f = square13()
+    cx = f._int_complex()
+    terms = presented(f.domain, {**f.support, (1, 0): F(2, 15)}).support
+    raised = series._Complex(f.domain, terms, _raised=(cx, (1, 0)))
+    with pytest.raises(SeriesError, match="negative"):
+        series._table(raised.hcells, {**terms, (0, 0): F(-1)}, cx)
+    series._table(raised.hcells, terms, cx)
 
 
 # -- the joins of a raise -------------------------------------------------------

@@ -191,3 +191,51 @@ def test_a_raise_has_one_path():
     assert not [ast.unparse(node) for node in ast.walk(cells)
                 if isinstance(node, ast.Subscript)
                 and ast.unparse(node.value) == "_raised"]
+
+
+def test_complex_keeps_no_restriction_of_a_presentation_table():
+    # a raise's result takes its table in one pass over its own cells, not
+    # rows divided down from its presentation's
+    path = next(p for p in SOURCES if p.name == "series.py")
+    cls = next(node for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.ClassDef) and node.name == "_Complex")
+    assert "restricted" not in {node.name for node in cls.body
+                                if isinstance(node, ast.FunctionDef)}
+
+
+def test_a_raise_scans_no_side_degrees():
+    # the one side-degree scan is renormalization's, for a presentation no
+    # raise handed degrees to; add_monomial hands its own over
+    path = next(p for p in SOURCES if p.name == "series.py")
+    tree = ast.parse(path.read_text())
+    parent = {child: node for node in ast.walk(tree)
+              for child in ast.iter_child_nodes(node)}
+    scans = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and ast.unparse(node.func) == "_presentation_side_degrees"):
+            guard, up = None, node
+            while not isinstance(up, ast.FunctionDef):
+                up = parent[up]
+                if guard is None and isinstance(up, ast.If):
+                    guard = ast.unparse(up.test)
+            scans.append((up.name, guard))
+    assert scans == [("_small_canonical_terms", "degrees is None")]
+    raise_call = next(node for node in ast.walk(series_function("add_monomial"))
+                      if isinstance(node, ast.Call)
+                      and ast.unparse(node.func) == "TropicalSeries")
+    [hand_off] = [kw.value for kw in raise_call.keywords
+                  if kw.arg == "_raised"]
+    assert ast.unparse(hand_off).endswith("v, degrees)")
+
+
+def test_clip_evaluates_each_cut_once():
+    # `_clip` takes each cut's signs in one list and skips a cut whose
+    # least sign is >= 0: no loop scans the ring for a negative sign first
+    fn = series_function("_clip")
+    scans = [node for node in ast.walk(fn)
+             if isinstance(node, (ast.For, ast.comprehension))
+             and ast.unparse(node.iter) == "poly"]
+    assert len(scans) == 1 and isinstance(scans[0], ast.comprehension)
+    assert not [node for node in ast.walk(fn)
+                if isinstance(node, ast.For) and node.orelse]
