@@ -184,7 +184,7 @@ def symplectic_area(curve: TropicalCurve) -> Optional[Fraction]:
                Fraction(0))
 
 
-def _lattice_length(a: Point, b: Point) -> Fraction:
+def lattice_length(a: Point, b: Point) -> Fraction:
     """|s| for the rational segment b - a = s * p, p primitive."""
     d = vsub(b, a)
     p = primitive(d)
@@ -194,7 +194,7 @@ def _lattice_length(a: Point, b: Point) -> Fraction:
 def _segment_area(a: Point, b: Point) -> Fraction:
     """|s| * (p . p) for the rational segment b - a = s * p, p primitive."""
     p = primitive(vsub(b, a))
-    return _lattice_length(a, b) * dot(p, p)
+    return lattice_length(a, b) * dot(p, p)
 
 
 def side_area(poly: QPolygon, n: Vec) -> Fraction:

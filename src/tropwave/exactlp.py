@@ -6,7 +6,7 @@ rational) vector and ``a`` a `fractions.Fraction`.  Problem sizes here are
 tiny (a handful of constraints), so vertices are found by basic-solution
 enumeration, which is simple and exact but O(m^3) in the constraint count m.
 Every caller keeps m small: `QPolygon` passes its own half-planes, the
-linearity complex of `series` only the side lines of a cell it has already
+linearity complex (`complex`) only the side lines of a cell it has already
 clipped to a polygon (a point or segment cell is read off its clip), and
 `wave` one constraint per domain vertex.  Regions cut from a built complex
 (`refine`'s certificates) are clipped, not enumerated.
@@ -197,7 +197,7 @@ def _centroid_offsets(pts: Sequence[Homogeneous]) -> list[Vec]:
     """Each point's offset from the centroid of all, scaled by n * den > 0
     to integers."""
     n = len(pts)
-    den = math.lcm(*[h[2] for h in pts])  # a list: see series._Complex
+    den = math.lcm(*[h[2] for h in pts])  # a list: see complex._triples
     xs = [X * (den // W) for X, _, W in pts]
     ys = [Y * (den // W) for _, Y, W in pts]
     sx, sy = sum(xs), sum(ys)

@@ -38,9 +38,9 @@ from . import exactlp as lp
 from .exactlp import Point, Vec, cross, dot
 from .geometry import (EmptyInterior, GeometryError, HalfPlane, QPolygon,
                        corner_is_unimodular, is_unimodular, primitive, xgcd)
-from .series import (SeriesError, Support, TropicalSeries, _clip,
-                     add_monomial, evaluate, is_nice, nice_degrees,
-                     quasi_degree, zero_series)
+from .complex import SeriesError, Support, clip
+from .series import (TropicalSeries, add_monomial, evaluate, is_nice,
+                     nice_degrees, quasi_degree, zero_series)
 from .curve import classify_vertex, curves_within, extract_curve
 from .wave import STABILIZED, WaveEvent, run_dynamics, wave
 
@@ -149,7 +149,7 @@ def _region_values(f: TropicalSeries, cuts):
     """
     for v, cell in f._int_complex().hcells.items():
         a = f.support[v]
-        for h in _clip(cell, cuts):
+        for h in clip(cell, cuts):
             yield h, v, a
 
 
@@ -262,7 +262,7 @@ def _cut_ring(ring: list, cut: lp.IntConstraint, v: Vec) -> list:
     and a new crossing lies on the cut line and on one old side.  So it is
     the cut polygon's vertex cycle, the polygon has nonempty interior iff
     three points remain, and the cut is essential iff its line holds two."""
-    ring = _clip(ring, [cut])
+    ring = clip(ring, [cut])
     if len(ring) < 3:
         raise EpsilonTooLarge("polygon must have nonempty interior")
     A, B, C = cut

@@ -31,8 +31,8 @@ from .geometry import QPolygon, gcd2, xgcd
 from .series import (OutsideDomain, TropicalSeries, add_monomial, clamp,
                      distance_function, evaluate, tropical_product,
                      zero_series)
-from .curve import (_lattice_length, attaining_monomials, classify_vertex,
-                    extract_curve)
+from .curve import (attaining_monomials, classify_vertex, extract_curve,
+                    lattice_length)
 
 
 class WaveError(Exception):
@@ -240,7 +240,10 @@ def run_dynamics(f: TropicalSeries, points: Sequence[Point],
                  tol: Optional[Fraction] = None,
                  max_steps: int = MAX_STEPS) -> DynamicsResult:
     """Iterate waves per the schedule until exact stabilization, a sweep with
-    total increment below `tol`, or the step limit."""
+    total increment below `tol`, or the step limit.  Raises WaveError for a
+    negative `tol`, which no sweep total could fall below."""
+    if tol is not None and tol < 0:
+        raise WaveError(f"tolerance {tol} is negative")
     points = [(Fraction(p[0]), Fraction(p[1])) for p in points]
     if not points:
         return DynamicsResult(f, [], STABILIZED, 0, 0)
@@ -350,7 +353,7 @@ def wave_family_scan(f: TropicalSeries, p: Point) -> PerestroikaReport:
 
         vanish: Optional[Fraction] = None
         if n1 + n2 < 2:
-            t_star = _lattice_length(e.a, e.b) / (c * (2 - n1 - n2))
+            t_star = lattice_length(e.a, e.b) / (c * (2 - n1 - n2))
             if t_star <= 1:
                 vanish = t_star
         sides_info.append({

@@ -10,6 +10,7 @@ from tropwave import exactlp as lp
 from tropwave.exactlp import cross, dot, vsub
 from tropwave.geometry import (EmptyInterior, GeometryError, HalfPlane,
                                QPolygon, gcd2)
+from tropwave import complex as cplx
 from tropwave import series
 from tropwave.series import (TropicalSeries, canonical_coefficient,
                              make_series, zero_series)
@@ -86,7 +87,7 @@ def ref_polytope_vertices(cons):
 
 
 def ref_complex(domain: QPolygon, support):
-    """The fields of `series._Complex` built as it was before the side-line
+    """The fields of a `complex.Complex` built as it was before the side-line
     filter: each cell clipped, then `exactlp.basic_points` on every
     constraint tight at a clip of two or more points, ordered by
     `exactlp.sort_ccw`.  ``support`` is a sorted presentation with
@@ -104,7 +105,7 @@ def ref_complex(domain: QPolygon, support):
             A, B, C = scale * (w[0] - v[0]), scale * (w[1] - v[1]), aw - av
             if any(A * X + B * Y + C * W < 0 for X, Y, W in domain_verts):
                 cuts.append((A, B, C))
-        cell = series._clip(domain_verts, cuts)
+        cell = cplx.clip(domain_verts, cuts)
         if len(cell) <= 1:
             hcells[v] = cell
             continue

@@ -4,17 +4,19 @@ code it replaced.
 The reference functions below are the earlier implementation of `cells()`,
 `complex_vertices()`, `canonical_coefficient` and `_small_canonical_terms`,
 all in `Fraction` arithmetic, with every cell enumerated from all of its
-constraints.  A presentation's complex is built as `_Complex` directly,
-as the constructor builds it before renormalizing.  Every comparison is
+constraints.  A presentation's complex is built by `complex.build`
+directly, as the constructor builds it before renormalizing.  Every comparison is
 exact and ordered: the cells' vertex lists, the vertex list and the
 renormalized supports must be identical, not just equal as sets.
 `conftest.ref_complex` keeps the integer build as it was before the cells
-were enumerated from their side lines only, and every field of `_Complex`
-must equal it, in any clip order.  `conftest.ref_small_canonical_terms`
+were enumerated from their side lines only, and every field of a
+`complex.Complex` must equal it, in any clip order.  `conftest.ref_small_canonical_terms`
 keeps the renormalization that scans the vertex table for every candidate.
 """
 
+import contextlib
 import functools
+import gc
 import math
 import random
 from fractions import Fraction as F
@@ -24,6 +26,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+from tropwave import complex as cplx
 from tropwave import exactlp, jsonio, series
 from tropwave.exactlp import cross, dot, hull_lattice_points, vsub
 from tropwave.geometry import QPolygon, support_coeff
@@ -184,6 +187,15 @@ def outcome(fn, *args):
     return list(support.items()), list(degrees.items())
 
 
+def with_examples(cases):
+    """Each case's arguments as a `hypothesis` `@example`."""
+    def add(test):
+        for args, _ in cases:
+            test = example(*args)(test)
+        return test
+    return add
+
+
 # -- properties ---------------------------------------------------------------
 
 
@@ -209,7 +221,7 @@ def test_renormalization_and_probe_complex_match_reference(kind, seed, n_waves):
     rng, f = make_series_for(kind, seed, n_waves)
     terms = presentation(rng, f)
     probe = presented(f.domain, terms)
-    cx = series._Complex(f.domain, probe.support)
+    cx = cplx.build(f.domain, probe.support)
     assert list(cx.cells.items()) == list(ref_cells(probe).items())
     assert cx.vertices == ref_complex_vertices(probe)
     assert (outcome(series._small_canonical_terms, f.domain, probe.support, cx)
@@ -222,7 +234,7 @@ def test_segment_and_point_cells_match_reference():
     f = presented(QPolygon.box(0, 0, 2, 1),
                   {(1, 0): 0, (-1, 0): 2, (0, 1): 0, (0, -1): 1,
                    (0, 0): F(1, 2), (1, 1): 0})
-    cx = series._Complex(f.domain, f.support)
+    cx = cplx.build(f.domain, f.support)
     cells = cx.cells
     assert len(cells[(0, 0)]) == 2 and len(cells[(1, 1)]) == 1
     assert list(cells.items()) == list(ref_cells(f).items())
@@ -237,6 +249,35 @@ def recorder(fn, log):
         log.append((args, out))
         return out
     return recording
+
+
+@contextlib.contextmanager
+def recorded_builds():
+    """Every complex built in the block, through `complex.build` or
+    `complex.raised`, each as (the entry point's name, its positional
+    arguments, the complex); the last two arguments are the domain and the
+    presentation either way."""
+    built = []
+
+    def entry(name):
+        real = getattr(cplx, name)
+
+        def recording(*args):
+            cx = real(*args)
+            built.append((name, args, cx))
+            return cx
+        return recording
+    with mock.patch.object(cplx, "build", entry("build")), \
+            mock.patch.object(cplx, "raised", entry("raised")):
+        yield built
+
+
+def complex_builds(fn, *args):
+    """``fn(*args)``'s result and the complexes it builds, each as
+    `recorded_builds` gives it."""
+    with recorded_builds() as built:
+        out = fn(*args)
+    return out, built
 
 
 def ring_lines(pts):
@@ -254,15 +295,55 @@ def ring_lines(pts):
     return out
 
 
-@given(DOMAINS, SEEDS, st.integers(min_value=0, max_value=3))
-def test_cells_are_enumerated_from_tight_constraints_only(kind, seed, n_waves):
+def whole_shapes(domain, cx):
+    """The shapes among the cells of the whole build ``cx`` on ``domain``
+    that the examples below are named for."""
+    cons = domain.int_constraints()
+
+    def inside(h):
+        return all(A * h[0] + B * h[1] + C * h[2] > 0 for A, B, C in cons)
+    meets = {}
+    for hs in cx.hcells.values():
+        for h in hs:
+            meets[h] = meets.get(h, 0) + 1
+    shapes = set()
+    for hs in cx.hcells.values():
+        if len(hs) == 2 and all(map(inside, hs)):
+            shapes.add("a segment cell inside the domain")
+        elif len(hs) == 1 and inside(hs[0]) and meets[hs[0]] >= 3:
+            shapes.add("a point cell at an interior tie")
+        elif len(hs) == 1:
+            shapes.add("a point cell on the boundary")
+    for W in (5, 30):
+        if any(h[2] == W for hs in cx.hcells.values() for h in hs):
+            shapes.add(f"vertices with W = {W}")
+    return shapes
+
+
+def presentation_draw(kind, seed, n_waves):
+    """A domain and a `presentation` over it of a series n_waves waves from
+    zero on ``kind``."""
     rng, f = make_series_for(kind, seed, n_waves)
+    return f.domain, presentation(rng, f)
+
+
+ENUMERATED_EXAMPLES = [
+    (("square", 10, 3), "a segment cell inside the domain"),
+    (("random", 14, 1), "a point cell at an interior tie"),
+    (("square", 2, 0), "a point cell on the boundary"),
+    (("pentagon", 0, 0), "vertices with W = 5"),
+]
+
+
+@given(DOMAINS, SEEDS, st.integers(min_value=0, max_value=3))
+@with_examples(ENUMERATED_EXAMPLES)
+def test_cells_are_enumerated_from_tight_constraints_only(kind, seed, n_waves):
+    domain, terms = presentation_draw(kind, seed, n_waves)
     calls, clips = [], []
-    terms = presentation(rng, f)
     with mock.patch.object(exactlp, "basic_points",
                            recorder(exactlp.basic_points, calls)), \
-            mock.patch.object(series, "_clip", recorder(series._clip, clips)):
-        cx = series._Complex(f.domain, terms)
+            mock.patch.object(cplx, "clip", recorder(cplx.clip, clips)):
+        cx = cplx.build(domain, terms)
     assert len(clips) == len(terms)  # one clip per cell
     # one enumeration per polygon cell; a clip of at most one point is the
     # cell, and a segment cell is its clip's two points in some order
@@ -290,8 +371,8 @@ def test_a_clip_point_inside_a_side_raises(terms, size):
     # midpoint of its first side added.
     domain = QPolygon.box(0, 0, 2, 1)
     support = presented(domain, terms).support
-    assert len(series._Complex(domain, support).hcells[(0, 0)]) == size
-    clip = series._clip
+    assert len(cplx.build(domain, support).hcells[(0, 0)]) == size
+    clip = cplx.clip
 
     def clipping(poly, cuts):
         pts = clip(poly, cuts)
@@ -302,9 +383,9 @@ def test_a_clip_point_inside_a_side_raises(terms, size):
         g = math.gcd(*mid)
         return [pts[0], tuple(c // g for c in mid), *pts[1:]]
 
-    with mock.patch.object(series, "_clip", clipping), \
+    with mock.patch.object(cplx, "clip", clipping), \
             pytest.raises(SeriesError, match=r"clip of \(0, 0\)"):
-        series._Complex(domain, support)
+        cplx.build(domain, support)
 
 
 def quadrilateral():
@@ -380,9 +461,7 @@ def test_complex_matches_tight_list_reference(source, kind, seed, n_waves, N):
     if source == "triangle":
         # every complex a wave from zero builds on the N-th triangle, the
         # presentation's from the zero series' complex among them
-        built = []
-        with mock.patch.object(series, "_Complex",
-                               recorder(series._Complex, built)):
+        with recorded_builds() as built:
             wave(zero_series(triangle(N)), (F(1), F(1, 2)))
         assert len(built) == 3
     else:
@@ -395,14 +474,14 @@ def test_complex_matches_tight_list_reference(source, kind, seed, n_waves, N):
             rng.shuffle(order)
             support = dict(order)
         args = (f.domain, support)
-        built = [(args, series._Complex(*args))]
-    for args, cx in built:
-        assert complex_fields(cx) == complex_fields(ref_complex(*args))
+        built = [("build", args, cplx.build(*args))]
+    for _, args, cx in built:
+        assert complex_fields(cx) == complex_fields(ref_complex(*args[-2:]))
 
 
 def shuffled_clip(seed):
-    """`series._clip` applying each cell's cuts in a seeded random order."""
-    rng, clip = random.Random(seed), series._clip
+    """`complex.clip` applying each cell's cuts in a seeded random order."""
+    rng, clip = random.Random(seed), cplx.clip
 
     def clipping(poly, cuts):
         cuts = list(cuts)
@@ -412,46 +491,69 @@ def shuffled_clip(seed):
 
 
 def builds(fn, *args):
-    """The arguments of every `_Complex` that ``fn(*args)`` builds."""
-    built = []
-    with mock.patch.object(series, "_Complex",
-                           recorder(series._Complex, built)):
-        fn(*args)
-    return [args for args, _ in built]
+    """The domain and the presentation of every complex that ``fn(*args)``
+    builds, whole or raised."""
+    return [args[-2:] for _, args, _ in complex_builds(fn, *args)[1]]
 
 
 @functools.cache
 def quadrilateral_builds():
     """The quadrilateral wave's builds with their fields, made once: the
     presentation has 515 cells."""
-    return [(args, complex_fields(series._Complex(*args)))
+    return [(args, complex_fields(cplx.build(*args)))
             for args in builds(wave, zero_series(quadrilateral()),
                                (F(-1, 2), F(-3, 2)))]
+
+
+def clip_order_cases(source, kind, seed, n_waves, N):
+    """The whole builds of one draw of the clip-order property, each as
+    (its domain and presentation, its fields)."""
+    if source == "quadrilateral":
+        return quadrilateral_builds()
+    if source == "dynamics":
+        args = builds(make_series_for, kind, seed, n_waves)
+    elif source == "ties":
+        _, f = make_series_for(kind, seed, n_waves)
+        args = [(f.domain, presented(f.domain,
+                                     touching_presentation(f)).support)]
+    else:
+        args = builds(wave, zero_series(triangle(N)), (F(1), F(1, 2)))
+    return [(a, complex_fields(cplx.build(*a))) for a in args]
+
+
+WHOLE_CLIP_EXAMPLES = [
+    (("dynamics", "square", 7, 3, 1), "a segment cell inside the domain"),
+    (("ties", "random", 14, 1, 1), "a point cell at an interior tie"),
+    (("dynamics", "random", 0, 2, 1), "a point cell on the boundary"),
+    (("dynamics", "pentagon", 0, 1, 1), "vertices with W = 5"),
+    (("triangle", "square", 0, 1, 30), "vertices with W = 30"),
+]
 
 
 @given(st.sampled_from(["dynamics", "ties", "triangle", "quadrilateral"]),
        DOMAINS, SEEDS, st.integers(min_value=1, max_value=3),
        st.integers(min_value=1, max_value=30))
+@with_examples(WHOLE_CLIP_EXAMPLES)
 def test_clip_order_does_not_change_the_complex(source, kind, seed, n_waves,
                                                 N):
     # a cell is an intersection of half-planes: clipped in any order, every
     # field of the complex comes out the same
-    if source == "quadrilateral":
-        cases = quadrilateral_builds()
-    else:
-        if source == "dynamics":
-            args = builds(make_series_for, kind, seed, n_waves)
-        elif source == "ties":
-            _, f = make_series_for(kind, seed, n_waves)
-            args = [(f.domain, presented(f.domain,
-                                         touching_presentation(f)).support)]
-        else:
-            args = builds(wave, zero_series(triangle(N)), (F(1), F(1, 2)))
-        cases = [(a, complex_fields(series._Complex(*a))) for a in args]
+    cases = clip_order_cases(source, kind, seed, n_waves, N)
     assert cases
     for args, nearest_first in cases:
-        with mock.patch.object(series, "_clip", shuffled_clip(seed)):
-            assert complex_fields(series._Complex(*args)) == nearest_first
+        with mock.patch.object(cplx, "clip", shuffled_clip(seed)):
+            assert complex_fields(cplx.build(*args)) == nearest_first
+
+
+def test_the_named_whole_builds_hold_their_geometry():
+    # each example of the two whole-build properties above still draws the
+    # shape it is named for
+    for args, shape in ENUMERATED_EXAMPLES:
+        domain, terms = presentation_draw(*args)
+        assert shape in whole_shapes(domain, cplx.build(domain, terms)), args
+    for args, shape in WHOLE_CLIP_EXAMPLES:
+        assert any(shape in whole_shapes(a[0], cplx.build(*a))
+                   for a, _ in clip_order_cases(*args)), args
 
 
 def sparse_presentation(rng, f):
@@ -507,7 +609,7 @@ def test_renormalization_matches_the_table_scan(source, kind, seed, n_waves):
     if source == "side":
         domain, terms = side_segment_presentation(rng)
         support = presented(domain, terms).support
-        calls = [(domain, support, series._Complex(domain, support))]
+        calls = [(domain, support, cplx.build(domain, support))]
     elif source == "raise":
         # v raised past where it touches: its cell in the presentation is
         # empty, and the table gives its canonical 1/2
@@ -520,7 +622,7 @@ def test_renormalization_matches_the_table_scan(source, kind, seed, n_waves):
         terms = (sparse_presentation(rng, f) if source == "sparse"
                  else touching_presentation(f))
         support = presented(f.domain, terms).support
-        calls = [(f.domain, support, series._Complex(f.domain, support))]
+        calls = [(f.domain, support, cplx.build(f.domain, support))]
     for args in calls:
         assert (outcome(series._small_canonical_terms, *args)
                 == outcome(ref_small_canonical_terms, *args))
@@ -547,7 +649,6 @@ def test_rotate_ccw_equals_sort_ccw(seed, n):
 
 
 def test_constructor_builds_one_complex_and_keeps_none():
-    built = []
     presentations = [
         (unit_square(), {(1, 0): 0, (0, 1): 0, (-1, 0): 1, (0, -1): 1,
                          (0, 0): F(1, 3)}),
@@ -555,14 +656,13 @@ def test_constructor_builds_one_complex_and_keeps_none():
         (QPolygon.box(0, 0, 2, 1), {(1, 0): 0, (-1, 0): 2, (0, 1): 0,
                                     (0, -1): 1, (0, 0): F(1, 2), (1, 1): 0}),
     ]
-    with mock.patch.object(series, "_Complex",
-                           recorder(series._Complex, built)):
+    with recorded_builds() as built:
         for domain, terms in presentations:
             del built[:]
             f = TropicalSeries(domain, terms)
             # one build, of the sorted presentation
-            assert [args for args, _ in built] == [
-                (domain, presented(domain, terms).support)]
+            assert [(name, args) for name, args, _ in built] == [
+                ("build", (domain, presented(domain, terms).support))]
             assert f._complex is None and f._cells is None
         del built[:]
         z = zero_series(pentagon())
@@ -570,7 +670,7 @@ def test_constructor_builds_one_complex_and_keeps_none():
         # the series' own complex is built on first use, once
         z.cells()
         z.complex_vertices()
-        assert len(built) == 2 and z._complex is built[1][1]
+        assert len(built) == 2 and z._complex is built[1][2]
         # every other way to make a series keeps no complex either: one
         # build per constructor, none kept
         f = square13()
@@ -607,7 +707,7 @@ def test_fraction_points_are_made_on_first_read():
         assert len(g.complex_vertices()) == len(cx.table)
         assert conv.call_count == len(cell) + len(cx.table)
     assert complex_fields(cx) == complex_fields(
-        series._Complex(g.domain, g.support))
+        cplx.build(g.domain, g.support))
 
 
 # -- the complex add_monomial hands to its result -----------------------------
@@ -635,7 +735,7 @@ def quadrilateral_wave():
 
 
 def fresh_fields(g):
-    return complex_fields(series._Complex(g.domain, g.support))
+    return complex_fields(cplx.build(g.domain, g.support))
 
 
 def wave_results(source, kind, seed, n_waves, N):
@@ -701,7 +801,7 @@ def test_every_cell_of_two_or_more_points_is_in_sort_ccw_order(
     # and in a fresh build
     results, _ = wave_results(source, kind, seed, n_waves, N)
     for g in results:
-        for cx in (g._complex, series._Complex(g.domain, g.support)):
+        for cx in (g._complex, cplx.build(g.domain, g.support)):
             for hs in cx.hcells.values():
                 if len(hs) >= 2:
                     assert hs == exactlp.sort_ccw(hs)
@@ -739,40 +839,17 @@ def test_a_kept_monomial_missing_from_the_presentation_raises():
     # complex and never falls back to a build: a missing one raises before
     # any table is built
     f = square13()
-    cx = series._Complex(f.domain, f.support)
+    cx = cplx.build(f.domain, f.support)
     missing = dict(f.support)
     missing[(1, 1)] = F(0)
-    with mock.patch.object(series, "_Complex") as build, \
-            mock.patch.object(series, "_table") as table, \
+    with mock.patch.object(cplx, "Complex") as build, \
+            mock.patch.object(cplx, "_table") as table, \
             pytest.raises(SeriesError, match=r"\(1, 1\)"):
         cx.kept(missing)
     assert build.call_count == 0 and table.call_count == 0
 
 
-def with_examples(cases):
-    """Each case's arguments as a `hypothesis` `@example`."""
-    def add(test):
-        for args, _ in cases:
-            test = example(*args)(test)
-        return test
-    return add
-
-
 # -- the presentation add_monomial builds from f's complex --------------------
-
-
-def complex_builds(fn, *args):
-    """``fn(*args)``'s result and the `_Complex` builds it makes, each as
-    (positional arguments, keyword arguments, the complex)."""
-    built, real = [], series._Complex
-
-    def recording(*a, **kw):
-        cx = real(*a, **kw)
-        built.append((a, kw, cx))
-        return cx
-    with mock.patch.object(series, "_Complex", recording):
-        out = fn(*args)
-    return out, built
 
 
 def near_side_point(rng, poly, d):
@@ -792,8 +869,8 @@ def waves_from_zero(poly, points):
 
 @functools.cache
 def quadrilateral_built():
-    """The quadrilateral wave's `_Complex` builds, made once: the
-    presentation has 515 cells."""
+    """The quadrilateral wave's builds, made once: the presentation has 515
+    cells."""
     return complex_builds(wave, zero_series(quadrilateral()),
                           (F(-1, 2), F(-3, 2)))[1]
 
@@ -802,9 +879,8 @@ def quadrilateral_built():
 def quadrilateral_raise():
     """The quadrilateral wave's raised build, with its full build's
     fields, made once."""
-    return [(a, kw, complex_fields(cx),
-             complex_fields(series._Complex(*a)))
-            for a, kw, cx in quadrilateral_built() if kw]
+    return [(a, complex_fields(cx), complex_fields(cplx.build(*a[2:])))
+            for name, a, cx in quadrilateral_built() if name == "raised"]
 
 
 RAISE_SOURCES = st.sampled_from(["dynamics", "ties", "centre", "near_side",
@@ -813,7 +889,7 @@ RAISE_SOURCES = st.sampled_from(["dynamics", "ties", "centre", "near_side",
 
 
 def raise_run(source, kind, seed, n_waves, N):
-    """The `_Complex` builds, each (args, kw, the complex), of one draw of
+    """The builds, each as `recorded_builds` gives it, of one draw of
     ``RAISE_SOURCES``, and for "raise" and "bare", which call add_monomial
     directly, the raise as (f, v, whether f held its complex)."""
     rng = random.Random(seed)
@@ -883,17 +959,18 @@ def test_raised_build_equals_a_full_build(source, kind, seed, n_waves, N):
     if source == "quadrilateral":
         cases = quadrilateral_raise()
         assert len(cases) == 1
-        for _, _, local, full in cases:
+        for _, local, full in cases:
             assert local == full
         return
     built, raised = raise_run(source, kind, seed, n_waves, N)
     if raised:
         f, v, held = raised
-        own = [] if held else [((f.domain, f.support), {})]
-        assert [(args, kw) for args, kw, _ in built[:-1]] == own
-        assert built[-1][1] == {"_raised": (f._complex, v)}
-    for args, kw, cx in built:
-        assert complex_fields(cx) == complex_fields(series._Complex(*args))
+        own = [] if held else [("build", (f.domain, f.support))]
+        assert [(name, args) for name, args, _ in built[:-1]] == own
+        name, args, _ = built[-1]
+        assert name == "raised" and args[0] is f._complex and args[1] == v
+    for _, args, cx in built:
+        assert complex_fields(cx) == complex_fields(cplx.build(*args[-2:]))
 
 
 CLIP_ORDER_EXAMPLES = [
@@ -914,18 +991,19 @@ def test_clip_order_does_not_change_a_raised_build(source, kind, seed,
     # a piece of P_v is an intersection of half-planes too: a raised build
     # with its clips' cuts in any order comes out the same on every field
     built, _ = raise_run(source, kind, seed, n_waves, N)
-    raised = [(args, kw, complex_fields(cx)) for args, kw, cx in built if kw]
+    raised = [(args, complex_fields(cx)) for name, args, cx in built
+              if name == "raised"]
     assert raised
-    with mock.patch.object(series, "_clip", shuffled_clip(seed)):
-        for args, kw, fields in raised:
-            assert complex_fields(series._Complex(*args, **kw)) == fields
+    with mock.patch.object(cplx, "clip", shuffled_clip(seed)):
+        for args, fields in raised:
+            assert complex_fields(cplx.raised(*args)) == fields
 
 
 def test_the_named_raised_builds_hold_their_geometry():
     # the examples above with a checkable shape still draw it
     def rings(args):
-        return [kw["_raised"][0].hcells.get(kw["_raised"][1], [])
-                for _, kw, _ in raise_run(*args)[0] if kw]
+        return [base.hcells.get(v, []) for name, (base, v, *_), _
+                in raise_run(*args)[0] if name == "raised"]
     _, (near, _), _, (tri, _), (quad, _), (outside, _) = CLIP_ORDER_EXAMPLES
     boundary = set(pentagon().hvertices)
     assert any(set(ring) & boundary for ring in rings(near))
@@ -946,11 +1024,11 @@ def test_figure3_raise_clips_inside_v_cell():
     f = square13()
     cx = f._int_complex()
     clips, calls, scans = [], [], []
-    with mock.patch.object(series, "_clip", recorder(series._clip, clips)), \
+    with mock.patch.object(cplx, "clip", recorder(cplx.clip, clips)), \
             mock.patch.object(exactlp, "basic_points",
                               recorder(exactlp.basic_points, calls)), \
-            mock.patch.object(series._Complex, "touching",
-                              recorder(series._Complex.touching, scans)):
+            mock.patch.object(cplx.Complex, "touching",
+                              recorder(cplx.Complex.touching, scans)):
         (g, ev), built = complex_builds(wave, f, (F(1, 5), F(1, 2)))
     assert (ev.monomial, ev.increment) == ((1, 0), F(2, 15))
     assert len(clips) == 5 and len(calls) == 7
@@ -958,10 +1036,10 @@ def test_figure3_raise_clips_inside_v_cell():
     starts = [poly for (poly, _), _ in clips]
     assert starts.count(cx.hcells[(1, 0)]) == 5
     assert starts.count(f.domain.hvertices) == 0
-    [(args, kw, presentation_cx)] = built
-    assert kw == {"_raised": (cx, (1, 0))}
+    [(name, (base, v, _, support), presentation_cx)] = built
+    assert name == "raised" and base is cx and v == (1, 0)
     assert presentation_cx.hcells[(-1, 0)] == cx.hcells[(-1, 0)]
-    assert len(args[1]) == 6 and (2, 0) in args[1]
+    assert len(support) == 6 and (2, 0) in support
     # the domain rule's side x = 0 is the table scan's
     assert cx.touching((2, 0)) == (0, [(0, 1, 1), (0, 0, 1)])
     assert presentation_cx.hcells[(2, 0)] == [(2, 11, 15), (0, 1, 1),
@@ -976,10 +1054,10 @@ def test_a_raise_of_a_series_without_its_complex_builds_its_complex_first():
     f = square13()
     g, built = complex_builds(add_monomial, f, (0, 0), F(1, 7))
     assert f._complex is not None
-    assert [(args, kw) for args, kw, _ in built] == [
-        ((f.domain, f.support), {}),
-        ((f.domain, presented(f.domain, {**f.support, (0, 0): F(10, 21)})
-          .support), {"_raised": (f._complex, (0, 0))})]
+    assert [(name, args) for name, args, _ in built] == [
+        ("build", (f.domain, f.support)),
+        ("raised", (f._complex, (0, 0), f.domain, presented(
+            f.domain, {**f.support, (0, 0): F(10, 21)}).support))]
     assert built[0][2] is f._complex
     assert complex_fields(g._complex) == fresh_fields(g)
 
@@ -1030,7 +1108,7 @@ def test_a_raise_outside_the_small_form_returns_f(kind, seed, n_waves, bare,
     assume(v not in f.support)
     held = f._complex is not None
     clips = []
-    with mock.patch.object(series, "_clip", recorder(series._clip, clips)):
+    with mock.patch.object(cplx, "clip", recorder(cplx.clip, clips)):
         g = add_monomial(f, v, c)
     assert g == f and quasi_degree(g) == quasi_degree(f)
     assert complex_fields(g._complex) == fresh_fields(g)
@@ -1066,9 +1144,9 @@ RESULT_EXAMPLES = [
 
 
 def raise_draw(source, kind, seed, n_waves):
-    """The raised `_Complex` builds of one draw, each (args, kw, the
-    complex), and its `_Complex.kept` calls, each ((the presentation's
-    complex, the small form), the result's complex).  "waves" and
+    """The raised builds of one draw, each as `recorded_builds` gives it,
+    and its `Complex.kept` calls, each ((the presentation's complex, the
+    small form), the result's complex).  "waves" and
     "near_side" run n_waves waves from zero on ``kind``, at random points
     or at points 1/100 or 1/200 from a side; "figure3" is the worked
     example's wave; "past" raises a monomial of a series n_waves waves from
@@ -1092,10 +1170,10 @@ def raise_draw(source, kind, seed, n_waves):
         fn, args = waves_from_zero, (f.domain,
                                      random_points(rng, f.domain, n_waves))
     kept = []
-    with mock.patch.object(series._Complex, "kept",
-                           recorder(series._Complex.kept, kept)):
+    with mock.patch.object(cplx.Complex, "kept",
+                           recorder(cplx.Complex.kept, kept)):
         _, built = complex_builds(fn, *args)
-    return [(a, kw, cx) for a, kw, cx in built if kw], kept
+    return [b for b in built if b[0] == "raised"], kept
 
 
 @given(st.sampled_from(["waves", "near_side", "figure3", "past", "outside"]),
@@ -1108,12 +1186,12 @@ def test_a_raise_result_complex_equals_a_full_build(source, kind, seed,
     # five fields; so does the presentation's, whose table is built when
     # first read
     built, kept = raise_draw(source, kind, seed, n_waves)
-    domain = {id(cx): a[0] for a, _, cx in built}
+    domain = {id(cx): a[2] for _, a, cx in built}
     for (presentation, support), cx in kept:
         assert complex_fields(cx) == complex_fields(
-            series._Complex(domain[id(presentation)], support))
-    for args, _, cx in built:
-        assert complex_fields(cx) == complex_fields(series._Complex(*args))
+            cplx.build(domain[id(presentation)], support))
+    for _, args, cx in built:
+        assert complex_fields(cx) == complex_fields(cplx.build(*args[2:]))
 
 
 def test_the_named_result_draws_hold_their_geometry():
@@ -1125,8 +1203,7 @@ def test_the_named_result_draws_hold_their_geometry():
     # the result keeps no complex
     [(_, _, cx)], kept = raise_draw(*past)
     assert object.__getattribute__(cx, "table") and kept == []
-    [(_, kw, _)], [_] = raise_draw(*outside)
-    base, v = kw["_raised"]
+    [(_, (base, v, _, _), _)], [_] = raise_draw(*outside)
     assert v not in base.hcells
     # the entrants of these draws touch f along a side and at a vertex
     assert raise_draw(*side)[1] and raise_draw(*vertex)[1]
@@ -1135,8 +1212,8 @@ def test_the_named_result_draws_hold_their_geometry():
     assert 1 in {len(domain_face(domain, t)) for domain, _, _, t
                  in entrant_touchings("square", 3, 3)}
     boundary = set(pentagon().hvertices)
-    assert any(set(kw["_raised"][0].hcells.get(kw["_raised"][1], []))
-               & boundary for _, kw, _ in raise_draw(*near)[0])
+    assert any(set(base.hcells.get(v, [])) & boundary
+               for _, (base, v, _, _), _ in raise_draw(*near)[0])
     assert any(h[2] == 5 for _, cx in raise_draw(*pent)[1]
                for h in cx._hverts)
 
@@ -1155,13 +1232,10 @@ def test_pricing_an_entrant_builds_no_complex():
     assert f._complex is None and g._complex is None
 
 
-FULL_COMPLEX = series._Complex
-
-
-def stripped_complex(domain, support, **_):
-    """`series._Complex` that ignores the hand-off: a build from the
+def stripped_raise(base, v, domain, support):
+    """`complex.raised` that ignores f's complex: a build from the
     domain."""
-    return FULL_COMPLEX(domain, support)
+    return cplx.build(domain, support)
 
 
 def test_sixteen_point_trial_equals_the_trial_built_from_the_domain():
@@ -1171,7 +1245,7 @@ def test_sixteen_point_trial_equals_the_trial_built_from_the_domain():
     poly = pentagon()
     points = random_points(rng, poly, 16)
     local = run_dynamics(zero_series(poly), points)
-    with mock.patch.object(series, "_Complex", stripped_complex):
+    with mock.patch.object(cplx, "raised", stripped_raise):
         full = run_dynamics(zero_series(poly), points)
     assert local.events and local.events == full.events
     assert local.final == full.final
@@ -1188,7 +1262,7 @@ def test_no_raised_build_clips_from_the_domain():
     poly = pentagon()
     points = random_points(rng, poly, 16)
     rings, starts, builds = [], [], []
-    raised_cells, clip = series._raised_cells, series._clip
+    raised_cells, clip = cplx._raised_cells, cplx.clip
 
     def raising(triples, domain, base, v):
         builds.append(v)
@@ -1201,8 +1275,8 @@ def test_no_raised_build_clips_from_the_domain():
     def clipping(ring, cuts):
         starts.append((ring, rings[-1] if rings else None))
         return clip(ring, cuts)
-    with mock.patch.object(series, "_raised_cells", raising), \
-            mock.patch.object(series, "_clip", clipping):
+    with mock.patch.object(cplx, "_raised_cells", raising), \
+            mock.patch.object(cplx, "clip", clipping):
         res = run_dynamics(zero_series(poly), points)
     raised = [ring for ring, old in starts if old is not None]
     assert builds == [ev.monomial for ev in res.events if ev.increment > 0]
@@ -1219,13 +1293,13 @@ def entrant_touchings(kind, seed, n_waves):
     outside f's support.  "figure3" is the worked example's wave and
     "triangle" waves triangle(30) at (1, 1/2) first."""
     seen = []
-    raised_cells = series._raised_cells
+    raised_cells = cplx._raised_cells
 
     def raising(triples, domain, base, v):
         seen.extend((domain, base, u, t) for u, t in triples.items()
                     if u not in base.hcells)
         return raised_cells(triples, domain, base, v)
-    with mock.patch.object(series, "_raised_cells", raising):
+    with mock.patch.object(cplx, "_raised_cells", raising):
         if kind == "figure3":
             wave(square13(), (F(1, 5), F(1, 2)))
         elif kind == "triangle":
@@ -1283,9 +1357,9 @@ def test_the_named_entrant_draws_hold_their_geometry():
 def test_hull_drops_a_point_inside_a_side():
     # three points on one line are a segment: the hull keeps its ends only
     ends = [(0, 0, 1), (0, 1, 1)]
-    assert series._hull([(0, 0, 1), (0, 1, 2), (0, 1, 1)]) == \
+    assert cplx._hull([(0, 0, 1), (0, 1, 2), (0, 1, 1)]) == \
         exactlp.rotate_ccw(ends)
-    assert series._hull([(0, 1, 1), (0, 1, 1)]) == [(0, 1, 1)]
+    assert cplx._hull([(0, 1, 1), (0, 1, 1)]) == [(0, 1, 1)]
 
 
 @given(DOMAINS, SEEDS)
@@ -1308,9 +1382,9 @@ def test_an_unreached_entrant_along_a_side_keeps_the_side(kind, seed):
             terms = {**f.support, u: canonical_coefficient(f, u)}
             terms[v] += F(1, 100)
             terms = dict(sorted(terms.items()))
-            raised = series._Complex(poly, terms, _raised=(cx, v))
+            raised = cplx.raised(cx, v, poly, terms)
             assert complex_fields(raised) == complex_fields(
-                series._Complex(poly, terms))
+                cplx.build(poly, terms))
             if len(raised.hcells[u]) == 2:
                 assert raised.hcells[u] == side
 
@@ -1322,12 +1396,12 @@ def test_figure3_raise_takes_the_min_at_new_vertices_only():
     f = square13()
     cx = f._int_complex()
     old = dict(zip(cx._hverts, cx.table))
-    rows, min_values = [], series._min_values
+    rows, min_values = [], cplx._min_values
 
     def recording(lifted, points):
         rows.extend(points)
         return min_values(lifted, points)
-    with mock.patch.object(series, "_min_values", recording):
+    with mock.patch.object(cplx, "_min_values", recording):
         g, _ = wave(f, (F(1, 5), F(1, 2)))
     result = g._complex
     new = [h for h in result._hverts if h not in old]
@@ -1355,10 +1429,10 @@ def test_a_positive_wave_builds_one_vertex_table():
     cx = f._int_complex()
     assert cx.table
     tables, mins, scans = [], [], []
-    with mock.patch.object(series, "_table",
-                           recorder(series._table, tables)), \
-            mock.patch.object(series, "_min_values",
-                              recorder(series._min_values, mins)), \
+    with mock.patch.object(cplx, "_table",
+                           recorder(cplx._table, tables)), \
+            mock.patch.object(cplx, "_min_values",
+                              recorder(cplx._min_values, mins)), \
             mock.patch.object(series, "_presentation_side_degrees",
                               recorder(series._presentation_side_degrees,
                                        scans)):
@@ -1373,6 +1447,24 @@ def test_a_positive_wave_builds_one_vertex_table():
     assert scans == []
 
 
+def test_a_raise_result_holds_no_reference_to_f_complex():
+    # the result's complex is built from f's, but once its table is built
+    # it keeps nothing of f's: else every complex of a dynamic would stay
+    # alive through its successor's
+    f = square13()
+    cx = f._int_complex()
+    g, _ = wave(f, (F(1, 5), F(1, 2)))
+    seen, todo = set(), [g._complex]
+    while todo:
+        obj = todo.pop()
+        assert obj is not cx
+        if id(obj) not in seen and isinstance(
+                obj, (cplx.Complex, cplx._Cells, dict, list, tuple)):
+            seen.add(id(obj))
+            todo += gc.get_referents(obj)
+    assert len(seen) > 1
+
+
 def test_a_carried_row_that_is_no_multiple_of_the_new_step_raises():
     # f's table is read as values over f's denominator; one that does not
     # scale to the new table's is refused, not rounded, by the one-pass
@@ -1380,18 +1472,18 @@ def test_a_carried_row_that_is_no_multiple_of_the_new_step_raises():
     # over the kept cells alike
     f = square13()
     cx = f._int_complex()
-    bad = object.__new__(series._Complex)
+    bad = object.__new__(cplx.Complex)
     bad.hcells, bad.cells = cx.hcells, cx.cells
     bad._hverts, bad.denom, bad.table = cx._hverts, 7 * cx.denom, cx.table
     terms = presented(f.domain, {**f.support, (1, 0): F(2, 15)}).support
-    raised = series._Complex(f.domain, terms, _raised=(bad, (1, 0)))
+    raised = cplx.raised(bad, (1, 0), f.domain, terms)
     with pytest.raises(SeriesError, match="no multiple"):
         raised.table
     with pytest.raises(SeriesError, match="no multiple"):
-        series._table(raised.hcells, terms, bad)
-    raised = series._Complex(f.domain, terms, _raised=(cx, (1, 0)))
+        cplx._table(raised.hcells, terms, bad)
+    raised = cplx.raised(cx, (1, 0), f.domain, terms)
     assert complex_fields(raised) == complex_fields(
-        series._Complex(f.domain, terms))
+        cplx.build(f.domain, terms))
 
 
 def test_a_negative_new_row_of_a_raise_raises():
@@ -1401,10 +1493,10 @@ def test_a_negative_new_row_of_a_raise_raises():
     f = square13()
     cx = f._int_complex()
     terms = presented(f.domain, {**f.support, (1, 0): F(2, 15)}).support
-    raised = series._Complex(f.domain, terms, _raised=(cx, (1, 0)))
+    raised = cplx.raised(cx, (1, 0), f.domain, terms)
     with pytest.raises(SeriesError, match="negative"):
-        series._table(raised.hcells, {**terms, (0, 0): F(-1)}, cx)
-    series._table(raised.hcells, terms, cx)
+        cplx._table(raised.hcells, {**terms, (0, 0): F(-1)}, cx)
+    cplx._table(raised.hcells, terms, cx)
 
 
 # -- the joins of a raise -------------------------------------------------------
@@ -1415,7 +1507,7 @@ JOIN_DOMAINS = {"square": unit_square, "pentagon": pentagon,
 
 
 def raised_joins(source, kind, seed, n_waves):
-    """Every `series._join` call made by the raises of a dynamic from zero
+    """Every `complex._join` call made by the raises of a dynamic from zero
     on ``JOIN_DOMAINS[kind]``, as (S, B, the joined cell, the `_hull`
     calls the join made).  The points are random, quarter-grid ("ties")
     or at lattice distance 1/100 or 1/200 from a side ("near_side")."""
@@ -1429,7 +1521,7 @@ def raised_joins(source, kind, seed, n_waves):
     else:
         points = random_points(rng, poly, n_waves)
     joins, hulls = [], []
-    join, hull = series._join, series._hull
+    join, hull = cplx._join, cplx._hull
 
     def hulling(points):
         hulls.append(points)
@@ -1440,8 +1532,8 @@ def raised_joins(source, kind, seed, n_waves):
         out = join(cell, piece)
         joins.append((cell, piece, out, list(hulls)))
         return out
-    with mock.patch.object(series, "_join", joining), \
-            mock.patch.object(series, "_hull", hulling):
+    with mock.patch.object(cplx, "_join", joining), \
+            mock.patch.object(cplx, "_hull", hulling):
         waves_from_zero(poly, points)
     return joins
 
@@ -1487,7 +1579,7 @@ def test_every_join_equals_the_hull_of_both_parts(source, kind, seed,
     # a splice and a copied S make no hull; every other shape is one
     # `_hull` of both parts
     for cell, piece, out, hulls in raised_joins(source, kind, seed, n_waves):
-        assert out == series._hull(cell + piece)
+        assert out == cplx._hull(cell + piece)
         shape = join_shape(cell, piece, out)
         copied = shape.startswith("B is")
         assert hulls == ([] if shape in SPLICED or copied
@@ -1504,17 +1596,17 @@ def test_splice_takes_only_two_polygons_sharing_one_edge():
     square = [(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)]
     right = [(1, 0, 1), (2, 0, 1), (2, 1, 1), (1, 1, 1)]
     # the shared side's ends are both absorbed into the 2 x 1 box
-    assert series._splice(square, right) == exactlp.rotate_ccw(
+    assert cplx._splice(square, right) == exactlp.rotate_ccw(
         [(0, 0, 1), (2, 0, 1), (2, 1, 1), (0, 1, 1)])
     # a triangle on the top side keeps both ends
     roof = [(0, 1, 1), (1, 1, 1), (1, 3, 2)]
-    assert series._splice(square, roof) == series._hull(square + roof)
-    assert len(series._splice(square, roof)) == 5
+    assert cplx._splice(square, roof) == cplx._hull(square + roof)
+    assert len(cplx._splice(square, roof)) == 5
     # a segment, a point, or a vertex shared alone is no splice
-    assert series._splice(square, [(1, 1, 1), (2, 2, 1)]) is None
-    assert series._splice(square[:2], right) is None
-    assert series._splice(square, [(1, 1, 1), (2, 1, 1), (2, 2, 1)]) is None
+    assert cplx._splice(square, [(1, 1, 1), (2, 2, 1)]) is None
+    assert cplx._splice(square[:2], right) is None
+    assert cplx._splice(square, [(1, 1, 1), (2, 1, 1), (2, 2, 1)]) is None
     # two shared points that are not one edge of each
-    assert series._splice(square, [(1, 0, 1), (2, 1, 1), (1, 1, 1),
+    assert cplx._splice(square, [(1, 0, 1), (2, 1, 1), (1, 1, 1),
                                    (1, 1, 2)]) is None
-    assert series._splice(square, [(0, 0, 1), (1, 1, 1), (0, 2, 1)]) is None
+    assert cplx._splice(square, [(0, 0, 1), (1, 1, 1), (0, 2, 1)]) is None

@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, strategies as st
 
-from tropwave import series
+from tropwave import complex as cplx
 
 from tropwave.curve import (Edge, NotAVertex, TropicalCurve,
                             attaining_monomials, balanced_star,
@@ -407,13 +407,13 @@ def test_extract_curve_reads_only_polygon_cells():
     hcells = g._int_complex().hcells
     assert sorted(len(hs) for hs in hcells.values()) == [1] + [2] * 4 + [3] * 4
     reads = []
-    real = series._Cells.__getitem__
+    real = cplx._Cells.__getitem__
 
     def reading(self, v):
         reads.append(v)
         return real(self, v)
 
-    with mock.patch.object(series._Cells, "__getitem__", reading):
+    with mock.patch.object(cplx._Cells, "__getitem__", reading):
         curve = extract_curve(g)
     polygons = [v for v, hs in hcells.items() if len(hs) >= 3]
     assert reads == polygons == list(curve.faces)

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from tropwave.curve import classify_vertex, curves_within, extract_curve
 from tropwave import exactlp as lp
-from tropwave import refine, series
+from tropwave import complex as cplx
+from tropwave import refine
 from tropwave.geometry import (GeometryError, HalfPlane, QPolygon,
                                is_unimodular, primitive)
 from tropwave.series import (add_monomial, clamp, distance_function, evaluate,
@@ -306,22 +307,23 @@ def test_make_nice_enumerates_one_polygon_and_builds_one_complex():
     f = distance_function(BENT)
     f.cells()
     polygons, built = [], []
-    real_init, real_complex = QPolygon.__init__, series._Complex
+    real_init, real_build = QPolygon.__init__, cplx.build
 
     def counting_init(self, halfplanes):
         polygons.append(len(halfplanes))
         real_init(self, halfplanes)
 
-    def counting_complex(domain, support):
+    def counting_build(domain, support):
         built.append(domain)
-        return real_complex(domain, support)
+        return real_build(domain, support)
 
     with mock.patch.object(QPolygon, "__init__", counting_init), \
-            mock.patch.object(series, "_Complex", counting_complex):
+            mock.patch.object(cplx, "build", counting_build), \
+            mock.patch.object(cplx, "raised", wraps=cplx.raised) as raised:
         sub, g, steps = make_nice(BENT, f, F(1, 8))
     assert len(polygons) == 1
     assert polygons == [len(BENT.halfplanes) + len(steps)]
-    assert built == [sub]
+    assert built == [sub] and raised.call_count == 0
 
 
 # -- region certificates against the Fraction enumeration ---------------------

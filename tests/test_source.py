@@ -28,11 +28,12 @@ def test_refine_certificates_do_not_sample():
 
 
 def test_kernel_takes_polygons_only():
-    # series, curve and wave name no oracle domain, and the one polygon
-    # check among them is the TropicalSeries constructor's guard
+    # complex, series, curve and wave name no oracle domain, and the one
+    # polygon check among them is the TropicalSeries constructor's guard
     names, checks = set(), []
     for path in SOURCES:
-        if path.name not in ("series.py", "curve.py", "wave.py"):
+        if path.name not in ("complex.py", "series.py", "curve.py",
+                             "wave.py"):
             continue
         tree = ast.parse(path.read_text(), str(path))
         parent = {child: node for node in ast.walk(tree)
@@ -67,16 +68,20 @@ def test_refine_proves_equality_outside_the_balls_without_a_spot_check():
     assert "_spot_check_equal_outside_balls" not in defined
 
 
-def defined_functions(name):
+def source_tree(name):
     path = next(p for p in SOURCES if p.name == name)
-    return {node.name for node in ast.walk(ast.parse(path.read_text()))
+    return ast.parse(path.read_text(), str(path))
+
+
+def defined_functions(name):
+    return {node.name for node in ast.walk(source_tree(name))
             if isinstance(node, ast.FunctionDef)}
 
 
 def test_segment_cells_are_read_off_their_clips():
     # a segment cell is its clip in `exactlp.rotate_ccw` order, as a polygon
     # cell is: no list of tight constraints orders its ends
-    defined = defined_functions("series.py")
+    defined = defined_functions("complex.py") | defined_functions("series.py")
     assert "_segment_ends" not in defined
     assert not defined & {"_cell_constraints", "_first_crossing_pair"}
 
@@ -118,11 +123,10 @@ def test_polygon_sorts_its_normals_once():
     assert [ast.unparse(c.args[0]) for c in calls] == ["normals"]
 
 
-def series_function(name, cls=None):
-    """The definition of ``name`` in series.py, a method of ``cls`` if
-    given."""
-    path = next(p for p in SOURCES if p.name == "series.py")
-    scope = ast.parse(path.read_text())
+def module_function(module, name, cls=None):
+    """The definition of ``name`` in the file ``module``, a method of
+    ``cls`` if given."""
+    scope = source_tree(module)
     if cls is not None:
         scope = next(node for node in scope.body
                      if isinstance(node, ast.ClassDef) and node.name == cls)
@@ -133,46 +137,46 @@ def series_function(name, cls=None):
 def test_a_raise_clips_nothing_from_the_domain():
     # every clip of a raised build starts from v's old cell in f's complex,
     # which is empty for a v outside f's small form
-    fn = series_function("_raised_cells")
+    fn = module_function("complex.py", "_raised_cells")
     starts = [ast.unparse(node.args[0]) for node in ast.walk(fn)
               if isinstance(node, ast.Call)
-              and ast.unparse(node.func) == "_clip"]
+              and ast.unparse(node.func) == "clip"]
     assert starts and set(starts) == {"ring"}
     assert any(ast.unparse(node) == "ring = base.hcells.get(v, [])"
                for node in ast.walk(fn) if isinstance(node, ast.Assign))
 
 
 def test_one_table_scan_serves_every_monomial():
-    # `_Complex.touching` is the one scan of the vertex table for a
-    # monomial's gap, and renormalization is its one reader, which computes
-    # no gap of its own from a table row; a monomial outside a series'
-    # support is priced from the domain, so `_Complex` has no `coefficient`
-    path = next(p for p in SOURCES if p.name == "series.py")
-    tree = ast.parse(path.read_text())
-    readers = {fn.name for fn in ast.walk(tree)
+    # `Complex.touching` is the one scan of the vertex table for a
+    # monomial's gap, and renormalization is its one reader in the package,
+    # which computes no gap of its own from a table row; a monomial outside
+    # a series' support is priced from the domain, so `Complex` has no
+    # `coefficient`
+    readers = {f"{path.name}:{fn.name}" for path in SOURCES
+               for fn in ast.walk(source_tree(path.name))
                if isinstance(fn, ast.FunctionDef)
                and any(isinstance(node, ast.Call)
                        and ast.unparse(node.func).endswith(".touching")
                        for node in ast.walk(fn))}
-    assert readers == {"_small_canonical_terms"}
-    fn = series_function("_small_canonical_terms")
+    assert readers == {"series.py:_small_canonical_terms"}
+    fn = module_function("series.py", "_small_canonical_terms")
     scans = [node for node in ast.walk(fn)
              if isinstance(node, (ast.ListComp, ast.GeneratorExp))
              and any(ast.unparse(gen.iter).endswith(".table")
                      for gen in node.generators)]
     assert not [ast.unparse(node) for node in scans
                 if any(isinstance(op, ast.Sub) for op in ast.walk(node.elt))]
-    cls = next(node for node in tree.body
-               if isinstance(node, ast.ClassDef) and node.name == "_Complex")
+    cls = next(node for node in source_tree("complex.py").body
+               if isinstance(node, ast.ClassDef) and node.name == "Complex")
     assert "coefficient" not in {node.name for node in cls.body
                                  if isinstance(node, ast.FunctionDef)}
 
 
 def test_canonical_coefficient_reads_no_complex():
-    # `_Complex` keeps no per-monomial memo, and `canonical_coefficient`
+    # `Complex` keeps no per-monomial memo, and `canonical_coefficient`
     # reads neither a complex nor its table
-    assert "_touching" not in tropwave.series._Complex.__slots__
-    fn = series_function("canonical_coefficient")
+    assert "_touching" not in tropwave.complex.Complex.__slots__
+    fn = module_function("series.py", "canonical_coefficient")
     names = ({node.attr for node in ast.walk(fn)
               if isinstance(node, ast.Attribute)}
              | {node.id for node in ast.walk(fn)
@@ -184,10 +188,11 @@ def test_a_raise_has_one_path():
     # add_monomial always hands f's complex to the raise, through
     # `_int_complex`, and never picks a base by what f holds; the
     # constructor passes the hand-off on without looking inside it
-    names = {node.attr for node in ast.walk(series_function("add_monomial"))
+    names = {node.attr
+             for node in ast.walk(module_function("series.py", "add_monomial"))
              if isinstance(node, ast.Attribute)}
     assert "_int_complex" in names and "_complex" not in names
-    cells = series_function("cells", cls="TropicalSeries")
+    cells = module_function("series.py", "cells", cls="TropicalSeries")
     assert not [ast.unparse(node) for node in ast.walk(cells)
                 if isinstance(node, ast.Subscript)
                 and ast.unparse(node.value) == "_raised"]
@@ -196,9 +201,8 @@ def test_a_raise_has_one_path():
 def test_complex_keeps_no_restriction_of_a_presentation_table():
     # a raise's result takes its table in one pass over its own cells, not
     # rows divided down from its presentation's
-    path = next(p for p in SOURCES if p.name == "series.py")
-    cls = next(node for node in ast.parse(path.read_text()).body
-               if isinstance(node, ast.ClassDef) and node.name == "_Complex")
+    cls = next(node for node in source_tree("complex.py").body
+               if isinstance(node, ast.ClassDef) and node.name == "Complex")
     assert "restricted" not in {node.name for node in cls.body
                                 if isinstance(node, ast.FunctionDef)}
 
@@ -206,8 +210,7 @@ def test_complex_keeps_no_restriction_of_a_presentation_table():
 def test_a_raise_scans_no_side_degrees():
     # the one side-degree scan is renormalization's, for a presentation no
     # raise handed degrees to; add_monomial hands its own over
-    path = next(p for p in SOURCES if p.name == "series.py")
-    tree = ast.parse(path.read_text())
+    tree = source_tree("series.py")
     parent = {child: node for node in ast.walk(tree)
               for child in ast.iter_child_nodes(node)}
     scans = []
@@ -221,7 +224,8 @@ def test_a_raise_scans_no_side_degrees():
                     guard = ast.unparse(up.test)
             scans.append((up.name, guard))
     assert scans == [("_small_canonical_terms", "degrees is None")]
-    raise_call = next(node for node in ast.walk(series_function("add_monomial"))
+    fn = module_function("series.py", "add_monomial")
+    raise_call = next(node for node in ast.walk(fn)
                       if isinstance(node, ast.Call)
                       and ast.unparse(node.func) == "TropicalSeries")
     [hand_off] = [kw.value for kw in raise_call.keywords
@@ -230,12 +234,88 @@ def test_a_raise_scans_no_side_degrees():
 
 
 def test_clip_evaluates_each_cut_once():
-    # `_clip` takes each cut's signs in one list and skips a cut whose
+    # `clip` takes each cut's signs in one list and skips a cut whose
     # least sign is >= 0: no loop scans the ring for a negative sign first
-    fn = series_function("_clip")
+    fn = module_function("complex.py", "clip")
     scans = [node for node in ast.walk(fn)
              if isinstance(node, (ast.For, ast.comprehension))
              and ast.unparse(node.iter) == "poly"]
     assert len(scans) == 1 and isinstance(scans[0], ast.comprehension)
     assert not [node for node in ast.walk(fn)
                 if isinstance(node, ast.For) and node.orelse]
+
+
+KERNEL_NAMES = {"Complex", "_Complex", "_Cells", "build", "raised",
+                "_triples", "_table", "_min_values", "_nearest_first",
+                "_raised_cells", "_join", "_splice", "_turn", "_hull",
+                "_check_cell", "_side_lines", "clip", "_clip"}
+
+
+def test_series_defines_no_kernel_code():
+    # the complex, its clip, joins, splices, hulls, table and cell checks
+    # live in `complex` alone
+    defined = {node.name for node in ast.walk(source_tree("series.py"))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & KERNEL_NAMES
+    assert KERNEL_NAMES - {"_Complex", "_clip"} <= {
+        node.name for node in ast.walk(source_tree("complex.py"))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def test_series_error_is_defined_once():
+    # `series` re-exports the kernel's SeriesError, the one class that the
+    # CLI maps and the oracle's errors derive from
+    homes = [path.name for path in SOURCES
+             for node in ast.walk(source_tree(path.name))
+             if isinstance(node, ast.ClassDef) and node.name == "SeriesError"]
+    assert homes == ["complex.py"]
+    assert tropwave.series.SeriesError is tropwave.complex.SeriesError
+
+
+def test_the_complex_takes_no_hand_off():
+    # a whole build and a raise are two entry points that both call the
+    # one constructor, and `kept` calls it too
+    cls = next(node for node in source_tree("complex.py").body
+               if isinstance(node, ast.ClassDef) and node.name == "Complex")
+    init = next(node for node in cls.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "__init__")
+    assert [a.arg for a in init.args.args + init.args.kwonlyargs] == [
+        "self", "hcells", "support", "base"]
+    assert "__new__" not in ast.unparse(source_tree("complex.py"))
+    for name in ("build", "raised"):
+        fn = module_function("complex.py", name)
+        [ret] = [node for node in ast.walk(fn) if isinstance(node, ast.Return)]
+        assert ast.unparse(ret.value.func) == "Complex"
+
+
+def test_readers_reach_the_kernel_through_its_entry_points():
+    # series, wave, curve and refine use `complex.build`, `complex.raised`,
+    # `clip` and the public fields of what they return, and never name a
+    # private field of a complex
+    reached = set()
+    for name in ("series.py", "wave.py", "curve.py", "refine.py"):
+        tree = source_tree(name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "complex":
+                reached |= {alias.name for alias in node.names}
+            elif (isinstance(node, ast.Attribute)
+                  and ast.unparse(node.value) == "cplx"):
+                reached.add(node.attr)
+            elif isinstance(node, ast.Attribute):
+                assert node.attr not in ("_hverts", "_pending", "_hcells"), (
+                    f"{name}: {ast.unparse(node)}")
+    assert reached == {"build", "raised", "Complex", "SeriesError",
+                       "Support", "clip"}
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # every name one module of the package takes from another is public
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(source_tree(path.name)):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("tropwave")):
+                found += [f"{path.name}: {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert found == []

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from tropwave import cli, series
+from tropwave import complex as cplx
 from tropwave.curve import attaining_monomials
 from tropwave.exactlp import dot, vsub
 from tropwave.geometry import QPolygon
@@ -305,15 +306,18 @@ class TestUpperBoundWitness:
 @pytest.mark.parametrize("seed", range(6))
 def test_dynamics_builds_one_complex_per_positive_wave(seed):
     # from zero, k positive waves build exactly k + 2 complexes: the zero
-    # series' constructor, its first use, and one renormalization probe per
-    # positive wave, which the wave's result inherits
+    # series' constructor and its first use from the domain, and one raised
+    # renormalization probe per positive wave, which the wave's result
+    # inherits
     rng = random.Random(seed)
     poly = [unit_square, pentagon, lambda: random_polygon(rng)][seed % 3]()
     pts = random_points(rng, poly, 3)
-    with mock.patch.object(series, "_Complex", wraps=series._Complex) as cx:
+    with mock.patch.object(cplx, "build", wraps=cplx.build) as build, \
+            mock.patch.object(cplx, "raised", wraps=cplx.raised) as raised:
         res = run_dynamics(zero_series(poly), pts)
     assert res.stopped_reason == STABILIZED and res.events
-    assert cx.call_count == len(res.events) + 2
+    assert build.call_count + raised.call_count == len(res.events) + 2
+    assert raised.call_count == len(res.events)
 
 
 class TestDynamics:
@@ -336,6 +340,19 @@ class TestDynamics:
         res = run_dynamics(f, [])
         assert res.stopped_reason == STABILIZED
         assert res.final == f
+
+    def test_negative_tolerance_raises(self):
+        # no sweep total falls below a negative tolerance, so its stop could
+        # never be taken; a tolerance of 0 is accepted and never stops early
+        f = zero_series(unit_square())
+        pts = [(F(1, 2), F(1, 2)), (F(1, 4), F(3, 4))]
+        with pytest.raises(WaveError, match="negative"):
+            run_dynamics(f, pts, tol=F(-1))
+        with pytest.raises(WaveError, match="negative"):
+            run_dynamics(f, [], tol=-1)
+        res = run_dynamics(f, pts, tol=F(0))
+        assert res.stopped_reason == STABILIZED
+        assert res == run_dynamics(f, pts)
 
     def test_final_curve_hits_points(self, rng):
         for _ in range(5):
