@@ -33,8 +33,9 @@ print("  avalanche area: ", event.avalanche_area)     # the old face of p
 print("\nresult:", g)
 print("quasi-degree:", quasi_degree(g))               # left side now 2
 
-render_curve(extract_curve(f), points=[p], path=os.path.join(OUT, "wave_before.svg"))
-render_curve(extract_curve(g), points=[p], path=os.path.join(OUT, "wave_after.svg"))
+for name, series in (("wave_before.svg", f), ("wave_after.svg", g)):
+    with open(os.path.join(OUT, name), "w") as fh:
+        fh.write(render_curve(extract_curve(series), points=[p]))
 print(f"\ncurves written to {OUT}/wave_before.svg and wave_after.svg")
 
 # waving again at the same point changes nothing: the curve already passes

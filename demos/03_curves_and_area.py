@@ -49,7 +49,8 @@ nodal_curve = extract_curve(frozen)
 kinds = [classify_vertex(nodal_curve, z).kind
          for z in nodal_curve.interior_vertices()]
 print("vertex kinds at the perestroika moment:", sorted(kinds))
-render_curve(nodal_curve, path=os.path.join(OUT, "nodal_moment.svg"))
+with open(os.path.join(OUT, "nodal_moment.svg"), "w") as fh:
+    fh.write(render_curve(nodal_curve))
 print(f"curve written to {OUT}/nodal_moment.svg")
 
 # minimality: the dynamic's curve has the smallest area among curves through

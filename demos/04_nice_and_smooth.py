@@ -47,7 +47,8 @@ print("\nverge with a degree-4 side:", quasi_degree(v))
 print("all vertices smooth:",
       all(classify_vertex(curve, z).is_smooth
           for z in curve.interior_vertices()))
-render_curve(curve, path=os.path.join(OUT, "verge_ladder.svg"))
+with open(os.path.join(OUT, "verge_ladder.svg"), "w") as fh:
+    fh.write(render_curve(curve))
 print(f"ladder written to {OUT}/verge_ladder.svg")
 
 # coarse replay: decrement the increments so no face ever contracts, while

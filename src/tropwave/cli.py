@@ -68,6 +68,15 @@ def nonnegative_rational(value) -> Fraction:
     return q
 
 
+def _eps(args) -> Fraction:
+    """The --eps flag of make-nice, verge and coarsen, a positive
+    rational."""
+    eps = jsonio.frac_from_str(args.eps)
+    if eps <= 0:
+        raise jsonio.ParseError(f"--eps {args.eps!r} is not positive")
+    return eps
+
+
 def _read(path, build):
     """The one input reader: open ``path``, parse its JSON and ``build`` an
     object from it.  Every failure of bad input, a missing or unreadable
@@ -198,11 +207,11 @@ def _points_from_json(obj):
 
 
 def _degrees_from_json(obj):
-    """Side degrees keyed by primitive normal: a zero normal, or two
-    entries for one side (also through a non-primitive normal), is bad
-    input."""
+    """Side degrees keyed by primitive normal: a zero normal, a degree
+    below 1, or two entries for one side (also through a non-primitive
+    normal), is bad input."""
     return jsonio.unique_map([(primitive(jsonio.vec_from_json(d["n"])),
-                               jsonio.int_from_json(d["m"]))
+                               positive_int(jsonio.int_from_json(d["m"])))
                               for d in obj["degrees"]], "side")
 
 
@@ -271,8 +280,8 @@ def cmd_lift_check(args, bundle: OutputBundle) -> int:
 
 
 def cmd_make_nice(args, bundle: OutputBundle) -> int:
+    eps = _eps(args)
     f = _read(args.series, jsonio.series_from_json)
-    eps = jsonio.frac_from_str(args.eps)
     sub, g, steps = make_nice(f.domain, f, eps)
     bundle.write_json("plan.json", {
         "steps": [{
@@ -288,9 +297,12 @@ def cmd_make_nice(args, bundle: OutputBundle) -> int:
 
 
 def cmd_verge(args, bundle: OutputBundle) -> int:
+    eps = _eps(args)
     poly = _read(args.domain, jsonio.polygon_from_json)
-    eps = jsonio.frac_from_str(args.eps)
     degrees = _read(args.degrees, _degrees_from_json)
+    if set(degrees) != {hp.n for hp in poly.halfplanes}:
+        raise jsonio.ParseError(f"{args.degrees}: the degrees must name "
+                                f"exactly the sides of {args.domain}")
     g = verge_polynomial(poly, degrees, eps)
     bundle.write_json("series.json", jsonio.series_to_json(g))
     bundle.write_text("curve.svg", render_curve(extract_curve(g)))
@@ -298,9 +310,9 @@ def cmd_verge(args, bundle: OutputBundle) -> int:
 
 
 def cmd_coarsen(args, bundle: OutputBundle) -> int:
+    eps = _eps(args)
     poly = _read(args.domain, jsonio.polygon_from_json)
     pts = _read(args.points, _points_from_json)
-    eps = jsonio.frac_from_str(args.eps)
     _require_interior(poly, pts)
     degrees = {hp.n: 1 for hp in poly.halfplanes}
     g = verge_polynomial(poly, degrees, eps)

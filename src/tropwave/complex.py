@@ -10,9 +10,12 @@ attains f.  The module has two entry points, and both return a `Complex`:
   presentation of g = `series.add_monomial`(f, v, c), v raised, from
   ``base``, f's complex.
 
-A `Complex`'s ``hcells``, ``cells``, ``denom``, ``table`` and ``vertices``,
+A `Complex` is the mapping from each monomial to its cell as `Fraction`
+points, and it has no separate cells field.  That mapping, its
+``hcells``, ``denom``, ``table`` and ``vertices``, `Complex.point`,
 `Complex.touching` and `Complex.kept` are the contract that the series
-algebra, the wave and the curve read; `clip` is the one polygon clip, and
+algebra, the wave and the curve read, each through
+`series.TropicalSeries.cells`; `clip` is the one polygon clip, and
 `refine`'s certificates clip the integer cells with it.  Values stay
 exact, and no `Fraction` arithmetic is done: coefficients are scaled by
 the lcm of their denominators and every constraint is an integer triple
@@ -62,10 +65,10 @@ equals f, and only the new vertices take a min over the monomials.
 `Complex.kept` reads the complex of the series g off the complex of a
 raised presentation of g, with no clip, and builds its table at once, so
 the next wave reads it without a second build.  ``hcells`` maps each
-monomial to its cell as reduced homogeneous points (X, Y, W), W > 0;
-``cells`` and ``vertices`` are the same data as `Fraction` points, made on
-first read: a build converts nothing, and a reader pays only for the cells
-it reads.
+monomial to its cell as reduced homogeneous points (X, Y, W), W > 0; the
+complex's own items and ``vertices`` are the same data as `Fraction`
+points, made on first read: a build converts nothing, and a reader pays
+only for the cells it reads.
 """
 
 from __future__ import annotations
@@ -127,17 +130,22 @@ def _triples(support: Support) -> dict:
             for v, a in support.items()}
 
 
-class Complex:
+class Complex(Mapping):
     """The linearity complex of the series presented by ``support``, with
     cells ``hcells``; ``base`` is f's complex for a raise, else None.  A
-    build is `build` or `raised`; the fields are the module's."""
+    build is `build` or `raised`; the fields are the module's.  The complex
+    is itself the mapping from each monomial to its cell as a list of
+    `Fraction` points, read off ``hcells`` in its order.  A cell is
+    converted the first time it is read, and each point once per complex
+    (`point`), so cells that share a vertex share its point."""
 
-    __slots__ = ("denom", "table", "hcells", "cells", "vertices", "_hverts",
-                 "_pending")
+    __slots__ = ("denom", "table", "hcells", "vertices", "_hverts",
+                 "_pending", "_read", "_points")
 
     def __init__(self, hcells: dict, support: Support, base: Complex | None):
         self.hcells = hcells
-        self.cells = _Cells(hcells)
+        self._read: dict = {}
+        self._points: dict = {}
         # the arguments of `_table`, for a table built on first read
         self._pending = (hcells, support, base)
 
@@ -145,12 +153,32 @@ class Complex:
         # a build leaves ``vertices``, ``denom``, ``table`` and ``_hverts``
         # unset, and fills each on its first read, the last three together
         if name == "vertices":
-            self.vertices = [self.cells.point(h) for h in self._hverts]
+            self.vertices = [self.point(h) for h in self._hverts]
         elif name in ("denom", "table", "_hverts"):
             self._hverts, self.denom, self.table = _table(*self._pending)
         else:
             raise AttributeError(name)
         return getattr(self, name)
+
+    def __getitem__(self, v) -> list[Point]:
+        cell = self._read.get(v)
+        if cell is None:
+            cell = self._read[v] = [self.point(h) for h in self.hcells[v]]
+        return cell
+
+    def __iter__(self):
+        return iter(self.hcells)
+
+    def __len__(self) -> int:
+        return len(self.hcells)
+
+    def point(self, h) -> Point:
+        """The `Fraction` point of the homogeneous point ``h``, made once
+        per complex."""
+        p = self._points.get(h)
+        if p is None:
+            p = self._points[h] = lp.to_point(h)
+        return p
 
     def kept(self, support: Support) -> Complex:
         """The complex of the series g whose small form is ``support``, read
@@ -190,38 +218,6 @@ class Complex:
         return b, [h for h, gap in zip(self._hverts, gaps) if gap == b]
 
 
-class _Cells(Mapping):
-    """Monomial -> its cell as a list of `Fraction` points, read off
-    ``hcells`` in its order.  A cell is converted the first time it is
-    read, and each point once per complex, so cells that share a vertex
-    share its point."""
-
-    __slots__ = ("_hcells", "_read", "_points")
-
-    def __init__(self, hcells: dict):
-        self._hcells = hcells
-        self._read: dict = {}
-        self._points: dict = {}
-
-    def point(self, h) -> Point:
-        p = self._points.get(h)
-        if p is None:
-            p = self._points[h] = lp.to_point(h)
-        return p
-
-    def __getitem__(self, v) -> list[Point]:
-        cell = self._read.get(v)
-        if cell is None:
-            cell = self._read[v] = [self.point(h) for h in self._hcells[v]]
-        return cell
-
-    def __iter__(self):
-        return iter(self._hcells)
-
-    def __len__(self) -> int:
-        return len(self._hcells)
-
-
 def _table(hcells: dict, support: Support, base: Complex | None) -> tuple:
     """(hverts, denom, table) of the complex whose cells are ``hcells``, of
     the series presented by ``support``, in one pass over the cells: the
@@ -240,7 +236,7 @@ def _table(hcells: dict, support: Support, base: Complex | None) -> tuple:
     denom = math.lcm(*[a.denominator for a in support.values()],
                      *[h[2] for h in hverts])
     points = [(X * (denom // W), Y * (denom // W)) for X, Y, W in hverts]
-    old = dict(zip(base._hverts, base.table)) if base else {}
+    old = dict(zip(base._hverts, base.table)) if base is not None else {}
     lifted = [(v[0], v[1], a.numerator * (denom // a.denominator))
               for v, a in support.items()]
     new = iter(_min_values(lifted, [p for h, p in zip(hverts, points)
@@ -254,7 +250,7 @@ def _table(hcells: dict, support: Support, base: Complex | None) -> tuple:
                               f"is no multiple of 1/{denom}")
         table.append((X, Y, F))
     # f's rows are nonnegative, so only a new row can fail this
-    if base and min(F for _, _, F in table) < 0:
+    if base is not None and min(F for _, _, F in table) < 0:
         raise SeriesError("presentation is negative on the domain")
     return hverts, denom, table
 

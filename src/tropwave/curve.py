@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import exactlp as lp
 from .exactlp import Point, Vec, cross, dot, vsub
 from .geometry import QPolygon, gcd2, primitive
-from .series import TropicalSeries, values_at
+from .series import TropicalSeries, quasi_degree, values_at
 
 
 class CurveError(Exception):
@@ -88,8 +88,7 @@ def extract_curve(f: TropicalSeries) -> TropicalCurve:
     (k, h).  Each edge is emitted once, for u < w, in (u, w) order, with its
     two ends sorted.
     """
-    cx = f._int_complex()
-    cells = cx.cells
+    cx = f.cells()
     # a cell holds only its extreme points, so three or more span an area
     support = [v for v in f.support if len(cx.hcells[v]) >= 3]
     owner = {}
@@ -104,13 +103,13 @@ def extract_curve(f: TropicalSeries) -> TropicalCurve:
             sides.append((u, w, h, k))
     edges = []
     for u, w, h, k in sorted(sides):
-        a, b = sorted((cells.point(h), cells.point(k)))
+        a, b = sorted((cx.point(h), cx.point(k)))
         edges.append(Edge(a, b, gcd2(vsub(w, u)), (u, w)))
     verts: dict[Point, bool] = {}
     for e in edges:
         verts[e.a] = True
         verts[e.b] = True
-    faces = {v: cells[v] for v in support}
+    faces = {v: cx[v] for v in support}
     return TropicalCurve(f, list(verts), edges, faces)
 
 
@@ -206,8 +205,6 @@ def side_area(poly: QPolygon, n: Vec) -> Fraction:
 def quasi_degree_area(f: TropicalSeries) -> Fraction:
     """Sum over sides of m_f(S) * Area(S): equals the curve area on compact
     domains (deformation invariance)."""
-    from .series import quasi_degree
-
     deg = quasi_degree(f)
     return sum((m * side_area(f.domain, n) for n, m in deg.items()), Fraction(0))
 

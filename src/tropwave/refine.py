@@ -147,7 +147,7 @@ def _region_values(f: TropicalSeries, cuts):
     intersected) and nothing outside it.  f equals the cell's monomial on
     its closed cell, (v0 X + v1 Y) / W + a at h.
     """
-    for v, cell in f._int_complex().hcells.items():
+    for v, cell in f.cells().hcells.items():
         a = f.support[v]
         for h in clip(cell, cuts):
             yield h, v, a

@@ -17,8 +17,13 @@ complex, which `tropwave.complex` builds (`complex.build`, or
 the presentation whose cell is nonempty, at its presented coefficient, iff
 that cell reaches the interior; every other candidate reads the complex's
 vertex table (`Complex.touching`).  Values stay exact, and `Fraction`
-appears only at the API boundary (coefficients, `cells()`,
+appears only at the API boundary (coefficients, the cells of `cells()`,
 `complex_vertices()`).
+
+A series holds its complex in one field, and `TropicalSeries.cells`
+returns it: the `complex.Complex`, which maps each monomial to its cell.
+Every reader of a series' complex, in this module and in the wave, the
+curve and the certificates, goes through `cells()`.
 
 The constructor keeps the presentation's side degrees as the series'
 quasi-degree (`_small_canonical_terms` says why they are the small form's).
@@ -71,14 +76,15 @@ class TropicalSeries:
     ``support`` is any presentation of a valid series.  The constructor
     holds it sorted, builds its complex through `cells()` and keeps the
     small form read off that complex, with the presentation's side degrees
-    as its quasi-degree.  It drops the complex, and the series
-    builds its own on first use, unless ``_raised`` is set (`add_monomial`
-    alone sets it) and every kept monomial carries its presented
-    coefficient: the series then keeps `Complex.kept` of the
-    presentation's complex.  ``_raised`` is (f's complex, v, the side
-    degrees) for the presentation of f with v raised: `cells()` passes f's
-    complex and v on to `complex.raised`, and renormalization takes the
-    degrees as they are.
+    as its quasi-degree.  The one field ``_cells`` holds the series'
+    complex, or None before its first use.  The constructor drops the
+    presentation's complex, and the series builds its own on first use,
+    unless ``_raised`` is set (`add_monomial` alone sets it) and every kept
+    monomial carries its presented coefficient: the series then keeps
+    `Complex.kept` of the presentation's complex.  ``_raised`` is (f's
+    complex, v, the side degrees) for the presentation of f with v raised:
+    `cells()` passes f's complex and v on to `complex.raised`, and
+    renormalization takes the degrees as they are.
     """
 
     def __init__(self, domain: QPolygon, support: Support, *,
@@ -90,19 +96,17 @@ class TropicalSeries:
         if not support:
             raise SeriesError("series needs at least one monomial")
         self.support = dict(sorted(support.items()))
-        self._cells: Optional[Mapping] = None
-        self._complex: Optional[cplx.Complex] = None
-        self.cells(_raised=_raised and _raised[:2])
-        presented, cx = self.support, self._complex
+        self._cells: Optional[cplx.Complex] = None
+        presented = self.support
+        cx = self.cells(_raised=_raised and _raised[:2])
         self.support, self._quasi_degree = _small_canonical_terms(
             domain, presented, cx, degrees=_raised and _raised[2])
-        self._cells = self._complex = None
+        self._cells = None
         # a kept monomial whose coefficient is below its presented one (v,
         # raised past where it touches) has a cell the presentation lacks
         if _raised is not None and all(presented.get(u, a) == a
                                        for u, a in self.support.items()):
-            self._complex = cx.kept(self.support)
-            self._cells = self._complex.cells
+            self._cells = cx.kept(self.support)
 
     # -- basics ----------------------------------------------------------
 
@@ -123,25 +127,21 @@ class TropicalSeries:
 
     # -- cached geometry ---------------------------------------------------
 
-    def cells(self, *, _raised: Optional[tuple] = None) -> Mapping:
-        """Monomial -> CCW vertex list of its (possibly degenerate) region,
-        each list made on first read.  The constructor alone passes
+    def cells(self, *, _raised: Optional[tuple] = None) -> cplx.Complex:
+        """The series' linearity complex, built on first call and then
+        held: as a mapping, monomial -> CCW vertex list of its (possibly
+        degenerate) region, each list made on first read.  Every reader of
+        a series' complex calls this.  The constructor alone passes
         ``_raised``."""
         if self._cells is None:
-            self._complex = (cplx.build(self.domain, self.support)
-                             if _raised is None else
-                             cplx.raised(*_raised, self.domain, self.support))
-            self._cells = self._complex.cells
+            self._cells = (cplx.build(self.domain, self.support)
+                           if _raised is None else
+                           cplx.raised(*_raised, self.domain, self.support))
         return self._cells
 
     def complex_vertices(self) -> list[Point]:
         """All vertices of the linearity decomposition (and the domain)."""
-        return self._int_complex().vertices
-
-    def _int_complex(self) -> cplx.Complex:
-        if self._complex is None:
-            self.cells()
-        return self._complex
+        return self.cells().vertices
 
 
 def values_at(f: TropicalSeries, z: Point) -> tuple[list[int], int]:
@@ -384,8 +384,7 @@ def add_monomial(f: TropicalSeries, v: Vec, c: Fraction) -> TropicalSeries:
     # each u != v carries c_u(f), and f <= g <= u.z + c_u(f) gives
     # c_u(g) = c_u(f): the result keeps the presentation's cells, built
     # from f's
-    return TropicalSeries(f.domain, terms,
-                          _raised=(f._int_complex(), v, degrees))
+    return TropicalSeries(f.domain, terms, _raised=(f.cells(), v, degrees))
 
 
 def tropical_product(f: TropicalSeries, g: TropicalSeries) -> TropicalSeries:

@@ -18,7 +18,7 @@ def _pastel(v) -> str:
     return f"rgb({r},{g},{b})"
 
 
-def render_curve(curve, *, points: Sequence = (), path=None) -> str:
+def render_curve(curve, *, points: Sequence = ()) -> str:
     poly = curve.series.domain
     xs = [v[0] for v in poly.vertices]
     ys = [v[1] for v in poly.vertices]
@@ -52,8 +52,4 @@ def render_curve(curve, *, points: Sequence = (), path=None) -> str:
         out.append(f'<circle cx="{sx(p[0]):.3f}" cy="{sy(p[1]):.3f}" r="4" '
                    f'fill="#c22"/>')
     out.append("</svg>")
-    text = "\n".join(out) + "\n"
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    return "\n".join(out) + "\n"

@@ -131,7 +131,7 @@ def _second_min_at(f: TropicalSeries, p: Point, exclude: Vec) -> Fraction:
     p nears the boundary), and G, convex on each line, is minimised there
     by a binary search.  All of it is integer arithmetic.
     """
-    cx = f._int_complex()
+    cx = f.cells()
     D = cx.denom
     P0, P1, q = lp.homogeneous(p)
     P0, P1 = P0 * D, P1 * D
@@ -210,7 +210,7 @@ def wave(f: TropicalSeries, p: Point, step: int = 0) -> Tuple[TropicalSeries, Wa
     c = rest - (dot(v, p) + f.support[v])
     if c <= 0:
         raise WaveError(f"nonpositive wave increment {c} at {p}")
-    area = lp.polygon_area(f._int_complex().hcells[v])
+    area = lp.polygon_area(f.cells().hcells[v])
     g = add_monomial(f, v, c)
     return g, WaveEvent(p, v, c, area, step)
 

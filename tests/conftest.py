@@ -1,7 +1,6 @@
 import math
 import random
 from fractions import Fraction as F
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import settings
@@ -121,10 +120,16 @@ def ref_complex(domain: QPolygon, support):
         table.append((X, Y, min(v[0] * X + v[1] * Y + av * lift
                                 for v, av in alpha.items())))
     points = {h: lp.to_point(h) for h in hverts}
-    return SimpleNamespace(
-        denom=denom, table=table, hcells=hcells,
-        vertices=list(points.values()),
-        cells={v: [points[h] for h in hs] for v, hs in hcells.items()})
+    ref = RefComplex({v: [points[h] for h in hs] for v, hs in hcells.items()})
+    ref.denom, ref.table, ref.hcells = denom, table, hcells
+    ref.vertices = list(points.values())
+    return ref
+
+
+class RefComplex(dict):
+    """`ref_complex`'s fields: like a `complex.Complex`, the mapping from
+    each monomial to its cell as `Fraction` points, with ``denom``,
+    ``table``, ``hcells`` and ``vertices`` as attributes."""
 
 
 def ref_small_canonical_terms(domain: QPolygon, terms, cx):

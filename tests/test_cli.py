@@ -122,6 +122,12 @@ class TestWaveCommand:
     ["curve", "{repeated_monomial}"],
     ["--tol", "-1", "dynamics", "{square}", "{points}"],
     ["--config", "{negative_tol}", "dynamics", "{square}", "{points}"],
+    ["make-nice", "{series}", "--eps", "0"],
+    ["verge", "{square}", "{degrees}", "--eps", "-1"],
+    ["coarsen", "{square}", "{points}", "--eps", "0"],
+    ["verge", "{square}", "{zero_degree}", "--eps", "1/8"],
+    ["verge", "{square}", "{missing_side}", "--eps", "1/8"],
+    ["verge", "{square}", "{foreign_side}", "--eps", "1/8"],
 ], ids=["unbounded-stats", "unbounded-dynamics", "unbounded-coarsen",
         "bad-tol", "missing-config", "config-denom-bound-0",
         "config-not-object", "denom-bound-0", "n-0", "stats-trials-negative",
@@ -139,7 +145,9 @@ class TestWaveCommand:
         "verge-degrees-not-utf8", "dynamics-polygon-deep",
         "dynamics-points-deep", "curve-series-deep", "verge-degrees-deep",
         "config-deep", "series-repeated-monomial", "tol-negative",
-        "config-tol-negative"])
+        "config-tol-negative", "make-nice-eps-0", "verge-eps-negative",
+        "coarsen-eps-0", "verge-degree-0", "verge-missing-side",
+        "verge-foreign-side"])
 def test_bad_input_exit_2(files, argv, monkeypatch):
     # a single half-plane is an unbounded polygon
     jsonio.dump({"halfplanes": [{"n": [1, 0], "a": "0/1"}]},
@@ -171,6 +179,15 @@ def test_bad_input_exit_2(files, argv, monkeypatch):
                              {"n": [-1, 0], "m": 1}, {"n": [0, -1], "m": 1},
                              {"n": [2, 0], "m": 2}]},
                 files / "repeated_side.json")
+    # a degree below 1, a side left out, and [1, 1], which is no side of
+    # the square
+    square_sides = [{"n": [1, 0], "m": 1}, {"n": [0, 1], "m": 1},
+                    {"n": [-1, 0], "m": 1}, {"n": [0, -1], "m": 1}]
+    jsonio.dump({"degrees": [{"n": [1, 0], "m": 0}] + square_sides[1:]},
+                files / "zero_degree.json")
+    jsonio.dump({"degrees": square_sides[1:]}, files / "missing_side.json")
+    jsonio.dump({"degrees": square_sides + [{"n": [1, 1], "m": 1}]},
+                files / "foreign_side.json")
     # (0, 0) twice: the last entry alone is the zero series
     jsonio.dump({"domain": jsonio.polygon_to_json(unit_square()),
                  "support": [{"v": [0, 0], "a": "1/2"},
@@ -190,7 +207,8 @@ def test_bad_input_exit_2(files, argv, monkeypatch):
              "bool_points", "float_series", "bool_series", "float_degrees",
              "zero_degree_normal", "repeated_side", "repeated_monomial",
              "negative_tol", "float_tol", "bool_tol", "float_ints", "bool_ints",
-             "negative_steps", "empty_out", "not_utf8", "deep")
+             "negative_steps", "empty_out", "not_utf8", "deep", "degrees",
+             "zero_degree", "missing_side", "foreign_side")
     paths = {k: str(files / f"{k}.json") for k in names}
     argv = [a.format(**paths) for a in argv]
     # the default output directory "out" lands in the test's directory
@@ -220,6 +238,40 @@ def test_a_repeated_monomial_or_negative_tolerance_is_a_parse_error(
     jsonio.dump({"tol": "-1"}, files / "config.json")
     paths = {k: str(files / f"{k}.json")
              for k in ("repeated", "square", "points", "config")}
+    out = ["--out", str(files / "o")]
+    assert main(out + [a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error") and message in err
+    assert not (files / "o").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["make-nice", "{series}", "--eps", "0"], "--eps '0' is not positive"),
+    (["verge", "{square}", "{degrees}", "--eps", "-1"],
+     "--eps '-1' is not positive"),
+    (["coarsen", "{square}", "{points}", "--eps", "0"],
+     "--eps '0' is not positive"),
+    (["verge", "{square}", "{zero}", "--eps", "1/4"],
+     "zero.json: ValueError: 0 is not a positive integer"),
+    (["verge", "{square}", "{three}", "--eps", "1/4"],
+     "three.json: the degrees must name exactly the sides of"),
+    (["verge", "{square}", "{diagonal}", "--eps", "1/4"],
+     "diagonal.json: the degrees must name exactly the sides of"),
+])
+def test_a_bad_eps_or_degree_file_is_a_parse_error(files, argv, message,
+                                                   capsys):
+    # eps must be positive, and a degree file gives each side of the polygon
+    # a positive degree; the CLI refuses either before any computation,
+    # naming the flag or the file, where the library would raise
+    # RefineError (exit 5)
+    sides = jsonio.load(files / "degrees.json")["degrees"]
+    jsonio.dump({"degrees": [{"n": [1, 0], "m": 0}] + sides[1:]},
+                files / "zero.json")
+    jsonio.dump({"degrees": sides[:3]}, files / "three.json")
+    jsonio.dump({"degrees": sides[:3] + [{"n": [1, 1], "m": 1}]},
+                files / "diagonal.json")
+    paths = {k: str(files / f"{k}.json") for k in (
+        "series", "square", "points", "degrees", "zero", "three", "diagonal")}
     out = ["--out", str(files / "o")]
     assert main(out + [a.format(**paths) for a in argv]) == 2
     err = capsys.readouterr().err

@@ -222,7 +222,7 @@ def test_renormalization_and_probe_complex_match_reference(kind, seed, n_waves):
     terms = presentation(rng, f)
     probe = presented(f.domain, terms)
     cx = cplx.build(f.domain, probe.support)
-    assert list(cx.cells.items()) == list(ref_cells(probe).items())
+    assert list(cx.items()) == list(ref_cells(probe).items())
     assert cx.vertices == ref_complex_vertices(probe)
     assert (outcome(series._small_canonical_terms, f.domain, probe.support, cx)
             == outcome(ref_fraction_small_canonical_terms, f.domain, terms))
@@ -235,9 +235,8 @@ def test_segment_and_point_cells_match_reference():
                   {(1, 0): 0, (-1, 0): 2, (0, 1): 0, (0, -1): 1,
                    (0, 0): F(1, 2), (1, 1): 0})
     cx = cplx.build(f.domain, f.support)
-    cells = cx.cells
-    assert len(cells[(0, 0)]) == 2 and len(cells[(1, 1)]) == 1
-    assert list(cells.items()) == list(ref_cells(f).items())
+    assert len(cx[(0, 0)]) == 2 and len(cx[(1, 1)]) == 1
+    assert list(cx.items()) == list(ref_cells(f).items())
     assert cx.vertices == ref_complex_vertices(f)
 
 
@@ -437,7 +436,7 @@ def test_triangle_cells_pass_only_side_lines():
 
 def complex_fields(cx):
     return (cx.denom, cx.table, list(cx.hcells.items()),
-            list(cx.cells.items()), cx.vertices)
+            list(cx.items()), cx.vertices)
 
 
 def touching_presentation(f):
@@ -663,14 +662,14 @@ def test_constructor_builds_one_complex_and_keeps_none():
             # one build, of the sorted presentation
             assert [(name, args) for name, args, _ in built] == [
                 ("build", (domain, presented(domain, terms).support))]
-            assert f._complex is None and f._cells is None
+            assert f._cells is None
         del built[:]
         z = zero_series(pentagon())
-        assert len(built) == 1 and z._complex is None and z._cells is None
+        assert len(built) == 1 and z._cells is None
         # the series' own complex is built on first use, once
         z.cells()
         z.complex_vertices()
-        assert len(built) == 2 and z._complex is built[1][2]
+        assert len(built) == 2 and z._cells is built[1][2]
         # every other way to make a series keeps no complex either: one
         # build per constructor, none kept
         f = square13()
@@ -679,7 +678,7 @@ def test_constructor_builds_one_complex_and_keeps_none():
                 clamp(f, F(1, 4)),
                 jsonio.series_from_json(jsonio.series_to_json(f))]
         assert len(built) == len(made)
-        assert all(h._complex is None and h._cells is None for h in made)
+        assert all(h._cells is None for h in made)
 
 
 def test_fraction_points_are_made_on_first_read():
@@ -696,8 +695,8 @@ def test_fraction_points_are_made_on_first_read():
         g, ev = wave(f, (F(1, 5), F(1, 2)))
         assert (ev.monomial, ev.increment) == ((1, 0), F(2, 15))
         assert conv.call_count == 0
-        cx = g._complex
-        assert g._cells is cx.cells
+        cx = g._cells
+        assert isinstance(cx, cplx.Complex) and g.cells() is cx
         cell = cx.hcells[ev.monomial]
         assert len(cell) == 4
         assert g.cells()[ev.monomial] == [exactlp.to_point(h) for h in cell]
@@ -765,7 +764,7 @@ def wave_results(source, kind, seed, n_waves, N):
         v = (rng.randint(-3, 3), rng.randint(-3, 3))
         c = F(rng.randint(1, 40), rng.randint(1, 12))
         g = add_monomial(f, v, c)
-        if g._complex is None:
+        if g._cells is None:
             return [], (g, v, f, c)
         results = [g]
     return results, None
@@ -788,8 +787,8 @@ def test_handed_off_complex_equals_a_fresh_build(source, kind, seed, n_waves,
         assert g.support[v] < canonical_coefficient(f, v) + c
         return
     for g in results:
-        assert g._cells is g._complex.cells
-        assert complex_fields(g._complex) == fresh_fields(g)
+        assert isinstance(g._cells, cplx.Complex)
+        assert complex_fields(g._cells) == fresh_fields(g)
 
 
 @given(WAVE_SOURCES, DOMAINS, SEEDS, st.integers(min_value=1, max_value=4),
@@ -801,7 +800,7 @@ def test_every_cell_of_two_or_more_points_is_in_sort_ccw_order(
     # and in a fresh build
     results, _ = wave_results(source, kind, seed, n_waves, N)
     for g in results:
-        for cx in (g._complex, cplx.build(g.domain, g.support)):
+        for cx in (g._cells, cplx.build(g.domain, g.support)):
             for hs in cx.hcells.values():
                 if len(hs) >= 2:
                     assert hs == exactlp.sort_ccw(hs)
@@ -816,11 +815,11 @@ def test_inherited_segment_cells_reach_the_boundary():
     # domain, hold it on a side.
     g, ev = wave(zero_series(RHOMBUS), (F(0), F(0)))
     assert ev.increment == 1
-    segments = {v: hs for v, hs in g._complex.hcells.items() if len(hs) == 2}
+    segments = {v: hs for v, hs in g._cells.hcells.items() if len(hs) == 2}
     assert sorted(segments) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
     for v, hs in segments.items():
         assert (0, 0, 1) in hs and (-v[0], -v[1], 1) in hs
-    assert complex_fields(g._complex) == fresh_fields(g)
+    assert complex_fields(g._cells) == fresh_fields(g)
 
 
 def test_raising_past_the_touching_level_inherits_no_complex():
@@ -830,8 +829,8 @@ def test_raising_past_the_touching_level_inherits_no_complex():
     f = zero_series(unit_square())
     g = add_monomial(f, (0, 0), 5)
     assert g.support[(0, 0)] == F(1, 2)
-    assert g._complex is None and g._cells is None
-    assert complex_fields(g._int_complex()) == fresh_fields(g)
+    assert g._cells is None
+    assert complex_fields(g.cells()) == fresh_fields(g)
 
 
 def test_a_kept_monomial_missing_from_the_presentation_raises():
@@ -907,7 +906,7 @@ def raise_run(source, kind, seed, n_waves, N):
         else:
             v = (rng.randint(-3, 3), rng.randint(-3, 3))
         c = F(rng.randint(1, 40), rng.randint(1, 12))
-        held = f._complex is not None
+        held = f._cells is not None
         _, built = complex_builds(add_monomial, f, v, c)
         return built, (f, v, held)
     if source == "ties":
@@ -968,7 +967,7 @@ def test_raised_build_equals_a_full_build(source, kind, seed, n_waves, N):
         own = [] if held else [("build", (f.domain, f.support))]
         assert [(name, args) for name, args, _ in built[:-1]] == own
         name, args, _ = built[-1]
-        assert name == "raised" and args[0] is f._complex and args[1] == v
+        assert name == "raised" and args[0] is f._cells and args[1] == v
     for _, args, cx in built:
         assert complex_fields(cx) == complex_fields(cplx.build(*args[-2:]))
 
@@ -1022,7 +1021,7 @@ def test_figure3_raise_clips_inside_v_cell():
     # calls with the runner-up search's.  (2, 0) is priced from the domain,
     # so the wave scans none of f's table
     f = square13()
-    cx = f._int_complex()
+    cx = f.cells()
     clips, calls, scans = [], [], []
     with mock.patch.object(cplx, "clip", recorder(cplx.clip, clips)), \
             mock.patch.object(exactlp, "basic_points",
@@ -1053,13 +1052,13 @@ def test_a_raise_of_a_series_without_its_complex_builds_its_complex_first():
     # for f's later readers, and builds the presentation from it
     f = square13()
     g, built = complex_builds(add_monomial, f, (0, 0), F(1, 7))
-    assert f._complex is not None
+    assert f._cells is not None
     assert [(name, args) for name, args, _ in built] == [
         ("build", (f.domain, f.support)),
-        ("raised", (f._complex, (0, 0), f.domain, presented(
+        ("raised", (f._cells, (0, 0), f.domain, presented(
             f.domain, {**f.support, (0, 0): F(10, 21)}).support))]
-    assert built[0][2] is f._complex
-    assert complex_fields(g._complex) == fresh_fields(g)
+    assert built[0][2] is f._cells
+    assert complex_fields(g._cells) == fresh_fields(g)
 
 
 def outside_raise(kind, seed, n_waves, bare, side):
@@ -1106,12 +1105,12 @@ def test_a_raise_outside_the_small_form_returns_f(kind, seed, n_waves, bare,
     # build clips, each of its cells once from the domain
     f, v, c = outside_raise(kind, seed, n_waves, bare, side)
     assume(v not in f.support)
-    held = f._complex is not None
+    held = f._cells is not None
     clips = []
     with mock.patch.object(cplx, "clip", recorder(cplx.clip, clips)):
         g = add_monomial(f, v, c)
     assert g == f and quasi_degree(g) == quasi_degree(f)
-    assert complex_fields(g._complex) == fresh_fields(g)
+    assert complex_fields(g._cells) == fresh_fields(g)
     assert [poly for (poly, _), _ in clips] == [f.domain.hvertices] * (
         0 if held else len(f.support))
 
@@ -1122,9 +1121,9 @@ def test_the_named_outside_raises_hold_their_geometry():
     draws = [outside_raise(*args) for args, _ in OUTSIDE_EXAMPLES]
     assert all(v not in f.support for f, v, _ in draws)
     (pent, _, _), (tri, _, _), (bare, _, _), (f, v, _) = draws
-    assert any(h[2] == 5 for h in pent._int_complex()._hverts)
-    assert any(h[2] == 30 for h in tri._int_complex()._hverts)
-    assert bare._complex is None
+    assert any(h[2] == 5 for h in pent.cells()._hverts)
+    assert any(h[2] == 30 for h in tri.cells()._hverts)
+    assert bare._cells is None
     offsets = series._side_offsets(f.domain)
     [(n, m)] = series._vanishing_sides(offsets, v,
                                        canonical_coefficient(f, v))
@@ -1229,7 +1228,7 @@ def test_pricing_an_entrant_builds_no_complex():
     assert (2, 0) not in f.support and (2, 0) in g.support
     assert complex_builds(canonical_coefficient, f, (2, 0)) == (0, [])
     assert complex_builds(rho, f, g) == (F(2, 15), [])
-    assert f._complex is None and g._complex is None
+    assert f._cells is None and g._cells is None
 
 
 def stripped_raise(base, v, domain, support):
@@ -1249,8 +1248,8 @@ def test_sixteen_point_trial_equals_the_trial_built_from_the_domain():
         full = run_dynamics(zero_series(poly), points)
     assert local.events and local.events == full.events
     assert local.final == full.final
-    assert complex_fields(local.final._int_complex()) == complex_fields(
-        full.final._int_complex())
+    assert complex_fields(local.final.cells()) == complex_fields(
+        full.final.cells())
 
 
 def test_no_raised_build_clips_from_the_domain():
@@ -1373,7 +1372,7 @@ def test_an_unreached_entrant_along_a_side_keeps_the_side(kind, seed):
     poly = {"square": unit_square(), "pentagon": pentagon()}.get(
         kind) or random_polygon(rng)
     f = random_series(rng, poly, 2)
-    cx = f._int_complex()
+    cx = f.cells()
     for hp in poly.halfplanes:
         u = (5 * hp.n[0], 5 * hp.n[1])
         side = exactlp.rotate_ccw(cx.touching(u)[1])
@@ -1394,7 +1393,7 @@ def test_figure3_raise_takes_the_min_at_new_vertices_only():
     # over the lifted monomials; the others carry f's row over, scaled
     # from f's denominator 3 to the result's
     f = square13()
-    cx = f._int_complex()
+    cx = f.cells()
     old = dict(zip(cx._hverts, cx.table))
     rows, min_values = [], cplx._min_values
 
@@ -1403,7 +1402,7 @@ def test_figure3_raise_takes_the_min_at_new_vertices_only():
         return min_values(lifted, points)
     with mock.patch.object(cplx, "_min_values", recording):
         g, _ = wave(f, (F(1, 5), F(1, 2)))
-    result = g._complex
+    result = g._cells
     new = [h for h in result._hverts if h not in old]
     assert len(rows) == len(new) == 4
     assert rows == [(X, Y) for (X, Y, _), h in zip(result.table,
@@ -1426,7 +1425,7 @@ def test_a_positive_wave_builds_one_vertex_table():
     # over.  The presentation's table is never read, as every candidate
     # has a cell there, and no side degree is scanned
     f = square13()
-    cx = f._int_complex()
+    cx = f.cells()
     assert cx.table
     tables, mins, scans = [], [], []
     with mock.patch.object(cplx, "_table",
@@ -1439,9 +1438,9 @@ def test_a_positive_wave_builds_one_vertex_table():
         g, ev = wave(f, (F(1, 5), F(1, 2)))
     assert ev.increment == F(2, 15)
     [((hcells, support, base), rows)] = tables
-    assert hcells is g._complex.hcells and support is g.support
-    assert base is cx and rows == (g._complex._hverts, g._complex.denom,
-                                   g._complex.table)
+    assert hcells is g._cells.hcells and support is g.support
+    assert base is cx and rows == (g._cells._hverts, g._cells.denom,
+                                   g._cells.table)
     [((_, points), _)] = mins
     assert (len(points), len(rows[2]) - len(points)) == (4, 6)
     assert scans == []
@@ -1452,17 +1451,77 @@ def test_a_raise_result_holds_no_reference_to_f_complex():
     # it keeps nothing of f's: else every complex of a dynamic would stay
     # alive through its successor's
     f = square13()
-    cx = f._int_complex()
+    cx = f.cells()
     g, _ = wave(f, (F(1, 5), F(1, 2)))
-    seen, todo = set(), [g._complex]
+    seen, todo = set(), [g._cells]
     while todo:
         obj = todo.pop()
         assert obj is not cx
         if id(obj) not in seen and isinstance(
-                obj, (cplx.Complex, cplx._Cells, dict, list, tuple)):
+                obj, (cplx.Complex, dict, list, tuple)):
             seen.add(id(obj))
             todo += gc.get_referents(obj)
     assert len(seen) > 1
+
+
+def cells_draw(kind, seed, n_waves, bare):
+    """A series n_waves waves from zero on ``kind``; "rhombus" is waved at
+    its centre first and then at quarter-grid points, so it has ties.  It
+    holds the kept complex of its last raise, if any, unless ``bare``,
+    when it is rebuilt from its support and builds its own on first use."""
+    if kind == "rhombus":
+        rng = random.Random(seed)
+        f = waves_from_zero(RHOMBUS, [(F(0), F(0))] + [
+            rng.choice(quarter_grid(RHOMBUS)) for _ in range(n_waves)])
+    else:
+        _, f = make_series_for(kind, seed, n_waves)
+    return TropicalSeries(f.domain, f.support) if bare else f
+
+
+CELLS_EXAMPLES = [
+    (("rhombus", 0, 0, True), "a point cell at an interior tie"),
+    (("square", 3, 3, True), "a segment cell"),
+    (("pentagon", 0, 1, True), "vertices with W = 5"),
+    (("square", 0, 2, False), "a raise's kept result"),
+]
+
+
+@given(st.sampled_from(["square", "pentagon", "random", "rhombus"]), SEEDS,
+       st.integers(min_value=0, max_value=3), st.booleans())
+@with_examples(CELLS_EXAMPLES)
+def test_a_series_cells_are_its_complex_as_fraction_points(kind, seed,
+                                                           n_waves, bare):
+    # `cells()` returns the series' one complex, which maps each monomial,
+    # in support order, to its integer cell as `Fraction` points in the
+    # same order; a vertex that cells share is one point object, and the
+    # complex vertices are the table's
+    f = cells_draw(kind, seed, n_waves, bare)
+    cx = f.cells()
+    assert isinstance(cx, cplx.Complex) and f.cells() is cx
+    assert list(cx) == list(cx.hcells) == list(f.support)
+    assert list(cx.items()) == [
+        (v, [exactlp.to_point(h) for h in hs]) for v, hs in cx.hcells.items()]
+    points = {}
+    for v, hs in cx.hcells.items():
+        for h, p in zip(hs, cx[v]):
+            assert points.setdefault(h, p) is p
+    assert f.complex_vertices() == [(F(X, cx.denom), F(Y, cx.denom))
+                                    for X, Y, _ in cx.table]
+    assert all(p is points[h]
+               for p, h in zip(f.complex_vertices(), cx._hverts))
+
+
+def test_the_named_cell_draws_hold_their_geometry():
+    # each example above draws the geometry it is named for
+    (tie, _), (segment, _), (pent, _), (kept, _) = CELLS_EXAMPLES
+    f = cells_draw(*tie)
+    assert "a point cell at an interior tie" in whole_shapes(f.domain,
+                                                             f.cells())
+    hcells = cells_draw(*segment).cells().hcells
+    assert any(len(hs) == 2 for hs in hcells.values())
+    f = cells_draw(*pent)
+    assert "vertices with W = 5" in whole_shapes(f.domain, f.cells())
+    assert cells_draw(*kept)._cells is not None
 
 
 def test_a_carried_row_that_is_no_multiple_of_the_new_step_raises():
@@ -1471,9 +1530,9 @@ def test_a_carried_row_that_is_no_multiple_of_the_new_step_raises():
     # builder, in the presentation's table read on demand and in a table
     # over the kept cells alike
     f = square13()
-    cx = f._int_complex()
+    cx = f.cells()
     bad = object.__new__(cplx.Complex)
-    bad.hcells, bad.cells = cx.hcells, cx.cells
+    bad.hcells = cx.hcells
     bad._hverts, bad.denom, bad.table = cx._hverts, 7 * cx.denom, cx.table
     terms = presented(f.domain, {**f.support, (1, 0): F(2, 15)}).support
     raised = cplx.raised(bad, (1, 0), f.domain, terms)
@@ -1491,7 +1550,7 @@ def test_a_negative_new_row_of_a_raise_raises():
     # negative one there: the worked example's raise with its constant
     # lowered to -1 is negative at every new vertex, while f's rows carry
     f = square13()
-    cx = f._int_complex()
+    cx = f.cells()
     terms = presented(f.domain, {**f.support, (1, 0): F(2, 15)}).support
     raised = cplx.raised(cx, (1, 0), f.domain, terms)
     with pytest.raises(SeriesError, match="negative"):

@@ -404,16 +404,16 @@ def test_extract_curve_reads_only_polygon_cells():
     # order.
     rhombus = QPolygon.from_vertices([(-1, 0), (0, -1), (1, 0), (0, 1)])
     g, _ = wave(zero_series(rhombus), (F(0), F(0)))
-    hcells = g._int_complex().hcells
+    hcells = g.cells().hcells
     assert sorted(len(hs) for hs in hcells.values()) == [1] + [2] * 4 + [3] * 4
     reads = []
-    real = cplx._Cells.__getitem__
+    real = cplx.Complex.__getitem__
 
     def reading(self, v):
         reads.append(v)
         return real(self, v)
 
-    with mock.patch.object(cplx._Cells, "__getitem__", reading):
+    with mock.patch.object(cplx.Complex, "__getitem__", reading):
         curve = extract_curve(g)
     polygons = [v for v, hs in hcells.items() if len(hs) >= 3]
     assert reads == polygons == list(curve.faces)

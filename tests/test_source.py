@@ -181,17 +181,17 @@ def test_canonical_coefficient_reads_no_complex():
               if isinstance(node, ast.Attribute)}
              | {node.id for node in ast.walk(fn)
                 if isinstance(node, ast.Name)})
-    assert not names & {"_int_complex", "_complex", "table"}
+    assert not names & {"cells", "_cells", "table"}
 
 
 def test_a_raise_has_one_path():
     # add_monomial always hands f's complex to the raise, through
-    # `_int_complex`, and never picks a base by what f holds; the
-    # constructor passes the hand-off on without looking inside it
+    # `cells()`, and never picks a base by what f holds; the constructor
+    # passes the hand-off on without looking inside it
     names = {node.attr
              for node in ast.walk(module_function("series.py", "add_monomial"))
              if isinstance(node, ast.Attribute)}
-    assert "_int_complex" in names and "_complex" not in names
+    assert "cells" in names and "_cells" not in names
     cells = module_function("series.py", "cells", cls="TropicalSeries")
     assert not [ast.unparse(node) for node in ast.walk(cells)
                 if isinstance(node, ast.Subscript)
@@ -257,7 +257,7 @@ def test_series_defines_no_kernel_code():
     defined = {node.name for node in ast.walk(source_tree("series.py"))
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert not defined & KERNEL_NAMES
-    assert KERNEL_NAMES - {"_Complex", "_clip"} <= {
+    assert KERNEL_NAMES - {"_Complex", "_Cells", "_clip"} <= {
         node.name for node in ast.walk(source_tree("complex.py"))
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
 
@@ -318,4 +318,59 @@ def test_no_module_imports_a_private_name_of_another():
                     node.level or (node.module or "").startswith("tropwave")):
                 found += [f"{path.name}: {alias.name}" for alias in node.names
                           if alias.name.startswith("_")]
+    assert found == []
+
+
+def test_a_complex_is_its_own_cell_mapping():
+    # `Complex` maps each monomial to its cell, and no second class or
+    # field holds a view of the same cells
+    assert "_Cells" not in {
+        node.name for node in ast.walk(source_tree("complex.py"))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert "cells" not in tropwave.complex.Complex.__slots__
+    cls = next(node for node in source_tree("series.py").body
+               if isinstance(node, ast.ClassDef)
+               and node.name == "TropicalSeries")
+    names = ({node.attr for node in ast.walk(cls)
+              if isinstance(node, ast.Attribute)}
+             | {node.name for node in ast.walk(cls)
+                if isinstance(node, ast.FunctionDef)})
+    assert not names & {"_complex", "_int_complex"}
+
+
+def private_names(tree):
+    """The private attribute names that the classes of a module define:
+    their slots, methods and the attributes their methods set on self."""
+    names = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in ast.walk(cls):
+            if isinstance(node, ast.FunctionDef):
+                names.add(node.name)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Store)
+                  and ast.unparse(node.value) == "self"):
+                names.add(node.attr)
+            elif (isinstance(node, ast.Assign)
+                  and ast.unparse(node.targets[0]) == "__slots__"):
+                names |= set(ast.literal_eval(node.value))
+    return {name for name in names if name.startswith("_")}
+
+
+def test_no_module_reads_a_private_attribute_of_another():
+    # an underscore attribute is read on self, or on an instance of a class
+    # that the reading module defines; any other object is reached through
+    # its public names
+    found = []
+    for path in SOURCES:
+        tree = source_tree(path.name)
+        own = private_names(tree)
+        found += [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr.startswith("_")
+                  and not node.attr.startswith("__")
+                  and ast.unparse(node.value) != "self"
+                  and node.attr not in own]
     assert found == []

@@ -16,7 +16,7 @@ from tropwave import complex as cplx
 from tropwave.curve import attaining_monomials
 from tropwave.exactlp import dot, vsub
 from tropwave.geometry import QPolygon
-from tropwave.series import (OutsideDomain, add_monomial,
+from tropwave.series import (OutsideDomain, TropicalSeries, add_monomial,
                              canonical_coefficient, distance_function,
                              evaluate, quasi_degree, rho, zero_series)
 from tropwave.wave import (MAX_STEPS, STABILIZED, STEP_LIMIT, SamplingFailed,
@@ -318,6 +318,27 @@ def test_dynamics_builds_one_complex_per_positive_wave(seed):
     assert res.stopped_reason == STABILIZED and res.events
     assert build.call_count + raised.call_count == len(res.events) + 2
     assert raised.call_count == len(res.events)
+
+
+def test_figure3_wave_reads_every_complex_through_cells():
+    # the worked example's wave calls `TropicalSeries.cells` four times:
+    # the runner-up search builds f's complex, the avalanche area and the
+    # raise read it again, and the result's constructor builds the raised
+    # presentation's.  A call builds iff the series held no complex
+    calls = []
+    real = TropicalSeries.cells
+
+    def counting(self, **kw):
+        calls.append((self, self._cells is None))
+        return real(self, **kw)
+
+    f = square13()
+    with mock.patch.object(TropicalSeries, "cells", counting):
+        g, ev = wave(f, (F(1, 5), F(1, 2)))
+    assert ev.increment == F(2, 15)
+    assert [(s is f, build) for s, build in calls] == [
+        (True, True), (True, False), (True, False), (False, True)]
+    assert g._cells is not None
 
 
 class TestDynamics:
