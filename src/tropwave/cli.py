@@ -60,18 +60,28 @@ def nonnegative_int(text) -> int:
     return value
 
 
-def nonnegative_rational(value) -> Fraction:
-    """A nonnegative rational, from a flag or a config value."""
-    q = jsonio.frac_from_str(value)
+def rational(value, name: str) -> Fraction:
+    """A rational from ``name``, the flag, config key or argument that gave
+    ``value``; a malformed one is a ParseError that names it."""
+    try:
+        return jsonio.frac_from_str(value)
+    except jsonio.ParseError as exc:
+        raise jsonio.ParseError(f"{name}: {exc}") from exc
+
+
+def nonnegative_rational(value, name: str) -> Fraction:
+    """A nonnegative rational, from the flag or config key ``name``."""
+    q = rational(value, name)
     if q < 0:
-        raise jsonio.ParseError(f"{value!r} is not a nonnegative rational")
+        raise jsonio.ParseError(
+            f"{name} {value!r} is not a nonnegative rational")
     return q
 
 
 def _eps(args) -> Fraction:
     """The --eps flag of make-nice, verge and coarsen, a positive
     rational."""
-    eps = jsonio.frac_from_str(args.eps)
+    eps = rational(args.eps, "--eps")
     if eps <= 0:
         raise jsonio.ParseError(f"--eps {args.eps!r} is not positive")
     return eps
@@ -120,7 +130,7 @@ class RunConfig:
         cfg.denom_bound = positive_int(
             jsonio.int_from_json(raw.get("denom_bound", cfg.denom_bound)))
         if "tol" in raw:
-            cfg.tol = nonnegative_rational(raw["tol"])
+            cfg.tol = nonnegative_rational(raw["tol"], "tol")
         cfg.max_steps = nonnegative_int(
             jsonio.int_from_json(raw.get("max_steps", cfg.max_steps)))
         cfg.out_dir = raw.get("out", cfg.out_dir)
@@ -139,7 +149,7 @@ class RunConfig:
         if args.denom_bound is not None:
             cfg.denom_bound = args.denom_bound
         if args.tol is not None:
-            cfg.tol = nonnegative_rational(args.tol)
+            cfg.tol = nonnegative_rational(args.tol, "--tol")
         if args.max_steps is not None:
             cfg.max_steps = args.max_steps
         if args.out is not None:
@@ -219,12 +229,13 @@ def _parse_point(text):
     parts = text.split(",")
     if len(parts) != 2:
         raise jsonio.ParseError(f"bad point {text!r}")
-    return (jsonio.frac_from_str(parts[0]), jsonio.frac_from_str(parts[1]))
+    return tuple(rational(part, f"point {text!r}") for part in parts)
 
 
 def _require_interior(poly: QPolygon, pts) -> None:
-    if not all(poly.contains(p, strict=True) for p in pts):
-        raise OutsideDomain("points must be interior")
+    for x, y in pts:
+        if not poly.contains((x, y), strict=True):
+            raise OutsideDomain(f"point {x},{y} must be interior")
 
 
 def cmd_wave(args, bundle: OutputBundle) -> int:

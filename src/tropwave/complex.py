@@ -57,18 +57,18 @@ anything else.  The fields of a raised build equal a whole build's.
 
 The table.  The complex vertices, in first-seen order over the cells, are
 kept as ``table`` rows (X, Y, F): the vertex is (X, Y) / denom and F is
-denom times the series there.  ``denom``, ``table`` and ``_hverts`` are
-built together on first read, in one pass over the cells (`_table`), so a
-raised build that renormalization reads through its cells alone builds no
-table.  A raised build's rows carry f's over where the raised series
-equals f, and only the new vertices take a min over the monomials.
-`Complex.kept` reads the complex of the series g off the complex of a
-raised presentation of g, with no clip, and builds its table at once, so
-the next wave reads it without a second build.  ``hcells`` maps each
-monomial to its cell as reduced homogeneous points (X, Y, W), W > 0; the
-complex's own items and ``vertices`` are the same data as `Fraction`
-points, made on first read: a build converts nothing, and a reader pays
-only for the cells it reads.
+denom times the series there, the least of the lifted monomials.
+``denom``, ``table`` and ``_hverts`` are built together on first read, in
+one pass over the complex's own cells (`_table`), and a build makes none:
+renormalization reads the table of a presentation that has a candidate
+with no cell (`Complex.touching`) or that no raise handed over,
+`series.TropicalSeries.complex_vertices` reads it, and the wave, the raise
+and the curve read only cells.  `Complex.kept` reads the complex of the
+series g off the complex of a raised presentation of g, with no clip.
+``hcells`` maps each monomial to its cell as reduced homogeneous points
+(X, Y, W), W > 0; the complex's own items and ``vertices`` are the same
+data as `Fraction` points, made on first read: a build converts nothing,
+and a reader pays only for the cells it reads.
 """
 
 from __future__ import annotations
@@ -105,17 +105,16 @@ def build(domain: QPolygon, support: Support) -> Complex:
         cell = clip(domain.hvertices, _nearest_first(cons)[1:])
         _check_cell(v, cell)
         hcells[v] = lp.rotate_ccw(cell) if len(cell) >= 2 else cell
-    return Complex(hcells, support, None)
+    return Complex(hcells, support)
 
 
 def raised(base: Complex, v: Vec, domain: QPolygon, support: Support
            ) -> Complex:
     """The complex of ``support``, the presentation of g =
     `series.add_monomial`(f, v, c) on ``domain``, read off f's complex
-    ``base`` with clips inside v's cell in it only (`_raised_cells`).  Its
-    table carries f's rows over where g = f."""
-    return Complex(_raised_cells(_triples(support), domain, base, v), support,
-                   base)
+    ``base`` with clips inside v's cell in it only (`_raised_cells`).  It
+    holds no reference to ``base``."""
+    return Complex(_raised_cells(_triples(support), domain, base, v), support)
 
 
 def _triples(support: Support) -> dict:
@@ -132,22 +131,21 @@ def _triples(support: Support) -> dict:
 
 class Complex(Mapping):
     """The linearity complex of the series presented by ``support``, with
-    cells ``hcells``; ``base`` is f's complex for a raise, else None.  A
-    build is `build` or `raised`; the fields are the module's.  The complex
-    is itself the mapping from each monomial to its cell as a list of
-    `Fraction` points, read off ``hcells`` in its order.  A cell is
+    cells ``hcells``.  A build is `build` or `raised`; the fields are the
+    module's, and the table is built from the cells on first read.  The
+    complex is itself the mapping from each monomial to its cell as a list
+    of `Fraction` points, read off ``hcells`` in its order.  A cell is
     converted the first time it is read, and each point once per complex
     (`point`), so cells that share a vertex share its point."""
 
     __slots__ = ("denom", "table", "hcells", "vertices", "_hverts",
-                 "_pending", "_read", "_points")
+                 "_support", "_read", "_points")
 
-    def __init__(self, hcells: dict, support: Support, base: Complex | None):
+    def __init__(self, hcells: dict, support: Support):
         self.hcells = hcells
+        self._support = support
         self._read: dict = {}
         self._points: dict = {}
-        # the arguments of `_table`, for a table built on first read
-        self._pending = (hcells, support, base)
 
     def __getattr__(self, name):
         # a build leaves ``vertices``, ``denom``, ``table`` and ``_hverts``
@@ -155,7 +153,8 @@ class Complex(Mapping):
         if name == "vertices":
             self.vertices = [self.point(h) for h in self._hverts]
         elif name in ("denom", "table", "_hverts"):
-            self._hverts, self.denom, self.table = _table(*self._pending)
+            self._hverts, self.denom, self.table = _table(self.hcells,
+                                                          self._support)
         else:
             raise AttributeError(name)
         return getattr(self, name)
@@ -183,9 +182,9 @@ class Complex(Mapping):
     def kept(self, support: Support) -> Complex:
         """The complex of the series g whose small form is ``support``, read
         off this complex of a raised presentation of g in which every
-        monomial of ``support`` carries the same coefficient, with its table
-        built now (`_table`).  It equals `build`(domain, support) on every
-        field, and costs no clip and no enumeration: a cell is the set where
+        monomial of ``support`` carries the same coefficient.  It equals
+        `build`(domain, support) on every field, and costs no clip, no
+        enumeration and no table until one is read: a cell is the set where
         its monomial attains g, so each monomial of ``support`` has the same
         cell in both builds, in the same order, as `exactlp.rotate_ccw`
         orders a cell by its points alone.  Raises SeriesError if a
@@ -195,12 +194,7 @@ class Complex(Mapping):
         except KeyError as exc:
             raise SeriesError(f"kept monomial {exc.args[0]} is not in the "
                               "presentation") from None
-        out = Complex(hcells, support, self._pending[2])
-        # the table is built now, from f's complex, which the result then
-        # drops
-        _ = out.table
-        out._pending = None
-        return out
+        return Complex(hcells, support)
 
     def touching(self, u: Vec) -> tuple[int, list]:
         """(b, attainers): b / denom is the canonical coefficient of u, the
@@ -218,40 +212,21 @@ class Complex(Mapping):
         return b, [h for h, gap in zip(self._hverts, gaps) if gap == b]
 
 
-def _table(hcells: dict, support: Support, base: Complex | None) -> tuple:
+def _table(hcells: dict, support: Support) -> tuple:
     """(hverts, denom, table) of the complex whose cells are ``hcells``, of
     the series presented by ``support``, in one pass over the cells: the
     complex vertices in first-seen order, the lcm of the coefficient
     denominators and the vertex W, and per vertex the row (X, Y, F), the
-    vertex (X, Y) / denom and F denom times the series there.  ``base`` is
-    f's complex for a raise g = `series.add_monomial`(f, v, c), else None.
-
-    In a raise, a vertex of f's complex lies off the interior of P_v, v's
-    cell in f, where g = f, so its F is f's row rescaled to this denom; the
-    division is exact, and a remainder raises SeriesError.  Every other
-    vertex takes the least of the lifted monomials (`_min_values`), and in a
-    raise a negative one raises SeriesError, as g >= f >= 0 (renormalizing
-    any other presentation checks its whole table)."""
+    vertex (X, Y) / denom and F the least of the lifted monomials there
+    (`_min_values`)."""
     hverts = list(dict.fromkeys(h for hs in hcells.values() for h in hs))
     denom = math.lcm(*[a.denominator for a in support.values()],
                      *[h[2] for h in hverts])
     points = [(X * (denom // W), Y * (denom // W)) for X, Y, W in hverts]
-    old = dict(zip(base._hverts, base.table)) if base is not None else {}
     lifted = [(v[0], v[1], a.numerator * (denom // a.denominator))
               for v, a in support.items()]
-    new = iter(_min_values(lifted, [p for h, p in zip(hverts, points)
-                                    if h not in old]))
-    table = []
-    for h, (X, Y) in zip(hverts, points):
-        row = old.get(h)
-        F, r = divmod(row[2] * denom, base.denom) if row else (next(new), 0)
-        if r:
-            raise SeriesError(f"f at the vertex {h} of its complex "
-                              f"is no multiple of 1/{denom}")
-        table.append((X, Y, F))
-    # f's rows are nonnegative, so only a new row can fail this
-    if base is not None and min(F for _, _, F in table) < 0:
-        raise SeriesError("presentation is negative on the domain")
+    table = [(X, Y, F) for (X, Y), F in zip(points,
+                                            _min_values(lifted, points))]
     return hverts, denom, table
 
 

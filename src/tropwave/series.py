@@ -33,7 +33,10 @@ wave, does each piece of work once.  It hands f's complex, built first if
 f holds none, the raised v and its raised side degrees to the
 constructor.  The degrees go to renormalization as they are, with no
 scan of the presentation, and the result keeps `Complex.kept` of the
-presentation's complex, so the next wave reads it without a second build.
+presentation's complex, so the next wave reads its cells without a second
+build.  No vertex table is made on the way: the next wave's runner-up
+reads coefficients, and a complex builds its table from its own cells
+when first read.
 A monomial outside a series' small form touches it on the boundary only,
 where it vanishes, so `canonical_coefficient` prices it from the domain
 (`geometry.support_coeff`) and reads no complex.
@@ -236,9 +239,8 @@ def _small_canonical_terms(domain: QPolygon, terms: Support, cx: cplx.Complex,
     The presentation must define a valid series: nonnegative (checked at the
     complex vertices, which include the domain vertices where the concave
     min attains its minimum) and vanishing on every side (a vanishing
-    monomial per side must be present).  A raise, which is valid by
-    construction, checks the new rows of its tables instead (the table of
-    a `complex.raised` build).
+    monomial per side must be present).  A raise is valid by construction,
+    as g >= f >= 0, and takes neither check.
 
     The side degrees agree because near a side's midpoint every monomial
     that does not vanish on that side stays positive: it is nonnegative on

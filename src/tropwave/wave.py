@@ -9,11 +9,11 @@ pointwise-minimal series non-smooth at every point; on rational data the
 increments live on a fixed grid so the iteration stabilizes exactly.
 
 The increment is the runner-up of u -> u.p + c_u over all of Z^2, found by
-integer per-line minimisation on the series' integer linearity complex: a
-convex objective, a bounding polygon from a first bound, and a binary
-search on each lattice line crossing it, along the direction with the
-fewest such lines.  The cost does not depend on the distance from p to the
-boundary.
+integer per-line minimisation on the canonical coefficients, read off the
+support and the domain's vertices with no complex: a convex objective, a
+bounding polygon from a first bound, and a binary search on each lattice
+line crossing it, along the direction with the fewest such lines.  The
+cost does not depend on the distance from p to the boundary.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import exactlp as lp
 from .exactlp import Point, Vec, dot, vsub
@@ -120,33 +120,40 @@ class PerestroikaReport:
 def _second_min_at(f: TropicalSeries, p: Point, exclude: Vec) -> Fraction:
     """min over the full (virtual) canonical support minus `exclude` at p.
 
-    With q the common denominator of p and D that of the complex, every
-    complex vertex z gives an integer row (a, b, c) of
-    G(u) = max(c + a u0 + b u1) = q D (u.p + c_u).  G is convex and
-    `exclude` is its lattice minimiser.  A first bound B from the four
-    lattice neighbours of `exclude` confines every competitor to the
-    polygon R where the domain-vertex rows (c = 0) stay <= B.  R is cut
-    into lattice lines along the direction that crosses it the fewest
+    It reads coefficients, not the complex.  With q the denominator of p
+    and S the lcm of the coefficient denominators and the domain vertices'
+    W, G(u) = q S (u.p + c_u(f)) is an integer: c_u(f) is a_u for u in
+    f's support, and for any other u the max over the domain vertices z of
+    -u.z (`series.canonical_coefficient`), so G(u) is the max of the
+    domain-vertex rows (a, b), a u0 + b u1 with (a, b) = q S (p - z).  G is
+    convex, as c_u(f) = max over z of (f(z) - u.z) is, and `exclude` is
+    its lattice minimiser.  A first bound B from the four lattice
+    neighbours of `exclude` confines every competitor to the polygon R
+    where the domain-vertex rows stay <= B, as f vanishes there.  R is
+    cut into lattice lines along the direction that crosses it the fewest
     times (near a side: that side's normal, so the count does not grow as
     p nears the boundary), and G, convex on each line, is minimised there
     by a binary search.  All of it is integer arithmetic.
     """
-    cx = f.cells()
-    D = cx.denom
     P0, P1, q = lp.homogeneous(p)
-    P0, P1 = P0 * D, P1 * D
-    rows = [(P0 - q * X, P1 - q * Y, q * F) for X, Y, F in cx.table]
+    S = math.lcm(*[a.denominator for a in f.support.values()],
+                 *[W for _, _, W in f.domain.hvertices])
+    P0, P1 = P0 * S, P1 * S
+    lifted = {u: a.numerator * (q * S // a.denominator)
+              for u, a in f.support.items()}
+    vrows = [(P0 - q * X * (S // W), P1 - q * Y * (S // W))
+             for X, Y, W in f.domain.hvertices]
 
     def G(u0, u1):
-        return max(c + a * u0 + b * u1 for a, b, c in rows)
+        c = lifted.get((u0, u1))
+        if c is None:
+            return max(a * u0 + b * u1 for a, b in vrows)
+        return c + P0 * u0 + P1 * u1
 
     v0, v1 = exclude
     B = min(G(v0 + 1, v1), G(v0 - 1, v1), G(v0, v1 + 1), G(v0, v1 - 1))
-    # f vanishes at the domain vertices, so G(u) <= B implies
-    # a u0 + b u1 <= B for their rows: the polygon R.  Each domain vertex
-    # is a complex vertex, so its W divides D.
-    vrows = [(P0 - q * X * (D // W), P1 - q * Y * (D // W))
-             for X, Y, W in f.domain.hvertices]
+    # G(u) <= B implies a u0 + b u1 <= B for every domain-vertex row: the
+    # polygon R
     corners = lp.basic_points([(-a, -b, B) for a, b in vrows])
 
     def line_range(e):
@@ -160,34 +167,29 @@ def _second_min_at(f: TropicalSeries, p: Point, exclude: Vec) -> Fraction:
         key=lambda item: item[0][1] - item[0][0])
     # unimodular basis (e', e): u = k e' + t e, k = cross(u, e), t = cross(e', u)
     _, s0, s1 = xgcd(e1, -e0)
-    # per row: slope along e, constant term, and value at e'
-    slopes = [(a * e0 + b * e1, c, a * s0 + b * s1) for a, b, c in rows]
+    # per domain-vertex row: slope along e, and value at e'
     vslopes = [(a * e0 + b * e1, a * s0 + b * s1) for a, b in vrows]
     k_v = v0 * e1 - v1 * e0
     t_v = s0 * v1 - s1 * v0
     for k in range(k_lo, k_hi + 1):
-        line = [(c + k * w, d) for d, c, w in slopes]
+        def line(t):
+            return G(k * s0 + t * e0, k * s1 + t * e1)
         if k == k_v:
             # convex on the line with its minimum at exclude
-            B = min([B] + [max(c + d * t for c, d in line)
-                           for t in (t_v - 1, t_v + 1)])
+            B = min(B, line(t_v - 1), line(t_v + 1))
             continue
         # every u on this line with G(u) <= B has t in [lo, hi] (R for the
         # current B: d t <= B - k w; R is bounded, so both signs of d occur)
         lo = max(-((B - k * w) // -d) for d, w in vslopes if d < 0)
         hi = min((B - k * w) // d for d, w in vslopes if d > 0)
         B = min(B, _line_min(line, lo, hi))
-    return Fraction(B, q * D)
+    return Fraction(B, q * S)
 
 
-def _line_min(line: Sequence[Tuple[int, int]], lo: int, hi: int) -> int:
-    """The least of g(t) = max(c + d t for (c, d) in line) over the integers
-    lo <= t <= hi (g(lo) if lo > hi).  g is convex, so a binary search for
-    the first t with g(t + 1) >= g(t) finds it."""
-
-    def g(t):
-        return max(c + d * t for c, d in line)
-
+def _line_min(g: Callable[[int], int], lo: int, hi: int) -> int:
+    """The least of the convex function ``g`` over the integers
+    lo <= t <= hi (g(lo) if lo > hi): a binary search for the first t with
+    g(t + 1) >= g(t) finds it."""
     while lo < hi:
         mid = (lo + hi) // 2
         if g(mid + 1) >= g(mid):
@@ -201,7 +203,7 @@ def wave(f: TropicalSeries, p: Point, step: int = 0) -> Tuple[TropicalSeries, Wa
     """One wave at p: the minimal increase making f non-smooth at p."""
     p = (Fraction(p[0]), Fraction(p[1]))
     if not f.domain.contains(p, strict=True):
-        raise OutsideDomain(f"wave point {p} must be interior")
+        raise OutsideDomain(f"wave point {p[0]},{p[1]} must be interior")
     att = attaining_monomials(f, p)
     v = att[0]
     if len(att) > 1:
@@ -209,7 +211,7 @@ def wave(f: TropicalSeries, p: Point, step: int = 0) -> Tuple[TropicalSeries, Wa
     rest = _second_min_at(f, p, v)
     c = rest - (dot(v, p) + f.support[v])
     if c <= 0:
-        raise WaveError(f"nonpositive wave increment {c} at {p}")
+        raise WaveError(f"nonpositive wave increment {c} at {p[0]},{p[1]}")
     area = lp.polygon_area(f.cells().hcells[v])
     g = add_monomial(f, v, c)
     return g, WaveEvent(p, v, c, area, step)

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import settings
+from hypothesis import example, settings
 
 from tropwave import exactlp as lp
 from tropwave.exactlp import cross, dot, vsub
@@ -24,6 +24,15 @@ from tropwave.wave import (FamilyEvent, PerestroikaReport, UnclassifiableSide,
 settings.register_profile("tropwave", deadline=None, derandomize=True,
                           max_examples=40)
 settings.load_profile("tropwave")
+
+
+def with_examples(cases):
+    """Each case's arguments as a `hypothesis` `@example`."""
+    def add(test):
+        for args, _ in cases:
+            test = example(*args)(test)
+        return test
+    return add
 
 
 def unit_square():

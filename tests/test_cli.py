@@ -69,6 +69,22 @@ class TestWaveCommand:
         assert main(["--out", str(files / "we"), "wave",
                      str(files / "series.json"), "2,2"]) == 3
 
+    @pytest.mark.parametrize("argv, message", [
+        (["wave", "{series}", "0,1/2"], "wave point 0,1/2 must be interior"),
+        (["dynamics", "{square}", "{edge}"], "point 1/2,1 must be interior"),
+    ])
+    def test_a_boundary_point_is_named_as_given(self, files, argv, message,
+                                                capsys):
+        # a point on the boundary is no wave point; the message prints it
+        # as a point argument is written
+        jsonio.dump({"points": [["1/2", "1/2"], ["1/2", "1"]]},
+                    files / "edge.json")
+        paths = {k: str(files / f"{k}.json")
+                 for k in ("series", "square", "edge")}
+        assert main(["--out", str(files / "wb")]
+                    + [a.format(**paths) for a in argv]) == 3
+        assert capsys.readouterr().err == f"domain violation: {message}\n"
+
     def test_parse_error_exit_2(self, files):
         assert main(["--out", str(files / "wp"), "wave",
                      str(files / "missing.json"), "1/2,1/2"]) == 2
@@ -128,6 +144,9 @@ class TestWaveCommand:
     ["verge", "{square}", "{zero_degree}", "--eps", "1/8"],
     ["verge", "{square}", "{missing_side}", "--eps", "1/8"],
     ["verge", "{square}", "{foreign_side}", "--eps", "1/8"],
+    ["make-nice", "{series}", "--eps", "x"],
+    ["wave", "{series}", "x,1/2"],
+    ["--config", "{bad_tol}", "stats", "{square}"],
 ], ids=["unbounded-stats", "unbounded-dynamics", "unbounded-coarsen",
         "bad-tol", "missing-config", "config-denom-bound-0",
         "config-not-object", "denom-bound-0", "n-0", "stats-trials-negative",
@@ -147,7 +166,8 @@ class TestWaveCommand:
         "config-deep", "series-repeated-monomial", "tol-negative",
         "config-tol-negative", "make-nice-eps-0", "verge-eps-negative",
         "coarsen-eps-0", "verge-degree-0", "verge-missing-side",
-        "verge-foreign-side"])
+        "verge-foreign-side", "eps-not-rational", "point-not-rational",
+        "config-tol-not-rational"])
 def test_bad_input_exit_2(files, argv, monkeypatch):
     # a single half-plane is an unbounded polygon
     jsonio.dump({"halfplanes": [{"n": [1, 0], "a": "0/1"}]},
@@ -199,6 +219,7 @@ def test_bad_input_exit_2(files, argv, monkeypatch):
     jsonio.dump({"max_steps": True}, files / "bool_ints.json")
     jsonio.dump({"max_steps": -5}, files / "negative_steps.json")
     jsonio.dump({"tol": "-1"}, files / "negative_tol.json")
+    jsonio.dump({"tol": "x"}, files / "bad_tol.json")
     jsonio.dump({"out": ""}, files / "empty_out.json")
     (files / "not_utf8.json").write_bytes(b'{"points": ["\xff"]}')
     (files / "deep.json").write_text("[" * 100000 + "]" * 100000)
@@ -208,7 +229,7 @@ def test_bad_input_exit_2(files, argv, monkeypatch):
              "zero_degree_normal", "repeated_side", "repeated_monomial",
              "negative_tol", "float_tol", "bool_tol", "float_ints", "bool_ints",
              "negative_steps", "empty_out", "not_utf8", "deep", "degrees",
-             "zero_degree", "missing_side", "foreign_side")
+             "zero_degree", "missing_side", "foreign_side", "bad_tol")
     paths = {k: str(files / f"{k}.json") for k in names}
     argv = [a.format(**paths) for a in argv]
     # the default output directory "out" lands in the test's directory
@@ -238,6 +259,29 @@ def test_a_repeated_monomial_or_negative_tolerance_is_a_parse_error(
     jsonio.dump({"tol": "-1"}, files / "config.json")
     paths = {k: str(files / f"{k}.json")
              for k in ("repeated", "square", "points", "config")}
+    out = ["--out", str(files / "o")]
+    assert main(out + [a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error") and message in err
+    assert not (files / "o").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--tol", "x", "dynamics", "{square}", "{points}"],
+     "--tol: bad rational 'x'"),
+    (["--config", "{config}", "dynamics", "{square}", "{points}"],
+     "config.json: ParseError: tol: bad rational 'x'"),
+    (["make-nice", "{series}", "--eps", "x"], "--eps: bad rational 'x'"),
+    (["coarsen", "{square}", "{points}", "--eps", "1/0"],
+     "--eps: bad rational '1/0'"),
+    (["wave", "{series}", "x,1/2"], "point 'x,1/2': bad rational 'x'"),
+])
+def test_a_malformed_rational_names_its_input(files, argv, message, capsys):
+    # a command with several rational inputs says which one is malformed:
+    # the flag, the config key or the point argument
+    jsonio.dump({"tol": "x"}, files / "config.json")
+    paths = {k: str(files / f"{k}.json")
+             for k in ("series", "square", "points", "config")}
     out = ["--out", str(files / "o")]
     assert main(out + [a.format(**paths) for a in argv]) == 2
     err = capsys.readouterr().err

@@ -39,7 +39,7 @@ from conftest import (pentagon, random_points, random_polygon, random_series,
                       ref_cell_constraints, ref_complex,
                       ref_side_vanishing_multiplier,
                       ref_small_canonical_terms, square13, triangle,
-                      unit_square)
+                      unit_square, with_examples)
 
 
 # -- reference implementation (Fraction arithmetic) ---------------------------
@@ -185,15 +185,6 @@ def outcome(fn, *args):
     except SeriesError as exc:
         return type(exc)
     return list(support.items()), list(degrees.items())
-
-
-def with_examples(cases):
-    """Each case's arguments as a `hypothesis` `@example`."""
-    def add(test):
-        for args, _ in cases:
-            test = example(*args)(test)
-        return test
-    return add
 
 
 # -- properties ---------------------------------------------------------------
@@ -1130,7 +1121,7 @@ def test_the_named_outside_raises_hold_their_geometry():
     assert m == quasi_degree(f)[n] + 1
 
 
-# -- the result's complex, built in one pass over its kept cells ------------
+# -- the result's complex, read off the kept cells of its presentation -----
 
 RESULT_EXAMPLES = [
     (("past", "square", 0, 0), "v raised past where it touches"),
@@ -1180,10 +1171,10 @@ def raise_draw(source, kind, seed, n_waves):
 @with_examples(RESULT_EXAMPLES)
 def test_a_raise_result_complex_equals_a_full_build(source, kind, seed,
                                                      n_waves):
-    # a raise builds its result's complex in one pass over the kept cells
-    # of its presentation, and it equals a build from the domain on all
-    # five fields; so does the presentation's, whose table is built when
-    # first read
+    # a raise's result keeps the kept cells of its presentation, and its
+    # complex equals a build from the domain on all five fields, its table
+    # built from its own cells when first read; so does the
+    # presentation's
     built, kept = raise_draw(source, kind, seed, n_waves)
     domain = {id(cx): a[2] for _, a, cx in built}
     for (presentation, support), cx in kept:
@@ -1388,45 +1379,13 @@ def test_an_unreached_entrant_along_a_side_keeps_the_side(kind, seed):
                 assert raised.hcells[u] == side
 
 
-def test_figure3_raise_takes_the_min_at_new_vertices_only():
-    # of the result's vertices, only those not in f's table take the min
-    # over the lifted monomials; the others carry f's row over, scaled
-    # from f's denominator 3 to the result's
+def test_a_positive_wave_builds_no_vertex_table():
+    # the figure-3 wave reads f's coefficients for the runner-up and f's
+    # cells for the area and the raise, and its result keeps the kept
+    # cells of the presentation: no vertex table is built, as every
+    # candidate has a cell in the presentation, and no side degree is
+    # scanned
     f = square13()
-    cx = f.cells()
-    old = dict(zip(cx._hverts, cx.table))
-    rows, min_values = [], cplx._min_values
-
-    def recording(lifted, points):
-        rows.extend(points)
-        return min_values(lifted, points)
-    with mock.patch.object(cplx, "_min_values", recording):
-        g, _ = wave(f, (F(1, 5), F(1, 2)))
-    result = g._cells
-    new = [h for h in result._hverts if h not in old]
-    assert len(rows) == len(new) == 4
-    assert rows == [(X, Y) for (X, Y, _), h in zip(result.table,
-                                                   result._hverts)
-                    if h in new]
-    # a copy of f's row unscaled would be wrong at every vertex where f > 0
-    assert (cx.denom, result.denom) == (3, 15)
-    carried = [(old[h][2], row[2]) for h, row in zip(result._hverts,
-                                                     result.table)
-               if h in old]
-    assert len(carried) == 6
-    assert all(Fg == Ff * 5 for Ff, Fg in carried)
-    assert sum(Ff != Fg for Ff, Fg in carried) == 2
-    assert complex_fields(result) == fresh_fields(g)
-
-
-def test_a_positive_wave_builds_one_vertex_table():
-    # the figure-3 wave builds one vertex table, its result's, in one pass
-    # over the result's own cells: 4 rows take the min and 6 carry f's
-    # over.  The presentation's table is never read, as every candidate
-    # has a cell there, and no side degree is scanned
-    f = square13()
-    cx = f.cells()
-    assert cx.table
     tables, mins, scans = [], [], []
     with mock.patch.object(cplx, "_table",
                            recorder(cplx._table, tables)), \
@@ -1437,31 +1396,30 @@ def test_a_positive_wave_builds_one_vertex_table():
                                        scans)):
         g, ev = wave(f, (F(1, 5), F(1, 2)))
     assert ev.increment == F(2, 15)
-    [((hcells, support, base), rows)] = tables
-    assert hcells is g._cells.hcells and support is g.support
-    assert base is cx and rows == (g._cells._hverts, g._cells.denom,
-                                   g._cells.table)
-    [((_, points), _)] = mins
-    assert (len(points), len(rows[2]) - len(points)) == (4, 6)
-    assert scans == []
+    assert (tables, mins, scans) == ([], [], [])
+    assert complex_fields(g._cells) == fresh_fields(g)
 
 
 def test_a_raise_result_holds_no_reference_to_f_complex():
-    # the result's complex is built from f's, but once its table is built
-    # it keeps nothing of f's: else every complex of a dynamic would stay
-    # alive through its successor's
+    # the raised presentation's complex and the result's are read off f's,
+    # but neither keeps anything of it: else every complex of a dynamic
+    # would stay alive through its successor's
     f = square13()
     cx = f.cells()
-    g, _ = wave(f, (F(1, 5), F(1, 2)))
-    seen, todo = set(), [g._cells]
-    while todo:
-        obj = todo.pop()
-        assert obj is not cx
-        if id(obj) not in seen and isinstance(
-                obj, (cplx.Complex, dict, list, tuple)):
-            seen.add(id(obj))
-            todo += gc.get_referents(obj)
-    assert len(seen) > 1
+    with recorded_builds() as built:
+        g, _ = wave(f, (F(1, 5), F(1, 2)))
+    [(name, (base, *_), presentation)] = built
+    assert name == "raised" and base is cx
+    for root in (presentation, g._cells):
+        seen, todo = set(), [root]
+        while todo:
+            obj = todo.pop()
+            assert obj is not cx
+            if id(obj) not in seen and isinstance(
+                    obj, (cplx.Complex, dict, list, tuple)):
+                seen.add(id(obj))
+                todo += gc.get_referents(obj)
+        assert len(seen) > 1
 
 
 def cells_draw(kind, seed, n_waves, bare):
@@ -1522,40 +1480,6 @@ def test_the_named_cell_draws_hold_their_geometry():
     f = cells_draw(*pent)
     assert "vertices with W = 5" in whole_shapes(f.domain, f.cells())
     assert cells_draw(*kept)._cells is not None
-
-
-def test_a_carried_row_that_is_no_multiple_of_the_new_step_raises():
-    # f's table is read as values over f's denominator; one that does not
-    # scale to the new table's is refused, not rounded, by the one-pass
-    # builder, in the presentation's table read on demand and in a table
-    # over the kept cells alike
-    f = square13()
-    cx = f.cells()
-    bad = object.__new__(cplx.Complex)
-    bad.hcells = cx.hcells
-    bad._hverts, bad.denom, bad.table = cx._hverts, 7 * cx.denom, cx.table
-    terms = presented(f.domain, {**f.support, (1, 0): F(2, 15)}).support
-    raised = cplx.raised(bad, (1, 0), f.domain, terms)
-    with pytest.raises(SeriesError, match="no multiple"):
-        raised.table
-    with pytest.raises(SeriesError, match="no multiple"):
-        cplx._table(raised.hcells, terms, bad)
-    raised = cplx.raised(cx, (1, 0), f.domain, terms)
-    assert complex_fields(raised) == complex_fields(
-        cplx.build(f.domain, terms))
-
-
-def test_a_negative_new_row_of_a_raise_raises():
-    # a raise's table takes the min only at its new vertices, and refuses a
-    # negative one there: the worked example's raise with its constant
-    # lowered to -1 is negative at every new vertex, while f's rows carry
-    f = square13()
-    cx = f.cells()
-    terms = presented(f.domain, {**f.support, (1, 0): F(2, 15)}).support
-    raised = cplx.raised(cx, (1, 0), f.domain, terms)
-    with pytest.raises(SeriesError, match="negative"):
-        cplx._table(raised.hcells, {**terms, (0, 0): F(-1)}, cx)
-    cplx._table(raised.hcells, terms, cx)
 
 
 # -- the joins of a raise -------------------------------------------------------

@@ -233,6 +233,21 @@ def test_a_raise_scans_no_side_degrees():
     assert ast.unparse(hand_off).endswith("v, degrees)")
 
 
+def test_the_runner_up_reads_coefficients_not_the_complex():
+    # `_second_min_at` prices every monomial from f's support and the
+    # domain's vertices, and reads neither f's cells nor a vertex table;
+    # a table is built from a complex's own cells alone, with no base to
+    # carry rows from
+    fn = module_function("wave.py", "_second_min_at")
+    names = ({node.attr for node in ast.walk(fn)
+              if isinstance(node, ast.Attribute)}
+             | {node.id for node in ast.walk(fn)
+                if isinstance(node, ast.Name)})
+    assert not names & {"cells", "_cells", "table", "denom"}
+    table = module_function("complex.py", "_table")
+    assert [a.arg for a in table.args.args] == ["hcells", "support"]
+
+
 def test_clip_evaluates_each_cut_once():
     # `clip` takes each cut's signs in one list and skips a cut whose
     # least sign is >= 0: no loop scans the ring for a negative sign first
@@ -274,14 +289,15 @@ def test_series_error_is_defined_once():
 
 def test_the_complex_takes_no_hand_off():
     # a whole build and a raise are two entry points that both call the
-    # one constructor, and `kept` calls it too
+    # one constructor, and `kept` calls it too; a complex holds its cells
+    # and its presentation, and nothing of the complex it was read off
     cls = next(node for node in source_tree("complex.py").body
                if isinstance(node, ast.ClassDef) and node.name == "Complex")
     init = next(node for node in cls.body
                 if isinstance(node, ast.FunctionDef)
                 and node.name == "__init__")
     assert [a.arg for a in init.args.args + init.args.kwonlyargs] == [
-        "self", "hcells", "support", "base"]
+        "self", "hcells", "support"]
     assert "__new__" not in ast.unparse(source_tree("complex.py"))
     for name in ("build", "raised"):
         fn = module_function("complex.py", name)

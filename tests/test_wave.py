@@ -30,7 +30,7 @@ from tropwave.wave import (MAX_STEPS, STABILIZED, STEP_LIMIT, SamplingFailed,
 
 from conftest import pentagon, random_points, random_polygon, random_series, \
     ref_polygon_area, ref_polytope_vertices, ref_side_vanishing_multiplier, \
-    ref_wave_family_scan, square13, unit_square
+    ref_wave_family_scan, square13, unit_square, with_examples
 
 
 class TestSingleWave:
@@ -158,6 +158,16 @@ def ref_second_min_at(f, p, exclude):
     return best
 
 
+SECOND_MIN_EXAMPLES = [
+    (("random", 0, 2, "interior", 2, 7), "a runner-up off the small form"),
+    (("square", 0, 2, "interior", 2, 7), "a runner-up on the small form"),
+    (("square", 0, 1, "side", 300, 7), "a point 1/300 from a side"),
+    (("square", 1, 3, "corner", 300, 7), "a corner point at d = 300"),
+    (("pentagon", 1, 2, "interior", 2, 7),
+     "a runner-up priced at a 7/5 vertex of the pentagon"),
+]
+
+
 @settings(max_examples=150)
 @given(st.sampled_from(["square", "pentagon", "random"]),
        st.integers(min_value=0, max_value=2 ** 32 - 1),
@@ -165,21 +175,23 @@ def ref_second_min_at(f, p, exclude):
        st.sampled_from(["interior", "side", "corner"]),
        st.integers(min_value=2, max_value=300),
        st.integers(min_value=1, max_value=19))
+@with_examples(SECOND_MIN_EXAMPLES)
 def test_second_min_matches_lattice_scan(kind, seed, n_waves, where, d, s):
     """A generic interior point, a point at lattice distance 1/d from a
     random side (s/20 along it), or the point 1/d of the way from a random
     corner to the vertex centroid."""
     f, p = series_and_wave_point(kind, seed, n_waves, where, d, s)
+    assume(f.domain.contains(p, strict=True))
     att = attaining_monomials(f, p)
     assume(len(att) == 1)
     assert _second_min_at(f, p, att[0]) == ref_second_min_at(f, p, att[0])
 
 
 def series_and_wave_point(kind, seed, n_waves, where, d, s):
-    """A series of a few waves on the named domain, and an interior point:
-    a generic one, one at lattice distance 1/d from a random side (s/20
-    along it), or the point 1/d of the way from a random corner to the
-    vertex centroid."""
+    """A series of a few waves on the named domain, and a point: a generic
+    interior one, one at lattice distance 1/d from a random side (s/20
+    along it), inside its line but maybe outside another side, or the
+    point 1/d of the way from a random corner to the vertex centroid."""
     rng = random.Random(seed)
     poly = {"square": unit_square, "pentagon": pentagon,
             "random": lambda: random_polygon(rng)}[kind]()
@@ -199,8 +211,24 @@ def series_and_wave_point(kind, seed, n_waves, where, d, s):
         c = (sum(v[0] for v in poly.vertices) / m,
              sum(v[1] for v in poly.vertices) / m)
         p = (a[0] + (c[0] - a[0]) / d, a[1] + (c[1] - a[1]) / d)
-    assume(poly.contains(p, strict=True))
     return f, p
+
+
+def runner_ups(f, p, v):
+    """The monomials u != v attaining the wave's runner-up at p, the least
+    of u.p + c_u(f): `add_monomial`'s candidates, the lattice points of f's
+    quasi-degree hull raised by one on each side whose least vanishing
+    monomial is v, hold them all
+    (`test_runner_up_is_least_on_the_raised_degree_hull`)."""
+    a_v = canonical_coefficient(f, v)
+    raised = quasi_degree(f)
+    for hp in f.domain.halfplanes:
+        if ref_side_vanishing_multiplier(hp, (v, a_v)) == raised[hp.n]:
+            raised[hp.n] += 1
+    values = {u: dot(u, p) + canonical_coefficient(f, u)
+              for u in series._candidate_hull(raised) if u != v}
+    least = min(values.values())
+    return [u for u, value in values.items() if value == least]
 
 
 @given(st.sampled_from(["square", "pentagon", "random"]),
@@ -219,17 +247,12 @@ def test_runner_up_is_least_on_the_raised_degree_hull(kind, seed, n_waves,
     small support lies in the hull of those degrees, `add_monomial`'s own
     candidates, and the runner-up is least over them."""
     f, p = series_and_wave_point(kind, seed, n_waves, where, d, s)
+    assume(f.domain.contains(p, strict=True))
     att = attaining_monomials(f, p)
     assume(len(att) == 1)
     v = att[0]
-    a_v = canonical_coefficient(f, v)
-    raised = quasi_degree(f)
-    for hp in f.domain.halfplanes:
-        if ref_side_vanishing_multiplier(hp, (v, a_v)) == raised[hp.n]:
-            raised[hp.n] += 1
-    assert _second_min_at(f, p, v) == min(
-        dot(u, p) + canonical_coefficient(f, u)
-        for u in series._candidate_hull(raised) if u != v)
+    [u, *_] = runner_ups(f, p, v)
+    assert _second_min_at(f, p, v) == dot(u, p) + canonical_coefficient(f, u)
 
 
 @given(st.sampled_from(["square", "pentagon", "random"]),
@@ -252,22 +275,71 @@ def test_face_of_the_wave_point_survives_below_the_full_increment(
     assert attaining_monomials(ft, p) == [ev.monomial]
 
 
-@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
-       st.integers(min_value=0, max_value=3))
-def test_second_min_on_domains_with_rational_vertices(seed, n_waves):
-    """A random polygon moved off the lattice by a rational shift: the
-    domain-vertex rows scale each homogeneous vertex to the complex's
-    denominator, and non-lattice vertices make that scaling matter."""
+def shifted_series_and_wave_point(seed, n_waves):
+    """A series of a few waves on a random polygon moved off the lattice by
+    a rational shift, and an interior point."""
     rng = random.Random(seed)
     q = rng.randint(2, 5)
     sx, sy = F(rng.randint(1, q - 1), q), F(rng.randint(0, q - 1), q)
     poly = QPolygon.from_vertices([(x + sx, y + sy)
                                    for x, y in random_polygon(rng).vertices])
-    f = random_series(rng, poly, n_waves)
-    p = random_points(rng, poly, 1)[0]
+    return random_series(rng, poly, n_waves), random_points(rng, poly, 1)[0]
+
+
+SHIFTED_EXAMPLES = [
+    ((1, 1), "a runner-up off the small form, after a wave"),
+]
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=0, max_value=3))
+@with_examples(SHIFTED_EXAMPLES)
+def test_second_min_on_domains_with_rational_vertices(seed, n_waves):
+    """A random polygon moved off the lattice by a rational shift: the
+    domain-vertex rows scale each homogeneous vertex to the lcm of the
+    coefficient and vertex denominators, and non-lattice vertices make
+    that scaling matter."""
+    f, p = shifted_series_and_wave_point(seed, n_waves)
     att = attaining_monomials(f, p)
     assume(len(att) == 1)
     assert _second_min_at(f, p, att[0]) == ref_second_min_at(f, p, att[0])
+
+
+def test_the_named_second_min_draws_hold_their_geometry():
+    # each example above draws the geometry it is named for, at a point
+    # where one monomial attains f, so no example is rejected
+    draws = [series_and_wave_point(*args) for args, _ in SECOND_MIN_EXAMPLES]
+    draws += [shifted_series_and_wave_point(*args)
+              for args, _ in SHIFTED_EXAMPLES]
+    ups = []
+    for f, p in draws:
+        assert f.domain.contains(p, strict=True)
+        [v] = attaining_monomials(f, p)
+        ups.append((f, runner_ups(f, p, v)))
+    off, on, side, corner, pent, shifted = ups
+    # the runner-up is priced by the domain rule, off f's support, or is
+    # a monomial of the small form alone
+    assert not set(off[1]) & set(off[0].support)
+    assert set(on[1]) <= set(on[0].support)
+    assert not set(shifted[1]) & set(shifted[0].support)
+    assert f.domain.vertices == shifted[0].domain.vertices
+    assert any(z[0].denominator > 1 for z in f.domain.vertices)
+    # lattice distance 1/300 from a side, and 1/300 of the way from a
+    # corner to the vertex centroid
+    (f, p), (g, z) = draws[2], draws[3]
+    assert F(1, 300) in {dot(hp.n, p) + hp.a for hp in f.domain.halfplanes}
+    m = len(g.domain.vertices)
+    c = (sum(a[0] for a in g.domain.vertices) / m,
+         sum(a[1] for a in g.domain.vertices) / m)
+    assert any(z == (a[0] + (c[0] - a[0]) / 300, a[1] + (c[1] - a[1]) / 300)
+               for a in g.domain.vertices)
+    # on the pentagon, the runner-up is off the support and priced at a
+    # vertex with a coordinate 7/5
+    f, [u] = pent
+    assert u not in f.support
+    assert F(7, 5) in {x for z in f.domain.vertices
+                       if -dot(u, z) == canonical_coefficient(f, u)
+                       for x in z}
 
 
 @given(st.lists(st.tuples(st.integers(-50, 50), st.integers(-9, 9)),
@@ -275,8 +347,10 @@ def test_second_min_on_domains_with_rational_vertices(seed, n_waves):
        st.integers(-40, 40), st.integers(0, 60))
 def test_line_min_is_the_least_value_on_the_interval(line, lo, length):
     hi = lo + length
-    assert _line_min(line, lo, hi) == min(
-        max(c + d * t for c, d in line) for t in range(lo, hi + 1))
+
+    def g(t):
+        return max(c + d * t for c, d in line)
+    assert _line_min(g, lo, hi) == min(g(t) for t in range(lo, hi + 1))
 
 
 class TestUpperBoundWitness:
@@ -321,10 +395,11 @@ def test_dynamics_builds_one_complex_per_positive_wave(seed):
 
 
 def test_figure3_wave_reads_every_complex_through_cells():
-    # the worked example's wave calls `TropicalSeries.cells` four times:
-    # the runner-up search builds f's complex, the avalanche area and the
-    # raise read it again, and the result's constructor builds the raised
-    # presentation's.  A call builds iff the series held no complex
+    # the worked example's wave calls `TropicalSeries.cells` three times:
+    # the avalanche area builds f's complex, the raise reads it again, and
+    # the result's constructor builds the raised presentation's; the
+    # runner-up search reads coefficients, not the complex.  A call builds
+    # iff the series held no complex
     calls = []
     real = TropicalSeries.cells
 
@@ -337,7 +412,7 @@ def test_figure3_wave_reads_every_complex_through_cells():
         g, ev = wave(f, (F(1, 5), F(1, 2)))
     assert ev.increment == F(2, 15)
     assert [(s is f, build) for s, build in calls] == [
-        (True, True), (True, False), (True, False), (False, True)]
+        (True, True), (True, False), (False, True)]
     assert g._cells is not None
 
 
